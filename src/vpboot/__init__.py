@@ -19,9 +19,9 @@ from .experiments import (CcaScenarioOutcome, ScenarioOutcome,
                           sweep_sampling_range)
 from .ordination import (PartitionResult, adjusted_r2, cca_explained,
                          center_columns, chi_square_transform,
-                         fit_projection, log1p_transform, numerical_rank,
-                         partition_from_r2, rda_r2, varpart_two)
-from .resample import BootstrapSummary, bootstrap_statistic, resample_rows
+                         fit_projection, numerical_rank, partition_from_r2,
+                         rda_r2, varpart_two)
+from .resample import BootstrapSummary, bootstrap_statistic
 from .rng import derive_seed, stream
 from .synth import (ScenarioConfig, SiteEnvironment, SpeciesNiche,
                     gaussian_response, generate_complex_dataset,
@@ -38,11 +38,11 @@ __all__ = [
     "bootstrap_validation", "cca_explained", "cca_proportion",
     "cca_validation", "center_columns", "chi_square_transform",
     "derive_seed", "fit_projection", "format_report", "gaussian_response",
-    "generate_complex_dataset", "generate_dataset", "log1p_transform",
-    "numerical_rank", "partition_from_r2", "partition_tables", "pearson_r",
-    "predictor_effect_r2", "rda_r2", "relative_abundance",
-    "report_to_dict", "resample_rows", "run_analysis",
-    "run_replicated_scenario", "site_abundances", "spearman_rho", "stream",
+    "generate_complex_dataset", "generate_dataset", "numerical_rank",
+    "partition_from_r2", "partition_tables", "pearson_r",
+    "predictor_effect_r2", "rda_r2", "relative_abundance", "report_to_dict",
+    "run_analysis", "run_replicated_scenario", "site_abundances",
+    "spearman_rho", "stream",
     "sweep_optimum_distance", "sweep_sample_size", "sweep_sampling_range",
     "trend_surface", "varpart_two",
 ]

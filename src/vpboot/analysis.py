@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
-from .ordination import (PartitionResult, cca_explained, partition_from_r2,
-                         varpart_two)
+from .ordination import PartitionResult, _partition
 from .resample import BootstrapSummary, bootstrap_statistic
-from .tables import CommunityTable, PredictorBlock, require_aligned
+from .tables import (CommunityTable, PredictorBlock, as_matrix,
+                     require_aligned)
 
 #: Fixed fraction names used in reports and serialized output.
 FRACTION_NAMES = ("env_pure", "spatial_including_shared", "residual")
@@ -40,26 +39,6 @@ class AnalysisReport:
     runtime_seconds: float
 
 
-def _cca_partition(y: np.ndarray, x: np.ndarray, w: np.ndarray,
-                   log1p: bool) -> PartitionResult:
-    keep_rows = y.sum(axis=1) > 0
-    keep_cols = y.sum(axis=0) > 0
-    if int(keep_rows.sum()) < 3:
-        raise DegenerateDataError(
-            f"only {int(keep_rows.sum())} non-empty sites remain")
-    if int(keep_cols.sum()) < 1:
-        raise DegenerateDataError("every species column is empty")
-    ym = y[np.ix_(keep_rows, keep_cols)]
-    if log1p:
-        ym = np.log1p(ym)
-    xm = x[keep_rows]
-    wm = w[keep_rows]
-    r2_x = cca_explained(ym, xm)[2]
-    r2_w = cca_explained(ym, wm)[2]
-    r2_xw = cca_explained(ym, np.hstack([xm, wm]))[2]
-    return partition_from_r2(r2_x, r2_w, r2_xw)
-
-
 def trend_surface(block: PredictorBlock) -> PredictorBlock:
     """Expand a 2-column coordinate block to (x, y, x^2, xy, y^2).
 
@@ -85,25 +64,10 @@ def partition_tables(table, env, spatial, method: str = "cca",
     small-sample adjustment). ``log1p`` defaults to on for ``cca`` and off
     for ``rda``.
     """
-    if method not in ("cca", "rda"):
-        raise ValidationError(f"unknown method {method!r}")
     if log1p is None:
         log1p = method == "cca"
-    y = table.values if isinstance(table, CommunityTable) else np.asarray(
-        table, dtype=float)
-    x = env.values if isinstance(env, PredictorBlock) else np.asarray(
-        env, dtype=float)
-    w = spatial.values if isinstance(spatial, PredictorBlock) else np.asarray(
-        spatial, dtype=float)
-    if method == "cca":
-        return _cca_partition(y, x, w, log1p)
-    ym = np.log1p(y) if log1p else y
-    return varpart_two(ym, env, spatial)
-
-
-def _rollup_statistic(table, blocks, method: str, log1p: bool):
-    part = partition_tables(table, blocks[0], blocks[1], method, log1p)
-    return part.rollup()
+    y = as_matrix(table)
+    return _partition(np.log1p(y) if log1p else y, env, spatial, method)
 
 
 def run_analysis(table: CommunityTable, env: PredictorBlock,
@@ -120,10 +84,10 @@ def run_analysis(table: CommunityTable, env: PredictorBlock,
     rollup = part.rollup()
     if abs(sum(rollup) - 1.0) > 1e-9:
         raise DegenerateDataError("partition rollup does not sum to 1")
-    statistic = partial(_rollup_statistic, method=method, log1p=log1p)
     summaries = bootstrap_statistic(
-        table, [env, spatial], statistic, m_replicates, seed,
-        names=FRACTION_NAMES)
+        table, [env, spatial],
+        lambda y, x, w: partition_tables(y, x, w, method, log1p).rollup(),
+        m_replicates, seed, names=FRACTION_NAMES)
     return AnalysisReport(
         dataset_name=dataset_name,
         method=method,

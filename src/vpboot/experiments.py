@@ -16,9 +16,8 @@ from functools import partial
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
-from .ordination import (adjusted_r2, cca_explained, center_columns,
-                         numerical_rank, rda_r2)
-from .resample import bootstrap_statistic
+from .ordination import _block_fractions
+from .resample import bootstrap_statistic, relative_spread
 from .rng import derive_seed
 from .synth import (ScenarioConfig, SpeciesNiche, generate_complex_dataset,
                     generate_dataset)
@@ -46,28 +45,17 @@ def predictor_effect_r2(table, env, mode: str = "semipartial") -> float:
     first column alone, so it isolates what the second column adds.
     ``marginal`` fits the second column by itself.
     """
-    ym = as_matrix(table)
     em = as_matrix(env)
     if em.shape[1] != 2:
         raise ValidationError("environment block must have exactly 2 columns")
-    n = ym.shape[0]
-
-    def _adjusted(block: np.ndarray) -> float:
-        m = numerical_rank(center_columns(block))
-        return adjusted_r2(rda_r2(ym, block), n, m)
-
     if mode == "marginal":
-        return _adjusted(em[:, 1:2])
+        return _block_fractions(table, [("second gradient", em[:, 1:2])], "rda")[0]
     if mode == "semipartial":
-        return _adjusted(em) - _adjusted(em[:, 0:1])
+        joint, first = _block_fractions(
+            table, [("both gradients", em), ("first gradient", em[:, 0:1])],
+            "rda")
+        return joint - first
     raise ValidationError(f"unknown mode {mode!r}")
-
-
-def relative_error(sd: float, mean: float) -> float:
-    """Spread relative to the magnitude of the mean (infinite at mean 0)."""
-    if mean == 0.0:
-        return math.nan if sd == 0.0 else math.inf
-    return sd / abs(mean)
 
 
 @dataclass(frozen=True)
@@ -100,17 +88,20 @@ def run_replicated_scenario(config: ScenarioConfig,
         config=config,
         observed_mean_r2=mean,
         observed_sd=sd,
-        observed_relative_error=relative_error(sd, mean),
+        observed_relative_error=abs(relative_spread(sd, mean)),
         r2_values=tuple(float(v) for v in values),
     )
 
 
-def _run_cells(configs, mode: str, threads: int) -> list[ScenarioOutcome]:
-    fn = partial(run_replicated_scenario, mode=mode)
+def _map(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]``, spread over ``threads`` processes.
+
+    Results come back in input order, so the thread count never changes them.
+    """
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, configs))
-    return [fn(c) for c in configs]
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def sample_size_configs(base: ScenarioConfig,
@@ -176,7 +167,8 @@ def sweep_sample_size(base: ScenarioConfig, sizes=DEFAULT_SAMPLE_SIZES,
                       mode: str = "semipartial",
                       threads: int = 1) -> list[ScenarioOutcome]:
     """Precision of the effect estimate as the number of sites grows."""
-    return _run_cells(sample_size_configs(base, sizes, noise_levels), mode, threads)
+    return _map(partial(run_replicated_scenario, mode=mode),
+                sample_size_configs(base, sizes, noise_levels), threads)
 
 
 def sweep_sampling_range(base: ScenarioConfig, y_max_values=DEFAULT_Y_MAX_GRID,
@@ -184,8 +176,8 @@ def sweep_sampling_range(base: ScenarioConfig, y_max_values=DEFAULT_Y_MAX_GRID,
                          mode: str = "semipartial",
                          threads: int = 1) -> list[ScenarioOutcome]:
     """Effect size and precision as the sampled gradient range narrows."""
-    return _run_cells(sampling_range_configs(base, y_max_values, noise_levels),
-                      mode, threads)
+    return _map(partial(run_replicated_scenario, mode=mode),
+                sampling_range_configs(base, y_max_values, noise_levels), threads)
 
 
 def sweep_optimum_distance(base: ScenarioConfig, y_opt_values=DEFAULT_Y_OPT_GRID,
@@ -193,20 +185,16 @@ def sweep_optimum_distance(base: ScenarioConfig, y_opt_values=DEFAULT_Y_OPT_GRID
                            mode: str = "semipartial",
                            threads: int = 1) -> list[ScenarioOutcome]:
     """Effect size and precision as the niche optima separate."""
-    return _run_cells(optimum_distance_configs(base, y_opt_values, noise_levels),
-                      mode, threads)
+    return _map(partial(run_replicated_scenario, mode=mode),
+                optimum_distance_configs(base, y_opt_values, noise_levels), threads)
 
 
-def _effect_statistic(table, blocks, mode: str) -> float:
-    return predictor_effect_r2(table, blocks[0], mode)
-
-
-def _validated_outcome(config: ScenarioConfig,
-                       observed: ScenarioOutcome | None, *,
-                       n_validation: int, mode: str) -> ScenarioOutcome:
+def _validated_outcome(item, *, n_validation: int,
+                       mode: str) -> ScenarioOutcome:
+    config, observed = item
     outcome = observed if observed is not None else run_replicated_scenario(
         config, mode)
-    statistic = partial(_effect_statistic, mode=mode)
+    statistic = partial(predictor_effect_r2, mode=mode)
     spreads = []
     for v in range(n_validation):
         table, env = generate_dataset(config, replicate=config.replicates + v)
@@ -219,7 +207,8 @@ def _validated_outcome(config: ScenarioConfig,
     # the comparison isolates how well the bootstrap spread tracks the true
     # run-to-run spread. Dividing each table's spread by its own bootstrap
     # mean instead would blow up whenever that mean sits near zero.
-    estimate = relative_error(float(np.mean(spreads)), outcome.observed_mean_r2)
+    estimate = abs(relative_spread(float(np.mean(spreads)),
+                                   outcome.observed_mean_r2))
     return replace(outcome, bootstrap_relative_error=estimate)
 
 
@@ -245,11 +234,8 @@ def bootstrap_validation(scenarios, n_validation: int = 10,
             if out.config != cfg:
                 raise ValidationError(
                     "observed outcomes do not match the scenario list")
-    fn = partial(_validated_outcome, n_validation=n_validation, mode=mode)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, scenarios, observed))
-    return [fn(cfg, out) for cfg, out in zip(scenarios, observed)]
+    return _map(partial(_validated_outcome, n_validation=n_validation, mode=mode),
+                zip(scenarios, observed), threads)
 
 
 def cca_proportion(table, env) -> float:
@@ -259,23 +245,7 @@ def cca_proportion(table, env) -> float:
     resamples produce them routinely. Fewer than 3 usable sites or 2 usable
     species is reported as degenerate.
     """
-    ym = as_matrix(table)
-    em = as_matrix(env)
-    if ym.shape[0] != em.shape[0]:
-        raise ValidationError("table and environment must share rows")
-    keep_rows = ym.sum(axis=1) > 0
-    keep_cols = ym.sum(axis=0) > 0
-    if int(keep_rows.sum()) < 3 or int(keep_cols.sum()) < 2:
-        raise DegenerateDataError(
-            f"only {int(keep_rows.sum())} non-empty sites and "
-            f"{int(keep_cols.sum())} non-empty species remain")
-    pruned = ym[np.ix_(keep_rows, keep_cols)]
-    _, _, proportion = cca_explained(np.log1p(pruned), em[keep_rows])
-    return proportion
-
-
-def _cca_statistic(table, blocks) -> float:
-    return cca_proportion(table, blocks[0])
+    return _block_fractions(np.log1p(as_matrix(table)), [("env", env)], "cca")[0]
 
 
 @dataclass(frozen=True)
@@ -309,7 +279,7 @@ def _cca_repeat(item, m_replicates: int, n_validation: int,
             n_sites, n_species=n_species, sigma_noise=sigma_noise,
             seed=cell_seed, replicate=m_replicates + v)
         summary = bootstrap_statistic(
-            table, [env], _cca_statistic, m_replicates,
+            table, [env], cca_proportion, m_replicates,
             derive_seed(cell_seed, _TAG_VALIDATION_TABLE, v),
             names=("cca_proportion",))[0]
         spreads.append(summary.sd)
@@ -320,8 +290,9 @@ def _cca_repeat(item, m_replicates: int, n_validation: int,
         seed=int(cell_seed),
         mean_proportion=mean,
         observed_sd=sd,
-        observed_relative_error=relative_error(sd, mean),
-        bootstrap_relative_error=relative_error(float(np.mean(spreads)), mean),
+        observed_relative_error=abs(relative_spread(sd, mean)),
+        bootstrap_relative_error=abs(relative_spread(float(np.mean(spreads)),
+                                                     mean)),
     )
 
 
@@ -342,13 +313,9 @@ def cca_validation(sizes=CCA_SAMPLE_SIZES, noise_levels=CCA_NOISE_LEVELS,
         for j, noise in enumerate(noise_levels)
         for rep in range(repeats)
     ]
-    fn = partial(_cca_repeat, m_replicates=m_replicates,
-                 n_validation=n_validation, n_species=n_species)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(fn, items))
-    else:
-        outcomes = [fn(item) for item in items]
+    outcomes = _map(partial(_cca_repeat, m_replicates=m_replicates,
+                            n_validation=n_validation, n_species=n_species),
+                    items, threads)
     observed = [o.observed_relative_error for o in outcomes]
     estimated = [o.bootstrap_relative_error for o in outcomes]
     r, t, df = pearson_r(observed, estimated)

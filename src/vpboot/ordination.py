@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
-from .tables import CommunityTable, PredictorBlock, as_matrix
+from .tables import as_matrix
 
 #: Relative singular-value cutoff shared by rank decisions and
 #: pseudo-inverse truncation.
@@ -169,10 +169,55 @@ def partition_from_r2(r2_x: float, r2_w: float, r2_xw: float) -> PartitionResult
     )
 
 
-def _block_values_and_name(block, fallback: str) -> tuple[np.ndarray, str]:
-    if isinstance(block, PredictorBlock):
-        return block.values, block.name
-    return as_matrix(block), fallback
+def _block_fractions(y, named_blocks, method: str) -> list[float]:
+    """Explained fraction of ``y`` for each named predictor set.
+
+    Each entry of ``named_blocks`` is ``(name, *parts)``; the parts are
+    joined side by side into one predictor block, so a joint fit is written
+    ``(name, x, w)``. ``rda`` gives the adjusted R2 of each block, adjusted
+    by the rank of its centred columns. ``cca`` gives each block's share of
+    chi-square inertia after all-zero sites and species are dropped (the
+    bootstrap produces them routinely); fewer than 3 sites or 2 species
+    left is degenerate. This is the one place where blocks are aligned,
+    tables pruned and ranks taken.
+    """
+    if method not in ("cca", "rda"):
+        raise ValidationError(f"unknown method {method!r}")
+    ym = as_matrix(y)
+    n = ym.shape[0]
+    blocks = []
+    for name, *parts in named_blocks:
+        parts = [as_matrix(p) for p in parts]
+        if any(p.shape[0] != n for p in parts):
+            raise ValidationError("response and predictor blocks must share rows")
+        blocks.append((name, parts[0] if len(parts) == 1 else np.hstack(parts)))
+    if method == "cca":
+        if not np.all(ym >= 0.0):
+            raise ValidationError("table contains negative or non-finite entries")
+        keep_rows = ym.sum(axis=1) > 0
+        keep_cols = ym.sum(axis=0) > 0
+        if int(keep_rows.sum()) < 3 or int(keep_cols.sum()) < 2:
+            raise DegenerateDataError(
+                f"only {int(keep_rows.sum())} non-empty sites and "
+                f"{int(keep_cols.sum())} non-empty species remain")
+        ym = ym[np.ix_(keep_rows, keep_cols)]
+        return [cca_explained(ym, block[keep_rows])[2] for _, block in blocks]
+    fractions = []
+    for name, block in blocks:
+        m = numerical_rank(center_columns(block))
+        if n - m - 1 < 1:
+            raise DegenerateDataError(
+                f"block '{name}': no residual degrees of freedom "
+                f"(n={n}, rank m={m})")
+        fractions.append(adjusted_r2(rda_r2(ym, block), n, m))
+    return fractions
+
+
+def _partition(y, x, w, method: str) -> PartitionResult:
+    """Fit ``x``, ``w`` and both together, then split by inclusion-exclusion."""
+    x_name, w_name = getattr(x, "name", "X"), getattr(w, "name", "W")
+    return partition_from_r2(*_block_fractions(
+        y, [(x_name, x), (w_name, w), (f"{x_name}+{w_name}", x, w)], method))
 
 
 def varpart_two(y, x, w) -> PartitionResult:
@@ -183,25 +228,7 @@ def varpart_two(y, x, w) -> PartitionResult:
     with zero columns explains exactly nothing, so the partition collapses to
     the other block's fit.
     """
-    ym = as_matrix(y)
-    xm, x_name = _block_values_and_name(x, "X")
-    wm, w_name = _block_values_and_name(w, "W")
-    n = ym.shape[0]
-    if xm.shape[0] != n or wm.shape[0] != n:
-        raise ValidationError("response and predictor blocks must share rows")
-
-    def _adjusted_fit(values: np.ndarray, label: str) -> float:
-        m = numerical_rank(center_columns(values)) if values.shape[1] else 0
-        if n - m - 1 < 1:
-            raise DegenerateDataError(
-                f"block '{label}': no residual degrees of freedom "
-                f"(n={n}, rank m={m})")
-        return adjusted_r2(rda_r2(ym, values), n, m)
-
-    r2_x = _adjusted_fit(xm, x_name)
-    r2_w = _adjusted_fit(wm, w_name)
-    r2_xw = _adjusted_fit(np.hstack([xm, wm]), f"{x_name}+{w_name}")
-    return partition_from_r2(r2_x, r2_w, r2_xw)
+    return _partition(y, x, w, "rda")
 
 
 def chi_square_transform(y):
@@ -262,16 +289,3 @@ def cca_explained(y, x) -> tuple[float, float, float]:
     constrained = min(max(constrained, 0.0), total)
     return total, constrained, constrained / total
 
-
-def log1p_transform(y):
-    """Elementwise ln(1 + value); zeros map to zero and order is preserved.
-
-    A ``CommunityTable`` comes back as a table with the same labels; any
-    other input comes back as a plain matrix.
-    """
-    if isinstance(y, CommunityTable):
-        return CommunityTable(y.site_ids, y.species_ids, np.log1p(y.values))
-    ym = as_matrix(y)
-    if np.any(ym < 0):
-        raise ValidationError("log1p requires non-negative entries")
-    return np.log1p(ym)

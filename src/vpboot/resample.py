@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
 from .rng import ROLE_BOOTSTRAP, stream
-from .tables import CommunityTable, PredictorBlock, require_aligned
+from .tables import as_matrix, require_aligned
 
 #: Fraction of replicates allowed to fail (and be redrawn) before aborting.
 FAILURE_BUDGET = 0.05
@@ -35,32 +35,6 @@ class BootstrapSummary:
     redraw_count: int = 0
 
 
-def resample_rows(table: CommunityTable, blocks, rng: np.random.Generator):
-    """Resample sites with replacement, keeping each site's rows glued.
-
-    One index sequence of length ``n_sites`` is drawn and applied to the
-    table and to every predictor block, so a site's abundances never
-    separate from its predictors. Labels of repeated draws get an
-    occurrence suffix (``#2``, ``#3``, ...) to stay unique.
-    """
-    blocks = list(blocks)
-    require_aligned(table, *blocks)
-    n = table.n_sites
-    idx = rng.integers(0, n, size=n)
-    seen: dict[int, int] = {}
-    labels = []
-    for i in idx:
-        i = int(i)
-        hits = seen.get(i, 0) + 1
-        seen[i] = hits
-        base = table.site_ids[i]
-        labels.append(base if hits == 1 else f"{base}#{hits}")
-    labels = tuple(labels)
-    new_table = CommunityTable(labels, table.species_ids, table.values[idx])
-    new_blocks = [PredictorBlock(b.name, labels, b.values[idx]) for b in blocks]
-    return new_table, new_blocks
-
-
 def _as_row(value, width: int | None) -> tuple[float, ...]:
     if np.isscalar(value):
         row = (float(value),)
@@ -81,12 +55,15 @@ def relative_spread(sd: float, mean: float) -> float:
     return sd / mean
 
 
-def bootstrap_statistic(table: CommunityTable, blocks, statistic,
-                        m_replicates: int, seed: int,
-                        names=None) -> list[BootstrapSummary]:
+def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
+                        seed: int, names=None) -> list[BootstrapSummary]:
     """Summaries of ``statistic`` over ``m_replicates`` site resamples.
 
-    ``statistic`` maps ``(table, blocks)`` to a float or a fixed-width
+    Replicate ``j`` draws ``n_sites`` row indices with replacement from
+    ``stream(seed, ROLE_BOOTSTRAP, j, attempt)`` and applies them to the
+    table and to every block, so a site's abundances never separate from
+    its predictors. ``statistic`` is called as ``statistic(y, *blocks)`` on
+    the resampled plain arrays and returns a float or a fixed-width
     sequence of floats; one summary per component comes back. A replicate
     whose statistic raises ``DegenerateDataError`` is redrawn from a fresh
     sub-stream; once more than ``FAILURE_BUDGET`` of ``m_replicates``
@@ -96,6 +73,10 @@ def bootstrap_statistic(table: CommunityTable, blocks, statistic,
     if m_replicates < 2:
         raise ValidationError("need at least 2 bootstrap replicates")
     blocks = list(blocks)
+    require_aligned(table, *blocks)
+    y = as_matrix(table)
+    blocks = [as_matrix(b) for b in blocks]
+    n = y.shape[0]
     rows: list[tuple[float, ...]] = []
     width: int | None = None
     failures = 0
@@ -103,10 +84,9 @@ def bootstrap_statistic(table: CommunityTable, blocks, statistic,
     for j in range(m_replicates):
         attempt = 0
         while True:
-            rng = stream(seed, ROLE_BOOTSTRAP, j, attempt)
-            resampled_table, resampled_blocks = resample_rows(table, blocks, rng)
+            idx = stream(seed, ROLE_BOOTSTRAP, j, attempt).integers(0, n, size=n)
             try:
-                value = statistic(resampled_table, resampled_blocks)
+                value = statistic(y[idx], *(b[idx] for b in blocks))
             except DegenerateDataError as exc:
                 failures += 1
                 if failures > budget:

@@ -81,9 +81,8 @@ class CommunityTable:
 class PredictorBlock:
     """Immutable named block of per-site predictor columns.
 
-    ``rank`` is the numerical rank of the column-centred values, so it never
-    exceeds ``min(n_sites - 1, n_columns)``. A block may have zero columns,
-    in which case it explains nothing by construction.
+    A block may have zero columns, in which case it explains nothing by
+    construction.
     """
 
     name: str
@@ -113,16 +112,6 @@ class PredictorBlock:
     @property
     def n_columns(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def rank(self) -> int:
-        centred = self.values - self.values.mean(axis=0, keepdims=True)
-        if centred.size == 0:
-            return 0
-        s = np.linalg.svd(centred, compute_uv=False)
-        if s.size == 0 or s[0] <= 0.0:
-            return 0
-        return int(np.count_nonzero(s > 1e-10 * s[0]))
 
 
 def require_aligned(first, *others) -> None:

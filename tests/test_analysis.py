@@ -74,6 +74,17 @@ def test_cca_partition_needs_three_live_sites():
         partition_tables(table, env, env, method="cca")
 
 
+def test_cca_partition_rejects_negative_entries():
+    # A negative row sum must not pass for an empty site and be pruned.
+    rng = np.random.default_rng(35)
+    values = rng.uniform(1.0, 5.0, size=(8, 3))
+    values[4] = [-0.5, 0.1, 0.1]
+    env = rng.normal(size=(8, 1))
+    for log1p in (False, True):
+        with pytest.raises(ValidationError, match="negative or non-finite"):
+            partition_tables(values, env, env, method="cca", log1p=log1p)
+
+
 def test_run_analysis_report_shape_and_determinism():
     table, env = generate_dataset(ScenarioConfig(seed=34, n_sites=20))
     x, w = _split_blocks(table, env)

@@ -197,6 +197,24 @@ def test_analyze_degenerate_inputs_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_analyze_cca_needs_two_live_species(tmp_path, capsys):
+    rng = np.random.default_rng(15)
+    ids = tuple(f"s{i}" for i in range(12))
+    values = np.zeros((12, 3))
+    values[:, 1] = rng.integers(1, 9, 12)
+    write_table_csv(tmp_path / "y.csv",
+                    CommunityTable(ids, ("sp1", "sp2", "sp3"), values))
+    write_table_csv(tmp_path / "x.csv",
+                    PredictorBlock("env", ids, rng.normal(size=(12, 1))))
+    write_table_csv(tmp_path / "w.csv",
+                    PredictorBlock("spatial", ids, rng.normal(size=(12, 1))))
+    code = main(["analyze", str(tmp_path / "y.csv"), str(tmp_path / "x.csv"),
+                 str(tmp_path / "w.csv"), "--method", "cca", "--seed", "1",
+                 "--bootstrap", "20"])
+    assert code == 3
+    assert "1 non-empty species" in capsys.readouterr().err
+
+
 def test_simulate_round_trip_and_determinism(tmp_path, capsys):
     config = tmp_path / "scenario.cfg"
     config.write_text("seed = 21\nn_sites = 8\nsigma_noise = 0.05\n")

@@ -10,12 +10,13 @@ from vpboot.errors import DegenerateDataError, ValidationError
 from vpboot.experiments import (bootstrap_validation, cca_proportion,
                                 cca_validation, optimum_distance_configs,
                                 pearson_r, predictor_effect_r2,
-                                relative_error, run_replicated_scenario,
+                                run_replicated_scenario,
                                 sample_size_configs, spearman_rho,
                                 sweep_optimum_distance, sweep_sample_size,
                                 sweep_sampling_range)
 from vpboot.ordination import (adjusted_r2, center_columns, numerical_rank,
                                rda_r2)
+from vpboot.resample import relative_spread
 from vpboot.synth import ScenarioConfig, SpeciesNiche, generate_dataset
 from vpboot.tables import CommunityTable
 
@@ -55,13 +56,6 @@ def test_spearman_rho_ranks_with_ties():
     assert spearman_rho(xs, np.exp(xs)) == 1.0
 
 
-def test_relative_error_conventions():
-    assert relative_error(0.2, 0.4) == pytest.approx(0.5)
-    assert relative_error(0.2, -0.4) == pytest.approx(0.5)
-    assert relative_error(0.3, 0.0) == math.inf
-    assert math.isnan(relative_error(0.0, 0.0))
-
-
 def test_predictor_effect_matches_manual_decomposition():
     config = ScenarioConfig(seed=6, n_sites=60)
     table, env = generate_dataset(config)
@@ -95,7 +89,8 @@ def test_replicated_scenario_is_deterministic_and_self_consistent():
     assert first.observed_mean_r2 == pytest.approx(values.mean(), abs=1e-15)
     assert first.observed_sd == pytest.approx(values.std(ddof=1), abs=1e-15)
     assert first.observed_relative_error == pytest.approx(
-        relative_error(first.observed_sd, first.observed_mean_r2), abs=1e-15)
+        abs(relative_spread(first.observed_sd, first.observed_mean_r2)),
+        abs=1e-15)
     assert first.bootstrap_relative_error is None
 
 

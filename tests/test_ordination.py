@@ -5,17 +5,14 @@ computation (column-wise least squares, double-loop chi-square) rather
 than against the implementation's own intermediate values.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from vpboot.errors import DegenerateDataError, ValidationError
 from vpboot.ordination import (PartitionResult, adjusted_r2, cca_explained,
                                center_columns, chi_square_transform,
-                               fit_projection, log1p_transform,
-                               numerical_rank, partition_from_r2, rda_r2,
-                               varpart_two)
+                               fit_projection, numerical_rank,
+                               partition_from_r2, rda_r2, varpart_two)
 from vpboot.tables import PredictorBlock
 
 
@@ -308,19 +305,3 @@ def test_cca_proportion_is_scale_invariant():
         base = cca_explained(y, x)[2]
         scaled = cca_explained(3.7 * y, x)[2]
         assert scaled == pytest.approx(base, abs=1e-10)
-
-
-def test_log1p_transform_values_and_validation():
-    out = log1p_transform([[0.0, math.e - 1.0], [1.0, 2.0]])
-    assert out[0, 0] == 0.0
-    assert out[0, 1] == pytest.approx(1.0, abs=1e-12)
-    rng = np.random.default_rng(27)
-    y = rng.uniform(0.0, 9.0, size=(4, 4))
-    t = log1p_transform(y)
-    flat_y, flat_t = y.ravel(), t.ravel()
-    for i in range(flat_y.size):
-        for j in range(flat_y.size):
-            if flat_y[i] < flat_y[j]:
-                assert flat_t[i] < flat_t[j]
-    with pytest.raises(ValidationError):
-        log1p_transform([[-0.1, 1.0]])

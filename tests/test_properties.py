@@ -3,7 +3,8 @@
 import numpy as np
 
 from vpboot.ordination import chi_square_transform, fit_projection
-from vpboot.resample import resample_rows
+from vpboot.resample import bootstrap_statistic
+from vpboot.rng import stream
 from vpboot.synth import ScenarioConfig, SpeciesNiche, generate_dataset
 from vpboot.tables import CommunityTable, PredictorBlock
 
@@ -69,8 +70,10 @@ def test_generated_rows_hit_the_capacity_band():
 
 def test_resampling_keeps_sites_glued():
     rng = np.random.default_rng(104)
+    chi2 = df = 0.0
     for _ in range(CASES):
         n = int(rng.integers(3, 11))
+        seed = int(rng.integers(0, 2**32))
         ids = tuple(f"site{i}" for i in range(n))
         index_column = np.arange(n, dtype=float)
         table = CommunityTable(ids, ("sp1", "sp2"),
@@ -79,15 +82,27 @@ def test_resampling_keeps_sites_glued():
         block_b = PredictorBlock("b", ids,
                                  np.column_stack([index_column + 200.0,
                                                   index_column + 300.0]))
-        new_table, (new_a, new_b) = resample_rows(table, [block_a, block_b], rng)
+        draws = []
 
-        drawn = new_table.values[:, 0]
-        assert np.array_equal(new_table.values[:, 1], drawn)
-        assert np.array_equal(new_a.values[:, 0], drawn + 100.0)
-        assert np.array_equal(new_b.values[:, 0], drawn + 200.0)
-        assert np.array_equal(new_b.values[:, 1], drawn + 300.0)
-        assert len(set(new_table.site_ids)) == n
-        for label, value in zip(new_table.site_ids, drawn):
-            assert label.split("#")[0] == f"site{int(value)}"
-        assert new_a.site_ids == new_table.site_ids
-        assert new_b.site_ids == new_table.site_ids
+        def recording(y, a, b):
+            draws.append((y, a, b))
+            return 0.0
+
+        bootstrap_statistic(table, [block_a, block_b], recording, 2, seed)
+        for j, (y, a, b) in enumerate(draws):
+            drawn = y[:, 0]
+            assert np.array_equal(y[:, 1], drawn)
+            assert np.array_equal(a[:, 0], drawn + 100.0)
+            assert np.array_equal(b[:, 0], drawn + 200.0)
+            assert np.array_equal(b[:, 1], drawn + 300.0)
+            # Role 2 is the bootstrap role of the stream contract.
+            expected = stream(seed, 2, j, 0).integers(0, n, size=n)
+            assert np.array_equal(drawn.astype(int), expected)
+        counts = np.bincount(
+            np.concatenate([y[:, 0] for y, _, _ in draws]).astype(int),
+            minlength=n)
+        mean_count = counts.sum() / n
+        chi2 += float(np.sum((counts - mean_count) ** 2)) / mean_count
+        df += n - 1
+    # Pooled Pearson statistic of the uniform law: mean df, sd <= sqrt(2 df).
+    assert abs(chi2 - df) < 5.0 * np.sqrt(2.0 * df)
