@@ -56,6 +56,15 @@ def test_spearman_rho_ranks_with_ties():
     assert spearman_rho(xs, np.exp(xs)) == 1.0
 
 
+def test_relative_error_conventions():
+    # Relative errors are ``abs(relative_spread(sd, mean))``: the sign of
+    # the mean drops out, and the zero-mean conventions survive.
+    assert abs(relative_spread(0.2, 0.4)) == pytest.approx(0.5)
+    assert abs(relative_spread(0.2, -0.4)) == pytest.approx(0.5)
+    assert abs(relative_spread(0.3, 0.0)) == math.inf
+    assert math.isnan(abs(relative_spread(0.0, 0.0)))
+
+
 def test_predictor_effect_matches_manual_decomposition():
     config = ScenarioConfig(seed=6, n_sites=60)
     table, env = generate_dataset(config)

@@ -78,12 +78,6 @@ def test_relative_spread_conventions():
     assert relative_spread(0.1, -0.2) == pytest.approx(-0.5)
     assert relative_spread(0.3, 0.0) == math.inf
     assert math.isnan(relative_spread(0.0, 0.0))
-    # Relative errors use the magnitude: the sign of the mean drops out,
-    # and the zero-mean conventions survive.
-    assert abs(relative_spread(0.2, 0.4)) == pytest.approx(0.5)
-    assert abs(relative_spread(0.2, -0.4)) == pytest.approx(0.5)
-    assert abs(relative_spread(0.3, 0.0)) == math.inf
-    assert math.isnan(abs(relative_spread(0.0, 0.0)))
 
 
 def test_bootstrap_summary_three_point_arithmetic():
