@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
-from .ordination import PartitionResult, _partition
+from .ordination import PartitionResult, _log1p, _partition, _rollups
 from .resample import BootstrapSummary, bootstrap_statistic
-from .tables import (CommunityTable, PredictorBlock, as_matrix,
-                     require_aligned)
+from .tables import CommunityTable, PredictorBlock, require_aligned
 
 #: Fixed fraction names used in reports and serialized output.
 FRACTION_NAMES = ("env_pure", "spatial_including_shared", "residual")
@@ -66,8 +66,7 @@ def partition_tables(table, env, spatial, method: str = "cca",
     """
     if log1p is None:
         log1p = method == "cca"
-    y = as_matrix(table)
-    return _partition(np.log1p(y) if log1p else y, env, spatial, method)
+    return _partition(_log1p(table) if log1p else table, env, spatial, method)
 
 
 def run_analysis(table: CommunityTable, env: PredictorBlock,
@@ -85,9 +84,9 @@ def run_analysis(table: CommunityTable, env: PredictorBlock,
     if abs(sum(rollup) - 1.0) > 1e-9:
         raise DegenerateDataError("partition rollup does not sum to 1")
     summaries = bootstrap_statistic(
-        table, [env, spatial],
-        lambda y, x, w: partition_tables(y, x, w, method, log1p).rollup(),
-        m_replicates, seed, names=FRACTION_NAMES)
+        _log1p(table) if log1p else table, [env, spatial],
+        partial(_rollups, method=method), m_replicates, seed,
+        names=FRACTION_NAMES)
     return AnalysisReport(
         dataset_name=dataset_name,
         method=method,

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
-from .ordination import _block_fractions
+from .ordination import _block_fractions, _log1p
 from .resample import bootstrap_statistic, relative_spread
 from .rng import derive_seed
 from .synth import (ScenarioConfig, SpeciesNiche, generate_complex_dataset,
@@ -45,16 +45,22 @@ def predictor_effect_r2(table, env, mode: str = "semipartial") -> float:
     first column alone, so it isolates what the second column adds.
     ``marginal`` fits the second column by itself.
     """
+    return float(_effect_r2(None, table, env, mode)[0][0, 0])
+
+
+def _effect_r2(counts, table, env, mode: str):
+    """``predictor_effect_r2`` per count row, as a batched bootstrap statistic."""
     em = as_matrix(env)
     if em.shape[1] != 2:
         raise ValidationError("environment block must have exactly 2 columns")
     if mode == "marginal":
-        return _block_fractions(table, [("second gradient", em[:, 1:2])], "rda")[0]
+        return _block_fractions(
+            table, [("second gradient", em[:, 1:2])], "rda", counts)
     if mode == "semipartial":
-        joint, first = _block_fractions(
+        fractions, degenerate = _block_fractions(
             table, [("both gradients", em), ("first gradient", em[:, 0:1])],
-            "rda")
-        return joint - first
+            "rda", counts)
+        return fractions[:, :1] - fractions[:, 1:], degenerate
     raise ValidationError(f"unknown mode {mode!r}")
 
 
@@ -194,7 +200,7 @@ def _validated_outcome(item, *, n_validation: int,
     config, observed = item
     outcome = observed if observed is not None else run_replicated_scenario(
         config, mode)
-    statistic = partial(predictor_effect_r2, mode=mode)
+    statistic = partial(_effect_r2, mode=mode)
     spreads = []
     for v in range(n_validation):
         table, env = generate_dataset(config, replicate=config.replicates + v)
@@ -245,7 +251,12 @@ def cca_proportion(table, env) -> float:
     resamples produce them routinely. Fewer than 3 usable sites or 2 usable
     species is reported as degenerate.
     """
-    return _block_fractions(np.log1p(as_matrix(table)), [("env", env)], "cca")[0]
+    return float(_cca_share(None, table, env)[0][0, 0])
+
+
+def _cca_share(counts, table, env):
+    """``cca_proportion`` per count row, as a batched bootstrap statistic."""
+    return _block_fractions(_log1p(table), [("env", env)], "cca", counts)
 
 
 @dataclass(frozen=True)
@@ -279,7 +290,7 @@ def _cca_repeat(item, m_replicates: int, n_validation: int,
             n_sites, n_species=n_species, sigma_noise=sigma_noise,
             seed=cell_seed, replicate=m_replicates + v)
         summary = bootstrap_statistic(
-            table, [env], cca_proportion, m_replicates,
+            table, [env], _cca_share, m_replicates,
             derive_seed(cell_seed, _TAG_VALIDATION_TABLE, v),
             names=("cca_proportion",))[0]
         spreads.append(summary.sd)

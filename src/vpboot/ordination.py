@@ -22,13 +22,18 @@ SV_RCOND = 1e-10
 
 
 def center_columns(m) -> np.ndarray:
-    """Subtract each column's mean; adding the mean row back restores the input."""
+    """Subtract each column's mean; adding the mean row back restores the input.
+
+    A second pass removes the roundoff of the first mean, so a constant
+    column centres to exactly 0 and has rank 0.
+    """
     a = as_matrix(m)
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix contains non-finite entries")
     if a.shape[0] < 1:
         raise ValidationError("cannot centre an empty matrix")
-    return a - a.mean(axis=0, keepdims=True)
+    centred = a - a.mean(axis=0, keepdims=True)
+    return centred - centred.mean(axis=0, keepdims=True)
 
 
 def numerical_rank(m) -> int:
@@ -40,6 +45,21 @@ def numerical_rank(m) -> int:
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > SV_RCOND * s[0]))
+
+
+def _fitted_ss(xw: np.ndarray, yw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projected sum of squares and rank for a stack of least-squares fits.
+
+    ``xw`` is ``(k, n, q)`` and ``yw`` is ``(k, n, p)``. Fit ``i`` projects
+    ``yw[i]`` onto the left singular vectors of ``xw[i]`` whose singular
+    values exceed ``SV_RCOND`` times the largest; their count is the rank.
+    Returns ``(fitted sum of squares (k,), rank (k,))``.
+    """
+    u, s, _ = np.linalg.svd(xw, full_matrices=False)
+    keep = s > SV_RCOND * s[:, :1]
+    projected = np.matmul(u.transpose(0, 2, 1), yw)
+    fitted = (np.square(projected).sum(axis=2) * keep).sum(axis=1)
+    return fitted, keep.sum(axis=1)
 
 
 def _truncated_lstsq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -98,9 +118,8 @@ def rda_r2(y, x) -> float:
     total = float(np.sum(yc * yc))
     if total == 0.0:
         return 0.0
-    fitted = fit_projection(yc, center_columns(xm))
-    r2 = float(np.sum(fitted * fitted)) / total
-    return min(max(r2, 0.0), 1.0)
+    fitted, _ = _fitted_ss(center_columns(xm)[np.newaxis], yc[np.newaxis])
+    return min(max(float(fitted[0]) / total, 0.0), 1.0)
 
 
 def adjusted_r2(r2: float, n: int, m: int) -> float:
@@ -169,17 +188,26 @@ def partition_from_r2(r2_x: float, r2_w: float, r2_xw: float) -> PartitionResult
     )
 
 
-def _block_fractions(y, named_blocks, method: str) -> list[float]:
-    """Explained fraction of ``y`` for each named predictor set.
+def _block_fractions(y, named_blocks, method: str, counts=None):
+    """Explained fraction of ``y`` for each named predictor set, per replicate.
 
     Each entry of ``named_blocks`` is ``(name, *parts)``; the parts are
     joined side by side into one predictor block, so a joint fit is written
-    ``(name, x, w)``. ``rda`` gives the adjusted R2 of each block, adjusted
-    by the rank of its centred columns. ``cca`` gives each block's share of
-    chi-square inertia after all-zero sites and species are dropped (the
-    bootstrap produces them routinely); fewer than 3 sites or 2 species
-    left is degenerate. This is the one place where blocks are aligned,
-    tables pruned and ranks taken.
+    ``(name, x, w)``. ``counts`` is a ``(k, n)`` matrix of site counts, one
+    row per bootstrap replicate: a site drawn ``c`` times weighs as ``c``
+    copies of its row, which is exactly the fit on the resampled table.
+    Returns ``(fractions (k, n_blocks), degenerate (k,))``; a degenerate
+    replicate's fractions are meaningless. Without ``counts`` the table is
+    fitted once with unit weights and a degenerate fit raises
+    ``DegenerateDataError``.
+
+    ``rda`` gives the adjusted R2 of each block, adjusted by the rank of its
+    weighted-centred columns with n the total count; no residual degrees of
+    freedom is degenerate. ``cca`` gives each block's share of chi-square
+    inertia over the live sites and species (a positive row or column sum);
+    fewer than 3 live sites, copies counted, or 2 live species is
+    degenerate. This is the one place where blocks are aligned, tables
+    pruned and ranks taken.
     """
     if method not in ("cca", "rda"):
         raise ValidationError(f"unknown method {method!r}")
@@ -191,33 +219,145 @@ def _block_fractions(y, named_blocks, method: str) -> list[float]:
         if any(p.shape[0] != n for p in parts):
             raise ValidationError("response and predictor blocks must share rows")
         blocks.append((name, parts[0] if len(parts) == 1 else np.hstack(parts)))
-    if method == "cca":
-        if not np.all(ym >= 0.0):
-            raise ValidationError("table contains negative or non-finite entries")
-        keep_rows = ym.sum(axis=1) > 0
-        keep_cols = ym.sum(axis=0) > 0
-        if int(keep_rows.sum()) < 3 or int(keep_cols.sum()) < 2:
-            raise DegenerateDataError(
-                f"only {int(keep_rows.sum())} non-empty sites and "
-                f"{int(keep_cols.sum())} non-empty species remain")
-        ym = ym[np.ix_(keep_rows, keep_cols)]
-        return [cca_explained(ym, block[keep_rows])[2] for _, block in blocks]
-    fractions = []
-    for name, block in blocks:
-        m = numerical_rank(center_columns(block))
-        if n - m - 1 < 1:
+    if not all(np.all(np.isfinite(b)) for _, b in blocks):
+        raise ValidationError("design contains non-finite entries")
+    c = np.ones((1, n)) if counts is None else np.asarray(counts, dtype=float)
+    fit = _cca_fractions if method == "cca" else _rda_fractions
+    return fit(ym, blocks, c, raise_degenerate=counts is None)
+
+
+def _rda_fractions(ym, blocks, c, *, raise_degenerate: bool):
+    """``_block_fractions`` for ``rda``: count-weighted adjusted R2."""
+    if not np.all(np.isfinite(ym)):
+        raise ValidationError("matrix contains non-finite entries")
+    n = ym.shape[0]
+    total_count = c.sum(axis=1)
+    yw = _weighted_centre(ym, c, total_count)
+    total = np.square(yw).reshape(len(c), -1).sum(axis=1)
+    explains = total > 0.0
+    fractions = np.zeros((len(c), len(blocks)))
+    degenerate = np.zeros(len(c), dtype=bool)
+    for i, (name, block) in enumerate(blocks):
+        fitted, m = _fitted_ss(_weighted_centre(block, c, total_count), yw)
+        df = total_count - m - 1
+        short = df < 1
+        if raise_degenerate and short[0]:
             raise DegenerateDataError(
                 f"block '{name}': no residual degrees of freedom "
-                f"(n={n}, rank m={m})")
-        fractions.append(adjusted_r2(rda_r2(ym, block), n, m))
-    return fractions
+                f"(n={n}, rank m={int(m[0])})")
+        if n < 3:
+            raise ValidationError("need at least 3 rows")
+        r2 = np.where(explains, np.clip(
+            fitted / np.where(explains, total, 1.0), 0.0, 1.0), 0.0)
+        fractions[:, i] = 1.0 - (1.0 - r2) * (total_count - 1) / np.where(
+            short, 1.0, df)
+        degenerate |= short
+    return fractions, degenerate
+
+
+def _weighted_sums(c, a) -> np.ndarray:
+    """``c @ a`` computed one replicate (row of ``c``) at a time.
+
+    A single matrix product may round a row differently depending on how
+    many rows it has; per-row products keep a replicate's value independent
+    of the chunk it was evaluated in.
+    """
+    return np.matmul(c[:, np.newaxis], a)[:, 0]
+
+
+def _weighted_centre(a, c, total_count):
+    """Columns of ``a`` centred under each row of count weights ``c``.
+
+    Returns ``(k, n, q)``: replicate ``i`` holds the centred rows scaled by
+    ``sqrt(c[i])``, so sums of squares count every copy. The second pass
+    removes the roundoff of the first mean, so a column that is constant
+    over the drawn sites centres to exactly 0 and adds no spurious rank.
+    """
+    scale = total_count[:, np.newaxis, np.newaxis]
+    ac = a - np.matmul(c[:, np.newaxis], a) / scale
+    ac -= np.matmul(c[:, np.newaxis], ac) / scale
+    ac *= np.sqrt(c)[:, :, np.newaxis]
+    return ac
+
+
+def _cca_fractions(ym, blocks, c, *, raise_degenerate: bool):
+    """``_block_fractions`` for ``cca``: weighted chi-square inertia shares."""
+    if not np.all(ym >= 0.0):
+        raise ValidationError("table contains negative or non-finite entries")
+    # Empty sites and species are dead in every replicate; drop them once.
+    row_sums = ym.sum(axis=1)
+    rows = row_sums > 0
+    cols = ym.sum(axis=0) > 0
+    ym, row_sums, c = ym[np.ix_(rows, cols)], row_sums[rows], c[:, rows]
+    blocks = [b[rows] for _, b in blocks]
+    col_sums = _weighted_sums(c, ym)
+    sites = c.sum(axis=1)
+    species = np.count_nonzero(col_sums > 0, axis=1)
+    degenerate = (sites < 3) | (species < 2)
+    fractions = np.zeros((len(c), len(blocks)))
+    if raise_degenerate and degenerate[0]:
+        raise DegenerateDataError(
+            f"only {int(sites[0])} non-empty sites and "
+            f"{int(species[0])} non-empty species remain")
+    if degenerate.all():
+        return fractions, degenerate
+    # qbar_ij = (y_ij / sqrt(R_i) - sqrt(R_i) C_j / T) / sqrt(C_j) for row
+    # sums R, weighted column sums C and grand total T is the standardised
+    # deviation of one copy of site i; a species no drawn site holds
+    # contributes 0. Built in place: one (k, n, p) array per chunk.
+    grand = _weighted_sums(c, row_sums)
+    grand = np.where(grand > 0.0, grand, 1.0)
+    root_rows = np.sqrt(row_sums)
+    root_cols = np.sqrt(col_sums)
+    qw = root_rows[:, np.newaxis] * (col_sums / grand[:, np.newaxis])[:, np.newaxis]
+    np.subtract(ym / root_rows[:, np.newaxis], qw, out=qw)
+    qw *= np.divide(1.0, root_cols, out=np.zeros_like(root_cols),
+                    where=root_cols > 0.0)[:, np.newaxis]
+    qw *= np.sqrt(c)[:, :, np.newaxis]
+    total = np.einsum("knp,knp->k", qw, qw)
+    # All live rows proportional (a resample of one site, say) leaves only
+    # roundoff in qbar; a norm below the singular-value cutoff counts as 0.
+    live = total > SV_RCOND ** 2
+    mass = c * (row_sums / grand[:, np.newaxis])
+    for i, block in enumerate(blocks):
+        xw = block - _weighted_sums(mass, block)[:, np.newaxis]
+        xw *= np.sqrt(mass)[:, :, np.newaxis]
+        fitted, _ = _fitted_ss(xw, qw)
+        constrained = np.minimum(np.maximum(fitted, 0.0), total)
+        fractions[:, i] = np.where(
+            live, constrained / np.where(live, total, 1.0), 0.0)
+    return fractions, degenerate
+
+
+def _log1p(table) -> np.ndarray:
+    """``ln(1 + y)`` of a non-negative abundance table, checked first."""
+    ym = as_matrix(table)
+    if not np.all(ym >= 0.0):
+        raise ValidationError("table contains negative or non-finite entries")
+    return np.log1p(ym)
+
+
+def _named_partition_blocks(x, w) -> list:
+    x_name, w_name = getattr(x, "name", "X"), getattr(w, "name", "W")
+    return [(x_name, x), (w_name, w), (f"{x_name}+{w_name}", x, w)]
 
 
 def _partition(y, x, w, method: str) -> PartitionResult:
     """Fit ``x``, ``w`` and both together, then split by inclusion-exclusion."""
-    x_name, w_name = getattr(x, "name", "X"), getattr(w, "name", "W")
-    return partition_from_r2(*_block_fractions(
-        y, [(x_name, x), (w_name, w), (f"{x_name}+{w_name}", x, w)], method))
+    fractions, _ = _block_fractions(y, _named_partition_blocks(x, w), method)
+    return partition_from_r2(*(float(v) for v in fractions[0]))
+
+
+def _rollups(counts, y, x, w, method: str):
+    """Batched bootstrap statistic: the ``PartitionResult.rollup`` per replicate."""
+    fractions, degenerate = _block_fractions(
+        y, _named_partition_blocks(x, w), method, counts)
+    r_x, r_w, r_xw = fractions.T
+    # Same operations as partition_from_r2 and rollup, so values agree bitwise.
+    rollup = np.column_stack([r_xw - r_w,
+                              (r_x + r_w - r_xw) + (r_xw - r_x),
+                              1.0 - r_xw])
+    return rollup, degenerate
 
 
 def varpart_two(y, x, w) -> PartitionResult:
@@ -284,8 +424,7 @@ def cca_explained(y, x) -> tuple[float, float, float]:
         return 0.0, 0.0, 0.0
     xc = xm - r @ xm if xm.shape[1] else xm
     xw = np.sqrt(r)[:, np.newaxis] * xc
-    fitted = xw @ _truncated_lstsq(xw, qbar)
-    constrained = float(np.sum(fitted * fitted))
-    constrained = min(max(constrained, 0.0), total)
+    fitted, _ = _fitted_ss(xw[np.newaxis], qbar[np.newaxis])
+    constrained = min(max(float(fitted[0]), 0.0), total)
     return total, constrained, constrained / total
 

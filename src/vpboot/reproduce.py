@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .experiments import (CCA_NOISE_LEVELS, CCA_SAMPLE_SIZES,
-                          DEFAULT_NOISE_LEVELS, DEFAULT_SAMPLE_SIZES,
-                          DEFAULT_Y_MAX_GRID, DEFAULT_Y_OPT_GRID,
+from .experiments import (DEFAULT_NOISE_LEVELS, DEFAULT_Y_MAX_GRID,
                           bootstrap_validation, cca_validation,
                           optimum_distance_configs, pearson_r,
                           sample_size_configs, sampling_range_configs,

@@ -14,6 +14,13 @@ from .tables import as_matrix, require_aligned
 #: Fraction of replicates allowed to fail (and be redrawn) before aborting.
 FAILURE_BUDGET = 0.05
 
+#: Float64 values a chunk's stacked input may hold (256 KB): a chunk of k
+#: replicates has k x n x (table plus block columns) <= this. The built-in
+#: statistics keep a few such arrays alive at once, so a chunk's working
+#: set stays below 1 MB. Twice this made a 100-site analyze at most 10%
+#: faster but raised the peak memory of the whole process by 4%.
+_CHUNK_VALUES = 2 ** 15
+
 
 @dataclass(frozen=True)
 class BootstrapSummary:
@@ -35,19 +42,6 @@ class BootstrapSummary:
     redraw_count: int = 0
 
 
-def _as_row(value, width: int | None) -> tuple[float, ...]:
-    if np.isscalar(value):
-        row = (float(value),)
-    else:
-        row = tuple(float(v) for v in value)
-    if not row:
-        raise ValidationError("statistic returned no values")
-    if width is not None and len(row) != width:
-        raise ValidationError(
-            f"statistic width changed between replicates ({width} vs {len(row)})")
-    return row
-
-
 def relative_spread(sd: float, mean: float) -> float:
     """``sd / mean`` with explicit conventions at a zero mean."""
     if mean == 0.0:
@@ -60,15 +54,17 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     """Summaries of ``statistic`` over ``m_replicates`` site resamples.
 
     Replicate ``j`` draws ``n_sites`` row indices with replacement from
-    ``stream(seed, ROLE_BOOTSTRAP, j, attempt)`` and applies them to the
-    table and to every block, so a site's abundances never separate from
-    its predictors. ``statistic`` is called as ``statistic(y, *blocks)`` on
-    the resampled plain arrays and returns a float or a fixed-width
-    sequence of floats; one summary per component comes back. A replicate
-    whose statistic raises ``DegenerateDataError`` is redrawn from a fresh
-    sub-stream; once more than ``FAILURE_BUDGET`` of ``m_replicates``
-    replicates have failed, the whole run aborts. Confidence bounds are the
-    2.5 and 97.5 percentiles with linear interpolation.
+    ``stream(seed, ROLE_BOOTSTRAP, j, attempt)`` and counts how often each
+    site was drawn, so a site's abundances never separate from its
+    predictors. Replicates are evaluated in chunks: ``statistic`` is called
+    as ``statistic(counts, y, *blocks)`` with a ``(k, n_sites)`` count
+    matrix and the original plain arrays, and returns ``(values,
+    degenerate)``: a ``(k, width)`` array and a ``(k,)`` boolean mask. One
+    summary per column comes back. A degenerate replicate is redrawn alone,
+    from the next sub-stream, in replicate order; once more than
+    ``FAILURE_BUDGET`` of ``m_replicates`` replicates have failed, the whole
+    run aborts. Confidence bounds are the 2.5 and 97.5 percentiles with
+    linear interpolation.
     """
     if m_replicates < 2:
         raise ValidationError("need at least 2 bootstrap replicates")
@@ -77,30 +73,54 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     y = as_matrix(table)
     blocks = [as_matrix(b) for b in blocks]
     n = y.shape[0]
-    rows: list[tuple[float, ...]] = []
-    width: int | None = None
+    columns = y.shape[1] + sum(b.shape[1] for b in blocks)
+    chunk = max(1, _CHUNK_VALUES // max(n * columns, 1))
+
+    def counts(j: int, attempt: int) -> np.ndarray:
+        idx = stream(seed, ROLE_BOOTSTRAP, j, attempt).integers(0, n, size=n)
+        return np.bincount(idx, minlength=n)
+
+    width = None
+
+    def evaluate(c: np.ndarray):
+        nonlocal width
+        values, degenerate = statistic(c, y, *blocks)
+        values = np.array(values, dtype=float)
+        degenerate = np.asarray(degenerate, dtype=bool)
+        if values.ndim != 2 or values.shape[0] != len(c) or (
+                degenerate.shape != (len(c),)):
+            raise ValidationError(
+                f"statistic must return ({len(c)}, width) values and a "
+                f"({len(c)},) degenerate mask")
+        if values.shape[1] == 0:
+            raise ValidationError("statistic returned no values")
+        if width is not None and values.shape[1] != width:
+            raise ValidationError(
+                f"statistic width changed between replicates "
+                f"({width} vs {values.shape[1]})")
+        width = values.shape[1]
+        return values, degenerate
+
+    parts: list[np.ndarray] = []
     failures = 0
     budget = FAILURE_BUDGET * m_replicates
-    for j in range(m_replicates):
-        attempt = 0
-        while True:
-            idx = stream(seed, ROLE_BOOTSTRAP, j, attempt).integers(0, n, size=n)
-            try:
-                value = statistic(y[idx], *(b[idx] for b in blocks))
-            except DegenerateDataError as exc:
+    for start in range(0, m_replicates, chunk):
+        js = range(start, min(start + chunk, m_replicates))
+        values, degenerate = evaluate(np.stack([counts(j, 0) for j in js]))
+        for i in np.flatnonzero(degenerate):
+            attempt = 0
+            while degenerate[i]:
                 failures += 1
                 if failures > budget:
                     raise DegenerateDataError(
                         f"{failures} of {m_replicates} bootstrap replicates "
-                        f"degenerate (budget {FAILURE_BUDGET:.0%}); "
-                        f"last failure: {exc}") from exc
+                        f"degenerate (budget {FAILURE_BUDGET:.0%})")
                 attempt += 1
-                continue
-            rows.append(_as_row(value, width))
-            width = len(rows[-1])
-            break
+                redrawn, flagged = evaluate(counts(js[i], attempt)[np.newaxis])
+                values[i], degenerate[i] = redrawn[0], flagged[0]
+        parts.append(values)
 
-    arr = np.asarray(rows, dtype=float)
+    arr = np.concatenate(parts)
     if names is None:
         names = ("stat",) if width == 1 else tuple(
             f"stat{k + 1}" for k in range(width))

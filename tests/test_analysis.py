@@ -1,11 +1,14 @@
 """Partition reports: point estimates, bootstrap summaries, formatting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from vpboot.analysis import (FRACTION_NAMES, format_report, partition_tables,
                              report_to_dict, run_analysis, trend_surface)
 from vpboot.errors import DegenerateDataError, ValidationError
+from vpboot.experiments import cca_proportion
 from vpboot.ordination import varpart_two
 from vpboot.synth import ScenarioConfig, generate_dataset
 from vpboot.tables import CommunityTable, PredictorBlock
@@ -83,6 +86,20 @@ def test_cca_partition_rejects_negative_entries():
     for log1p in (False, True):
         with pytest.raises(ValidationError, match="negative or non-finite"):
             partition_tables(values, env, env, method="cca", log1p=log1p)
+
+
+def test_negative_entries_fail_before_log1p():
+    rng = np.random.default_rng(36)
+    values = rng.uniform(1.0, 5.0, size=(8, 3))
+    values[4, 1] = -2.0  # log1p of it would be NaN with a RuntimeWarning
+    env = rng.normal(size=(8, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in ("cca", "rda"):
+            with pytest.raises(ValidationError, match="negative"):
+                partition_tables(values, env, env, method=method, log1p=True)
+        with pytest.raises(ValidationError, match="negative"):
+            cca_proportion(values, env)
 
 
 def test_run_analysis_report_shape_and_determinism():

@@ -40,6 +40,8 @@ def test_center_columns_removes_means():
     assert np.array_equal(center_columns([[1.0], [3.0]]), [[-1.0], [1.0]])
     assert np.array_equal(center_columns([[4.0], [4.0], [4.0]]),
                           [[0.0], [0.0], [0.0]])
+    # 0.1 has no exact binary form; one pass leaves roundoff and a rank of 1.
+    assert np.array_equal(center_columns(np.full((7, 1), 0.1)), np.zeros((7, 1)))
     rng = np.random.default_rng(3)
     m = rng.normal(size=(5, 3))
     centred = center_columns(m)

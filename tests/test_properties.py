@@ -1,9 +1,20 @@
-"""Randomized invariant checks, 1000 cases per property."""
+"""Randomized invariant checks, 1000 cases per property.
+
+The count-weight oracle check uses 200 random tables per statistic instead:
+each table runs a full materialising bootstrap.
+"""
+
+from functools import partial
 
 import numpy as np
+import pytest
 
-from vpboot.ordination import chi_square_transform, fit_projection
-from vpboot.resample import bootstrap_statistic
+from vpboot.errors import DegenerateDataError
+from vpboot.experiments import (_cca_share, _effect_r2, cca_proportion,
+                                predictor_effect_r2)
+from vpboot.ordination import (_partition, _rollups, chi_square_transform,
+                               fit_projection)
+from vpboot.resample import FAILURE_BUDGET, bootstrap_statistic
 from vpboot.rng import stream
 from vpboot.synth import ScenarioConfig, SpeciesNiche, generate_dataset
 from vpboot.tables import CommunityTable, PredictorBlock
@@ -84,25 +95,142 @@ def test_resampling_keeps_sites_glued():
                                                   index_column + 300.0]))
         draws = []
 
-        def recording(y, a, b):
-            draws.append((y, a, b))
-            return 0.0
+        def recording(counts, y, a, b):
+            draws.append((counts, y, a, b))
+            return np.zeros((len(counts), 1)), np.zeros(len(counts), dtype=bool)
 
         bootstrap_statistic(table, [block_a, block_b], recording, 2, seed)
-        for j, (y, a, b) in enumerate(draws):
-            drawn = y[:, 0]
-            assert np.array_equal(y[:, 1], drawn)
-            assert np.array_equal(a[:, 0], drawn + 100.0)
-            assert np.array_equal(b[:, 0], drawn + 200.0)
-            assert np.array_equal(b[:, 1], drawn + 300.0)
+        (counts, y, a, b), = draws
+        assert np.array_equal(y, table.values)
+        for j, c in enumerate(counts):
+            drawn = np.repeat(y, c, axis=0)[:, 0]
+            assert np.array_equal(np.repeat(y, c, axis=0)[:, 1], drawn)
+            assert np.array_equal(np.repeat(a, c, axis=0)[:, 0], drawn + 100.0)
+            assert np.array_equal(np.repeat(b, c, axis=0),
+                                  np.column_stack([drawn + 200.0,
+                                                   drawn + 300.0]))
             # Role 2 is the bootstrap role of the stream contract.
             expected = stream(seed, 2, j, 0).integers(0, n, size=n)
-            assert np.array_equal(drawn.astype(int), expected)
-        counts = np.bincount(
-            np.concatenate([y[:, 0] for y, _, _ in draws]).astype(int),
-            minlength=n)
+            assert np.array_equal(c, np.bincount(expected, minlength=n))
+        counts = counts.sum(axis=0)
         mean_count = counts.sum() / n
         chi2 += float(np.sum((counts - mean_count) ** 2)) / mean_count
         df += n - 1
     # Pooled Pearson statistic of the uniform law: mean df, sd <= sqrt(2 df).
     assert abs(chi2 - df) < 5.0 * np.sqrt(2.0 * df)
+
+
+def _materialising_bootstrap(y, blocks, fit, m_replicates, seed):
+    """The pre-count bootstrap: fit every resampled table ``y[idx]`` alone.
+
+    Draws as ``bootstrap_statistic`` does and redraws a replicate whose fit
+    raises ``DegenerateDataError``. Returns the index vectors of the kept
+    replicates, their values, the index vectors of the rejected draws and
+    whether the failure budget ran out.
+    """
+    n = y.shape[0]
+    kept, values, rejected = [], [], []
+    for j in range(m_replicates):
+        attempt = 0
+        while True:
+            idx = stream(seed, 2, j, attempt).integers(0, n, size=n)
+            try:
+                values.append(np.atleast_1d(fit(y[idx], *(b[idx] for b in blocks))))
+            except DegenerateDataError:
+                rejected.append(idx)
+                if len(rejected) > FAILURE_BUDGET * m_replicates:
+                    return kept, values, rejected, True
+                attempt += 1
+                continue
+            kept.append(idx)
+            break
+    return kept, values, rejected, False
+
+
+def _rda_case(rng):
+    n = int(rng.integers(5, 11))
+    y = rng.normal(size=(n, int(rng.integers(1, 4))))
+    x = rng.normal(size=(n, int(rng.integers(1, 3))))
+    w = rng.normal(size=(n, int(rng.integers(1, 4))))
+    if rng.random() < 0.3:
+        x = np.round(x)  # few distinct levels: resamples lose rank
+    return y, [x, w]
+
+
+def _cca_table(rng, n, p):
+    y = rng.integers(0, 6, size=(n, p)).astype(float)
+    y[rng.random(size=(n, p)) < 0.5] = 0.0  # sparse: resamples lose species
+    if rng.random() < 0.2:
+        y[int(rng.integers(0, n))] = 0.0  # an empty site, dead everywhere
+    return y
+
+
+def _cca_case(rng):
+    n = int(rng.integers(5, 11))
+    return _cca_table(rng, n, int(rng.integers(2, 6))), [
+        rng.normal(size=(n, int(rng.integers(1, 3)))),
+        rng.normal(size=(n, int(rng.integers(0, 3))))]
+
+
+def _effect_case(rng):
+    n = int(rng.integers(3, 9))
+    return rng.normal(size=(n, int(rng.integers(1, 3)))), [
+        rng.uniform(size=(n, 2))]
+
+
+def _share_case(rng):
+    n = int(rng.integers(5, 11))
+    return _cca_table(rng, n, int(rng.integers(2, 6))), [
+        rng.normal(size=(n, int(rng.integers(1, 3))))]
+
+
+ORACLE_CASES = {
+    "rda": (_rda_case, lambda y, x, w: _partition(y, x, w, "rda").rollup(),
+            partial(_rollups, method="rda")),
+    "cca": (_cca_case, lambda y, x, w: _partition(y, x, w, "cca").rollup(),
+            partial(_rollups, method="cca")),
+    "effect": (_effect_case, predictor_effect_r2,
+               partial(_effect_r2, mode="semipartial")),
+    "cca_share": (_share_case, cca_proportion, _cca_share),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_CASES))
+def test_count_weights_match_the_materialising_oracle(kind):
+    make_case, fit, statistic = ORACLE_CASES[kind]
+    rng = np.random.default_rng(105)
+    m_replicates, tol = 60, 1e-12
+    redraws = 0
+    for case in range(200):
+        y, blocks = make_case(rng)
+        n = y.shape[0]
+        kept, values, rejected, aborted = _materialising_bootstrap(
+            y, blocks, fit, m_replicates, case)
+        counts = [np.bincount(idx, minlength=n) for idx in kept]
+        if counts:
+            got, flagged = statistic(np.stack(counts), y, *blocks)
+            assert not flagged.any()
+            assert np.max(np.abs(got - np.array(values))) <= tol
+        if rejected:
+            _, flagged = statistic(
+                np.stack([np.bincount(idx, minlength=n) for idx in rejected]),
+                y, *blocks)
+            assert flagged.all()
+        redraws += len(rejected)
+        if aborted:
+            with pytest.raises(DegenerateDataError,
+                               match=f"^{len(rejected)} of {m_replicates} "):
+                bootstrap_statistic(y, blocks, statistic, m_replicates, case)
+            continue
+        expected = np.array(values)
+        summaries = bootstrap_statistic(y, blocks, statistic, m_replicates,
+                                        case)
+        for k, summary in enumerate(summaries):
+            assert summary.redraw_count == len(rejected)
+            lo, hi = np.percentile(expected[:, k], [2.5, 97.5])
+            assert abs(summary.mean - expected[:, k].mean()) <= tol
+            assert abs(summary.sd - expected[:, k].std(ddof=1)) <= tol
+            assert abs(summary.ci95_low - lo) <= tol
+            assert abs(summary.ci95_high - hi) <= tol
+    # The cases must exercise redraws, not only clean replicates.
+    assert redraws > 0
