@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
-from .rng import ROLE_BOOTSTRAP, stream
+from .rng import ROLE_BOOTSTRAP, _streams, stream
 from .tables import as_matrix, require_aligned
 
 #: Fraction of replicates allowed to fail (and be redrawn) before aborting.
@@ -54,13 +55,14 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     """Summaries of ``statistic`` over ``m_replicates`` site resamples.
 
     Replicate ``j`` draws ``n_sites`` row indices with replacement from
-    ``stream(seed, ROLE_BOOTSTRAP, j, attempt)`` and counts how often each
-    site was drawn, so a site's abundances never separate from its
-    predictors. Replicates are evaluated in chunks: ``statistic`` is called
-    as ``statistic(counts, y, *blocks)`` with a ``(k, n_sites)`` count
-    matrix and the original plain arrays, and returns ``(values,
-    degenerate)``: a ``(k, width)`` array and a ``(k,)`` boolean mask. One
-    summary per column comes back. A degenerate replicate is redrawn alone,
+    ``stream(seed, ROLE_BOOTSTRAP, j, attempt)`` (the first attempts all
+    come from one batched ``rng._streams`` pass with the same bits) and
+    counts how often each site was drawn, so a site's abundances never
+    separate from its predictors. Replicates are evaluated in chunks:
+    ``statistic`` is called as ``statistic(counts, y, *blocks)`` with a
+    ``(k, n_sites)`` count matrix and the original plain arrays, and
+    returns ``(values, degenerate)``: a ``(k, width)`` array and a ``(k,)``
+    boolean mask. One summary per column comes back. A degenerate replicate is redrawn alone,
     from the next sub-stream, in replicate order; once more than
     ``FAILURE_BUDGET`` of ``m_replicates`` replicates have failed, the whole
     run aborts. Confidence bounds are the 2.5 and 97.5 percentiles with
@@ -76,9 +78,8 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     columns = y.shape[1] + sum(b.shape[1] for b in blocks)
     chunk = max(1, _CHUNK_VALUES // max(n * columns, 1))
 
-    def counts(j: int, attempt: int) -> np.ndarray:
-        idx = stream(seed, ROLE_BOOTSTRAP, j, attempt).integers(0, n, size=n)
-        return np.bincount(idx, minlength=n)
+    def counts(rng: np.random.Generator) -> np.ndarray:
+        return np.bincount(rng.integers(0, n, size=n), minlength=n)
 
     width = None
 
@@ -104,9 +105,11 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     parts: list[np.ndarray] = []
     failures = 0
     budget = FAILURE_BUDGET * m_replicates
+    first_draws = (counts(rng) for rng in _streams(
+        seed, ROLE_BOOTSTRAP, np.arange(m_replicates), 0))
     for start in range(0, m_replicates, chunk):
         js = range(start, min(start + chunk, m_replicates))
-        values, degenerate = evaluate(np.stack([counts(j, 0) for j in js]))
+        values, degenerate = evaluate(np.stack(list(islice(first_draws, len(js)))))
         for i in np.flatnonzero(degenerate):
             attempt = 0
             while degenerate[i]:
@@ -116,7 +119,8 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
                         f"{failures} of {m_replicates} bootstrap replicates "
                         f"degenerate (budget {FAILURE_BUDGET:.0%})")
                 attempt += 1
-                redrawn, flagged = evaluate(counts(js[i], attempt)[np.newaxis])
+                rng = stream(seed, ROLE_BOOTSTRAP, js[i], attempt)
+                redrawn, flagged = evaluate(counts(rng)[np.newaxis])
                 values[i], degenerate[i] = redrawn[0], flagged[0]
         parts.append(values)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
-from .rng import ROLE_NICHE, ROLE_SITE, stream
+from .rng import ROLE_NICHE, ROLE_SITE, _streams, stream
 from .tables import CommunityTable, PredictorBlock
 
 # Bound on per-site noise redraws when every species lands at zero.
@@ -136,22 +136,33 @@ def site_abundances(alphas, carrying_capacity: int) -> list[int]:
             for v in values]
 
 
-def _site_row(config: ScenarioConfig, rng: np.random.Generator,
-              site_index: int) -> tuple[SiteEnvironment, list[int]]:
-    x = rng.uniform(0.0, 1.0)
-    y = rng.uniform(0.0, config.y_max)
-    site = SiteEnvironment(x, y)
-    for _ in range(_MAX_SITE_REDRAWS):
-        alphas = [relative_abundance(site, niche, config.sigma_niche,
-                                     config.sigma_noise, rng)
-                  for niche in config.niches]
-        if math.fsum(alphas) > 0.0:
-            return site, site_abundances(alphas, config.carrying_capacity)
-        if config.sigma_noise == 0.0:
-            break  # redraws cannot change a noise-free zero
-    raise DegenerateDataError(
-        f"site {site_index}: every species response stayed zero "
-        f"(noise redraw budget of {_MAX_SITE_REDRAWS} exhausted)")
+def _densities(values: np.ndarray, optima: np.ndarray,
+               sigma: float) -> np.ndarray:
+    """``gaussian_response`` of every site value against every optimum.
+
+    The arithmetic is ``gaussian_response``'s, operation for operation;
+    the exponential stays ``math.exp``, because ``np.exp`` rounds a few
+    percent of its results differently.
+    """
+    z = (values[:, np.newaxis] - optima) / sigma
+    e = (-0.5 * z * z).ravel().tolist()
+    return (np.fromiter(map(math.exp, e), float, count=len(e)).reshape(z.shape)
+            / (sigma * math.sqrt(2.0 * math.pi)))
+
+
+def _products(fx: np.ndarray, fy: np.ndarray, noise) -> tuple[np.ndarray, np.ndarray]:
+    """``relative_abundance`` for whole rows, plus each row's ``math.fsum``.
+
+    ``noise`` holds each row's 2 x S noise terms in draw order (fx of the
+    first species, fy of the first, fx of the second, ...), each as
+    ``0.0 + sigma_noise * z`` like ``rng.normal(0.0, sigma_noise)``; or it
+    is None.
+    """
+    if noise is not None:
+        fx = fx + noise[:, 0::2]
+        fy = fy + noise[:, 1::2]
+    alphas = np.maximum(fx, 0.0) * np.maximum(fy, 0.0)
+    return alphas, np.array([math.fsum(row) for row in alphas.tolist()])
 
 
 def generate_dataset(config: ScenarioConfig,
@@ -160,21 +171,62 @@ def generate_dataset(config: ScenarioConfig,
 
     Each site draws from its own random stream keyed by
     ``(config.seed, replicate, site)``, so the same pair always produces the
-    same dataset no matter what else has been generated.
+    same dataset no matter what else has been generated. A site draws x,
+    then y, then (with noise) two normal terms per species; a site whose
+    responses all land at zero draws fresh noise from the same stream, up
+    to ``_MAX_SITE_REDRAWS`` draws in all.
     """
     if replicate < 0:
         raise ValidationError("replicate index must be non-negative")
-    n = config.n_sites
-    counts = np.zeros((n, config.n_species))
-    env = np.zeros((n, 2))
-    for i in range(n):
-        rng = stream(config.seed, ROLE_SITE, replicate, i)
-        site, row = _site_row(config, rng, i)
-        counts[i] = row
-        env[i, 0] = site.x
-        env[i, 1] = site.y
+    n, n_species = config.n_sites, config.n_species
+    sigma = config.sigma_noise
+    u = np.empty((n, 2))
+    z = np.empty((n, 2 * n_species)) if sigma > 0.0 else None
+    streams = _streams(config.seed, ROLE_SITE, replicate, np.arange(n))
+    for i, rng in enumerate(streams):
+        rng.random(out=u[i])
+        if z is not None:
+            rng.standard_normal(out=z[i])
+    env = np.column_stack([u[:, 0], config.y_max * u[:, 1]])
+    fx = _densities(env[:, 0], np.array([c.x_opt for c in config.niches]),
+                    config.sigma_niche)
+    fy = _densities(env[:, 1], np.array([c.y_opt for c in config.niches]),
+                    config.sigma_niche)
+    alphas, totals = _products(fx, fy, None if z is None else 0.0 + sigma * z)
+
+    dead = np.flatnonzero(~(totals > 0.0))
+    if dead.size and z is not None:
+        # A dead site continues its own stream past its first draws.
+        pending = [stream(config.seed, ROLE_SITE, replicate, int(i))
+                   for i in dead]
+        for rng in pending:
+            rng.random(2)
+            rng.standard_normal(2 * n_species)
+        for _ in range(_MAX_SITE_REDRAWS - 1):
+            noise = 0.0 + sigma * np.stack(
+                [rng.standard_normal(2 * n_species) for rng in pending])
+            alphas[dead], totals[dead] = _products(fx[dead], fy[dead], noise)
+            live = totals[dead] > 0.0
+            pending = [rng for rng, ok in zip(pending, live) if not ok]
+            dead = dead[~live]
+            if not dead.size:
+                break
+    # Sites are checked in order: the first failing site names the error.
+    failed = ~np.isfinite(alphas).all(axis=1)
+    failed[dead] = True
+    first = int(np.argmax(failed))
+    if failed[first] and first in dead:
+        reason = ("no noise to redraw" if z is None else
+                  f"noise redraw budget of {_MAX_SITE_REDRAWS} exhausted")
+        raise DegenerateDataError(
+            f"site {first}: every species response stayed zero ({reason})")
+    if failed[first]:
+        raise ValidationError("relative abundances must be finite and non-negative")
+    counts = np.where(alphas > 0.0,
+                      np.ceil(alphas / totals[:, np.newaxis]
+                              * config.carrying_capacity), 0.0)
     site_ids = tuple(f"site{i + 1}" for i in range(n))
-    species_ids = tuple(f"sp{j + 1}" for j in range(config.n_species))
+    species_ids = tuple(f"sp{j + 1}" for j in range(n_species))
     table = CommunityTable(site_ids, species_ids, counts)
     block = PredictorBlock("env", site_ids, env)
     return table, block

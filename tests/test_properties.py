@@ -4,6 +4,7 @@ The count-weight oracle check uses 200 random tables per statistic instead:
 each table runs a full materialising bootstrap.
 """
 
+import math
 from functools import partial
 
 import numpy as np
@@ -15,8 +16,10 @@ from vpboot.experiments import (_cca_share, _effect_r2, cca_proportion,
 from vpboot.ordination import (_partition, _rollups, chi_square_transform,
                                fit_projection)
 from vpboot.resample import FAILURE_BUDGET, bootstrap_statistic
-from vpboot.rng import stream
-from vpboot.synth import ScenarioConfig, SpeciesNiche, generate_dataset
+from vpboot.rng import ROLE_NICHE, ROLE_SITE, stream
+from vpboot.synth import (ScenarioConfig, SiteEnvironment, SpeciesNiche,
+                          generate_complex_dataset, generate_dataset,
+                          relative_abundance, site_abundances)
 from vpboot.tables import CommunityTable, PredictorBlock
 
 CASES = 1000
@@ -77,6 +80,90 @@ def test_generated_rows_hit_the_capacity_band():
         assert np.all(env.values[:, 0] >= 0) and np.all(env.values[:, 0] <= 1)
         assert np.all(env.values[:, 1] >= 0)
         assert np.all(env.values[:, 1] <= config.y_max)
+
+
+def _scalar_site_oracle(config, replicate):
+    """The per-site generator: one stream per site, one scalar draw at a time.
+
+    Returns the counts, the environment and the number of noise redraws.
+    """
+    counts, env, redraws = [], [], 0
+    for i in range(config.n_sites):
+        rng = stream(config.seed, ROLE_SITE, replicate, i)
+        site = SiteEnvironment(rng.uniform(0.0, 1.0),
+                               rng.uniform(0.0, config.y_max))
+        for _ in range(100):
+            alphas = [relative_abundance(site, niche, config.sigma_niche,
+                                         config.sigma_noise, rng)
+                      for niche in config.niches]
+            if math.fsum(alphas) > 0.0:
+                break
+            if config.sigma_noise == 0.0:
+                raise DegenerateDataError(f"site {i}: no noise to redraw")
+            redraws += 1
+        else:
+            raise DegenerateDataError(f"site {i}: budget exhausted")
+        counts.append(site_abundances(alphas, config.carrying_capacity))
+        env.append((site.x, site.y))
+    return np.array(counts, dtype=float), np.array(env), redraws
+
+
+def _oracle_case(rng, case):
+    """A random generator config, or a complex-dataset one (last entry True)."""
+    if case % 5 == 4:
+        n_species = int(rng.integers(2, 36))
+        seed = int(rng.integers(0, 2**63))
+        niche_rng = stream(seed, ROLE_NICHE)
+        niches = tuple(SpeciesNiche(niche_rng.uniform(0.0, 1.0),
+                                    niche_rng.uniform(0.0, 1.0))
+                       for _ in range(n_species))
+        config = ScenarioConfig(
+            seed=seed, n_sites=int(rng.integers(5, 40)), niches=niches,
+            sigma_niche=float(rng.choice([0.5, 0.2])),
+            sigma_noise=float(rng.choice([0.0, 0.01, 0.5])))
+        return config, int(rng.integers(0, 3)), True
+    if case % 5 == 3:  # far-off optima: most sites need noise redraws
+        niches = (SpeciesNiche(3.0, 3.0), SpeciesNiche(-2.0, 3.0))
+        sigma_niche = 0.1
+        sigma_noise = float(rng.choice([0.01, 0.01, 0.01, 0.0]))
+    else:
+        niches = tuple(SpeciesNiche(*rng.uniform(-0.5, 1.5, size=2).tolist())
+                       for _ in range(int(rng.integers(2, 6))))
+        sigma_niche = float(rng.choice([0.5, 0.3, 0.1]))
+        sigma_noise = float(rng.choice([0.0, 0.01, 0.5, 2.0]))
+    config = ScenarioConfig(
+        seed=int(rng.integers(0, 2**32)) if case % 2 else int(rng.integers(0, 4)),
+        n_sites=200 if case == 3 else int(rng.integers(3, 60)),
+        niches=niches, sigma_niche=sigma_niche, sigma_noise=sigma_noise,
+        y_max=float(rng.choice([1.0, 0.3])),
+        carrying_capacity=int(rng.choice([7, 10**4, 10**6 + 3])))
+    return config, int(rng.integers(0, 1000)), False
+
+
+def test_vectorised_generator_matches_the_scalar_oracle():
+    rng = np.random.default_rng(105)
+    redraws = failures = 0
+    for case in range(200):
+        config, replicate, complex_ = _oracle_case(rng, case)
+        try:
+            counts, env, redrawn = _scalar_site_oracle(config, replicate)
+        except DegenerateDataError as exc:
+            site = str(exc).split(":")[0]
+            with pytest.raises(DegenerateDataError, match=f"^{site}:"):
+                generate_dataset(config, replicate=replicate)
+            failures += 1
+            continue
+        if complex_:
+            table, block = generate_complex_dataset(
+                config.n_sites, config.n_species, config.sigma_noise,
+                config.seed, replicate, config.sigma_niche)
+        else:
+            table, block = generate_dataset(config, replicate=replicate)
+        assert table.values.tobytes() == counts.tobytes()
+        assert block.values.tobytes() == env.tobytes()
+        redraws += redrawn
+    # The far-off optima exercise both the redraw loop and the failure path.
+    assert redraws > 200 and failures > 0
 
 
 def test_resampling_keeps_sites_glued():

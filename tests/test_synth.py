@@ -8,9 +8,9 @@ import pytest
 from vpboot.errors import DegenerateDataError, ValidationError
 from vpboot.ordination import cca_explained, rda_r2
 from vpboot.synth import (ScenarioConfig, SiteEnvironment, SpeciesNiche,
-                          gaussian_response, generate_complex_dataset,
-                          generate_dataset, relative_abundance,
-                          site_abundances)
+                          _densities, gaussian_response,
+                          generate_complex_dataset, generate_dataset,
+                          relative_abundance, site_abundances)
 
 
 def test_gaussian_response_reference_values():
@@ -23,6 +23,19 @@ def test_gaussian_response_reference_values():
         gaussian_response(0.7, 0.5, 0.5), rel=1e-12)
     with pytest.raises(ValidationError):
         gaussian_response(0.5, 0.5, 0.0)
+
+
+def test_vectorised_densities_equal_the_scalar_response_bitwise():
+    # A last-bit change in a density rarely flips a rounded-up count, so
+    # the densities themselves are compared with the scalar reference.
+    rng = np.random.default_rng(17)
+    values = rng.uniform(0.0, 1.0, size=2000)
+    optima = rng.uniform(-0.5, 1.5, size=5)
+    for sigma in (0.1, 0.5, 0.3):
+        dens = _densities(values, optima, sigma)
+        expected = np.array([[gaussian_response(v, o, sigma) for o in optima]
+                             for v in values.tolist()])
+        assert dens.tobytes() == expected.tobytes()
 
 
 def test_noise_free_abundance_is_the_exact_product():
@@ -162,7 +175,19 @@ def test_unreachable_niches_without_noise_fail_loudly():
     config = ScenarioConfig(
         seed=0, n_sites=3, sigma_noise=0.0,
         niches=(SpeciesNiche(100.0, 100.0), SpeciesNiche(100.0, 100.0)))
-    with pytest.raises(DegenerateDataError, match="site 0"):
+    with pytest.raises(DegenerateDataError,
+                       match=r"^site 0: .*\(no noise to redraw\)$"):
+        generate_dataset(config)
+
+
+def test_noise_redraw_budget_exhaustion_fails_loudly():
+    # Every noisy factor is about 1e-200, so each product underflows to 0
+    # on all 100 draws of the site's noise.
+    config = ScenarioConfig(
+        seed=0, n_sites=3, sigma_noise=1e-200,
+        niches=(SpeciesNiche(100.0, 100.0), SpeciesNiche(100.0, 100.0)))
+    with pytest.raises(DegenerateDataError,
+                       match=r"^site 0: .*budget of 100 exhausted"):
         generate_dataset(config)
 
 
