@@ -79,14 +79,14 @@ def run_analysis(table: CommunityTable, env: PredictorBlock,
     require_aligned(table, env, spatial)
     if log1p is None:
         log1p = method == "cca"
-    part = partition_tables(table, env, spatial, method, log1p)
+    y = _log1p(table) if log1p else table
+    part = partition_tables(y, env, spatial, method, log1p=False)
     rollup = part.rollup()
     if abs(sum(rollup) - 1.0) > 1e-9:
         raise DegenerateDataError("partition rollup does not sum to 1")
     summaries = bootstrap_statistic(
-        _log1p(table) if log1p else table, [env, spatial],
-        partial(_rollups, method=method), m_replicates, seed,
-        names=FRACTION_NAMES)
+        y, [env, spatial], partial(_rollups, method=method), m_replicates,
+        seed, names=FRACTION_NAMES)
     return AnalysisReport(
         dataset_name=dataset_name,
         method=method,

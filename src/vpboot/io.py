@@ -28,14 +28,27 @@ def format_number(value: float) -> str:
     return repr(f)
 
 
+def _read_text(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 are a ``ValidationError``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(
+            f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})"
+        ) from None
+
+
 def _parse_rows(path: str) -> list[tuple[int, list[str]]]:
     kept: list[tuple[int, str]] = []
-    with open(path, "r", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.strip("\r\n")
-            if not stripped.strip() or stripped.lstrip().startswith("#"):
-                continue
-            kept.append((lineno, stripped))
+    for lineno, raw in enumerate(io.StringIO(_read_text(path), newline=""),
+                                 start=1):
+        stripped = raw.strip("\r\n")
+        if not stripped.strip() or stripped.lstrip().startswith("#"):
+            continue
+        kept.append((lineno, stripped))
     rows = []
     for lineno, line in kept:
         for parsed in csv.reader(io.StringIO(line)):
@@ -114,7 +127,7 @@ def write_table_csv(path: str, obj, provenance=None,
             column_ids = ("x", "y")
     else:
         raise ValidationError("can only write CommunityTable or PredictorBlock")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         for key, value in (provenance or ()):
             fh.write(f"# {key}={value}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -190,8 +203,7 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
 
 def read_scenario_config(path: str) -> ScenarioConfig:
     """Read and parse a scenario document from disk."""
-    with open(path, "r") as fh:
-        return parse_scenario_config(fh.read())
+    return parse_scenario_config(_read_text(path))
 
 
 def config_digest(config: ScenarioConfig) -> str:

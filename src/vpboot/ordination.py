@@ -4,12 +4,14 @@ Linear (redundancy-style) and chi-square (correspondence-style) machinery:
 column centring, rank-truncated least-squares projection, explained-variance
 ratios with the small-sample adjustment, the two-block variance partition,
 and the contingency-table decomposition behind constrained correspondence
-analysis.
+analysis. The public helpers are the batched fit kernel's pieces
+(``_block_fractions``) called with unit weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -21,6 +23,30 @@ from .tables import as_matrix
 SV_RCOND = 1e-10
 
 
+def _weighted_centre(a, w, what: str = "matrix") -> np.ndarray:
+    """Columns of ``(n, q)`` ``a`` centred under each row of ``(k, n)`` weights.
+
+    Returns ``(k, n, q)``: replicate ``i`` holds the rows centred on their
+    ``w[i]``-weighted mean and scaled by ``sqrt(w[i])``, so a site of count
+    ``c`` adds ``c`` copies to every sum of squares. The second pass removes
+    the roundoff of the first mean, so a column that is constant over the
+    weighted rows centres to exactly 0 and adds no spurious rank. Zero total
+    weight gives zeros. A weight total or a result sum of squares that is
+    not finite (a non-finite entry, or values that overflow once summed,
+    centred or squared) raises ``ValidationError``.
+    """
+    total = w.sum(axis=1)
+    scale = np.where(total > 0.0, total, 1.0)[:, np.newaxis, np.newaxis]
+    ac = a - np.matmul(w[:, np.newaxis], a) / scale
+    ac -= np.matmul(w[:, np.newaxis], ac) / scale
+    ac *= np.sqrt(w)[:, :, np.newaxis]
+    # An infinite weight total would leave ``a`` uncentred; check it too.
+    if not np.isfinite(np.vdot(ac, ac) + total.sum()):
+        raise ValidationError(
+            f"{what} contains non-finite entries or overflows once centred")
+    return ac
+
+
 def center_columns(m) -> np.ndarray:
     """Subtract each column's mean; adding the mean row back restores the input.
 
@@ -28,52 +54,49 @@ def center_columns(m) -> np.ndarray:
     column centres to exactly 0 and has rank 0.
     """
     a = as_matrix(m)
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("matrix contains non-finite entries")
     if a.shape[0] < 1:
         raise ValidationError("cannot centre an empty matrix")
-    centred = a - a.mean(axis=0, keepdims=True)
-    return centred - centred.mean(axis=0, keepdims=True)
+    return _weighted_centre(a, np.ones((1, a.shape[0])))[0]
+
+
+def _svd_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors of ``a`` (one matrix or a stack) and the mask of
+    singular values above ``SV_RCOND`` times the largest: the package's one SVD.
+    """
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u, s > SV_RCOND * s[..., :1]
 
 
 def numerical_rank(m) -> int:
     """Rank by singular values above ``SV_RCOND`` times the largest one."""
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > SV_RCOND * s[0]))
+    return int(_svd_basis(as_matrix(m))[1].sum())
 
 
 def _fitted_ss(xw: np.ndarray, yw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projected sum of squares and rank for a stack of least-squares fits.
 
-    ``xw`` is ``(k, n, q)`` and ``yw`` is ``(k, n, p)``. Fit ``i`` projects
-    ``yw[i]`` onto the left singular vectors of ``xw[i]`` whose singular
-    values exceed ``SV_RCOND`` times the largest; their count is the rank.
-    Returns ``(fitted sum of squares (k,), rank (k,))``.
+    Fit ``i`` projects ``yw[i]`` (``(k, n, p)``) onto the kept left singular
+    vectors of ``xw[i]`` (``(k, n, q)``). Returns ``(fitted (k,), rank (k,))``.
     """
-    u, s, _ = np.linalg.svd(xw, full_matrices=False)
-    keep = s > SV_RCOND * s[:, :1]
+    u, keep = _svd_basis(xw)
     projected = np.matmul(u.transpose(0, 2, 1), yw)
     fitted = (np.square(projected).sum(axis=2) * keep).sum(axis=1)
     return fitted, keep.sum(axis=1)
 
 
-def _truncated_lstsq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares coefficients with truncated-SVD inverse."""
-    if x.shape[1] == 0:
-        return np.zeros((0, y.shape[1]))
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((x.shape[1], y.shape[1]))
-    keep = s > SV_RCOND * s[0]
-    if not np.any(keep):
-        return np.zeros((x.shape[1], y.shape[1]))
-    u, s, vt = u[:, keep], s[keep], vt[keep]
-    return vt.T @ ((u.T @ y) / s[:, np.newaxis])
+def _fit_blocks(blocks, w, yw) -> tuple[np.ndarray, np.ndarray]:
+    """Fitted sum of squares and rank, ``(k, n_blocks)`` each, of ``yw`` on
+    every block centred under the weights ``w``."""
+    fits = [_fitted_ss(_weighted_centre(b, w, "design"), yw) for b in blocks]
+    return tuple(np.stack(v, axis=1) for v in zip(*fits))
+
+
+def _aligned(y, x, what: str = "response"):
+    ym, xm = as_matrix(y), as_matrix(x)
+    if ym.shape[0] != xm.shape[0]:
+        raise ValidationError(f"row mismatch: {what} has {ym.shape[0]} rows, "
+                              f"design has {xm.shape[0]}")
+    return ym, xm
 
 
 def fit_projection(y, x, weights=None) -> np.ndarray:
@@ -84,42 +107,22 @@ def fit_projection(y, x, weights=None) -> np.ndarray:
     the zero matrix. With ``weights`` (strictly positive, one per row) the
     projection minimises the weighted residual sum of squares.
     """
-    ym = as_matrix(y)
-    xm = as_matrix(x)
-    if ym.shape[0] != xm.shape[0]:
-        raise ValidationError(
-            f"row mismatch: response has {ym.shape[0]} rows, design has {xm.shape[0]}")
-    if weights is None:
-        return xm @ _truncated_lstsq(xm, ym)
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    ym, xm = _aligned(y, x)
+    w = np.ones(ym.shape[0]) if weights is None else np.asarray(
+        weights, dtype=float).reshape(-1)
     if w.shape[0] != ym.shape[0]:
         raise ValidationError("one weight per row required")
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise ValidationError("weights must be finite and strictly positive")
     sw = np.sqrt(w)[:, np.newaxis]
-    return xm @ _truncated_lstsq(xm * sw, ym * sw)
+    u, keep = _svd_basis(xm * sw)
+    u = u * keep
+    return u @ (u.T @ (ym * sw)) / sw
 
 
-def rda_r2(y, x) -> float:
-    """Fraction of the total column-centred sum of squares captured by ``x``.
-
-    Both matrices are centred first, so the fit behaves as if an intercept
-    were included. A response with zero total sum of squares has nothing to
-    explain and yields 0. The result is clipped to [0, 1] against roundoff.
-    """
-    ym = as_matrix(y)
-    xm = as_matrix(x)
-    if ym.shape[0] != xm.shape[0]:
-        raise ValidationError(
-            f"row mismatch: response has {ym.shape[0]} rows, design has {xm.shape[0]}")
-    if ym.shape[0] < 3:
-        raise ValidationError("need at least 3 rows")
-    yc = center_columns(ym)
-    total = float(np.sum(yc * yc))
-    if total == 0.0:
-        return 0.0
-    fitted, _ = _fitted_ss(center_columns(xm)[np.newaxis], yc[np.newaxis])
-    return min(max(float(fitted[0]) / total, 0.0), 1.0)
+def _adjust(r2, n, df):
+    """Small-sample adjustment with ``df`` residual degrees of freedom."""
+    return 1.0 - (1.0 - r2) * (n - 1) / df
 
 
 def adjusted_r2(r2: float, n: int, m: int) -> float:
@@ -132,7 +135,47 @@ def adjusted_r2(r2: float, n: int, m: int) -> float:
     if n - m - 1 < 1:
         raise DegenerateDataError(
             f"no residual degrees of freedom (n={n}, predictor rank m={m})")
-    return 1.0 - (1.0 - float(r2)) * (n - 1) / (n - m - 1)
+    return _adjust(float(r2), n, n - m - 1)
+
+
+def _rda_r2(ym, blocks, c) -> tuple[np.ndarray, np.ndarray]:
+    """Count-weighted R2 and rank of each block, ``(k, n_blocks)`` each.
+
+    A response with zero total sum of squares has nothing to explain and
+    gets 0; R2 is clipped to [0, 1] against roundoff.
+    """
+    yw = _weighted_centre(ym, c)
+    total = np.square(yw).reshape(len(c), -1).sum(axis=1)[:, np.newaxis]
+    fitted, rank = _fit_blocks(blocks, c, yw)
+    explains = total > 0.0
+    r2 = np.where(explains, np.clip(
+        fitted / np.where(explains, total, 1.0), 0.0, 1.0), 0.0)
+    return r2, rank
+
+
+def rda_r2(y, x) -> float:
+    """Fraction of the total column-centred sum of squares captured by ``x``.
+
+    Both matrices are centred first, so the fit behaves as if an intercept
+    were included. A response with zero total sum of squares has nothing to
+    explain and yields 0. The result is clipped to [0, 1] against roundoff.
+    """
+    ym, xm = _aligned(y, x)
+    if ym.shape[0] < 3:
+        raise ValidationError("need at least 3 rows")
+    r2, _ = _rda_r2(ym, [xm], np.ones((1, ym.shape[0])))
+    return float(r2[0, 0])
+
+
+def _split(r_x, r_w, r_xw):
+    """Pure x, shared, pure w and residual fractions (floats or arrays),
+    in ``PartitionResult`` field order."""
+    return r_xw - r_w, r_x + r_w - r_xw, r_xw - r_x, 1.0 - r_xw
+
+
+def _rollup(pure_x, shared, pure_w, residual):
+    """(pure first block, second block including shared, residual)."""
+    return pure_x, shared + pure_w, residual
 
 
 @dataclass(frozen=True)
@@ -140,9 +183,10 @@ class PartitionResult:
     """Two-block decomposition of explained variance.
 
     ``frac_pure_x`` + ``frac_shared`` + ``frac_pure_w`` equals ``r2_xw`` and
-    ``frac_residual`` equals ``1 - r2_xw``; both identities are enforced at
-    construction. Individual fractions may legitimately be negative because
-    the small-sample adjustment is not monotone under block union.
+    ``frac_residual`` equals ``1 - r2_xw``; both identities, and that every
+    field is finite, are enforced at construction. Individual fractions may
+    legitimately be negative because the small-sample adjustment is not
+    monotone under block union.
     """
 
     frac_pure_x: float
@@ -154,6 +198,8 @@ class PartitionResult:
     r2_xw: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise ValidationError("partition fractions must be finite")
         explained = self.frac_pure_x + self.frac_shared + self.frac_pure_w
         if abs(explained - self.r2_xw) > 1e-12:
             raise ValidationError("partition fractions do not sum to the joint R2")
@@ -167,25 +213,13 @@ class PartitionResult:
         entry isolates what only the first block explains. The three values
         sum to 1.
         """
-        return (self.frac_pure_x,
-                self.frac_shared + self.frac_pure_w,
-                self.frac_residual)
+        return _rollup(self.frac_pure_x, self.frac_shared, self.frac_pure_w,
+                       self.frac_residual)
 
 
 def partition_from_r2(r2_x: float, r2_w: float, r2_xw: float) -> PartitionResult:
     """Compose a two-block partition from the three explained fractions."""
-    pure_x = r2_xw - r2_w
-    pure_w = r2_xw - r2_x
-    shared = r2_x + r2_w - r2_xw
-    return PartitionResult(
-        frac_pure_x=pure_x,
-        frac_shared=shared,
-        frac_pure_w=pure_w,
-        frac_residual=1.0 - r2_xw,
-        r2_x=r2_x,
-        r2_w=r2_w,
-        r2_xw=r2_xw,
-    )
+    return PartitionResult(*_split(r2_x, r2_w, r2_xw), r2_x, r2_w, r2_xw)
 
 
 def _block_fractions(y, named_blocks, method: str, counts=None):
@@ -219,40 +253,28 @@ def _block_fractions(y, named_blocks, method: str, counts=None):
         if any(p.shape[0] != n for p in parts):
             raise ValidationError("response and predictor blocks must share rows")
         blocks.append((name, parts[0] if len(parts) == 1 else np.hstack(parts)))
-    if not all(np.all(np.isfinite(b)) for _, b in blocks):
-        raise ValidationError("design contains non-finite entries")
     c = np.ones((1, n)) if counts is None else np.asarray(counts, dtype=float)
     fit = _cca_fractions if method == "cca" else _rda_fractions
-    return fit(ym, blocks, c, raise_degenerate=counts is None)
+    # Overflow ends in _weighted_centre's ValidationError, not in a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fit(ym, blocks, c, raise_degenerate=counts is None)
 
 
 def _rda_fractions(ym, blocks, c, *, raise_degenerate: bool):
     """``_block_fractions`` for ``rda``: count-weighted adjusted R2."""
-    if not np.all(np.isfinite(ym)):
-        raise ValidationError("matrix contains non-finite entries")
     n = ym.shape[0]
-    total_count = c.sum(axis=1)
-    yw = _weighted_centre(ym, c, total_count)
-    total = np.square(yw).reshape(len(c), -1).sum(axis=1)
-    explains = total > 0.0
-    fractions = np.zeros((len(c), len(blocks)))
-    degenerate = np.zeros(len(c), dtype=bool)
-    for i, (name, block) in enumerate(blocks):
-        fitted, m = _fitted_ss(_weighted_centre(block, c, total_count), yw)
-        df = total_count - m - 1
-        short = df < 1
-        if raise_degenerate and short[0]:
+    r2, rank = _rda_r2(ym, [block for _, block in blocks], c)
+    total_count = c.sum(axis=1)[:, np.newaxis]
+    df = total_count - rank - 1
+    short = df < 1
+    for i, (name, _) in enumerate(blocks):
+        if raise_degenerate and short[0, i]:
             raise DegenerateDataError(
                 f"block '{name}': no residual degrees of freedom "
-                f"(n={n}, rank m={int(m[0])})")
+                f"(n={n}, rank m={int(rank[0, i])})")
         if n < 3:
             raise ValidationError("need at least 3 rows")
-        r2 = np.where(explains, np.clip(
-            fitted / np.where(explains, total, 1.0), 0.0, 1.0), 0.0)
-        fractions[:, i] = 1.0 - (1.0 - r2) * (total_count - 1) / np.where(
-            short, 1.0, df)
-        degenerate |= short
-    return fractions, degenerate
+    return _adjust(r2, total_count, np.where(short, 1.0, df)), short.any(axis=1)
 
 
 def _weighted_sums(c, a) -> np.ndarray:
@@ -265,19 +287,38 @@ def _weighted_sums(c, a) -> np.ndarray:
     return np.matmul(c[:, np.newaxis], a)[:, 0]
 
 
-def _weighted_centre(a, c, total_count):
-    """Columns of ``a`` centred under each row of count weights ``c``.
+def _chi_square(ym, c):
+    """Standardised chi-square deviations of each count-weighted table.
 
-    Returns ``(k, n, q)``: replicate ``i`` holds the centred rows scaled by
-    ``sqrt(c[i])``, so sums of squares count every copy. The second pass
-    removes the roundoff of the first mean, so a column that is constant
-    over the drawn sites centres to exactly 0 and adds no spurious rank.
+    A site of row sum ``R`` drawn ``c`` times weighs ``c R``. qbar is the
+    row profiles ``y / R`` centred and scaled under those weights (their
+    mean is ``C / T`` for weighted column sums ``C`` and total ``T``), then
+    divided by the root of ``C``; a species no drawn site holds gives 0.
+    Returns ``(qbar (k, n, p), site weights (k, n), species sums (k, p))``.
     """
-    scale = total_count[:, np.newaxis, np.newaxis]
-    ac = a - np.matmul(c[:, np.newaxis], a) / scale
-    ac -= np.matmul(c[:, np.newaxis], ac) / scale
-    ac *= np.sqrt(c)[:, :, np.newaxis]
-    return ac
+    row_sums = ym.sum(axis=1)
+    site_weights = c * row_sums
+    species_sums = _weighted_sums(c, ym)
+    qw = _weighted_centre(ym / row_sums[:, np.newaxis], site_weights, "table")
+    root = np.sqrt(species_sums)
+    qw *= np.divide(1.0, root, out=np.zeros_like(root),
+                    where=root > 0.0)[:, np.newaxis]
+    return qw, site_weights, species_sums
+
+
+def _inertia_shares(qw, site_weights, blocks):
+    """Total inertia ``(k,)``, constrained inertia and share ``(k, n_blocks)``.
+
+    All live rows proportional (a resample of one site, say) leaves only
+    roundoff in qbar; a total below the squared singular-value cutoff
+    counts as 0 and explains nothing.
+    """
+    total = np.einsum("knp,knp->k", qw, qw)[:, np.newaxis]
+    fitted, _ = _fit_blocks(blocks, site_weights, qw)
+    constrained = np.minimum(np.maximum(fitted, 0.0), total)
+    live = total > SV_RCOND ** 2
+    return total[:, 0], constrained, np.where(
+        live, constrained / np.where(live, total, 1.0), 0.0)
 
 
 def _cca_fractions(ym, blocks, c, *, raise_degenerate: bool):
@@ -285,48 +326,20 @@ def _cca_fractions(ym, blocks, c, *, raise_degenerate: bool):
     if not np.all(ym >= 0.0):
         raise ValidationError("table contains negative or non-finite entries")
     # Empty sites and species are dead in every replicate; drop them once.
-    row_sums = ym.sum(axis=1)
-    rows = row_sums > 0
+    rows = ym.sum(axis=1) > 0
     cols = ym.sum(axis=0) > 0
-    ym, row_sums, c = ym[np.ix_(rows, cols)], row_sums[rows], c[:, rows]
-    blocks = [b[rows] for _, b in blocks]
-    col_sums = _weighted_sums(c, ym)
+    ym, c = ym[np.ix_(rows, cols)], c[:, rows]
+    qw, site_weights, species_sums = _chi_square(ym, c)
     sites = c.sum(axis=1)
-    species = np.count_nonzero(col_sums > 0, axis=1)
+    species = np.count_nonzero(species_sums > 0, axis=1)
     degenerate = (sites < 3) | (species < 2)
-    fractions = np.zeros((len(c), len(blocks)))
     if raise_degenerate and degenerate[0]:
         raise DegenerateDataError(
             f"only {int(sites[0])} non-empty sites and "
             f"{int(species[0])} non-empty species remain")
-    if degenerate.all():
-        return fractions, degenerate
-    # qbar_ij = (y_ij / sqrt(R_i) - sqrt(R_i) C_j / T) / sqrt(C_j) for row
-    # sums R, weighted column sums C and grand total T is the standardised
-    # deviation of one copy of site i; a species no drawn site holds
-    # contributes 0. Built in place: one (k, n, p) array per chunk.
-    grand = _weighted_sums(c, row_sums)
-    grand = np.where(grand > 0.0, grand, 1.0)
-    root_rows = np.sqrt(row_sums)
-    root_cols = np.sqrt(col_sums)
-    qw = root_rows[:, np.newaxis] * (col_sums / grand[:, np.newaxis])[:, np.newaxis]
-    np.subtract(ym / root_rows[:, np.newaxis], qw, out=qw)
-    qw *= np.divide(1.0, root_cols, out=np.zeros_like(root_cols),
-                    where=root_cols > 0.0)[:, np.newaxis]
-    qw *= np.sqrt(c)[:, :, np.newaxis]
-    total = np.einsum("knp,knp->k", qw, qw)
-    # All live rows proportional (a resample of one site, say) leaves only
-    # roundoff in qbar; a norm below the singular-value cutoff counts as 0.
-    live = total > SV_RCOND ** 2
-    mass = c * (row_sums / grand[:, np.newaxis])
-    for i, block in enumerate(blocks):
-        xw = block - _weighted_sums(mass, block)[:, np.newaxis]
-        xw *= np.sqrt(mass)[:, :, np.newaxis]
-        fitted, _ = _fitted_ss(xw, qw)
-        constrained = np.minimum(np.maximum(fitted, 0.0), total)
-        fractions[:, i] = np.where(
-            live, constrained / np.where(live, total, 1.0), 0.0)
-    return fractions, degenerate
+    _, _, shares = _inertia_shares(qw, site_weights,
+                                   [b[rows] for _, b in blocks])
+    return shares, degenerate
 
 
 def _log1p(table) -> np.ndarray:
@@ -352,12 +365,7 @@ def _rollups(counts, y, x, w, method: str):
     """Batched bootstrap statistic: the ``PartitionResult.rollup`` per replicate."""
     fractions, degenerate = _block_fractions(
         y, _named_partition_blocks(x, w), method, counts)
-    r_x, r_w, r_xw = fractions.T
-    # Same operations as partition_from_r2 and rollup, so values agree bitwise.
-    rollup = np.column_stack([r_xw - r_w,
-                              (r_x + r_w - r_xw) + (r_xw - r_x),
-                              1.0 - r_xw])
-    return rollup, degenerate
+    return np.column_stack(_rollup(*_split(*fractions.T))), degenerate
 
 
 def varpart_two(y, x, w) -> PartitionResult:
@@ -395,13 +403,8 @@ def chi_square_transform(y):
         raise DegenerateDataError(
             f"empty rows {empty_rows.tolist()} and empty columns "
             f"{empty_cols.tolist()} (all-zero lines carry no information)")
-    p = ym / total
-    r = row_sums / total
-    c = col_sums / total
-    expected = np.outer(r, c)
-    qbar = (p - expected) / np.sqrt(expected)
-    inertia = float(np.sum(qbar * qbar))
-    return qbar, r, c, inertia
+    qbar = _chi_square(ym, np.ones((1, ym.shape[0])))[0][0]
+    return qbar, row_sums / total, col_sums / total, float(np.sum(qbar * qbar))
 
 
 def cca_explained(y, x) -> tuple[float, float, float]:
@@ -412,19 +415,8 @@ def cca_explained(y, x) -> tuple[float, float, float]:
     square root of those weights, and the standardised table is projected
     onto their span. A table with zero total inertia yields proportion 0.
     """
-    ym = as_matrix(y)
-    xm = as_matrix(x)
-    if ym.shape[0] != xm.shape[0]:
-        raise ValidationError(
-            f"row mismatch: table has {ym.shape[0]} rows, design has {xm.shape[0]}")
-    if not np.all(np.isfinite(xm)):
-        raise ValidationError("design contains non-finite entries")
-    qbar, r, _, total = chi_square_transform(ym)
-    if total == 0.0:
-        return 0.0, 0.0, 0.0
-    xc = xm - r @ xm if xm.shape[1] else xm
-    xw = np.sqrt(r)[:, np.newaxis] * xc
-    fitted, _ = _fitted_ss(xw[np.newaxis], qbar[np.newaxis])
-    constrained = min(max(float(fitted[0]), 0.0), total)
-    return total, constrained, constrained / total
-
+    ym, xm = _aligned(y, x, "table")
+    qbar, r, _, _ = chi_square_transform(ym)
+    total, constrained, share = _inertia_shares(
+        qbar[np.newaxis], r[np.newaxis], [xm])
+    return float(total[0]), float(constrained[0, 0]), float(share[0, 0])

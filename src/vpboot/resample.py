@@ -70,6 +70,8 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     """
     if m_replicates < 2:
         raise ValidationError("need at least 2 bootstrap replicates")
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
     blocks = list(blocks)
     require_aligned(table, *blocks)
     y = as_matrix(table)

@@ -9,7 +9,7 @@ from vpboot.analysis import (FRACTION_NAMES, format_report, partition_tables,
                              report_to_dict, run_analysis, trend_surface)
 from vpboot.errors import DegenerateDataError, ValidationError
 from vpboot.experiments import cca_proportion
-from vpboot.ordination import varpart_two
+from vpboot.ordination import PartitionResult, partition_from_r2, varpart_two
 from vpboot.synth import ScenarioConfig, generate_dataset
 from vpboot.tables import CommunityTable, PredictorBlock
 
@@ -64,6 +64,16 @@ def test_cca_partition_prunes_empty_sites():
                        values[keep]),
         env[keep], spatial[keep], method="cca")
     assert part == direct
+
+
+def test_partition_result_rejects_non_finite_fields():
+    # abs(nan - r2_xw) > 1e-12 is False, so the identities alone let NaN in.
+    nan = float("nan")
+    with pytest.raises(ValidationError, match="must be finite"):
+        PartitionResult(frac_pure_x=nan, frac_shared=0.1, frac_pure_w=0.2,
+                        frac_residual=0.4, r2_x=0.3, r2_w=0.3, r2_xw=0.6)
+    with pytest.raises(ValidationError, match="must be finite"):
+        partition_from_r2(0.2, 0.3, float("inf"))
 
 
 def test_cca_partition_needs_three_live_sites():

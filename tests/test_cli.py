@@ -171,7 +171,56 @@ def test_analyze_exit_codes_for_bad_inputs(tmp_path, capsys):
 
     out = tmp_path / "missing-dir" / "report.json"
     assert main(good + ["--bootstrap", "20", "--out", str(out)]) == 2
-    capsys.readouterr()
+
+    assert main(good[:-1] + ["-1", "--bootstrap", "20"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_analyze_rejects_abundances_that_overflow_once_centred(tmp_path,
+                                                              capsys):
+    paths, table, _ = _write_inputs(tmp_path, n_sites=12)
+    values = table.values.copy()
+    # Finite, but their squares and their sum are not.
+    values[3, 0] = values[5, 1] = 1.7e308
+    write_table_csv(tmp_path / "huge.csv",
+                    CommunityTable(table.site_ids, table.species_ids, values))
+    for method in (["rda"], ["cca", "--no-log1p"]):
+        code = main(["analyze", str(tmp_path / "huge.csv"), str(paths["env"]),
+                     str(paths["spatial"]), "--method", *method,
+                     "--seed", "1", "--bootstrap", "20"])
+        assert code == 2
+        assert "overflows once" in capsys.readouterr().err
+
+
+def test_analyze_rejects_predictors_that_overflow_once_centred(tmp_path,
+                                                              capsys):
+    paths, table, _ = _write_inputs(tmp_path, n_sites=12)
+    extreme = np.where(np.arange(12) % 2 == 0, 1e308, -1e308)[:, np.newaxis]
+    write_table_csv(tmp_path / "extreme.csv",
+                    PredictorBlock("env", table.site_ids, extreme))
+    for method in ("rda", "cca"):
+        code = main(["analyze", str(paths["community"]),
+                     str(tmp_path / "extreme.csv"), str(paths["spatial"]),
+                     "--method", method, "--seed", "1", "--bootstrap", "20"])
+        assert code == 2
+        assert "design contains" in capsys.readouterr().err
+
+
+def test_analyze_input_that_is_not_utf8_exits_two(tmp_path, capsys):
+    paths, _, _ = _write_inputs(tmp_path, n_sites=10)
+    text = paths["community"].read_bytes()
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(text.replace(b"site3,", b"site\xff3,"))
+    assert main(["analyze", str(bad), str(paths["env"]), str(paths["spatial"]),
+                 "--seed", "1", "--bootstrap", "20"]) == 2
+    assert f"{bad}:4: not UTF-8" in capsys.readouterr().err
+
+
+def test_simulate_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    config = tmp_path / "scenario.cfg"
+    config.write_bytes(b"# caf\xe9 scenario\nseed = 1\nn_sites = 8\n")
+    assert main(["simulate", str(config), "--out", str(tmp_path / "s")]) == 2
+    assert f"{config}:1: not UTF-8" in capsys.readouterr().err
 
 
 def test_analyze_degenerate_inputs_exit_three(tmp_path, capsys):

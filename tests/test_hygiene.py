@@ -30,6 +30,19 @@ def test_modules_use_every_name_they_import(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _svd_calls(source: str) -> int:
+    return sum(isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr == "svd"
+        or isinstance(node.func, ast.Name) and node.func.id == "svd")
+        for node in ast.walk(ast.parse(source)))
+
+
+def test_the_package_has_one_svd_call():
+    # Every rank, projection and fit goes through ordination._svd_basis.
+    assert sum(_svd_calls(p.read_text()) for p in PACKAGE.glob("*.py")) == 1
+    assert _svd_calls("u = np.linalg.svd(a)\nsvd(b)\nnp.svd\n") == 2
+
+
 def test_the_scan_sees_an_unused_import():
     source = "import os\nfrom math import inf, nan\nprint(nan)\n"
     assert _unused_imports(source) == ["inf (line 2)", "os (line 1)"]

@@ -193,6 +193,17 @@ def test_read_scenario_config_from_disk(tmp_path):
     assert read_scenario_config(str(path)) == ScenarioConfig(seed=42, n_sites=25)
 
 
+def test_readers_reject_bytes_that_are_not_utf8(tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_bytes(b"site,sp1\na,1\nb\xff,2\n")
+    with pytest.raises(ValidationError, match=r"t\.csv:3: not UTF-8 .*0xff"):
+        read_table_csv(str(table))
+    config = tmp_path / "scenario.cfg"
+    config.write_bytes(b"seed = 1 # \xe9\n")
+    with pytest.raises(ValidationError, match=r"scenario\.cfg:1: not UTF-8"):
+        read_scenario_config(str(config))
+
+
 def test_config_digest_is_stable_and_sensitive():
     a = ScenarioConfig(seed=1)
     assert config_digest(a) == config_digest(ScenarioConfig(seed=1))
