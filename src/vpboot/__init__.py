@@ -23,9 +23,8 @@ from .ordination import (PartitionResult, adjusted_r2, cca_explained,
                          rda_r2, varpart_two)
 from .resample import BootstrapSummary, bootstrap_statistic
 from .rng import derive_seed, stream
-from .synth import (ScenarioConfig, SiteEnvironment, SpeciesNiche,
-                    gaussian_response, generate_complex_dataset,
-                    generate_dataset, relative_abundance, site_abundances)
+from .synth import (ScenarioConfig, SpeciesNiche, generate_complex_dataset,
+                    generate_dataset)
 from .tables import CommunityTable, PredictorBlock
 
 __all__ = [
@@ -33,16 +32,14 @@ __all__ = [
     "AnalysisReport", "BootstrapSummary", "CcaScenarioOutcome",
     "CommunityTable", "DegenerateDataError", "PartitionResult",
     "PredictorBlock", "ReproductionCheckError", "ScenarioConfig",
-    "ScenarioOutcome", "SiteEnvironment", "SpeciesNiche", "ValidationError",
-    "VpbootError", "adjusted_r2", "bootstrap_statistic",
-    "bootstrap_validation", "cca_explained", "cca_proportion",
-    "cca_validation", "center_columns", "chi_square_transform",
-    "derive_seed", "fit_projection", "format_report", "gaussian_response",
+    "ScenarioOutcome", "SpeciesNiche", "ValidationError", "VpbootError",
+    "adjusted_r2", "bootstrap_statistic", "bootstrap_validation",
+    "cca_explained", "cca_proportion", "cca_validation", "center_columns",
+    "chi_square_transform", "derive_seed", "fit_projection", "format_report",
     "generate_complex_dataset", "generate_dataset", "numerical_rank",
     "partition_from_r2", "partition_tables", "pearson_r",
-    "predictor_effect_r2", "rda_r2", "relative_abundance", "report_to_dict",
-    "run_analysis", "run_replicated_scenario", "site_abundances",
-    "spearman_rho", "stream",
+    "predictor_effect_r2", "rda_r2", "report_to_dict", "run_analysis",
+    "run_replicated_scenario", "spearman_rho", "stream",
     "sweep_optimum_distance", "sweep_sample_size", "sweep_sampling_range",
     "trend_surface", "varpart_two",
 ]

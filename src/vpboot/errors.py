@@ -18,5 +18,17 @@ class DegenerateDataError(VpbootError):
     """
 
 
+#: Reason codes of a degenerate fit, one per replicate of a batched
+#: statistic; 0 means the fit is usable. A boolean mask's True reads as
+#: ``DEGENERATE``.
+DEGENERATE, NO_RESIDUAL_DF, FEW_SITES, FEW_SPECIES = 1, 2, 3, 4
+DEGENERATE_REASONS = {
+    DEGENERATE: "degenerate",
+    NO_RESIDUAL_DF: "no residual degrees of freedom",
+    FEW_SITES: "fewer than 3 live sites",
+    FEW_SPECIES: "fewer than 2 live species",
+}
+
+
 class ReproductionCheckError(VpbootError):
     """A reproduction run finished but its trend or correlation checks failed."""

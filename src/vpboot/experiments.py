@@ -15,13 +15,12 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateDataError, ValidationError
-from .ordination import _block_fractions, _log1p
+from .errors import DegenerateDataError, ValidationError, VpbootError
+from .ordination import _as_array, _block_fractions, _log1p
 from .resample import bootstrap_statistic, relative_spread
 from .rng import derive_seed
-from .synth import (ScenarioConfig, SpeciesNiche, generate_complex_dataset,
-                    generate_dataset)
-from .tables import as_matrix
+from .synth import (ScenarioConfig, SpeciesNiche, _complex_config,
+                    _generate_cell)
 
 DEFAULT_NOISE_LEVELS = (0.01, 0.05, 0.1)
 DEFAULT_SAMPLE_SIZES = (25, 50, 100, 250, 500, 1000)
@@ -37,6 +36,13 @@ _TAG_OPTIMUM = 13
 _TAG_VALIDATION_TABLE = 14
 _TAG_CCA = 15
 
+#: Float64 values of one chunk of a study cell: replicates x sites x
+#: (species + 2 gradients). The generator turns a chunk's densities and
+#: row sums into Python lists, so a chunk 4x this size raised the peak
+#: memory of the 25-250-site sweep benchmark by 6% (40.3 to 42.7 MB) and
+#: saved only about 2% of its time.
+_CELL_CHUNK_VALUES = 2 ** 13
+
 
 def predictor_effect_r2(table, env, mode: str = "semipartial") -> float:
     """Adjusted explained-variance contribution of the second gradient.
@@ -49,18 +55,19 @@ def predictor_effect_r2(table, env, mode: str = "semipartial") -> float:
 
 
 def _effect_r2(counts, table, env, mode: str):
-    """``predictor_effect_r2`` per count row, as a batched bootstrap statistic."""
-    em = as_matrix(env)
-    if em.shape[1] != 2:
+    """``predictor_effect_r2`` per count row, as a batched bootstrap statistic,
+    or per table of a ``(k, n, S)`` stack with a ``(k, n, 2)`` environment."""
+    em = _as_array(env)
+    if em.shape[-1] != 2:
         raise ValidationError("environment block must have exactly 2 columns")
     if mode == "marginal":
         return _block_fractions(
-            table, [("second gradient", em[:, 1:2])], "rda", counts)
+            table, [("second gradient", em[..., 1:2])], "rda", counts)
     if mode == "semipartial":
-        fractions, degenerate = _block_fractions(
-            table, [("both gradients", em), ("first gradient", em[:, 0:1])],
+        fractions, reasons = _block_fractions(
+            table, [("both gradients", em), ("first gradient", em[..., 0:1])],
             "rda", counts)
-        return fractions[:, :1] - fractions[:, 1:], degenerate
+        return fractions[:, :1] - fractions[:, 1:], reasons
     raise ValidationError(f"unknown mode {mode!r}")
 
 
@@ -84,10 +91,8 @@ class ScenarioOutcome:
 def run_replicated_scenario(config: ScenarioConfig,
                             mode: str = "semipartial") -> ScenarioOutcome:
     """Generate ``config.replicates`` datasets and summarise the effect size."""
-    values = np.empty(config.replicates)
-    for r in range(config.replicates):
-        table, env = generate_dataset(config, replicate=r)
-        values[r] = predictor_effect_r2(table, env, mode)
+    values = _cell_values(config, partial(_effect_r2, mode=mode),
+                          config.replicates)
     mean = float(values.mean())
     sd = float(values.std(ddof=1)) if config.replicates > 1 else 0.0
     return ScenarioOutcome(
@@ -97,6 +102,31 @@ def run_replicated_scenario(config: ScenarioConfig,
         observed_relative_error=abs(relative_spread(sd, mean)),
         r2_values=tuple(float(v) for v in values),
     )
+
+
+def _cell_values(config: ScenarioConfig, statistic,
+                 replicates: int) -> np.ndarray:
+    """``statistic`` of replicates ``0 .. replicates - 1``, one value each.
+
+    Replicates are generated and fitted a chunk at a time as stacked
+    arrays; ``statistic(None, counts, env)`` is a unit-count statistic such
+    as ``_effect_r2``. A chunk that fails is replayed one replicate at a
+    time, so the first failing replicate raises its own error, from
+    generation or fit, as a loop over the replicates would.
+    """
+    per_replicate = config.n_sites * (config.n_species + 2)
+    size = max(1, _CELL_CHUNK_VALUES // per_replicate)
+    values = []
+    for start in range(0, replicates, size):
+        chunk = range(start, min(start + size, replicates))
+        try:
+            fractions, _ = statistic(None, *_generate_cell(config, chunk))
+        except VpbootError:
+            for r in chunk:
+                statistic(None, *_generate_cell(config, [r]))
+            raise
+        values.append(fractions[:, 0])
+    return np.concatenate(values)
 
 
 def _map(fn, items, threads: int) -> list:
@@ -203,7 +233,7 @@ def _validated_outcome(item, *, n_validation: int,
     statistic = partial(_effect_r2, mode=mode)
     spreads = []
     for v in range(n_validation):
-        table, env = generate_dataset(config, replicate=config.replicates + v)
+        (table,), (env,) = _generate_cell(config, [config.replicates + v])
         summary = bootstrap_statistic(
             table, [env], statistic, config.replicates,
             derive_seed(config.seed, _TAG_VALIDATION_TABLE, v),
@@ -229,7 +259,12 @@ def bootstrap_validation(scenarios, n_validation: int = 10,
     datasets, divided by the scenario's mean effect size so that both error
     measures share one denominator.
     """
+    if n_validation < 1:
+        raise ValidationError("need at least 1 validation table")
     scenarios = list(scenarios)
+    if any(cfg.replicates < 2 for cfg in scenarios):
+        raise ValidationError(
+            "validation scenarios need at least 2 replicates to bootstrap")
     if observed_outcomes is None:
         observed = [None] * len(scenarios)
     else:
@@ -273,32 +308,25 @@ class CcaScenarioOutcome:
     bootstrap_relative_error: float
 
 
-def _cca_repeat(item, m_replicates: int, n_validation: int,
-                n_species: int) -> CcaScenarioOutcome:
-    n_sites, sigma_noise, repeat, cell_seed = item
-    values = np.empty(m_replicates)
-    for r in range(m_replicates):
-        table, env = generate_complex_dataset(
-            n_sites, n_species=n_species, sigma_noise=sigma_noise,
-            seed=cell_seed, replicate=r)
-        values[r] = cca_proportion(table, env)
+def _cca_repeat(item, m_replicates: int,
+                n_validation: int) -> CcaScenarioOutcome:
+    config, repeat = item
+    values = _cell_values(config, _cca_share, m_replicates)
     mean = float(values.mean())
     sd = float(values.std(ddof=1))
     spreads = []
     for v in range(n_validation):
-        table, env = generate_complex_dataset(
-            n_sites, n_species=n_species, sigma_noise=sigma_noise,
-            seed=cell_seed, replicate=m_replicates + v)
+        (table,), (env,) = _generate_cell(config, [m_replicates + v])
         summary = bootstrap_statistic(
             table, [env], _cca_share, m_replicates,
-            derive_seed(cell_seed, _TAG_VALIDATION_TABLE, v),
+            derive_seed(config.seed, _TAG_VALIDATION_TABLE, v),
             names=("cca_proportion",))[0]
         spreads.append(summary.sd)
     return CcaScenarioOutcome(
-        n_sites=int(n_sites),
-        sigma_noise=float(sigma_noise),
+        n_sites=int(config.n_sites),
+        sigma_noise=float(config.sigma_noise),
         repeat=int(repeat),
-        seed=int(cell_seed),
+        seed=config.seed,
         mean_proportion=mean,
         observed_sd=sd,
         observed_relative_error=abs(relative_spread(sd, mean)),
@@ -318,15 +346,22 @@ def cca_validation(sizes=CCA_SAMPLE_SIZES, noise_levels=CCA_NOISE_LEVELS,
     pooled correlation between observed and bootstrap-estimated relative
     errors across all repeats.
     """
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
+    if m_replicates < 2:
+        raise ValidationError("need at least 2 replicates per cell")
+    if n_validation < 1:
+        raise ValidationError("need at least 1 validation table")
+    # Every cell's scenario, niche optima included, is built before any work.
     items = [
-        (n, noise, rep, derive_seed(seed, _TAG_CCA, i, j, rep))
+        (_complex_config(n, n_species, noise,
+                         derive_seed(seed, _TAG_CCA, i, j, rep), 0.5), rep)
         for i, n in enumerate(sizes)
         for j, noise in enumerate(noise_levels)
         for rep in range(repeats)
     ]
     outcomes = _map(partial(_cca_repeat, m_replicates=m_replicates,
-                            n_validation=n_validation, n_species=n_species),
-                    items, threads)
+                            n_validation=n_validation), items, threads)
     observed = [o.observed_relative_error for o in outcomes]
     estimated = [o.bootstrap_relative_error for o in outcomes]
     r, t, df = pearson_r(observed, estimated)

@@ -15,7 +15,8 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, ValidationError
+from .errors import (DEGENERATE_REASONS, FEW_SITES, FEW_SPECIES,
+                     NO_RESIDUAL_DF, DegenerateDataError, ValidationError)
 from .tables import as_matrix
 
 #: Relative singular-value cutoff shared by rank decisions and
@@ -222,18 +223,34 @@ def partition_from_r2(r2_x: float, r2_w: float, r2_xw: float) -> PartitionResult
     return PartitionResult(*_split(r2_x, r2_w, r2_xw), r2_x, r2_w, r2_xw)
 
 
+def _as_array(data) -> np.ndarray:
+    """``as_matrix``, except that a 3-D stack of matrices passes as it is."""
+    if isinstance(data, np.ndarray) and data.ndim == 3:
+        return data.astype(float, copy=False)
+    return as_matrix(data)
+
+
 def _block_fractions(y, named_blocks, method: str, counts=None):
     """Explained fraction of ``y`` for each named predictor set, per replicate.
 
     Each entry of ``named_blocks`` is ``(name, *parts)``; the parts are
     joined side by side into one predictor block, so a joint fit is written
-    ``(name, x, w)``. ``counts`` is a ``(k, n)`` matrix of site counts, one
-    row per bootstrap replicate: a site drawn ``c`` times weighs as ``c``
-    copies of its row, which is exactly the fit on the resampled table.
-    Returns ``(fractions (k, n_blocks), degenerate (k,))``; a degenerate
-    replicate's fractions are meaningless. Without ``counts`` the table is
-    fitted once with unit weights and a degenerate fit raises
-    ``DegenerateDataError``.
+    ``(name, x, w)``. A replicate is one of two kinds:
+
+    - a bootstrap resample: ``counts`` is a ``(k, n)`` matrix of site
+      counts, one row per replicate of the one ``(n, S)`` table ``y``. A
+      site drawn ``c`` times weighs as ``c`` copies of its row, which is
+      exactly the fit on the resampled table.
+    - a table fitted once with unit weights (``counts`` None): ``y`` is one
+      ``(n, S)`` table or a ``(k, n, S)`` stack of tables with every part
+      stacked alike as ``(k, n, q)``. Row ``i`` of a stack is the unit fit
+      of table ``i``, bit for bit, when each part has that table's memory
+      layout (a column slice stays a strided view).
+
+    Returns ``(fractions (k, n_blocks), reasons (k,))``: a nonzero reason
+    is a code of ``errors.DEGENERATE_REASONS`` and marks a replicate whose
+    fractions are meaningless. Unit fits raise instead: the first
+    degenerate table raises the ``DegenerateDataError`` of its unit fit.
 
     ``rda`` gives the adjusted R2 of each block, adjusted by the rank of its
     weighted-centred columns with n the total count; no residual degrees of
@@ -245,15 +262,18 @@ def _block_fractions(y, named_blocks, method: str, counts=None):
     """
     if method not in ("cca", "rda"):
         raise ValidationError(f"unknown method {method!r}")
-    ym = as_matrix(y)
-    n = ym.shape[0]
+    ym = _as_array(y)
     blocks = []
     for name, *parts in named_blocks:
-        parts = [as_matrix(p) for p in parts]
-        if any(p.shape[0] != n for p in parts):
+        parts = [_as_array(p) for p in parts]
+        if any(p.shape[:-1] != ym.shape[:-1] for p in parts):
             raise ValidationError("response and predictor blocks must share rows")
-        blocks.append((name, parts[0] if len(parts) == 1 else np.hstack(parts)))
-    c = np.ones((1, n)) if counts is None else np.asarray(counts, dtype=float)
+        blocks.append((name, parts[0] if len(parts) == 1
+                       else np.concatenate(parts, axis=-1)))
+    if counts is None:
+        c = np.ones(ym.shape[:2] if ym.ndim == 3 else (1, ym.shape[0]))
+    else:
+        c = np.asarray(counts, dtype=float)
     fit = _cca_fractions if method == "cca" else _rda_fractions
     # Overflow ends in _weighted_centre's ValidationError, not in a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -262,19 +282,22 @@ def _block_fractions(y, named_blocks, method: str, counts=None):
 
 def _rda_fractions(ym, blocks, c, *, raise_degenerate: bool):
     """``_block_fractions`` for ``rda``: count-weighted adjusted R2."""
-    n = ym.shape[0]
+    n = ym.shape[-2]
     r2, rank = _rda_r2(ym, [block for _, block in blocks], c)
     total_count = c.sum(axis=1)[:, np.newaxis]
     df = total_count - rank - 1
     short = df < 1
-    for i, (name, _) in enumerate(blocks):
-        if raise_degenerate and short[0, i]:
-            raise DegenerateDataError(
-                f"block '{name}': no residual degrees of freedom "
-                f"(n={n}, rank m={int(rank[0, i])})")
-        if n < 3:
-            raise ValidationError("need at least 3 rows")
-    return _adjust(r2, total_count, np.where(short, 1.0, df)), short.any(axis=1)
+    # A unit fit whose first block is short reports that before the size.
+    if n < 3 and not (raise_degenerate and short[0, :1].any()):
+        raise ValidationError("need at least 3 rows")
+    reasons = np.where(short.any(axis=1), NO_RESIDUAL_DF, 0)
+    if raise_degenerate and reasons.any():
+        row = np.flatnonzero(reasons)[0]
+        i = int(np.argmax(short[row]))
+        raise DegenerateDataError(
+            f"block '{blocks[i][0]}': {DEGENERATE_REASONS[NO_RESIDUAL_DF]} "
+            f"(n={n}, rank m={int(rank[row, i])})")
+    return _adjust(r2, total_count, np.where(short, 1.0, df)), reasons
 
 
 def _weighted_sums(c, a) -> np.ndarray:
@@ -290,16 +313,18 @@ def _weighted_sums(c, a) -> np.ndarray:
 def _chi_square(ym, c):
     """Standardised chi-square deviations of each count-weighted table.
 
-    A site of row sum ``R`` drawn ``c`` times weighs ``c R``. qbar is the
-    row profiles ``y / R`` centred and scaled under those weights (their
-    mean is ``C / T`` for weighted column sums ``C`` and total ``T``), then
-    divided by the root of ``C``; a species no drawn site holds gives 0.
+    ``ym`` is one ``(n, p)`` table or a ``(k, n, p)`` stack, one table per
+    row of ``c``. A site of row sum ``R`` drawn ``c`` times weighs ``c R``.
+    qbar is the row profiles ``y / R`` centred and scaled under those
+    weights (their mean is ``C / T`` for weighted column sums ``C`` and
+    total ``T``), then divided by the root of ``C``; a species no drawn
+    site holds gives 0.
     Returns ``(qbar (k, n, p), site weights (k, n), species sums (k, p))``.
     """
-    row_sums = ym.sum(axis=1)
+    row_sums = ym.sum(axis=-1)
     site_weights = c * row_sums
     species_sums = _weighted_sums(c, ym)
-    qw = _weighted_centre(ym / row_sums[:, np.newaxis], site_weights, "table")
+    qw = _weighted_centre(ym / row_sums[..., np.newaxis], site_weights, "table")
     root = np.sqrt(species_sums)
     qw *= np.divide(1.0, root, out=np.zeros_like(root),
                     where=root > 0.0)[:, np.newaxis]
@@ -322,29 +347,57 @@ def _inertia_shares(qw, site_weights, blocks):
 
 
 def _cca_fractions(ym, blocks, c, *, raise_degenerate: bool):
-    """``_block_fractions`` for ``cca``: weighted chi-square inertia shares."""
+    """``_block_fractions`` for ``cca``: weighted chi-square inertia shares.
+
+    Empty sites and species are pruned, table by table in a stack. Each
+    table is then scaled by the power of 4 that puts its largest entry in
+    [1/2, 2). The profiles and the mean profile keep their bits, the
+    weights scale exactly and their square roots by an exact power of 2,
+    so the shares do not move, and no count-weighted total overflows once
+    the table's own total is finite. The exception is a table whose
+    entries span more than the float range: entries that become subnormal
+    when scaled lose low bits, which moves the shares at roundoff level,
+    and a site whose entries all underflow to 0 ends in
+    ``_weighted_centre``'s ``ValidationError``.
+    """
     if not np.all(ym >= 0.0):
         raise ValidationError("table contains negative or non-finite entries")
-    # Empty sites and species are dead in every replicate; drop them once.
-    rows = ym.sum(axis=1) > 0
-    cols = ym.sum(axis=0) > 0
-    ym, c = ym[np.ix_(rows, cols)], c[:, rows]
-    qw, site_weights, species_sums = _chi_square(ym, c)
+    row_sums = ym.sum(axis=-1)
+    if not np.all(np.isfinite(row_sums.sum(axis=-1))):
+        raise ValidationError(
+            "table contains non-finite entries or overflows once summed")
+    rows, cols = row_sums > 0, ym.sum(axis=-2) > 0
+    if ym.ndim == 3 and not (rows.all() and cols.all()):
+        # Prune each table of the stack on its own, as its unit fit does.
+        fits = [_cca_fractions(t, [(name, b[i]) for name, b in blocks],
+                               c[i:i + 1], raise_degenerate=raise_degenerate)
+                for i, t in enumerate(ym)]
+        return tuple(np.concatenate(v) for v in zip(*fits))
+    if ym.ndim == 2:
+        # Empty sites and species are dead in every replicate; drop them once.
+        ym, c = ym[np.ix_(rows, cols)], c[:, rows]
+        blocks = [(name, b[rows]) for name, b in blocks]
+    else:  # Nothing to prune; copy the blocks as pruning does, for the bits.
+        blocks = [(name, np.ascontiguousarray(b)) for name, b in blocks]
+    _, exponent = np.frexp(ym.max(axis=(-2, -1), initial=0.0, keepdims=True))
+    qw, site_weights, species_sums = _chi_square(
+        np.ldexp(ym, -2 * (exponent // 2)), c)
     sites = c.sum(axis=1)
     species = np.count_nonzero(species_sums > 0, axis=1)
-    degenerate = (sites < 3) | (species < 2)
-    if raise_degenerate and degenerate[0]:
+    reasons = np.where(sites < 3, FEW_SITES,
+                       np.where(species < 2, FEW_SPECIES, 0))
+    if raise_degenerate and reasons.any():
+        row = np.flatnonzero(reasons)[0]
         raise DegenerateDataError(
-            f"only {int(sites[0])} non-empty sites and "
-            f"{int(species[0])} non-empty species remain")
-    _, _, shares = _inertia_shares(qw, site_weights,
-                                   [b[rows] for _, b in blocks])
-    return shares, degenerate
+            f"only {int(sites[row])} non-empty sites and "
+            f"{int(species[row])} non-empty species remain")
+    _, _, shares = _inertia_shares(qw, site_weights, [b for _, b in blocks])
+    return shares, reasons
 
 
 def _log1p(table) -> np.ndarray:
-    """``ln(1 + y)`` of a non-negative abundance table, checked first."""
-    ym = as_matrix(table)
+    """``ln(1 + y)`` of a non-negative table or stack, checked first."""
+    ym = _as_array(table)
     if not np.all(ym >= 0.0):
         raise ValidationError("table contains negative or non-finite entries")
     return np.log1p(ym)
@@ -363,9 +416,9 @@ def _partition(y, x, w, method: str) -> PartitionResult:
 
 def _rollups(counts, y, x, w, method: str):
     """Batched bootstrap statistic: the ``PartitionResult.rollup`` per replicate."""
-    fractions, degenerate = _block_fractions(
+    fractions, reasons = _block_fractions(
         y, _named_partition_blocks(x, w), method, counts)
-    return np.column_stack(_rollup(*_split(*fractions.T))), degenerate
+    return np.column_stack(_rollup(*_split(*fractions.T))), reasons
 
 
 def varpart_two(y, x, w) -> PartitionResult:

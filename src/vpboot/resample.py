@@ -8,7 +8,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import DegenerateDataError, ValidationError
+from .errors import DEGENERATE_REASONS, DegenerateDataError, ValidationError
 from .rng import ROLE_BOOTSTRAP, _streams, stream
 from .tables import as_matrix, require_aligned
 
@@ -61,12 +61,14 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     separate from its predictors. Replicates are evaluated in chunks:
     ``statistic`` is called as ``statistic(counts, y, *blocks)`` with a
     ``(k, n_sites)`` count matrix and the original plain arrays, and
-    returns ``(values, degenerate)``: a ``(k, width)`` array and a ``(k,)``
-    boolean mask. One summary per column comes back. A degenerate replicate is redrawn alone,
-    from the next sub-stream, in replicate order; once more than
+    returns ``(values, degenerate)``: a ``(k, width)`` array and ``(k,)``
+    reason codes of ``errors.DEGENERATE_REASONS`` (0 for a usable
+    replicate) or a boolean mask (True for a degenerate one). One summary
+    per column comes back. A degenerate replicate is redrawn alone, from
+    the next sub-stream, in replicate order; once more than
     ``FAILURE_BUDGET`` of ``m_replicates`` replicates have failed, the whole
-    run aborts. Confidence bounds are the 2.5 and 97.5 percentiles with
-    linear interpolation.
+    run aborts, naming the reason of the last failure. Confidence bounds
+    are the 2.5 and 97.5 percentiles with linear interpolation.
     """
     if m_replicates < 2:
         raise ValidationError("need at least 2 bootstrap replicates")
@@ -87,11 +89,13 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
 
     def evaluate(c: np.ndarray):
         nonlocal width
-        values, degenerate = statistic(c, y, *blocks)
+        values, reasons = statistic(c, y, *blocks)
         values = np.array(values, dtype=float)
-        degenerate = np.asarray(degenerate, dtype=bool)
+        reasons = np.asarray(reasons)
+        if reasons.dtype.kind not in "iu":
+            reasons = reasons.astype(bool).astype(int)
         if values.ndim != 2 or values.shape[0] != len(c) or (
-                degenerate.shape != (len(c),)):
+                reasons.shape != (len(c),)):
             raise ValidationError(
                 f"statistic must return ({len(c)}, width) values and a "
                 f"({len(c)},) degenerate mask")
@@ -102,7 +106,7 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
                 f"statistic width changed between replicates "
                 f"({width} vs {values.shape[1]})")
         width = values.shape[1]
-        return values, degenerate
+        return values, reasons
 
     parts: list[np.ndarray] = []
     failures = 0
@@ -111,19 +115,22 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
         seed, ROLE_BOOTSTRAP, np.arange(m_replicates), 0))
     for start in range(0, m_replicates, chunk):
         js = range(start, min(start + chunk, m_replicates))
-        values, degenerate = evaluate(np.stack(list(islice(first_draws, len(js)))))
-        for i in np.flatnonzero(degenerate):
+        values, reasons = evaluate(np.stack(list(islice(first_draws, len(js)))))
+        for i in np.flatnonzero(reasons):
             attempt = 0
-            while degenerate[i]:
+            while reasons[i]:
                 failures += 1
                 if failures > budget:
+                    code = int(reasons[i])
+                    reason = DEGENERATE_REASONS.get(code, f"reason code {code}")
                     raise DegenerateDataError(
                         f"{failures} of {m_replicates} bootstrap replicates "
-                        f"degenerate (budget {FAILURE_BUDGET:.0%})")
+                        f"degenerate (budget {FAILURE_BUDGET:.0%}); "
+                        f"last failure: {reason}")
                 attempt += 1
                 rng = stream(seed, ROLE_BOOTSTRAP, js[i], attempt)
                 redrawn, flagged = evaluate(counts(rng)[np.newaxis])
-                values[i], degenerate[i] = redrawn[0], flagged[0]
+                values[i], reasons[i] = redrawn[0], flagged[0]
         parts.append(values)
 
     arr = np.concatenate(parts)

@@ -70,8 +70,10 @@ def _hash_consts(start: int, mult: int, count: int) -> list[int]:
 def _streams(seed: int, *path):
     """Yield ``stream(seed, *path_i)`` for every item of one array component.
 
-    Exactly one component of ``path`` is a 1-D array of indices below
-    2**32; item ``i`` replaces it with its ``i``-th entry. NumPy's
+    Exactly one component of ``path`` is an array of indices below 2**32:
+    1-D, where item ``i`` replaces the component with its ``i``-th entry,
+    or 2-D, where item ``i`` replaces it with the ``w`` consecutive
+    components of row ``i`` (a ``(replicate, site)`` grid, say). NumPy's
     SeedSequence hash runs once for all items: the seed words fill the pool
     as Python ints, then each later word is hashed into all four pool words
     at once as ``uint32`` arrays with one column per item. PCG64's seeding
@@ -86,15 +88,16 @@ def _streams(seed: int, *path):
         raise ValueError("exactly one path component must be an array")
     (at,) = varying
     items = path[at]
-    if items.ndim != 1 or (items.size and not (
+    if items.ndim not in (1, 2) or (items.size and not (
             0 <= items.min() and items.max() <= _MASK32)):
-        raise ValueError("the varying component must be 1-D with entries "
-                         "in [0, 2**32)")
+        raise ValueError("the varying component must be 1-D or 2-D with "
+                         "entries in [0, 2**32)")
     words = _words(int(seed))
     words += [0] * (_POOL_SIZE - len(words))
     words += [w for p in path[:at] for w in _words(int(p))]
-    tail = [items.astype(np.uint32)] + [w for p in path[at + 1:]
-                                        for w in _words(int(p))]
+    columns = [items] if items.ndim == 1 else list(items.T)
+    tail = [c.astype(np.uint32) for c in columns] + [
+        w for p in path[at + 1:] for w in _words(int(p))]
 
     # mix_entropy: hashmix t xors in consts[t] and multiplies by consts[t+1].
     consts = _hash_consts(_INIT_A, _MULT_A, 4 * (len(words) + len(tail)))

@@ -34,14 +34,6 @@ class SpeciesNiche:
 
 
 @dataclass(frozen=True)
-class SiteEnvironment:
-    """Position of one site on the two gradients."""
-
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """Complete parameterisation of one synthetic scenario.
 
@@ -93,56 +85,15 @@ class ScenarioConfig:
         return len(self.niches)
 
 
-def gaussian_response(value: float, optimum: float, sigma: float) -> float:
-    """Normal density with mean ``optimum`` and standard deviation ``sigma``."""
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValidationError("sigma must be positive")
-    z = (value - optimum) / sigma
-    return math.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
-
-
-def relative_abundance(site: SiteEnvironment, niche: SpeciesNiche,
-                       sigma_niche: float, sigma_noise: float,
-                       rng: np.random.Generator) -> float:
-    """Noisy product response of one species at one site.
-
-    Gaussian noise is added to each gradient's response factor separately;
-    each factor is floored at zero before the two are multiplied, so the
-    result is never negative. With ``sigma_noise`` 0 no random numbers are
-    consumed and the value is the exact product of the two densities.
-    """
-    fx = gaussian_response(site.x, niche.x_opt, sigma_niche)
-    fy = gaussian_response(site.y, niche.y_opt, sigma_niche)
-    if sigma_noise > 0.0:
-        fx += rng.normal(0.0, sigma_noise)
-        fy += rng.normal(0.0, sigma_noise)
-    return max(fx, 0.0) * max(fy, 0.0)
-
-
-def site_abundances(alphas, carrying_capacity: int) -> list[int]:
-    """Integer abundances: each share of the total, scaled and rounded up.
-
-    Zero shares stay exactly zero; every positive share yields at least one
-    individual. The row total therefore lands in
-    ``[carrying_capacity, carrying_capacity + n_species)``.
-    """
-    values = [float(a) for a in alphas]
-    if any(not math.isfinite(v) or v < 0.0 for v in values):
-        raise ValidationError("relative abundances must be finite and non-negative")
-    total = math.fsum(values)
-    if total <= 0.0:
-        raise DegenerateDataError("all species have zero relative abundance")
-    return [math.ceil(v / total * carrying_capacity) if v > 0.0 else 0
-            for v in values]
-
-
 def _densities(values: np.ndarray, optima: np.ndarray,
                sigma: float) -> np.ndarray:
-    """``gaussian_response`` of every site value against every optimum.
+    """Normal density, mean ``optimum`` and standard deviation ``sigma``, of
+    every site value against every optimum.
 
-    The arithmetic is ``gaussian_response``'s, operation for operation;
-    the exponential stays ``math.exp``, because ``np.exp`` rounds a few
-    percent of its results differently.
+    The arithmetic is the scalar ``exp(-z*z/2) / (sigma * sqrt(2 pi))``
+    (the tests' scalar oracle), operation for operation; the exponential
+    stays ``math.exp``, because ``np.exp`` rounds a few percent of its
+    results differently.
     """
     z = (values[:, np.newaxis] - optima) / sigma
     e = (-0.5 * z * z).ravel().tolist()
@@ -151,12 +102,13 @@ def _densities(values: np.ndarray, optima: np.ndarray,
 
 
 def _products(fx: np.ndarray, fy: np.ndarray, noise) -> tuple[np.ndarray, np.ndarray]:
-    """``relative_abundance`` for whole rows, plus each row's ``math.fsum``.
+    """Noisy product responses for whole rows, plus each row's ``math.fsum``.
 
-    ``noise`` holds each row's 2 x S noise terms in draw order (fx of the
-    first species, fy of the first, fx of the second, ...), each as
-    ``0.0 + sigma_noise * z`` like ``rng.normal(0.0, sigma_noise)``; or it
-    is None.
+    Each species' two response factors get their noise terms, are floored
+    at zero and multiplied, so no value is negative. ``noise`` holds each
+    row's 2 x S noise terms in draw order (fx of the first species, fy of
+    the first, fx of the second, ...), each as ``0.0 + sigma_noise * z``
+    like ``rng.normal(0.0, sigma_noise)``; or it is None.
     """
     if noise is not None:
         fx = fx + noise[:, 0::2]
@@ -165,25 +117,25 @@ def _products(fx: np.ndarray, fy: np.ndarray, noise) -> tuple[np.ndarray, np.nda
     return alphas, np.array([math.fsum(row) for row in alphas.tolist()])
 
 
-def generate_dataset(config: ScenarioConfig,
-                     replicate: int = 0) -> tuple[CommunityTable, PredictorBlock]:
-    """One community table plus its two-column environmental block.
+def _generate_cell(config: ScenarioConfig,
+                   replicates) -> tuple[np.ndarray, np.ndarray]:
+    """Counts ``(R, n, S)`` and environment ``(R, n, 2)`` of ``R`` replicates.
 
-    Each site draws from its own random stream keyed by
-    ``(config.seed, replicate, site)``, so the same pair always produces the
-    same dataset no matter what else has been generated. A site draws x,
-    then y, then (with noise) two normal terms per species; a site whose
-    responses all land at zero draws fresh noise from the same stream, up
-    to ``_MAX_SITE_REDRAWS`` draws in all.
+    Entry ``k`` is ``generate_dataset(config, replicates[k])`` without its
+    labels, bit for bit. The streams of every (replicate, site) pair come
+    from one batched ``_streams`` pass; a dead site continues its own
+    stream. The first failing site of the first failing replicate names the
+    error, as a loop over ``generate_dataset`` would raise it.
     """
-    if replicate < 0:
-        raise ValidationError("replicate index must be non-negative")
+    replicates = np.asarray(replicates, dtype=np.int64)
     n, n_species = config.n_sites, config.n_species
+    sites = n * len(replicates)
     sigma = config.sigma_noise
-    u = np.empty((n, 2))
-    z = np.empty((n, 2 * n_species)) if sigma > 0.0 else None
-    streams = _streams(config.seed, ROLE_SITE, replicate, np.arange(n))
-    for i, rng in enumerate(streams):
+    u = np.empty((sites, 2))
+    z = np.empty((sites, 2 * n_species)) if sigma > 0.0 else None
+    grid = np.column_stack([np.repeat(replicates, n),
+                            np.tile(np.arange(n), len(replicates))])
+    for i, rng in enumerate(_streams(config.seed, ROLE_SITE, grid)):
         rng.random(out=u[i])
         if z is not None:
             rng.standard_normal(out=z[i])
@@ -197,7 +149,7 @@ def generate_dataset(config: ScenarioConfig,
     dead = np.flatnonzero(~(totals > 0.0))
     if dead.size and z is not None:
         # A dead site continues its own stream past its first draws.
-        pending = [stream(config.seed, ROLE_SITE, replicate, int(i))
+        pending = [stream(config.seed, ROLE_SITE, *grid[i].tolist())
                    for i in dead]
         for rng in pending:
             rng.random(2)
@@ -219,17 +171,52 @@ def generate_dataset(config: ScenarioConfig,
         reason = ("no noise to redraw" if z is None else
                   f"noise redraw budget of {_MAX_SITE_REDRAWS} exhausted")
         raise DegenerateDataError(
-            f"site {first}: every species response stayed zero ({reason})")
+            f"site {first % n}: every species response stayed zero ({reason})")
     if failed[first]:
         raise ValidationError("relative abundances must be finite and non-negative")
     counts = np.where(alphas > 0.0,
                       np.ceil(alphas / totals[:, np.newaxis]
                               * config.carrying_capacity), 0.0)
-    site_ids = tuple(f"site{i + 1}" for i in range(n))
-    species_ids = tuple(f"sp{j + 1}" for j in range(n_species))
-    table = CommunityTable(site_ids, species_ids, counts)
-    block = PredictorBlock("env", site_ids, env)
+    return (counts.reshape(len(replicates), n, n_species),
+            env.reshape(len(replicates), n, 2))
+
+
+def generate_dataset(config: ScenarioConfig,
+                     replicate: int = 0) -> tuple[CommunityTable, PredictorBlock]:
+    """One community table plus its two-column environmental block.
+
+    Each site draws from its own random stream keyed by
+    ``(config.seed, replicate, site)``, so the same pair always produces the
+    same dataset no matter what else has been generated. A site draws x,
+    then y, then (with noise) two normal terms per species; a site whose
+    responses all land at zero draws fresh noise from the same stream, up
+    to ``_MAX_SITE_REDRAWS`` draws in all.
+    """
+    if replicate < 0:
+        raise ValidationError("replicate index must be non-negative")
+    counts, env = _generate_cell(config, [replicate])
+    site_ids = tuple(f"site{i + 1}" for i in range(config.n_sites))
+    species_ids = tuple(f"sp{j + 1}" for j in range(config.n_species))
+    table = CommunityTable(site_ids, species_ids, counts[0])
+    block = PredictorBlock("env", site_ids, env[0])
     return table, block
+
+
+def _complex_config(n_sites: int, n_species: int, sigma_noise: float,
+                    seed: int, sigma_niche: float) -> ScenarioConfig:
+    """The scenario of ``generate_complex_dataset``: niche optima drawn once
+    from ``stream(seed, ROLE_NICHE)``."""
+    if n_sites < 5:
+        raise ValidationError("need at least 5 sites")
+    if n_species < 2:
+        raise ValidationError("need at least 2 species")
+    rng = stream(seed, ROLE_NICHE)
+    niches = tuple(
+        SpeciesNiche(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
+        for _ in range(n_species))
+    return ScenarioConfig(
+        seed=seed, n_sites=n_sites, niches=niches, sigma_niche=sigma_niche,
+        sigma_noise=sigma_noise, y_max=1.0)
 
 
 def generate_complex_dataset(n_sites: int, n_species: int = 5,
@@ -242,15 +229,6 @@ def generate_complex_dataset(n_sites: int, n_species: int = 5,
     The optima depend on ``seed`` only, not on ``replicate``, so repeated
     replicates probe the same underlying community.
     """
-    if n_sites < 5:
-        raise ValidationError("need at least 5 sites")
-    if n_species < 2:
-        raise ValidationError("need at least 2 species")
-    rng = stream(seed, ROLE_NICHE)
-    niches = tuple(
-        SpeciesNiche(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
-        for _ in range(n_species))
-    config = ScenarioConfig(
-        seed=seed, n_sites=n_sites, niches=niches, sigma_niche=sigma_niche,
-        sigma_noise=sigma_noise, y_max=1.0)
-    return generate_dataset(config, replicate=replicate)
+    return generate_dataset(
+        _complex_config(n_sites, n_species, sigma_noise, seed, sigma_niche),
+        replicate=replicate)

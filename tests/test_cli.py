@@ -192,6 +192,23 @@ def test_analyze_rejects_abundances_that_overflow_once_centred(tmp_path,
         assert "overflows once" in capsys.readouterr().err
 
 
+def test_analyze_cca_fits_a_table_with_an_entry_near_the_float_limit(
+        tmp_path, capsys):
+    # Resamples that draw the huge site twice double its weight; the
+    # kernel's power-of-4 scaling keeps their weighted totals finite.
+    paths, table, _ = _write_inputs(tmp_path, n_sites=12)
+    values = table.values.copy()
+    values[3, 0] = 1e308
+    write_table_csv(tmp_path / "huge.csv",
+                    CommunityTable(table.site_ids, table.species_ids, values))
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(tmp_path / "huge.csv"), str(paths["env"]),
+                 str(paths["spatial"]), "--method", "cca", "--no-log1p",
+                 "--seed", "1", "--bootstrap", "50", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["uncertainty"]["env_pure"]["replicate_count"] == 50
+
+
 def test_analyze_rejects_predictors_that_overflow_once_centred(tmp_path,
                                                               capsys):
     paths, table, _ = _write_inputs(tmp_path, n_sites=12)

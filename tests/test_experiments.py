@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vpboot import experiments
 from vpboot.errors import DegenerateDataError, ValidationError
 from vpboot.experiments import (bootstrap_validation, cca_proportion,
                                 cca_validation, optimum_distance_configs,
@@ -274,3 +275,67 @@ def test_cca_observed_error_grows_as_sites_shrink():
     for o in outcomes:
         by_size.setdefault(o.n_sites, []).append(o.observed_relative_error)
     assert np.mean(by_size[20]) >= np.mean(by_size[100])
+
+
+def _no_generation(*_args):
+    raise AssertionError("a study generated data before checking its arguments")
+
+
+@pytest.mark.parametrize("study", [
+    lambda: bootstrap_validation([ScenarioConfig(seed=1, n_sites=10)],
+                                 n_validation=0),
+    lambda: bootstrap_validation([ScenarioConfig(seed=1, n_sites=10,
+                                                 replicates=1)]),
+    lambda: cca_validation(sizes=(20,), noise_levels=(0.0,), n_validation=0),
+    lambda: cca_validation(sizes=(20,), noise_levels=(0.0,), m_replicates=1),
+    lambda: cca_validation(sizes=(20,), noise_levels=(0.0,), seed=-1),
+    lambda: cca_validation(sizes=(20, 4), noise_levels=(0.0,)),
+], ids=["no-validation-tables", "one-replicate", "cca-no-validation-tables",
+        "cca-one-replicate", "cca-negative-seed", "cca-too-few-sites"])
+def test_studies_check_their_arguments_before_any_work(study, monkeypatch):
+    monkeypatch.setattr(experiments, "_generate_cell", _no_generation)
+    with pytest.raises(ValidationError):
+        study()
+
+
+@pytest.mark.parametrize("broken, expected", [(5, "fit of 2"),
+                                              (1, "generation of 1")])
+def test_cell_errors_come_in_replicate_order(broken, expected, monkeypatch):
+    # One chunk holds all eight replicates: a failure anywhere in it must
+    # still surface as the first failing replicate's own error.
+    config = ScenarioConfig(seed=4, n_sites=10, replicates=8)
+    generate = experiments._generate_cell
+    second = generate(config, [2])[0][0]
+
+    def generating(cfg, replicates):
+        if broken in replicates:
+            raise DegenerateDataError(f"generation of {broken}")
+        return generate(cfg, replicates)
+
+    def fitting(counts, tables, env):
+        if any(np.array_equal(t, second) for t in tables):
+            raise DegenerateDataError("fit of 2")
+        return np.zeros((len(tables), 1)), np.zeros(len(tables), dtype=int)
+
+    monkeypatch.setattr(experiments, "_generate_cell", generating)
+    with pytest.raises(DegenerateDataError, match=f"^{expected}$"):
+        experiments._cell_values(config, fitting, 8)
+
+
+def test_a_failing_replicate_raises_its_per_replicate_error():
+    # Far-off optima and no noise: site 4 of replicate 16 underflows to 0.
+    config = ScenarioConfig(
+        seed=8, n_sites=8, sigma_noise=0.0, sigma_niche=0.1, replicates=30,
+        niches=(SpeciesNiche(3.0, 3.0), SpeciesNiche(-2.0, 3.0)))
+    for r in range(config.replicates):
+        try:
+            generate_dataset(config, replicate=r)
+        except DegenerateDataError as exc:
+            expected = str(exc)
+            break
+    else:
+        pytest.fail("no replicate failed")
+    assert r == 16 and expected.startswith("site 4: ")
+    with pytest.raises(DegenerateDataError) as raised:
+        run_replicated_scenario(config)
+    assert str(raised.value) == expected

@@ -1,7 +1,8 @@
 """Randomized invariant checks, 1000 cases per property.
 
 The count-weight oracle check uses 200 random tables per statistic instead:
-each table runs a full materialising bootstrap.
+each table runs a full materialising bootstrap. The stacked-kernel checks
+fit five stacks of 200 tables per method, each table also on its own.
 """
 
 import math
@@ -10,16 +11,16 @@ from functools import partial
 import numpy as np
 import pytest
 
+from scalar_oracle import SiteEnvironment, relative_abundance, site_abundances
 from vpboot.errors import DegenerateDataError
 from vpboot.experiments import (_cca_share, _effect_r2, cca_proportion,
                                 predictor_effect_r2)
-from vpboot.ordination import (_partition, _rollups, chi_square_transform,
-                               fit_projection)
+from vpboot.ordination import (_block_fractions, _partition, _rollups,
+                               chi_square_transform, fit_projection)
 from vpboot.resample import FAILURE_BUDGET, bootstrap_statistic
 from vpboot.rng import ROLE_NICHE, ROLE_SITE, stream
-from vpboot.synth import (ScenarioConfig, SiteEnvironment, SpeciesNiche,
-                          generate_complex_dataset, generate_dataset,
-                          relative_abundance, site_abundances)
+from vpboot.synth import (ScenarioConfig, SpeciesNiche,
+                          generate_complex_dataset, generate_dataset)
 from vpboot.tables import CommunityTable, PredictorBlock
 
 CASES = 1000
@@ -321,3 +322,111 @@ def test_count_weights_match_the_materialising_oracle(kind):
             assert abs(summary.ci95_high - hi) <= tol
     # The cases must exercise redraws, not only clean replicates.
     assert redraws > 0
+
+
+def _stacked_blocks(env, row=None):
+    """Named blocks over an environment stack, or over its table ``row``.
+
+    Column slices stay strided views, as the studies pass them.
+    """
+    e = env if row is None else env[row]
+    return [("both", e[..., :2]), ("first", e[..., 0:1]),
+            ("joint", e[..., 0:1], e[..., 2:3])]
+
+
+def _stack(rng, method, k):
+    n, p = int(rng.integers(5, 12)), int(rng.integers(2, 6))
+    if method == "cca":
+        # Sparse tables: some need their empty sites or species pruned.
+        tables = []
+        while len(tables) < k:
+            t = _cca_table(rng, n, p)
+            if np.sum(t.sum(axis=1) > 0) >= 3 and np.sum(t.sum(axis=0) > 0) >= 2:
+                tables.append(t)
+        y = np.stack(tables)
+    else:
+        y = rng.normal(size=(k, n, p))
+    return y, rng.uniform(size=(k, n, 3))
+
+
+@pytest.mark.parametrize("method", ["cca", "rda"])
+def test_a_stack_fits_each_table_as_its_unit_fit(method):
+    rng = np.random.default_rng(106)
+    for _ in range(5):
+        y, env = _stack(rng, method, 200)
+        if method == "cca":
+            # The first 100 tables have nothing to prune, so they are fitted
+            # as one stack; the whole stack is pruned table by table.
+            y[:100] += 1.0
+        units = np.concatenate([
+            _block_fractions(y[i], _stacked_blocks(env, i), method)[0]
+            for i in range(200)])
+        for k in (100, 200):
+            stacked, reasons = _block_fractions(
+                y[:k], _stacked_blocks(env[:k]), method)
+            assert stacked.tobytes() == units[:k].tobytes()
+            assert not reasons.any()
+        for i in range(200):
+            one, _ = _block_fractions(y[i:i + 1], _stacked_blocks(env[i:i + 1]),
+                                      method)
+            assert one.tobytes() == units[i:i + 1].tobytes()
+
+
+def _degenerate_stack(method):
+    """Ten tables, of which 3 and 7 fail their unit fits, each its own way."""
+    rng = np.random.default_rng(107)
+    n = 5
+    if method == "cca":
+        y = rng.uniform(1.0, 5.0, size=(10, n, 3))
+        y[3, :, 1:] = 0.0  # one live species
+        y[7, 2:] = 0.0     # two live sites
+        return y, [("env", rng.uniform(size=(10, n, 2)))]
+    y = rng.normal(size=(10, n, 2))
+    a, b = rng.normal(size=(10, n, 4)), rng.normal(size=(10, n, 4))
+    a[:, :, 2:], b[:, :, 2:] = a[:, :, :2], b[:, :, :2]  # rank 2 of 4
+    b[3] = rng.normal(size=(n, 4))  # rank 4 of 5 sites: no residual df
+    a[7] = rng.normal(size=(n, 4))
+    return y, [("a", a), ("b", b)]
+
+
+@pytest.mark.parametrize("method", ["cca", "rda"])
+def test_a_stack_raises_the_first_degenerate_tables_unit_error(method):
+    y, blocks = _degenerate_stack(method)
+    messages = []
+    for i in (3, 7):
+        with pytest.raises(DegenerateDataError) as unit:
+            _block_fractions(y[i], [(name, b[i]) for name, b in blocks], method)
+        messages.append(str(unit.value))
+    assert messages[0] != messages[1]
+    with pytest.raises(DegenerateDataError) as stacked:
+        _block_fractions(y, blocks, method)
+    assert str(stacked.value) == messages[0]
+    healthy = [0, 1, 2, 4, 5, 6, 8, 9]
+    fractions, reasons = _block_fractions(
+        y[healthy], [(name, b[healthy]) for name, b in blocks], method)
+    assert np.all(np.isfinite(fractions)) and not reasons.any()
+
+
+def test_cca_shares_keep_their_bits_under_power_of_four_scales():
+    # The kernel scales each table by a power of 4 from its largest entry,
+    # so tables that differ by a power of 4 give the same bits; 4**505
+    # would overflow the weighted totals without that scaling.
+    rng = np.random.default_rng(108)
+    for _ in range(100):
+        y, blocks = _cca_case(rng)
+        named = [("x", blocks[0]), ("w", blocks[1]), ("xw", *blocks)]
+        counts = np.stack([np.bincount(rng.integers(0, len(y), len(y)),
+                                       minlength=len(y)) for _ in range(5)])
+        try:
+            unit = _block_fractions(y, named, "cca")[0]
+        except DegenerateDataError:
+            unit = None
+        boot = _block_fractions(y, named, "cca", counts)
+        for k in (-3, 1, 7, 505):
+            scaled = y * 4.0 ** k
+            if unit is not None:
+                assert _block_fractions(scaled, named, "cca")[0].tobytes() == (
+                    unit.tobytes())
+            again = _block_fractions(scaled, named, "cca", counts)
+            assert again[0].tobytes() == boot[0].tobytes()
+            assert np.array_equal(again[1], boot[1])

@@ -1,11 +1,12 @@
 """Site bootstrap: resampling, summaries, and the failure budget."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from vpboot.errors import DegenerateDataError, ValidationError
+from vpboot.errors import FEW_SPECIES, DegenerateDataError, ValidationError
 from vpboot.ordination import _rollups
 from vpboot.resample import (BootstrapSummary, bootstrap_statistic,
                              relative_spread)
@@ -261,6 +262,34 @@ def test_bootstrap_aborts_when_the_budget_is_exhausted():
 
     with pytest.raises(DegenerateDataError, match="of 10 bootstrap replicates"):
         bootstrap_statistic(table, [block], broken, 10, seed=9)
+
+
+def test_budget_abort_names_the_last_failure():
+    table, block = _indexed_inputs(10)
+
+    def coded(counts, *_arrays):
+        return np.zeros((len(counts), 1)), np.full(len(counts), FEW_SPECIES)
+
+    def masked(counts, *_arrays):
+        return np.zeros((len(counts), 1)), np.ones(len(counts), dtype=bool)
+
+    def unknown(counts, *_arrays):
+        return np.zeros((len(counts), 1)), np.full(len(counts), 99)
+
+    for statistic, reason in ((coded, "fewer than 2 live species"),
+                              (masked, "degenerate"),
+                              (unknown, "reason code 99")):
+        with pytest.raises(DegenerateDataError,
+                           match=f"^1 of 10 .*; last failure: {reason}$"):
+            bootstrap_statistic(table, [block], statistic, 10, seed=9)
+    # The kernel's own code: one live species leaves no resample fittable.
+    rng = np.random.default_rng(3)
+    y = np.column_stack([rng.uniform(1.0, 2.0, size=12), np.zeros(12)])
+    x, w = rng.normal(size=(12, 1)), rng.normal(size=(12, 1))
+    with pytest.raises(DegenerateDataError,
+                       match="last failure: fewer than 2 live species$"):
+        bootstrap_statistic(y, [x, w], partial(_rollups, method="cca"), 20,
+                            seed=1)
 
 
 def test_bootstrap_requires_two_replicates():

@@ -37,6 +37,18 @@ def test_batched_streams_equal_the_reference(template):
             assert np.array_equal(rng.normal(size=8), ref.normal(size=8))
 
 
+def test_a_grid_component_fills_consecutive_path_components():
+    grid = np.array([[0, 0], [0, 1], [3, 2**32 - 1], [2**31, 7]])
+    for seed in EDGE_SEEDS:
+        for tail in ((), (2**40,)):
+            batched = _streams(seed, ROLE_SITE, grid, *tail)
+            for (r, i), rng in zip(grid.tolist(), batched, strict=True):
+                ref = stream(seed, ROLE_SITE, r, i, *tail)
+                assert rng.bit_generator.state == ref.bit_generator.state
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        next(_streams(0, np.zeros((2, 2, 2), dtype=int)))
+
+
 def test_one_array_component_is_required():
     with pytest.raises(ValueError, match="exactly one"):
         next(_streams(0, 1, 2))

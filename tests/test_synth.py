@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from scalar_oracle import (SiteEnvironment, gaussian_response,
+                           relative_abundance, site_abundances)
 from vpboot.errors import DegenerateDataError, ValidationError
 from vpboot.ordination import cca_explained, rda_r2
-from vpboot.synth import (ScenarioConfig, SiteEnvironment, SpeciesNiche,
-                          _densities, gaussian_response,
-                          generate_complex_dataset, generate_dataset,
-                          relative_abundance, site_abundances)
+from vpboot.synth import (ScenarioConfig, SpeciesNiche, _complex_config,
+                          _densities, _generate_cell,
+                          generate_complex_dataset, generate_dataset)
 
 
 def test_gaussian_response_reference_values():
@@ -219,3 +220,36 @@ def test_complex_communities_exhibit_nonlinearity():
         unimodal = cca_explained(table.values, env.values)[2]
         wins += unimodal > linear
     assert wins >= 1
+
+
+def test_a_cell_stacks_the_datasets_of_its_replicates():
+    far = (SpeciesNiche(3.0, 3.0), SpeciesNiche(-2.0, 3.0))  # many redraws
+    configs = [ScenarioConfig(seed=6, n_sites=11),
+               ScenarioConfig(seed=2**40, n_sites=7, sigma_noise=0.0, y_max=0.3),
+               ScenarioConfig(seed=5, n_sites=9, niches=far, sigma_niche=0.1),
+               _complex_config(12, 6, 0.05, 77, 0.5)]
+    for config in configs:
+        replicates = [4, 0, 9, 2**31]
+        counts, env = _generate_cell(config, replicates)
+        assert counts.shape == (4, config.n_sites, config.n_species)
+        assert env.shape == (4, config.n_sites, 2)
+        for k, r in enumerate(replicates):
+            table, block = generate_dataset(config, replicate=r)
+            assert counts[k].tobytes() == table.values.tobytes()
+            assert env[k].tobytes() == block.values.tobytes()
+    complex_table, _ = generate_complex_dataset(12, 6, 0.05, 77, replicate=9)
+    assert complex_table.values.tobytes() == _generate_cell(
+        configs[-1], [9])[0][0].tobytes()
+
+
+def test_a_cell_raises_the_first_failing_replicates_error():
+    # Site 4 of replicate 16 is the first site to die; replicate 20 dies too.
+    config = ScenarioConfig(
+        seed=8, n_sites=8, sigma_noise=0.0, sigma_niche=0.1,
+        niches=(SpeciesNiche(3.0, 3.0), SpeciesNiche(-2.0, 3.0)))
+    with pytest.raises(DegenerateDataError) as single:
+        generate_dataset(config, replicate=16)
+    assert str(single.value).startswith("site 4: ")
+    with pytest.raises(DegenerateDataError) as cell:
+        _generate_cell(config, range(30))
+    assert str(cell.value) == str(single.value)
