@@ -9,7 +9,6 @@ error a site bootstrap estimates from single datasets.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -57,18 +56,22 @@ def predictor_effect_r2(table, env, mode: str = "semipartial") -> float:
 def _effect_r2(counts, table, env, mode: str):
     """``predictor_effect_r2`` per count row, as a batched bootstrap statistic,
     or per table of a ``(k, n, S)`` stack with a ``(k, n, 2)`` environment."""
+    _check_mode(mode)
     em = _as_array(env)
     if em.shape[-1] != 2:
         raise ValidationError("environment block must have exactly 2 columns")
     if mode == "marginal":
         return _block_fractions(
             table, [("second gradient", em[..., 1:2])], "rda", counts)
-    if mode == "semipartial":
-        fractions, reasons = _block_fractions(
-            table, [("both gradients", em), ("first gradient", em[..., 0:1])],
-            "rda", counts)
-        return fractions[:, :1] - fractions[:, 1:], reasons
-    raise ValidationError(f"unknown mode {mode!r}")
+    fractions, reasons = _block_fractions(
+        table, [("both gradients", em), ("first gradient", em[..., 0:1])],
+        "rda", counts)
+    return fractions[:, :1] - fractions[:, 1:], reasons
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("semipartial", "marginal"):
+        raise ValidationError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,7 @@ class ScenarioOutcome:
 def run_replicated_scenario(config: ScenarioConfig,
                             mode: str = "semipartial") -> ScenarioOutcome:
     """Generate ``config.replicates`` datasets and summarise the effect size."""
+    _check_mode(mode)
     values = _cell_values(config, partial(_effect_r2, mode=mode),
                           config.replicates)
     mean = float(values.mean())
@@ -133,8 +137,12 @@ def _map(fn, items, threads: int) -> list:
     """``[fn(item) for item in items]``, spread over ``threads`` processes.
 
     Results come back in input order, so the thread count never changes them.
+    The pool's modules are imported only here: multiprocessing adds about
+    2 MB to every process that imports vpboot, most of which never fork.
     """
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
@@ -203,6 +211,7 @@ def sweep_sample_size(base: ScenarioConfig, sizes=DEFAULT_SAMPLE_SIZES,
                       mode: str = "semipartial",
                       threads: int = 1) -> list[ScenarioOutcome]:
     """Precision of the effect estimate as the number of sites grows."""
+    _check_mode(mode)
     return _map(partial(run_replicated_scenario, mode=mode),
                 sample_size_configs(base, sizes, noise_levels), threads)
 
@@ -212,6 +221,7 @@ def sweep_sampling_range(base: ScenarioConfig, y_max_values=DEFAULT_Y_MAX_GRID,
                          mode: str = "semipartial",
                          threads: int = 1) -> list[ScenarioOutcome]:
     """Effect size and precision as the sampled gradient range narrows."""
+    _check_mode(mode)
     return _map(partial(run_replicated_scenario, mode=mode),
                 sampling_range_configs(base, y_max_values, noise_levels), threads)
 
@@ -221,6 +231,7 @@ def sweep_optimum_distance(base: ScenarioConfig, y_opt_values=DEFAULT_Y_OPT_GRID
                            mode: str = "semipartial",
                            threads: int = 1) -> list[ScenarioOutcome]:
     """Effect size and precision as the niche optima separate."""
+    _check_mode(mode)
     return _map(partial(run_replicated_scenario, mode=mode),
                 optimum_distance_configs(base, y_opt_values, noise_levels), threads)
 
@@ -259,6 +270,7 @@ def bootstrap_validation(scenarios, n_validation: int = 10,
     datasets, divided by the scenario's mean effect size so that both error
     measures share one denominator.
     """
+    _check_mode(mode)
     if n_validation < 1:
         raise ValidationError("need at least 1 validation table")
     scenarios = list(scenarios)

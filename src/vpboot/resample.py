@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .errors import DEGENERATE_REASONS, DegenerateDataError, ValidationError
-from .rng import ROLE_BOOTSTRAP, _streams, stream
+from .rng import ROLE_BOOTSTRAP, _count_rows, _seed_states, stream
 from .tables import as_matrix, require_aligned
 
 #: Fraction of replicates allowed to fail (and be redrawn) before aborting.
@@ -56,7 +55,7 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
 
     Replicate ``j`` draws ``n_sites`` row indices with replacement from
     ``stream(seed, ROLE_BOOTSTRAP, j, attempt)`` (the first attempts all
-    come from one batched ``rng._streams`` pass with the same bits) and
+    come from one batched ``rng._count_rows`` pass with the same bits) and
     counts how often each site was drawn, so a site's abundances never
     separate from its predictors. Replicates are evaluated in chunks:
     ``statistic`` is called as ``statistic(counts, y, *blocks)`` with a
@@ -111,11 +110,11 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     parts: list[np.ndarray] = []
     failures = 0
     budget = FAILURE_BUDGET * m_replicates
-    first_draws = (counts(rng) for rng in _streams(
-        seed, ROLE_BOOTSTRAP, np.arange(m_replicates), 0))
-    for start in range(0, m_replicates, chunk):
+    first_draws = _count_rows(
+        _seed_states(seed, ROLE_BOOTSTRAP, np.arange(m_replicates), 0), n, chunk)
+    for start, first in zip(range(0, m_replicates, chunk), first_draws):
         js = range(start, min(start + chunk, m_replicates))
-        values, reasons = evaluate(np.stack(list(islice(first_draws, len(js)))))
+        values, reasons = evaluate(first)
         for i in np.flatnonzero(reasons):
             attempt = 0
             while reasons[i]:

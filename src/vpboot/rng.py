@@ -5,11 +5,21 @@ gets its own generator, derived from a master seed plus an integer path.
 Results therefore never depend on evaluation order or thread count: two
 work items with different paths draw from independent streams, and the
 same ``(seed, path)`` pair always reproduces the same stream.
+
+``stream`` is the reference. Batches of items draw their first numbers
+from arrays of PCG64 states instead (``_draws``, ``_count_rows``), stepped
+together and turned into NumPy's uniforms, normals and bounded integers
+bit for bit; an item whose draw leaves the arrays' fast path finishes on
+a generator loaded with its state.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
+
+from ._ziggurat import KI, WI
 
 # First path component. Keeps unrelated kinds of draws on disjoint streams
 # even when the remaining indices coincide.
@@ -28,7 +38,26 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
+_M_HI = np.uint64(_PCG_MULT >> 64)
+_M_LO = np.uint64(_PCG_MULT & _MASK64)
+_M_LO0 = np.uint64(_PCG_MULT & _MASK32)
+_M_LO1 = np.uint64(_PCG_MULT >> 32 & _MASK32)
+_LOW32 = np.uint64(_MASK32)
+_LOW52 = np.uint64((1 << 52) - 1)
+_WI = np.array(WI)
+_KI = np.array(KI, dtype=np.uint64)
+
+#: Bootstrap rows step together only when a block holds at least this many
+#: rows per raw word of a row. Below that, the per-call overhead of short
+#: arrays costs more than loading a generator per row: on a 2-core x86 host
+#: with NumPy 2.4, 1000 rows of 100 draws (blocks of 648 rows) took 40% of
+#: the row-by-row time stepped together, but 1000 rows of 200 draws (blocks
+#: of 320 rows) took 15% longer.
+_ROW_WORD_RATIO = 4
+#: Draws in one block of stepped bootstrap rows. The block's raw words, 4
+#: bytes a draw, stay alive while its rows are evaluated.
+_BLOCK_VALUES = 2 ** 16
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -67,8 +96,10 @@ def _hash_consts(start: int, mult: int, count: int) -> list[int]:
     return consts
 
 
-def _streams(seed: int, *path):
-    """Yield ``stream(seed, *path_i)`` for every item of one array component.
+def _seed_states(seed: int, *path) -> np.ndarray:
+    """PCG64 states of ``stream(seed, *path_i)`` for every item of one array
+    component, as a ``(4, K)`` ``uint64`` array of rows state-high,
+    state-low, increment-high and increment-low.
 
     Exactly one component of ``path`` is an array of indices below 2**32:
     1-D, where item ``i`` replaces the component with its ``i``-th entry,
@@ -76,12 +107,8 @@ def _streams(seed: int, *path):
     components of row ``i`` (a ``(replicate, site)`` grid, say). NumPy's
     SeedSequence hash runs once for all items: the seed words fill the pool
     as Python ints, then each later word is hashed into all four pool words
-    at once as ``uint32`` arrays with one column per item. PCG64's seeding
-    step turns each item's hash into a state, and the states are loaded
-    one after the other into a single reused generator. Each yielded
-    generator is therefore bit-for-bit ``stream(seed, *path_i)``, valid
-    until the next item is requested. Bad paths raise ``ValueError`` when
-    the first item is requested.
+    at once as ``uint32`` arrays with one column per item. PCG64's seeding,
+    itself one LCG step, then runs on all items at once too.
     """
     varying = [k for k, p in enumerate(path) if isinstance(p, np.ndarray)]
     if len(varying) != 1:
@@ -136,16 +163,144 @@ def _streams(seed: int, *path):
                           dtype=np.uint32)[:, np.newaxis]
     out = (np.concatenate((pool, pool)) ^ out_consts[:8]) * out_consts[1:]
     out ^= out >> 16
-    seeds = np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
+    s_hi, s_lo, i_hi, i_lo = np.ascontiguousarray(
+        out.T, dtype="<u4").view("<u8").T.astype(np.uint64)
+    # pcg64_set_seed: inc = 2 * initseq + 1, then one step from
+    # inc + initstate.
+    inc_hi = (i_hi << 1) | (i_lo >> 63)
+    inc_lo = (i_lo << 1) | 1
+    lo = inc_lo + s_lo
+    hi, lo = _step(inc_hi + s_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+    return np.array([hi, lo, inc_hi, inc_lo], dtype=np.uint64)
 
+
+def _streams(seed: int, *path):
+    """Yield ``stream(seed, *path_i)`` for every item of one array component.
+
+    The component and its items are as in ``_seed_states``. Each yielded
+    generator is bit-for-bit ``stream(seed, *path_i)``, valid until the
+    next item is requested. Bad paths raise ``ValueError`` when the first
+    item is requested.
+    """
+    yield from _loaded(_seed_states(seed, *path))
+
+
+def _loaded(states: np.ndarray):
+    """Yield one reused generator loaded with each column of ``states``."""
     state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
              "has_uint32": 0, "uinteger": 0}
     generator = np.random.Generator(np.random.PCG64(0))
-    for row in seeds:
-        s_hi, s_lo, i_hi, i_lo = row.tolist()
-        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-        initstate = (s_hi << 64) | s_lo
-        state["state"] = {"state": ((inc + initstate) * _PCG_MULT + inc) & _MASK128,
-                          "inc": inc}
+    for hi, lo, inc_hi, inc_lo in zip(*states.tolist()):
+        state["state"] = {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
         generator.bit_generator.state = state
         yield generator
+
+
+def _step(hi, lo, inc_hi, inc_lo):
+    """PCG64's LCG step ``state * M + inc mod 2**128`` on every item.
+
+    ``uint64`` products and sums wrap mod 2**64, which is all the high word
+    needs, except for the carry out of ``lo * M_lo``: NumPy has no 128-bit
+    product, so that comes from 32-bit limbs.
+    """
+    a0 = lo & _LOW32
+    a1 = lo >> 32
+    t = a0 * _M_LO0
+    u = a1 * _M_LO0 + (t >> 32)
+    v = a0 * _M_LO1 + (u & _LOW32)
+    carry = a1 * _M_LO1 + (u >> 32) + (v >> 32)
+    new_lo = lo * _M_LO + inc_lo
+    new_hi = carry + lo * _M_HI + hi * _M_LO + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+def _output(hi, lo):
+    """PCG64's XSL-RR output: ``hi ^ lo`` rotated right by the top 6 bits."""
+    x = hi ^ lo
+    rot = hi >> 58
+    return (x >> rot) | (x << ((np.uint64(64) - rot) & 63))
+
+
+def _draws(states: np.ndarray, uniforms: int, normals: int):
+    """``random(uniforms)`` then ``standard_normal(normals)`` of every item.
+
+    Returns ``(u, z, end)``: ``(K, uniforms)`` and ``(K, normals)`` draws,
+    and the ``(4, K)`` states after them. All items step together. A
+    uniform is ``(raw >> 11) * 2**-53`` and a normal is the fast path of
+    NumPy's ziggurat: layer ``raw & 0xff``, then a sign bit, then a 52-bit
+    magnitude, accepted below ``KI`` of its layer. An item whose normal
+    leaves the fast path finishes on a generator loaded with its state just
+    before that word, so every draw is the item's own stream, bit for bit.
+    """
+    hi, lo, inc_hi, inc_lo = states
+    u = np.empty((states.shape[1], uniforms))
+    z = np.empty((states.shape[1], normals))
+    # Per item: the first normal off the fast path (``normals`` if none)
+    # and the state just before its word.
+    first = np.full(states.shape[1], normals)
+    resume = states.copy()
+    for w in range(uniforms + normals):
+        before = hi, lo
+        hi, lo = _step(hi, lo, inc_hi, inc_lo)
+        raw = _output(hi, lo)
+        if w < uniforms:
+            u[:, w] = (raw >> 11) * 2.0 ** -53
+            continue
+        layer = raw & 0xFF
+        rabs = raw >> 9 & _LOW52
+        x = rabs * _WI[layer]
+        z[:, w - uniforms] = np.where(raw & 0x100, -x, x)
+        off = np.flatnonzero((rabs >= _KI[layer]) & (first == normals))
+        first[off] = w - uniforms
+        resume[0, off], resume[1, off] = before[0][off], before[1][off]
+    end = np.array([hi, lo, inc_hi, inc_lo])
+    items = np.flatnonzero(first < normals)
+    for i, j, rng in zip(items.tolist(), first[items].tolist(),
+                         _loaded(resume[:, items])):
+        rng.standard_normal(out=z[i, j:])
+        state = rng.bit_generator.state["state"]["state"]
+        end[0, i], end[1, i] = state >> 64, state & _MASK64
+    return u, z, end
+
+
+def _count_rows(states: np.ndarray, n: int, rows: int):
+    """Yield the bootstrap count rows of the columns of ``states``, ``rows``
+    at a time, as ``(rows, n)`` matrices (the last one may be shorter).
+
+    The row of a column is ``np.bincount(g.integers(0, n, size=n),
+    minlength=n)`` for a generator ``g`` loaded with its state.
+    ``integers`` takes NumPy's Lemire method on 32-bit draws, the low half
+    of each raw word and then the high half. When a block holds enough
+    rows per raw word of a row (``_ROW_WORD_RATIO``), all its rows step
+    together and a row that meets a rejection is drawn again from its own
+    generator; otherwise every row is drawn from its own generator.
+    """
+    k = states.shape[1]
+    words = (n + 1) // 2
+    block = max(1, _BLOCK_VALUES // max(n * rows, 1)) * rows
+    if not n or min(k, block) < _ROW_WORD_RATIO * words:
+        loaded = _loaded(states)
+        for start in range(0, k, rows):
+            yield np.array([np.bincount(rng.integers(0, n, size=n), minlength=n)
+                            for rng in islice(loaded, rows)])
+        return
+    threshold = (2 ** 32 - n) % n
+    for start in range(0, k, block):
+        part = states[:, start:start + block]
+        hi, lo, inc_hi, inc_lo = part
+        raw = np.empty((part.shape[1], words), dtype="<u8")
+        for w in range(words):
+            hi, lo = _step(hi, lo, inc_hi, inc_lo)
+            raw[:, w] = _output(hi, lo)
+        draws = raw.view("<u4")[:, :n]
+        rejected = (draws * np.uint32(n) < threshold).any(axis=1)
+        for first in range(0, len(draws), rows):
+            cells = draws[first:first + rows] * np.uint64(n)
+            cells >>= 32
+            cells += np.arange(0, cells.size, n, dtype=np.uint64)[:, np.newaxis]
+            counts = np.bincount(cells.view(np.int64).ravel(),
+                                 minlength=cells.size).reshape(cells.shape)
+            redo = np.flatnonzero(rejected[first:first + rows])
+            for i, rng in zip(redo, _loaded(part[:, first + redo])):
+                counts[i] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            yield counts

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
-from .rng import ROLE_NICHE, ROLE_SITE, _streams, stream
+from .rng import (ROLE_NICHE, ROLE_SITE, _draws, _loaded, _seed_states,
+                  stream)
 from .tables import CommunityTable, PredictorBlock
 
 # Bound on per-site noise redraws when every species lands at zero.
@@ -122,53 +123,46 @@ def _generate_cell(config: ScenarioConfig,
     """Counts ``(R, n, S)`` and environment ``(R, n, 2)`` of ``R`` replicates.
 
     Entry ``k`` is ``generate_dataset(config, replicates[k])`` without its
-    labels, bit for bit. The streams of every (replicate, site) pair come
-    from one batched ``_streams`` pass; a dead site continues its own
-    stream. The first failing site of the first failing replicate names the
-    error, as a loop over ``generate_dataset`` would raise it.
+    labels, bit for bit. The first draws of every (replicate, site) pair
+    come from one batched ``rng._draws`` pass; a dead site continues its
+    own stream from where they end. The first failing site of the first
+    failing replicate names the error, as a loop over ``generate_dataset``
+    would raise it.
     """
     replicates = np.asarray(replicates, dtype=np.int64)
     n, n_species = config.n_sites, config.n_species
-    sites = n * len(replicates)
     sigma = config.sigma_noise
-    u = np.empty((sites, 2))
-    z = np.empty((sites, 2 * n_species)) if sigma > 0.0 else None
     grid = np.column_stack([np.repeat(replicates, n),
                             np.tile(np.arange(n), len(replicates))])
-    for i, rng in enumerate(_streams(config.seed, ROLE_SITE, grid)):
-        rng.random(out=u[i])
-        if z is not None:
-            rng.standard_normal(out=z[i])
+    u, z, end = _draws(_seed_states(config.seed, ROLE_SITE, grid), 2,
+                       2 * n_species if sigma > 0.0 else 0)
     env = np.column_stack([u[:, 0], config.y_max * u[:, 1]])
     fx = _densities(env[:, 0], np.array([c.x_opt for c in config.niches]),
                     config.sigma_niche)
     fy = _densities(env[:, 1], np.array([c.y_opt for c in config.niches]),
                     config.sigma_niche)
-    alphas, totals = _products(fx, fy, None if z is None else 0.0 + sigma * z)
+    alphas, totals = _products(fx, fy, 0.0 + sigma * z if sigma > 0.0 else None)
 
     dead = np.flatnonzero(~(totals > 0.0))
-    if dead.size and z is not None:
+    if dead.size and sigma > 0.0:
         # A dead site continues its own stream past its first draws.
-        pending = [stream(config.seed, ROLE_SITE, *grid[i].tolist())
-                   for i in dead]
-        for rng in pending:
-            rng.random(2)
-            rng.standard_normal(2 * n_species)
-        for _ in range(_MAX_SITE_REDRAWS - 1):
-            noise = 0.0 + sigma * np.stack(
-                [rng.standard_normal(2 * n_species) for rng in pending])
-            alphas[dead], totals[dead] = _products(fx[dead], fy[dead], noise)
-            live = totals[dead] > 0.0
-            pending = [rng for rng, ok in zip(pending, live) if not ok]
-            dead = dead[~live]
-            if not dead.size:
-                break
+        still = []
+        for i, rng in zip(dead.tolist(), _loaded(end[:, dead])):
+            for _ in range(_MAX_SITE_REDRAWS - 1):
+                noise = 0.0 + sigma * rng.standard_normal((1, 2 * n_species))
+                row, total = _products(fx[i:i + 1], fy[i:i + 1], noise)
+                alphas[i], totals[i] = row[0], total[0]
+                if total[0] > 0.0:
+                    break
+            else:
+                still.append(i)
+        dead = np.array(still, dtype=int)
     # Sites are checked in order: the first failing site names the error.
     failed = ~np.isfinite(alphas).all(axis=1)
     failed[dead] = True
     first = int(np.argmax(failed))
     if failed[first] and first in dead:
-        reason = ("no noise to redraw" if z is None else
+        reason = ("no noise to redraw" if sigma == 0.0 else
                   f"noise redraw budget of {_MAX_SITE_REDRAWS} exhausted")
         raise DegenerateDataError(
             f"site {first % n}: every species response stayed zero ({reason})")

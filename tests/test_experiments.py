@@ -290,8 +290,20 @@ def _no_generation(*_args):
     lambda: cca_validation(sizes=(20,), noise_levels=(0.0,), m_replicates=1),
     lambda: cca_validation(sizes=(20,), noise_levels=(0.0,), seed=-1),
     lambda: cca_validation(sizes=(20, 4), noise_levels=(0.0,)),
+    lambda: bootstrap_validation([ScenarioConfig(seed=1, n_sites=10)],
+                                 mode="bogus"),
+    lambda: run_replicated_scenario(ScenarioConfig(seed=1, n_sites=10),
+                                    mode="bogus"),
+    lambda: sweep_sample_size(ScenarioConfig(seed=1), sizes=(10,),
+                              noise_levels=(0.01,), mode="bogus", threads=2),
+    lambda: sweep_sampling_range(ScenarioConfig(seed=1), y_max_values=(0.5,),
+                                 noise_levels=(0.01,), mode="bogus"),
+    lambda: sweep_optimum_distance(ScenarioConfig(seed=1), y_opt_values=(0.5,),
+                                   noise_levels=(0.01,), mode="bogus"),
 ], ids=["no-validation-tables", "one-replicate", "cca-no-validation-tables",
-        "cca-one-replicate", "cca-negative-seed", "cca-too-few-sites"])
+        "cca-one-replicate", "cca-negative-seed", "cca-too-few-sites",
+        "validation-bad-mode", "scenario-bad-mode", "sample-size-bad-mode",
+        "sampling-range-bad-mode", "optimum-distance-bad-mode"])
 def test_studies_check_their_arguments_before_any_work(study, monkeypatch):
     monkeypatch.setattr(experiments, "_generate_cell", _no_generation)
     with pytest.raises(ValidationError):

@@ -1,6 +1,8 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,51 @@ def test_the_package_has_one_svd_call():
 def test_the_scan_sees_an_unused_import():
     source = "import os\nfrom math import inf, nan\nprint(nan)\n"
     assert _unused_imports(source) == ["inf (line 2)", "os (line 1)"]
+
+
+# The halves of PCG64's 128-bit multiplier, and the multiplier itself.
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_PCG_LITERALS = {_PCG_MULT, _PCG_MULT >> 64, _PCG_MULT & (1 << 64) - 1}
+
+
+def _stream_internals(source: str) -> list[str]:
+    """Places that load a PCG64 state or do PCG64 arithmetic."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [f"bit_generator.state (line {node.lineno})"
+                      for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Attribute) and t.attr == "state"
+                      and isinstance(t.value, ast.Attribute)
+                      and t.value.attr == "bit_generator"]
+        elif isinstance(node, ast.Constant) and type(node.value) is int and (
+                node.value in _PCG_LITERALS):
+            found.append(f"PCG64 multiplier (line {node.lineno})")
+        elif (isinstance(node, ast.Name) and node.id == "PCG64"
+              or isinstance(node, ast.Attribute) and node.attr == "PCG64"):
+            found.append(f"PCG64 (line {node.lineno})")
+    return found
+
+
+def test_only_rng_loads_or_steps_pcg64_states():
+    # Streams are built, stepped and loaded in one place; a per-item
+    # generator in synth or resample would bypass the batched draws.
+    assert _stream_internals((PACKAGE / "rng.py").read_text())
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "rng.py":
+            assert _stream_internals(path.read_text()) == [], path.name
+    source = ("g.bit_generator.state = s\na, g.bit_generator.state = 1, s\n"
+              "b = np.random.PCG64(0)\nm = 2549297995355413924 * x\n")
+    assert _stream_internals(source) == [
+        "bit_generator.state (line 1)", "bit_generator.state (line 2)",
+        "PCG64 (line 3)", "PCG64 multiplier (line 4)"]
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # Only a run with more than one thread builds a process pool; the pool's
+    # modules would add about 2 MB to every process that imports vpboot.
+    code = "import sys, vpboot.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -9,6 +9,7 @@ from scalar_oracle import (SiteEnvironment, gaussian_response,
                            relative_abundance, site_abundances)
 from vpboot.errors import DegenerateDataError, ValidationError
 from vpboot.ordination import cca_explained, rda_r2
+from vpboot.rng import ROLE_SITE, stream
 from vpboot.synth import (ScenarioConfig, SpeciesNiche, _complex_config,
                           _densities, _generate_cell,
                           generate_complex_dataset, generate_dataset)
@@ -253,3 +254,38 @@ def test_a_cell_raises_the_first_failing_replicates_error():
     with pytest.raises(DegenerateDataError) as cell:
         _generate_cell(config, range(30))
     assert str(cell.value) == str(single.value)
+
+
+def test_dead_sites_continue_their_own_streams():
+    # Far-off optima kill most sites on their first noise draws. A dead site
+    # whose first normals also left the ziggurat's fast path resumes from
+    # the state its fallback generator ended in, not a stepped one.
+    config = ScenarioConfig(seed=12, n_sites=40, sigma_niche=0.1,
+                            niches=(SpeciesNiche(3.0, 3.0),
+                                    SpeciesNiche(-2.0, 3.0)))
+    counts, env = _generate_cell(config, range(6))
+    words = 2 + 2 * config.n_species
+    resumed = 0
+    for r in range(6):
+        for i in range(config.n_sites):
+            rng = stream(config.seed, ROLE_SITE, r, i)
+            site = SiteEnvironment(rng.uniform(0.0, 1.0),
+                                   rng.uniform(0.0, config.y_max))
+            draws = 0
+            while True:
+                alphas = [relative_abundance(site, niche, config.sigma_niche,
+                                             config.sigma_noise, rng)
+                          for niche in config.niches]
+                if draws == 0:
+                    plain = stream(config.seed, ROLE_SITE, r, i)
+                    plain.random(words)
+                    fell_back = (rng.bit_generator.state !=
+                                 plain.bit_generator.state)
+                draws += 1
+                if math.fsum(alphas) > 0.0:
+                    break
+            resumed += draws > 1 and fell_back
+            assert counts[r, i].tolist() == site_abundances(
+                alphas, config.carrying_capacity)
+            assert env[r, i].tolist() == [site.x, site.y]
+    assert resumed > 0
