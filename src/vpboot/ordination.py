@@ -35,17 +35,24 @@ def _weighted_centre(a, w, what: str = "matrix") -> np.ndarray:
     weight gives zeros. A weight total or a result sum of squares that is
     not finite (a non-finite entry, or values that overflow once summed,
     centred or squared) raises ``ValidationError``.
+
+    The passes run on the transposed ``(k, q, n)`` layout, along the sites,
+    and the result is a view of it: broadcast along a last axis of only a
+    few columns, the same passes took up to 7x as long (an 80-replicate
+    stack of a 2-column design).
     """
     total = w.sum(axis=1)
     scale = np.where(total > 0.0, total, 1.0)[:, np.newaxis, np.newaxis]
-    ac = a - np.matmul(w[:, np.newaxis], a) / scale
-    ac -= np.matmul(w[:, np.newaxis], ac) / scale
-    ac *= np.sqrt(w)[:, :, np.newaxis]
+    wc = w[:, :, np.newaxis]
+    at = np.ascontiguousarray(np.swapaxes(a, -1, -2))
+    ac = at - np.matmul(at, wc) / scale
+    ac -= np.matmul(ac, wc) / scale
+    ac *= np.sqrt(w)[:, np.newaxis, :]
     # An infinite weight total would leave ``a`` uncentred; check it too.
     if not np.isfinite(np.vdot(ac, ac) + total.sum()):
         raise ValidationError(
             f"{what} contains non-finite entries or overflows once centred")
-    return ac
+    return np.swapaxes(ac, -1, -2)
 
 
 def center_columns(m) -> np.ndarray:
@@ -73,23 +80,102 @@ def numerical_rank(m) -> int:
     return int(_svd_basis(as_matrix(m))[1].sum())
 
 
-def _fitted_ss(xw: np.ndarray, yw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projected sum of squares and rank for a stack of least-squares fits.
+def _weighted_sums(c, a) -> np.ndarray:
+    """``c @ a`` computed one replicate (row of ``c``) at a time.
 
-    Fit ``i`` projects ``yw[i]`` (``(k, n, p)``) onto the kept left singular
-    vectors of ``xw[i]`` (``(k, n, q)``). Returns ``(fitted (k,), rank (k,))``.
+    A single matrix product may round a row differently depending on how
+    many rows it has; per-row products keep a replicate's value independent
+    of the chunk it was evaluated in. ``a`` is one matrix or a stack with
+    one matrix per row of ``c``.
     """
-    u, keep = _svd_basis(xw)
-    projected = np.matmul(u.transpose(0, 2, 1), yw)
-    fitted = (np.square(projected).sum(axis=2) * keep).sum(axis=1)
-    return fitted, keep.sum(axis=1)
+    return np.matmul(c[:, np.newaxis], a)[:, 0]
 
 
-def _fit_blocks(blocks, w, yw) -> tuple[np.ndarray, np.ndarray]:
-    """Fitted sum of squares and rank, ``(k, n_blocks)`` each, of ``yw`` on
-    every block centred under the weights ``w``."""
-    fits = [_fitted_ss(_weighted_centre(b, w, "design"), yw) for b in blocks]
-    return tuple(np.stack(v, axis=1) for v in zip(*fits))
+def _response(ym, c, method: str):
+    """The fixed response ``d`` of a fit, with site weights ``w`` ``(k, n)``
+    and root species weights ``h`` ``(k, p)`` for the ``(k, n)`` counts
+    ``c``; a species weighs ``g = h^2``.
+
+    ``d`` is built once per call, from the ``(n, p)`` table or from each
+    table of a ``(k, n, p)`` stack, and centred with unit counts; a
+    replicate only reweights it. ``rda`` fits the table's columns with
+    ``w = c`` and ``h = 1``. ``cca`` fits the row profiles ``y / R`` with
+    ``w = c R`` and ``h = 1 / sqrt(s)`` for the replicate's species sums
+    ``s`` (0 for a species no drawn site holds): their weighted deviations
+    scaled by ``h`` are the standardised chi-square deviations. Unlike
+    ``1 / s``, ``h`` stays finite for a subnormal ``s``.
+    """
+    unit = np.ones((len(ym) if ym.ndim == 3 else 1, ym.shape[-2]))
+    if method == "rda":
+        d, w, h = ym, c, np.ones((len(c), ym.shape[-1]))
+    else:
+        row_sums = ym.sum(axis=-1)
+        d, w = ym / row_sums[..., np.newaxis], c * row_sums
+        root = np.sqrt(_weighted_sums(c, ym))
+        h = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
+    d = _weighted_centre(d, unit, "response" if method == "rda" else "table")
+    return (d if ym.ndim == 3 else d[0]), w, h
+
+
+def _deviations(d, w, h, what: str) -> np.ndarray:
+    """``d`` centred under each row of ``w`` by two passes, rows scaled by
+    ``sqrt(w)`` and columns by ``h``: ``(k, n, p)``, one per row."""
+    dw = _weighted_centre(d, w, what)
+    dw *= h[:, np.newaxis]
+    return dw
+
+
+def _explained(d, w, h, blocks, what: str):
+    """Total and fitted sums of squares of the fixed response ``d``.
+
+    Replicate ``i`` weighs the sites by ``w[i]`` and the columns by
+    ``g = h[i]^2``. Its total is ``sum_j g_j (sum_i w_i d_ij^2 - W
+    delta_j^2)`` for the weight total ``W`` and weighted column means
+    ``delta``, each term multiplied by ``h_j`` twice. A row whose total
+    cancels below half of ``sum g w d^2`` takes it from its own two-pass
+    centring instead (``_deviations``), so a response constant over the
+    drawn sites reads exactly 0. A block's fitted sum of squares
+    is ``sum_j |h_j (V^T d_j - (V^T 1) delta_j)|^2`` for ``V = U * sqrt(w)``
+    and the kept left singular vectors ``U`` of its weighted-centred
+    design: the projection of the centred response, with no stack of it.
+    ``U`` is orthogonal to ``sqrt(w)``, so the second term is 0 in exact
+    arithmetic, but the SVD gives ``U`` only to absolute precision: where
+    the weights span many orders of magnitude, that term is what keeps the
+    fit right. Every product is taken one replicate at a time, so a
+    replicate keeps its bits in any chunk. A weighted sum that is not
+    finite raises ``ValidationError``.
+    Returns ``(total (k,), fitted (k, n_blocks), rank (k, n_blocks))``.
+    """
+    weight = w.sum(axis=1)
+    mean = _weighted_sums(w, d) / np.where(
+        weight > 0.0, weight, 1.0)[:, np.newaxis]
+    squares = _weighted_sums(w, np.square(d))
+    raw = (squares * h * h).sum(axis=1)
+    if not np.isfinite(raw + weight).all():  # both are non-negative
+        raise ValidationError(
+            f"{what} contains non-finite entries or overflows once centred")
+    total = ((squares - weight[:, np.newaxis] * np.square(mean)) * h * h).sum(
+        axis=1)
+    cancelled = total < 0.5 * raw
+    if cancelled.any():
+        rows = np.flatnonzero(cancelled)
+        dw = _deviations(d if d.ndim == 2 else d[rows], w[rows], h[rows], what)
+        total[rows] = np.square(dw).reshape(rows.size, -1).sum(axis=1)
+    root = np.sqrt(w)[:, np.newaxis, :]
+    fits = [_fitted_ss(d, w, h, root, mean, b) for b in blocks]
+    return (total, *(np.stack(v, axis=1) for v in zip(*fits)))
+
+
+def _fitted_ss(d, w, h, root, mean, block) -> tuple[np.ndarray, np.ndarray]:
+    """Fitted sum of squares and rank ``(k,)`` of one block (``_explained``)."""
+    u, keep = _svd_basis(_weighted_centre(block, w, "design"))
+    u = np.ascontiguousarray(np.swapaxes(u, 1, 2))  # (k, r, n): along the sites
+    u *= root
+    projected = np.matmul(u, d)
+    projected -= u.sum(axis=2)[:, :, np.newaxis] * mean[:, np.newaxis, :]
+    projected *= h[:, np.newaxis, :]
+    return ((np.square(projected).sum(axis=2) * keep).sum(axis=1),
+            keep.sum(axis=1))
 
 
 def _aligned(y, x, what: str = "response"):
@@ -145,9 +231,9 @@ def _rda_r2(ym, blocks, c) -> tuple[np.ndarray, np.ndarray]:
     A response with zero total sum of squares has nothing to explain and
     gets 0; R2 is clipped to [0, 1] against roundoff.
     """
-    yw = _weighted_centre(ym, c)
-    total = np.square(yw).reshape(len(c), -1).sum(axis=1)[:, np.newaxis]
-    fitted, rank = _fit_blocks(blocks, c, yw)
+    total, fitted, rank = _explained(*_response(ym, c, "rda"), blocks,
+                                     "response")
+    total = total[:, np.newaxis]
     explains = total > 0.0
     r2 = np.where(explains, np.clip(
         fitted / np.where(explains, total, 1.0), 0.0, 1.0), 0.0)
@@ -275,7 +361,8 @@ def _block_fractions(y, named_blocks, method: str, counts=None):
     else:
         c = np.asarray(counts, dtype=float)
     fit = _cca_fractions if method == "cca" else _rda_fractions
-    # Overflow ends in _weighted_centre's ValidationError, not in a warning.
+    # Overflow ends in a ValidationError (_weighted_centre, _explained),
+    # not in a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         return fit(ym, blocks, c, raise_degenerate=counts is None)
 
@@ -300,49 +387,16 @@ def _rda_fractions(ym, blocks, c, *, raise_degenerate: bool):
     return _adjust(r2, total_count, np.where(short, 1.0, df)), reasons
 
 
-def _weighted_sums(c, a) -> np.ndarray:
-    """``c @ a`` computed one replicate (row of ``c``) at a time.
+def _inertia_shares(total, fitted):
+    """Constrained inertia and its share of ``total``, ``(k, n_blocks)`` each.
 
-    A single matrix product may round a row differently depending on how
-    many rows it has; per-row products keep a replicate's value independent
-    of the chunk it was evaluated in.
+    A total below the squared singular-value cutoff counts as 0 and
+    explains nothing.
     """
-    return np.matmul(c[:, np.newaxis], a)[:, 0]
-
-
-def _chi_square(ym, c):
-    """Standardised chi-square deviations of each count-weighted table.
-
-    ``ym`` is one ``(n, p)`` table or a ``(k, n, p)`` stack, one table per
-    row of ``c``. A site of row sum ``R`` drawn ``c`` times weighs ``c R``.
-    qbar is the row profiles ``y / R`` centred and scaled under those
-    weights (their mean is ``C / T`` for weighted column sums ``C`` and
-    total ``T``), then divided by the root of ``C``; a species no drawn
-    site holds gives 0.
-    Returns ``(qbar (k, n, p), site weights (k, n), species sums (k, p))``.
-    """
-    row_sums = ym.sum(axis=-1)
-    site_weights = c * row_sums
-    species_sums = _weighted_sums(c, ym)
-    qw = _weighted_centre(ym / row_sums[..., np.newaxis], site_weights, "table")
-    root = np.sqrt(species_sums)
-    qw *= np.divide(1.0, root, out=np.zeros_like(root),
-                    where=root > 0.0)[:, np.newaxis]
-    return qw, site_weights, species_sums
-
-
-def _inertia_shares(qw, site_weights, blocks):
-    """Total inertia ``(k,)``, constrained inertia and share ``(k, n_blocks)``.
-
-    All live rows proportional (a resample of one site, say) leaves only
-    roundoff in qbar; a total below the squared singular-value cutoff
-    counts as 0 and explains nothing.
-    """
-    total = np.einsum("knp,knp->k", qw, qw)[:, np.newaxis]
-    fitted, _ = _fit_blocks(blocks, site_weights, qw)
+    total = total[:, np.newaxis]
     constrained = np.minimum(np.maximum(fitted, 0.0), total)
     live = total > SV_RCOND ** 2
-    return total[:, 0], constrained, np.where(
+    return constrained, np.where(
         live, constrained / np.where(live, total, 1.0), 0.0)
 
 
@@ -351,14 +405,14 @@ def _cca_fractions(ym, blocks, c, *, raise_degenerate: bool):
 
     Empty sites and species are pruned, table by table in a stack. Each
     table is then scaled by the power of 4 that puts its largest entry in
-    [1/2, 2). The profiles and the mean profile keep their bits, the
-    weights scale exactly and their square roots by an exact power of 2,
-    so the shares do not move, and no count-weighted total overflows once
-    the table's own total is finite. The exception is a table whose
-    entries span more than the float range: entries that become subnormal
-    when scaled lose low bits, which moves the shares at roundoff level,
-    and a site whose entries all underflow to 0 ends in
-    ``_weighted_centre``'s ``ValidationError``.
+    [1/2, 2). The profiles keep their bits, and the site weights, species
+    sums and root species weights scale by exact powers of 2, so the
+    shares do not move, and no count-weighted total overflows once the
+    table's own total is finite.
+    The exception is a table whose entries span more than the float range:
+    entries that become subnormal when scaled lose low bits, which moves
+    the shares at roundoff level, and a site whose entries all underflow
+    to 0 ends in ``_weighted_centre``'s ``ValidationError``.
     """
     if not np.all(ym >= 0.0):
         raise ValidationError("table contains negative or non-finite entries")
@@ -380,10 +434,10 @@ def _cca_fractions(ym, blocks, c, *, raise_degenerate: bool):
     else:  # Nothing to prune; copy the blocks as pruning does, for the bits.
         blocks = [(name, np.ascontiguousarray(b)) for name, b in blocks]
     _, exponent = np.frexp(ym.max(axis=(-2, -1), initial=0.0, keepdims=True))
-    qw, site_weights, species_sums = _chi_square(
-        np.ldexp(ym, -2 * (exponent // 2)), c)
+    ym = np.ldexp(ym, -2 * (exponent // 2))  # drops the pruned copy
+    d, w, h = _response(ym, c, "cca")
     sites = c.sum(axis=1)
-    species = np.count_nonzero(species_sums > 0, axis=1)
+    species = np.count_nonzero(h, axis=1)
     reasons = np.where(sites < 3, FEW_SITES,
                        np.where(species < 2, FEW_SPECIES, 0))
     if raise_degenerate and reasons.any():
@@ -391,8 +445,8 @@ def _cca_fractions(ym, blocks, c, *, raise_degenerate: bool):
         raise DegenerateDataError(
             f"only {int(sites[row])} non-empty sites and "
             f"{int(species[row])} non-empty species remain")
-    _, _, shares = _inertia_shares(qw, site_weights, [b for _, b in blocks])
-    return shares, reasons
+    total, fitted, _ = _explained(d, w, h, [b for _, b in blocks], "table")
+    return _inertia_shares(total, fitted)[1], reasons
 
 
 def _log1p(table) -> np.ndarray:
@@ -456,7 +510,8 @@ def chi_square_transform(y):
         raise DegenerateDataError(
             f"empty rows {empty_rows.tolist()} and empty columns "
             f"{empty_cols.tolist()} (all-zero lines carry no information)")
-    qbar = _chi_square(ym, np.ones((1, ym.shape[0])))[0][0]
+    qbar = _deviations(*_response(ym, np.ones((1, ym.shape[0])), "cca"),
+                       "table")[0]
     return qbar, row_sums / total, col_sums / total, float(np.sum(qbar * qbar))
 
 
@@ -469,7 +524,8 @@ def cca_explained(y, x) -> tuple[float, float, float]:
     onto their span. A table with zero total inertia yields proportion 0.
     """
     ym, xm = _aligned(y, x, "table")
-    qbar, r, _, _ = chi_square_transform(ym)
-    total, constrained, share = _inertia_shares(
-        qbar[np.newaxis], r[np.newaxis], [xm])
+    chi_square_transform(ym)  # its checks and errors
+    response = _response(ym, np.ones((1, ym.shape[0])), "cca")
+    total, fitted, _ = _explained(*response, [xm], "table")
+    constrained, share = _inertia_shares(total, fitted)
     return float(total[0]), float(constrained[0, 0]), float(share[0, 0])

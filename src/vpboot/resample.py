@@ -14,11 +14,15 @@ from .tables import as_matrix, require_aligned
 #: Fraction of replicates allowed to fail (and be redrawn) before aborting.
 FAILURE_BUDGET = 0.05
 
-#: Float64 values a chunk's stacked input may hold (256 KB): a chunk of k
-#: replicates has k x n x (table plus block columns) <= this. The built-in
-#: statistics keep a few such arrays alive at once, so a chunk's working
-#: set stays below 1 MB. Twice this made a 100-site analyze at most 10%
-#: faster but raised the peak memory of the whole process by 4%.
+#: Float64 values (256 KB) a chunk's per-replicate arrays may hold. The
+#: fit kernel builds the table's response once per call; per replicate it
+#: holds the weighted design of each block and of their union (n x 2q
+#: values for q block columns) and their projections of the response
+#: (2q x p for p table columns). A chunk of k replicates keeps
+#: k x 2q x (n + p), and its k count rows, at or below this. At 100 sites
+#: that is 80 replicates for a 2-species RDA and 20 for a 35-species CCA
+#: with 6 block columns, whose traced chunk peaks (391 and 393 KB) stay
+#: below those of the old table-width rule (394 KB at 81, 418 KB at 7).
 _CHUNK_VALUES = 2 ** 15
 
 
@@ -78,8 +82,8 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     y = as_matrix(table)
     blocks = [as_matrix(b) for b in blocks]
     n = y.shape[0]
-    columns = y.shape[1] + sum(b.shape[1] for b in blocks)
-    chunk = max(1, _CHUNK_VALUES // max(n * columns, 1))
+    q = sum(b.shape[1] for b in blocks)
+    chunk = max(1, _CHUNK_VALUES // max(2 * q * (n + y.shape[1]), n, 1))
 
     def counts(rng: np.random.Generator) -> np.ndarray:
         return np.bincount(rng.integers(0, n, size=n), minlength=n)

@@ -103,7 +103,8 @@ def _densities(values: np.ndarray, optima: np.ndarray,
 
 
 def _products(fx: np.ndarray, fy: np.ndarray, noise) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy product responses for whole rows, plus each row's ``math.fsum``.
+    """Noisy product responses for whole rows, plus each row's ``math.fsum``
+    (inf where the exact sum overflows).
 
     Each species' two response factors get their noise terms, are floored
     at zero and multiplied, so no value is negative. ``noise`` holds each
@@ -115,9 +116,24 @@ def _products(fx: np.ndarray, fy: np.ndarray, noise) -> tuple[np.ndarray, np.nda
         fx = fx + noise[:, 0::2]
         fy = fy + noise[:, 1::2]
     alphas = np.maximum(fx, 0.0) * np.maximum(fy, 0.0)
-    return alphas, np.array([math.fsum(row) for row in alphas.tolist()])
+    rows = alphas.tolist()
+    try:
+        totals = [math.fsum(row) for row in rows]
+    except OverflowError:  # some exact row sum is beyond the float range
+        totals = [_fsum(row) for row in rows]
+    return alphas, np.array(totals)
 
 
+def _fsum(row) -> float:
+    """``math.fsum``, or inf where the exact sum overflows."""
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        return math.inf
+
+
+# Overflow ends in the finiteness check below, not in a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _generate_cell(config: ScenarioConfig,
                    replicates) -> tuple[np.ndarray, np.ndarray]:
     """Counts ``(R, n, S)`` and environment ``(R, n, 2)`` of ``R`` replicates.
@@ -158,7 +174,7 @@ def _generate_cell(config: ScenarioConfig,
                 still.append(i)
         dead = np.array(still, dtype=int)
     # Sites are checked in order: the first failing site names the error.
-    failed = ~np.isfinite(alphas).all(axis=1)
+    failed = ~(np.isfinite(alphas).all(axis=1) & np.isfinite(totals))
     failed[dead] = True
     first = int(np.argmax(failed))
     if failed[first] and first in dead:

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour, run in process via ``main``."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +319,22 @@ def test_simulate_rejects_bad_configs(tmp_path, capsys):
     assert main(["simulate", str(config), "--out", str(tmp_path / "x"),
                  "--replicate", "-1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sigma_noise", ["7e153", "1e155"])
+def test_simulate_rejects_noise_whose_row_sums_overflow(tmp_path, capsys,
+                                                        sigma_noise):
+    # 7e153 keeps every product finite but overflows a site's exact row
+    # sum; 1e155 overflows the products themselves.
+    config = tmp_path / "loud.cfg"
+    config.write_text(f"seed = 11\nn_sites = 5\nsigma_noise = {sigma_noise}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", str(config), "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "relative abundances must be finite and non-negative" in (
+        capsys.readouterr().err)
+    assert not list(tmp_path.glob("s.*"))
 
 
 def test_reproduce_argument_validation(tmp_path, capsys):

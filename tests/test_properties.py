@@ -6,17 +6,19 @@ fit five stacks of 200 tables per method, each table also on its own.
 """
 
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
 
 from scalar_oracle import SiteEnvironment, relative_abundance, site_abundances
-from vpboot.errors import DegenerateDataError
+from vpboot.errors import DegenerateDataError, ValidationError
 from vpboot.experiments import (_cca_share, _effect_r2, cca_proportion,
                                 predictor_effect_r2)
-from vpboot.ordination import (_block_fractions, _partition, _rollups,
-                               chi_square_transform, fit_projection)
+from vpboot.ordination import (_block_fractions, _partition, _rda_r2,
+                               _rollups, cca_explained, chi_square_transform,
+                               fit_projection)
 from vpboot.resample import FAILURE_BUDGET, bootstrap_statistic
 from vpboot.rng import ROLE_NICHE, ROLE_SITE, stream
 from vpboot.synth import (ScenarioConfig, SpeciesNiche,
@@ -430,3 +432,190 @@ def test_cca_shares_keep_their_bits_under_power_of_four_scales():
             again = _block_fractions(scaled, named, "cca", counts)
             assert again[0].tobytes() == boot[0].tobytes()
             assert np.array_equal(again[1], boot[1])
+
+
+def _count_case(rng, method):
+    """A random table, its three named partition blocks and 20 count rows."""
+    y, (x, w) = (_cca_case if method == "cca" else _rda_case)(rng)
+    n = len(y)
+    counts = np.stack([np.bincount(rng.integers(0, n, n), minlength=n)
+                       for _ in range(20)])
+    return y, [x, w], counts
+
+
+def _named(x, w):
+    return [("x", x), ("w", w), ("xw", x, w)]
+
+
+def _assert_same_fits(got, expected, tol=1e-12):
+    """Same reason codes, and fractions within ``tol`` where usable."""
+    assert np.array_equal(got[1], expected[1])
+    usable = expected[1] == 0
+    assert np.max(np.abs(got[0] - expected[0])[usable], initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("method", ["cca", "rda"])
+def test_permuting_sites_with_their_counts_changes_nothing(method):
+    rng = np.random.default_rng(109)
+    for _ in range(100):
+        y, blocks, counts = _count_case(rng, method)
+        perm = rng.permutation(len(y))
+        _assert_same_fits(
+            _block_fractions(y[perm], _named(*(b[perm] for b in blocks)),
+                             method, counts[:, perm]),
+            _block_fractions(y, _named(*blocks), method, counts))
+    for _ in range(5):
+        y, env = _stack(rng, method, 20)
+        perm = rng.permutation(y.shape[1])
+        _assert_same_fits(
+            _block_fractions(y[:, perm], _stacked_blocks(env[:, perm]), method),
+            _block_fractions(y, _stacked_blocks(env), method))
+
+
+def test_cca_shares_do_not_change_under_arbitrary_scales():
+    # Not powers of 4, so the kernel's own scaling leaves different bits.
+    rng = np.random.default_rng(110)
+    scales = (3.7, 1e-5, 1e250)
+    for _ in range(100):
+        y, blocks, counts = _count_case(rng, "cca")
+        expected = _block_fractions(y, _named(*blocks), "cca", counts)
+        for scale in scales:
+            _assert_same_fits(
+                _block_fractions(y * scale, _named(*blocks), "cca", counts),
+                expected)
+    for _ in range(5):
+        y, env = _stack(rng, "cca", 20)
+        expected = _block_fractions(y, _stacked_blocks(env), "cca")
+        for scale in scales:
+            _assert_same_fits(
+                _block_fractions(y * scale, _stacked_blocks(env), "cca"),
+                expected)
+
+
+def test_rda_does_not_change_when_predictor_columns_are_shifted():
+    rng = np.random.default_rng(111)
+    for _ in range(100):
+        y, blocks, counts = _count_case(rng, "rda")
+        shifted = [b + rng.uniform(-50.0, 50.0, size=b.shape[1]) for b in blocks]
+        _assert_same_fits(
+            _block_fractions(y, _named(*shifted), "rda", counts),
+            _block_fractions(y, _named(*blocks), "rda", counts))
+    for _ in range(5):
+        y, env = _stack(rng, "rda", 20)
+        shifted = env + rng.uniform(-50.0, 50.0, size=(20, 1, 3))
+        _assert_same_fits(
+            _block_fractions(y, _stacked_blocks(shifted), "rda"),
+            _block_fractions(y, _stacked_blocks(env), "rda"))
+
+
+def _three_site_counts(rng, n, k=20):
+    """``k`` count rows of ``n`` draws that fall on sites 0, 1 and 2 only."""
+    counts = np.zeros((k, n))
+    counts[:, :3] = rng.multinomial(n, [1.0 / 3.0] * 3, size=k)
+    return counts
+
+
+def test_an_all_proportional_cca_resample_reads_exactly_zero():
+    # Sites 0-2 hold proportional rows: their profiles agree, so nothing
+    # is left to explain in a resample that draws only them.
+    rng = np.random.default_rng(112)
+    for _ in range(50):
+        n = int(rng.integers(6, 12))
+        y = rng.uniform(0.1, 5.0, size=(n, int(rng.integers(2, 7))))
+        y[1], y[2] = 3.1 * y[0], 0.7 * y[0]
+        x, w = rng.normal(size=(n, 1)), rng.normal(size=(n, 2))
+        shares, reasons = _block_fractions(y, _named(x, w), "cca",
+                                           _three_site_counts(rng, n))
+        assert not reasons.any()
+        assert np.all(shares == 0.0)
+        # The unit fit of a table whose rows are all proportional.
+        table = np.outer(rng.uniform(0.1, 5.0, size=n), y[0])
+        shares, _ = _block_fractions(table, _named(x, w), "cca")
+        assert np.all(shares == 0.0)
+
+
+def test_an_rda_response_constant_over_the_drawn_sites_reads_exactly_zero():
+    rng = np.random.default_rng(113)
+    for _ in range(50):
+        n = int(rng.integers(6, 12))
+        y = rng.normal(size=(n, int(rng.integers(1, 4))))
+        y[1] = y[2] = y[0]
+        x, w = rng.normal(size=(n, 1)), rng.normal(size=(n, 2))
+        r2, rank = _rda_r2(y, [x, w, np.hstack([x, w])],
+                           _three_site_counts(rng, n))
+        assert np.all(r2 == 0.0)
+        assert np.all(rank[:, 2] <= 2)
+
+
+def test_count_weighted_sums_that_overflow_raise_the_centring_error():
+    # The unit fit's sums of squares are finite (4 a^2); drawing site 0
+    # four times and site 1 once makes 5 a^2, which overflows.
+    a = 6.3e153
+    y = np.array([[a], [-a], [a], [-a], [0.0]])
+    rng = np.random.default_rng(114)
+    named = _named(rng.normal(size=(5, 1)), rng.normal(size=(5, 1)))
+    fractions, _ = _block_fractions(y, named, "rda")
+    assert np.all(np.isfinite(fractions))
+    counts = np.array([[1, 1, 1, 1, 1], [4, 1, 0, 0, 0]])
+    with pytest.raises(ValidationError, match="^response contains non-finite "
+                       "entries or overflows once centred$"):
+        _block_fractions(y, named, "rda", counts)
+
+
+def _exact_cca_share(y, x):
+    """Chi-square inertia share of a one-column design, in exact rational
+    arithmetic: with deviations ``e = y - R C / T`` from independence, the
+    total is ``sum e^2 / (R C)`` and the projection of the standardised
+    deviations onto the row-weighted centred design needs no square root.
+    """
+    y = [[Fraction(v) for v in row] for row in y]
+    x = [Fraction(row[0]) for row in x]
+    rows = [sum(row) for row in y]
+    cols = [sum(col) for col in zip(*y)]
+    grand = sum(rows)
+    dev = [[v - r * c / grand for v, c in zip(row, cols)]
+           for row, r in zip(y, rows)]
+    total = sum(e * e / (r * c) for row, r in zip(dev, rows)
+                for e, c in zip(row, cols))
+    mean = sum(r * v for r, v in zip(rows, x)) / grand
+    xc = [v - mean for v in x]
+    norm = sum(r * v * v for r, v in zip(rows, xc)) / grand
+    constrained = sum(
+        sum(v * row[j] for v, row in zip(xc, dev)) ** 2 / (grand * c)
+        for j, c in enumerate(cols)) / norm
+    return float(constrained / total)
+
+
+@pytest.mark.parametrize("big", [1e6, 1e12, 1e18])
+def test_cca_shares_hold_when_one_site_outweighs_the_rest(big):
+    # The SVD fixes the design's singular vectors only to absolute
+    # precision, so at a site of huge weight their orthogonality to the
+    # root weights is lost unless the fit corrects for the mean. (Past
+    # about 1e20 the total inertia falls below the kernel's zero cutoff.)
+    rng = np.random.default_rng(115)
+    for _ in range(20):
+        n = int(rng.integers(5, 9))
+        y = rng.uniform(0.5, 4.0, size=(n, int(rng.integers(2, 5))))
+        y[0] *= big
+        x = rng.uniform(size=(n, 1))
+        expected = _exact_cca_share(y, x)
+        assert cca_explained(y, x)[2] == pytest.approx(expected, rel=1e-9)
+        counts = np.bincount(rng.integers(0, n, n), minlength=n)
+        counts[0] = max(counts[0], 1)
+        drawn = np.repeat(np.arange(n), counts)
+        share, reasons = _block_fractions(y, [("x", x)], "cca", counts[None])
+        if not reasons.any() and np.ptp(x[drawn]) > 0:
+            assert share[0, 0] == pytest.approx(
+                _exact_cca_share(y[drawn], x[drawn]), rel=1e-9)
+
+
+@pytest.mark.parametrize("lone", [1.0, 0.25])
+def test_a_species_whose_sum_turns_subnormal_once_scaled_still_fits(lone):
+    # Next to a 1e308 entry, the kernel's power-of-4 scaling takes a lone
+    # entry of 1 to 2^-1024 and 0.25 to 2^-1026: the species weight 1 / s
+    # is beyond the float range, its root is not.
+    y = np.array([[1e308, 1.0, 0.0], [1.0, 2.0, 0.0], [3.0, 1.0, 0.0],
+                  [2.0, 2.0, lone]])
+    x = np.array([[0.1], [0.5], [0.9], [0.3]])
+    shares, _ = _block_fractions(y, [("x", x)], "cca")
+    assert shares[0, 0] == pytest.approx(_exact_cca_share(y, x), rel=1e-9)

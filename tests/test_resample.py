@@ -1,6 +1,7 @@
 """Site bootstrap: resampling, summaries, and the failure budget."""
 
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -131,6 +132,31 @@ def test_chunks_do_not_change_replicate_values(method):
         runs[m_replicates] = (np.array(counts), np.array(values))
     assert np.array_equal(runs[37][0], runs[100][0][:37])
     assert np.array_equal(runs[37][1], runs[100][1][:37])
+
+
+def test_a_cca_chunk_never_holds_a_table_per_replicate():
+    # The kernel prepares the table once per call, so one chunk of a
+    # 100 x 350 bootstrap peaks below a single (k, 100, 350) table stack.
+    rng = np.random.default_rng(42)
+    y = rng.poisson(1.0, size=(100, 350)).astype(float)
+    x, w = rng.normal(size=(100, 1)), rng.normal(size=(100, 5))
+    chunks = []
+
+    def recording(c, *_arrays):
+        chunks.append(c)
+        return np.zeros((len(c), 1)), np.zeros(len(c), dtype=bool)
+
+    bootstrap_statistic(y, [x, w], recording, 50, seed=3)
+    counts = chunks[0]
+    assert len(counts) > 1
+    _rollups(counts, y, x, w, method="cca")  # first-call allocations
+    tracemalloc.start()
+    try:
+        _rollups(counts, y, x, w, method="cca")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(counts) * y.size * y.itemsize
 
 
 def test_relative_spread_conventions():
