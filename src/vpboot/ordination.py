@@ -24,7 +24,7 @@ from .tables import as_matrix
 SV_RCOND = 1e-10
 
 
-def _weighted_centre(a, w, what: str = "matrix") -> np.ndarray:
+def _weighted_centre(a, w, what: str | None = "matrix") -> np.ndarray:
     """Columns of ``(n, q)`` ``a`` centred under each row of ``(k, n)`` weights.
 
     Returns ``(k, n, q)``: replicate ``i`` holds the rows centred on their
@@ -32,9 +32,11 @@ def _weighted_centre(a, w, what: str = "matrix") -> np.ndarray:
     ``c`` adds ``c`` copies to every sum of squares. The second pass removes
     the roundoff of the first mean, so a column that is constant over the
     weighted rows centres to exactly 0 and adds no spurious rank. Zero total
-    weight gives zeros. A weight total or a result sum of squares that is
-    not finite (a non-finite entry, or values that overflow once summed,
-    centred or squared) raises ``ValidationError``.
+    weight gives zeros. A replicate's weight total or result sum of
+    squares that is not finite (a non-finite entry, or values that
+    overflow once summed, centred or squared) raises ``ValidationError``
+    naming ``what``; with ``what`` None the caller checks the sums it
+    forms from the result.
 
     The passes run on the transposed ``(k, q, n)`` layout, along the sites,
     and the result is a view of it: broadcast along a last axis of only a
@@ -49,7 +51,9 @@ def _weighted_centre(a, w, what: str = "matrix") -> np.ndarray:
     ac -= np.matmul(ac, wc) / scale
     ac *= np.sqrt(w)[:, np.newaxis, :]
     # An infinite weight total would leave ``a`` uncentred; check it too.
-    if not np.isfinite(np.vdot(ac, ac) + total.sum()):
+    # Row by row: a chunk's sum can overflow where no replicate's own does.
+    if what is not None and not np.isfinite(
+            np.einsum("kqn,kqn->k", ac, ac) + total).all():
         raise ValidationError(
             f"{what} contains non-finite entries or overflows once centred")
     return np.swapaxes(ac, -1, -2)
@@ -92,90 +96,107 @@ def _weighted_sums(c, a) -> np.ndarray:
 
 
 def _response(ym, c, method: str):
-    """The fixed response ``d`` of a fit, with site weights ``w`` ``(k, n)``
-    and root species weights ``h`` ``(k, p)`` for the ``(k, n)`` counts
-    ``c``; a species weighs ``g = h^2``.
+    """The response ``r`` of a fit, with site weights ``w`` ``(k, n)`` and
+    root species weights ``h`` ``(k, p)`` for the ``(k, n)`` counts ``c``;
+    a species weighs ``g = h^2``.
 
-    ``d`` is built once per call, from the ``(n, p)`` table or from each
-    table of a ``(k, n, p)`` stack, and centred with unit counts; a
-    replicate only reweights it. ``rda`` fits the table's columns with
-    ``w = c`` and ``h = 1``. ``cca`` fits the row profiles ``y / R`` with
-    ``w = c R`` and ``h = 1 / sqrt(s)`` for the replicate's species sums
-    ``s`` (0 for a species no drawn site holds): their weighted deviations
-    scaled by ``h`` are the standardised chi-square deviations. Unlike
-    ``1 / s``, ``h`` stays finite for a subnormal ``s``.
+    ``r`` is the ``(n, p)`` table or a ``(k, n, p)`` stack of tables,
+    uncentred and shared by every replicate, which only reweights it.
+    ``rda`` fits the table's columns with ``w = c`` and ``h = 1``. ``cca``
+    fits the row profiles ``y / R`` with ``w = c R`` and ``h = 1 / sqrt(s)``
+    for the replicate's species sums ``s`` (0 for a species no drawn site
+    holds): their weighted deviations scaled by ``h`` are the standardised
+    chi-square deviations. Unlike ``1 / s``, ``h`` stays finite for a
+    subnormal ``s``.
     """
-    unit = np.ones((len(ym) if ym.ndim == 3 else 1, ym.shape[-2]))
     if method == "rda":
-        d, w, h = ym, c, np.ones((len(c), ym.shape[-1]))
-    else:
-        row_sums = ym.sum(axis=-1)
-        d, w = ym / row_sums[..., np.newaxis], c * row_sums
-        root = np.sqrt(_weighted_sums(c, ym))
-        h = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
-    d = _weighted_centre(d, unit, "response" if method == "rda" else "table")
-    return (d if ym.ndim == 3 else d[0]), w, h
+        return ym, c, np.ones((len(c), ym.shape[-1]))
+    row_sums = ym.sum(axis=-1)
+    root = np.sqrt(_weighted_sums(c, ym))
+    return (ym / row_sums[..., np.newaxis], c * row_sums,
+            np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0))
 
 
-def _deviations(d, w, h, what: str) -> np.ndarray:
-    """``d`` centred under each row of ``w`` by two passes, rows scaled by
+def _deviations(r, w, h, what: str) -> np.ndarray:
+    """``r`` centred under each row of ``w`` by two passes, rows scaled by
     ``sqrt(w)`` and columns by ``h``: ``(k, n, p)``, one per row."""
-    dw = _weighted_centre(d, w, what)
+    dw = _weighted_centre(r, w, what)
     dw *= h[:, np.newaxis]
     return dw
 
 
-def _explained(d, w, h, blocks, what: str):
-    """Total and fitted sums of squares of the fixed response ``d``.
+def _explained(r, w, h, blocks, what: str):
+    """Total and fitted sums of squares of the response ``r`` (``_response``).
 
-    Replicate ``i`` weighs the sites by ``w[i]`` and the columns by
-    ``g = h[i]^2``. Its total is ``sum_j g_j (sum_i w_i d_ij^2 - W
-    delta_j^2)`` for the weight total ``W`` and weighted column means
-    ``delta``, each term multiplied by ``h_j`` twice. A row whose total
-    cancels below half of ``sum g w d^2`` takes it from its own two-pass
-    centring instead (``_deviations``), so a response constant over the
-    drawn sites reads exactly 0. A block's fitted sum of squares
-    is ``sum_j |h_j (V^T d_j - (V^T 1) delta_j)|^2`` for ``V = U * sqrt(w)``
+    ``r`` is centred once per call with unit counts, as ``d``; replicate
+    ``i`` then weighs the sites by ``w[i]`` and the columns by ``g =
+    h[i]^2``. Its total is ``sum_j g_j (sum_i w_i d_ij^2 - W delta_j^2)``
+    for the weight total ``W`` and weighted column means ``delta``, each
+    term multiplied by ``h_j`` twice. A block's fitted sum of squares is
+    ``sum_j |h_j (V^T d_j - (V^T 1) delta_j)|^2`` for ``V = U * sqrt(w)``
     and the kept left singular vectors ``U`` of its weighted-centred
     design: the projection of the centred response, with no stack of it.
     ``U`` is orthogonal to ``sqrt(w)``, so the second term is 0 in exact
     arithmetic, but the SVD gives ``U`` only to absolute precision: where
     the weights span many orders of magnitude, that term is what keeps the
-    fit right. Every product is taken one replicate at a time, so a
-    replicate keeps its bits in any chunk. A weighted sum that is not
-    finite raises ``ValidationError``.
+    fit right.
+
+    A row whose total cancels below half of ``sum g w d^2``, or whose sums
+    are not finite, takes its total and fits from its own two-pass
+    centring of ``r`` instead (``_deviations``), as a table fitted on its
+    own would: a response constant over the drawn sites reads exactly 0,
+    the roundoff of a unit mean far from the replicate's (an outlier site
+    it did not draw) does not reach it, and only a replicate whose own
+    centred sums overflow raises ``ValidationError``. Every product is
+    taken one replicate at a time, so a replicate keeps its bits in any
+    chunk.
     Returns ``(total (k,), fitted (k, n_blocks), rank (k, n_blocks))``.
     """
+    unit = np.ones((len(r) if r.ndim == 3 else 1, r.shape[-2]))
+    d = _weighted_centre(r, unit, None)  # checked through the sums below
+    d = d if r.ndim == 3 else d[0]
     weight = w.sum(axis=1)
     mean = _weighted_sums(w, d) / np.where(
         weight > 0.0, weight, 1.0)[:, np.newaxis]
     squares = _weighted_sums(w, np.square(d))
     raw = (squares * h * h).sum(axis=1)
-    if not np.isfinite(raw + weight).all():  # both are non-negative
-        raise ValidationError(
-            f"{what} contains non-finite entries or overflows once centred")
     total = ((squares - weight[:, np.newaxis] * np.square(mean)) * h * h).sum(
         axis=1)
-    cancelled = total < 0.5 * raw
-    if cancelled.any():
-        rows = np.flatnonzero(cancelled)
-        dw = _deviations(d if d.ndim == 2 else d[rows], w[rows], h[rows], what)
-        total[rows] = np.square(dw).reshape(rows.size, -1).sum(axis=1)
-    root = np.sqrt(w)[:, np.newaxis, :]
-    fits = [_fitted_ss(d, w, h, root, mean, b) for b in blocks]
+    rows = np.flatnonzero(~np.isfinite(raw + weight) | (total < 0.5 * raw))
+    own = None
+    if rows.size:
+        own = _deviations(r if r.ndim == 2 else r[rows], w[rows], h[rows], what)
+        total[rows] = np.square(own).reshape(rows.size, -1).sum(axis=1)
+    fits = [_fitted_ss(d, w, h, mean, rows, own, b) for b in blocks]
     return (total, *(np.stack(v, axis=1) for v in zip(*fits)))
 
 
-def _fitted_ss(d, w, h, root, mean, block) -> tuple[np.ndarray, np.ndarray]:
-    """Fitted sum of squares and rank ``(k,)`` of one block (``_explained``)."""
+def _fitted_ss(d, w, h, mean, rows, own, block) -> tuple[np.ndarray, np.ndarray]:
+    """Fitted sum of squares and rank ``(k,)`` of one block (``_explained``);
+    the listed ``rows`` project their own deviations ``own``."""
     u, keep = _svd_basis(_weighted_centre(block, w, "design"))
     u = np.ascontiguousarray(np.swapaxes(u, 1, 2))  # (k, r, n): along the sites
-    u *= root
+    redone = np.matmul(u[rows], own) if rows.size else None
+    u *= np.sqrt(w)[:, np.newaxis, :]
     projected = np.matmul(u, d)
     projected -= u.sum(axis=2)[:, :, np.newaxis] * mean[:, np.newaxis, :]
     projected *= h[:, np.newaxis, :]
+    if rows.size:
+        projected[rows] = redone
     return ((np.square(projected).sum(axis=2) * keep).sum(axis=1),
             keep.sum(axis=1))
+
+
+def _replicate_values(n_sites: int, n_species: int, n_block_columns: int) -> int:
+    """Float64 values the fit kernel holds per count row of a bootstrap.
+
+    The response enters once per call; per replicate the kernel holds the
+    weighted design of each block and of their union (``n x 2q`` for ``q``
+    block columns) and their projections of the response (``2q x p`` for
+    ``p`` table columns), and its count row (``n``).
+    """
+    q = n_block_columns
+    return max(2 * q * (n_sites + n_species), n_sites, 1)
 
 
 def _aligned(y, x, what: str = "response"):
@@ -232,7 +253,7 @@ def _rda_r2(ym, blocks, c) -> tuple[np.ndarray, np.ndarray]:
     gets 0; R2 is clipped to [0, 1] against roundoff.
     """
     total, fitted, rank = _explained(*_response(ym, c, "rda"), blocks,
-                                     "response")
+                                     "matrix")
     total = total[:, np.newaxis]
     explains = total > 0.0
     r2 = np.where(explains, np.clip(
@@ -486,6 +507,26 @@ def varpart_two(y, x, w) -> PartitionResult:
     return _partition(y, x, w, "rda")
 
 
+def _checked_table(y) -> np.ndarray:
+    """A finite, non-negative table with a positive total and no empty row
+    or column, as a matrix; ``chi_square_transform`` and ``cca_explained``
+    accept nothing else."""
+    ym = as_matrix(y)
+    if not np.all(np.isfinite(ym)):
+        raise ValidationError("table contains non-finite entries")
+    if np.any(ym < 0):
+        raise ValidationError("table contains negative entries")
+    if float(ym.sum()) <= 0.0:
+        raise DegenerateDataError("table total must be positive")
+    empty_rows = np.flatnonzero(ym.sum(axis=1) == 0.0)
+    empty_cols = np.flatnonzero(ym.sum(axis=0) == 0.0)
+    if empty_rows.size or empty_cols.size:
+        raise DegenerateDataError(
+            f"empty rows {empty_rows.tolist()} and empty columns "
+            f"{empty_cols.tolist()} (all-zero lines carry no information)")
+    return ym
+
+
 def chi_square_transform(y):
     """Chi-square (correspondence) decomposition of a non-negative table.
 
@@ -494,25 +535,12 @@ def chi_square_transform(y):
     proportion table; ``total_inertia`` is the sum of its squares, which
     equals the Pearson chi-square statistic divided by the grand total.
     """
-    ym = as_matrix(y)
-    if not np.all(np.isfinite(ym)):
-        raise ValidationError("table contains non-finite entries")
-    if np.any(ym < 0):
-        raise ValidationError("table contains negative entries")
+    ym = _checked_table(y)
     total = float(ym.sum())
-    if total <= 0.0:
-        raise DegenerateDataError("table total must be positive")
-    row_sums = ym.sum(axis=1)
-    col_sums = ym.sum(axis=0)
-    empty_rows = np.flatnonzero(row_sums == 0.0)
-    empty_cols = np.flatnonzero(col_sums == 0.0)
-    if empty_rows.size or empty_cols.size:
-        raise DegenerateDataError(
-            f"empty rows {empty_rows.tolist()} and empty columns "
-            f"{empty_cols.tolist()} (all-zero lines carry no information)")
     qbar = _deviations(*_response(ym, np.ones((1, ym.shape[0])), "cca"),
                        "table")[0]
-    return qbar, row_sums / total, col_sums / total, float(np.sum(qbar * qbar))
+    return (qbar, ym.sum(axis=1) / total, ym.sum(axis=0) / total,
+            float(np.sum(qbar * qbar)))
 
 
 def cca_explained(y, x) -> tuple[float, float, float]:
@@ -524,8 +552,7 @@ def cca_explained(y, x) -> tuple[float, float, float]:
     onto their span. A table with zero total inertia yields proportion 0.
     """
     ym, xm = _aligned(y, x, "table")
-    chi_square_transform(ym)  # its checks and errors
-    response = _response(ym, np.ones((1, ym.shape[0])), "cca")
+    response = _response(_checked_table(ym), np.ones((1, ym.shape[0])), "cca")
     total, fitted, _ = _explained(*response, [xm], "table")
     constrained, share = _inertia_shares(total, fitted)
     return float(total[0]), float(constrained[0, 0]), float(share[0, 0])

@@ -8,18 +8,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DEGENERATE_REASONS, DegenerateDataError, ValidationError
+from .ordination import _replicate_values
 from .rng import ROLE_BOOTSTRAP, _count_rows, _seed_states, stream
 from .tables import as_matrix, require_aligned
 
 #: Fraction of replicates allowed to fail (and be redrawn) before aborting.
 FAILURE_BUDGET = 0.05
 
-#: Float64 values (256 KB) a chunk's per-replicate arrays may hold. The
-#: fit kernel builds the table's response once per call; per replicate it
-#: holds the weighted design of each block and of their union (n x 2q
-#: values for q block columns) and their projections of the response
-#: (2q x p for p table columns). A chunk of k replicates keeps
-#: k x 2q x (n + p), and its k count rows, at or below this. At 100 sites
+#: Float64 values (256 KB) a chunk's per-replicate arrays may hold, as the
+#: fit kernel counts them (``ordination._replicate_values``). At 100 sites
 #: that is 80 replicates for a 2-species RDA and 20 for a 35-species CCA
 #: with 6 block columns, whose traced chunk peaks (391 and 393 KB) stay
 #: below those of the old table-width rule (394 KB at 81, 418 KB at 7).
@@ -66,7 +63,10 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     ``(k, n_sites)`` count matrix and the original plain arrays, and
     returns ``(values, degenerate)``: a ``(k, width)`` array and ``(k,)``
     reason codes of ``errors.DEGENERATE_REASONS`` (0 for a usable
-    replicate) or a boolean mask (True for a degenerate one). One summary
+    replicate) or a boolean mask (True for a degenerate one). Chunks are
+    sized for the package's fit kernel (``_CHUNK_VALUES``), whatever the
+    statistic holds per replicate: a custom statistic that builds a
+    ``(k, n_sites, width)`` stack is not bounded by it. One summary
     per column comes back. A degenerate replicate is redrawn alone, from
     the next sub-stream, in replicate order; once more than
     ``FAILURE_BUDGET`` of ``m_replicates`` replicates have failed, the whole
@@ -82,8 +82,8 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     y = as_matrix(table)
     blocks = [as_matrix(b) for b in blocks]
     n = y.shape[0]
-    q = sum(b.shape[1] for b in blocks)
-    chunk = max(1, _CHUNK_VALUES // max(2 * q * (n + y.shape[1]), n, 1))
+    chunk = max(1, _CHUNK_VALUES // _replicate_values(
+        n, y.shape[1], sum(b.shape[1] for b in blocks)))
 
     def counts(rng: np.random.Generator) -> np.ndarray:
         return np.bincount(rng.integers(0, n, size=n), minlength=n)

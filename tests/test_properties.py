@@ -547,19 +547,59 @@ def test_an_rda_response_constant_over_the_drawn_sites_reads_exactly_zero():
         assert np.all(rank[:, 2] <= 2)
 
 
-def test_count_weighted_sums_that_overflow_raise_the_centring_error():
-    # The unit fit's sums of squares are finite (4 a^2); drawing site 0
-    # four times and site 1 once makes 5 a^2, which overflows.
-    a = 6.3e153
+def _assert_fits_the_resampled_tables(y, blocks, method, counts):
+    """Each count row fits as the unit fit of the table it resamples."""
+    got = _block_fractions(y, _named(*blocks), method, counts)
+    for i, c in enumerate(counts):
+        drawn = np.repeat(np.arange(len(y)), c)
+        _assert_same_fits(
+            (got[0][i:i + 1], got[1][i:i + 1]),
+            _block_fractions(y[drawn], _named(*(b[drawn] for b in blocks)),
+                             method))
+
+
+@pytest.mark.parametrize("a, finite, overflowing", [
+    (6.3e153, [[3, 1, 0, 0, 1], [1, 0, 0, 1, 3], [4, 1, 0, 0, 0],
+               [1, 0, 3, 1, 0]], [5, 5, 0, 0, 0]),
+    (8e153, [[1, 0, 0, 1, 3]], [3, 1, 0, 0, 1]),
+])
+def test_a_resample_overflows_exactly_where_its_own_fit_does(
+        a, finite, overflowing):
+    # Centred on its own count-weighted mean, the response's sum of
+    # squares is 3.2 a^2 for [3, 1, 0, 0, 1], [4, 1, 0, 0, 0] and
+    # [1, 0, 3, 1, 0], 2 a^2 for [1, 0, 0, 1, 3] and 10 a^2 for
+    # [5, 5, 0, 0, 0]: it overflows past about 7.5e153, 9.5e153 and
+    # 4.2e153. The unit fit's 4 a^2 overflows at 8e153 only, and so do two
+    # sums of 3.2 a^2 added together.
     y = np.array([[a], [-a], [a], [-a], [0.0]])
     rng = np.random.default_rng(114)
-    named = _named(rng.normal(size=(5, 1)), rng.normal(size=(5, 1)))
-    fractions, _ = _block_fractions(y, named, "rda")
-    assert np.all(np.isfinite(fractions))
-    counts = np.array([[1, 1, 1, 1, 1], [4, 1, 0, 0, 0]])
-    with pytest.raises(ValidationError, match="^response contains non-finite "
-                       "entries or overflows once centred$"):
-        _block_fractions(y, named, "rda", counts)
+    blocks = [rng.normal(size=(5, 1)), rng.normal(size=(5, 1))]
+    _assert_fits_the_resampled_tables(y, blocks, "rda", np.array(finite))
+    centring_error = ("^matrix contains non-finite entries or overflows "
+                      "once centred$")
+    with pytest.raises(ValidationError, match=centring_error):
+        _block_fractions(y, _named(*blocks), "rda", np.array([overflowing]))
+    if a > 7e153:
+        with pytest.raises(ValidationError, match=centring_error):
+            _block_fractions(y, _named(*blocks), "rda")
+
+
+@pytest.mark.parametrize("method", ["cca", "rda"])
+def test_an_outlier_site_that_a_resample_misses_does_not_reach_its_fit(
+        method):
+    # Centred on the mean of all sites, which one site of 1e8 holds near
+    # 1e6, the response keeps only about 10 digits of the other sites, and
+    # R2 moved by up to 5e-11 in a resample that misses the outlier; such
+    # a resample centres on its own.
+    rng = np.random.default_rng(116)
+    for _ in range(20):
+        n = int(rng.integers(20, 60))
+        y = rng.uniform(0.0, 3.0, size=(n, int(rng.integers(2, 5))))
+        y[0] *= 1e8
+        blocks = [rng.normal(size=(n, 2)), rng.normal(size=(n, 3))]
+        counts = np.stack([np.bincount(rng.integers(i % 2, n, n), minlength=n)
+                           for i in range(10)])
+        _assert_fits_the_resampled_tables(y, blocks, method, counts)
 
 
 def _exact_cca_share(y, x):
