@@ -36,10 +36,16 @@ _TAG_VALIDATION_TABLE = 14
 _TAG_CCA = 15
 
 #: Float64 values of one chunk of a study cell: replicates x sites x
-#: (species + 2 gradients). The generator turns a chunk's densities and
-#: row sums into Python lists, so a chunk 4x this size raised the peak
-#: memory of the 25-250-site sweep benchmark by 6% (40.3 to 42.7 MB) and
-#: saved only about 2% of its time.
+#: (species + 2 gradients). Generating a chunk holds about 125 bytes per
+#: site at its peak (2 species), so a 250-site chunk traces about 0.25 MB,
+#: and its fit no more. Larger chunks run faster (the generator pays per
+#: chunk: one array step per raw word, a few more for the draws off the
+#: ziggurat's fast path), 2**14 by 25% and 2**15 by 35% on the 25-250-site
+#: sweep benchmark, but that benchmark's peak memory grows with the cells
+#: a run completes, because its worker keeps every output. Against the
+#: list-based generator at this size (41-42.6 MB in 30 s runs), the array
+#: one peaked 1-4% higher here, 3-6% at 2**14 and 7% at 2**15, and the
+#: benchmark's bound is 5%.
 _CELL_CHUNK_VALUES = 2 ** 13
 
 

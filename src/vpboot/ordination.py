@@ -408,15 +408,30 @@ def _rda_fractions(ym, blocks, c, *, raise_degenerate: bool):
     return _adjust(r2, total_count, np.where(short, 1.0, df)), reasons
 
 
-def _inertia_shares(total, fitted):
-    """Constrained inertia and its share of ``total``, ``(k, n_blocks)`` each.
+def _inertia_shares(total, fitted, r, w, h):
+    """Constrained inertia and its share of ``total``, ``(k, n_blocks)`` each,
+    for the row profiles ``r``, weights and column scales of ``_explained``.
 
-    A total below the squared singular-value cutoff counts as 0 and
-    explains nothing.
+    A replicate explains nothing unless one of its drawn sites deviates from
+    its mean profile by more than ``SV_RCOND`` of its own profile, both in
+    the ``g``-weighted norm. So proportional rows, whose profiles differ
+    only by roundoff, read 0, while a total that is tiny because one site
+    outweighs the rest keeps its share. Sites are checked only where the
+    total is at most ``SV_RCOND**2`` of ``sum g * W``, which bounds the
+    uncentred ``sum g w r^2`` (profiles are at most 1): a larger total
+    already has such a site.
     """
+    live = total > SV_RCOND ** 2 * (h * h).sum(axis=1) * w.sum(axis=1)
+    rows = np.flatnonzero(~live & (total > 0.0))
+    if rows.size:
+        spread = np.square(_deviations(r if r.ndim == 2 else r[rows], w[rows],
+                                       h[rows], None)).sum(axis=2)
+        size = np.square((r if r.ndim == 2 else r[rows])
+                         * h[rows][:, np.newaxis]).sum(axis=2)
+        live[rows] = (spread > SV_RCOND ** 2 * w[rows] * size).any(axis=1)
     total = total[:, np.newaxis]
     constrained = np.minimum(np.maximum(fitted, 0.0), total)
-    live = total > SV_RCOND ** 2
+    live = live[:, np.newaxis]
     return constrained, np.where(
         live, constrained / np.where(live, total, 1.0), 0.0)
 
@@ -467,7 +482,7 @@ def _cca_fractions(ym, blocks, c, *, raise_degenerate: bool):
             f"only {int(sites[row])} non-empty sites and "
             f"{int(species[row])} non-empty species remain")
     total, fitted, _ = _explained(d, w, h, [b for _, b in blocks], "table")
-    return _inertia_shares(total, fitted)[1], reasons
+    return _inertia_shares(total, fitted, d, w, h)[1], reasons
 
 
 def _log1p(table) -> np.ndarray:
@@ -554,5 +569,5 @@ def cca_explained(y, x) -> tuple[float, float, float]:
     ym, xm = _aligned(y, x, "table")
     response = _response(_checked_table(ym), np.ones((1, ym.shape[0])), "cca")
     total, fitted, _ = _explained(*response, [xm], "table")
-    constrained, share = _inertia_shares(total, fitted)
+    constrained, share = _inertia_shares(total, fitted, *response)
     return float(total[0]), float(constrained[0, 0]), float(share[0, 0])

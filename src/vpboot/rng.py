@@ -9,17 +9,20 @@ same ``(seed, path)`` pair always reproduces the same stream.
 ``stream`` is the reference. Batches of items draw their first numbers
 from arrays of PCG64 states instead (``_draws``, ``_count_rows``), stepped
 together and turned into NumPy's uniforms, normals and bounded integers
-bit for bit; an item whose draw leaves the arrays' fast path finishes on
-a generator loaded with its state.
+bit for bit. Normals that leave the ziggurat's fast path finish as arrays
+too, each item in its own phase of the wedge or tail test
+(``_off_path``); only a bootstrap row that meets a Lemire rejection, and a
+dead site's redraws, load a generator with an item's state (``_loaded``).
 """
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 
 import numpy as np
 
-from ._ziggurat import KI, WI
+from ._ziggurat import FI, KI, WI
 
 # First path component. Keeps unrelated kinds of draws on disjoint streams
 # even when the remaining indices coincide.
@@ -47,6 +50,10 @@ _LOW32 = np.uint64(_MASK32)
 _LOW52 = np.uint64((1 << 52) - 1)
 _WI = np.array(WI)
 _KI = np.array(KI, dtype=np.uint64)
+_FI = np.array(FI)
+# NumPy's ziggurat_nor_r, where layer 0's tail begins, and its reciprocal.
+_TAIL_R = 3.6541528853610087963519472518
+_TAIL_INV_R = 0.27366123732975827203338247596
 
 #: Bootstrap rows step together only when a block holds at least this many
 #: rows per raw word of a row. Below that, the per-call overhead of short
@@ -151,27 +158,45 @@ def _seed_states(seed: int, *path) -> np.ndarray:
     # From the varying word on, each word meets the four pool words at once:
     # rows are pool words, columns items, and uint32 arithmetic wraps where
     # the ints above are masked.
-    pool = np.array(pool, dtype=np.uint32)[:, np.newaxis]
+    pool = np.repeat(np.array(pool, dtype=np.uint32)[:, np.newaxis],
+                     len(items), axis=1)
     table = np.array(consts[t:], dtype=np.uint32)[:, np.newaxis]
+    hashed = np.empty_like(pool)
+    shifted = np.empty_like(pool)
     for k, w in enumerate(tail):
-        hashed = (w ^ table[4 * k:4 * k + 4]) * table[4 * k + 1:4 * k + 5]
-        hashed ^= hashed >> 16
-        pool = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * hashed
-        pool ^= pool >> 16
-    # generate_state(4, uint64): eight words cycle through the pool.
+        np.bitwise_xor(w, table[4 * k:4 * k + 4], out=hashed)
+        hashed *= table[4 * k + 1:4 * k + 5]
+        hashed ^= np.right_shift(hashed, 16, out=shifted)
+        pool *= np.uint32(_MIX_MULT_L)
+        hashed *= np.uint32(_MIX_MULT_R)
+        pool -= hashed
+        pool ^= np.right_shift(pool, 16, out=shifted)
+    del hashed, shifted
+    # generate_state(4, uint64): eight words cycle through the pool, and
+    # words 2r and 2r + 1 are the low and high halves of state row r.
     out_consts = np.array(_hash_consts(_INIT_B, _MULT_B, 8),
                           dtype=np.uint32)[:, np.newaxis]
-    out = (np.concatenate((pool, pool)) ^ out_consts[:8]) * out_consts[1:]
-    out ^= out >> 16
-    s_hi, s_lo, i_hi, i_lo = np.ascontiguousarray(
-        out.T, dtype="<u4").view("<u8").T.astype(np.uint64)
+    words = np.concatenate((pool, pool))
+    del pool
+    words ^= out_consts[:8]
+    words *= out_consts[1:]
+    words ^= words >> 16
+    states = words[1::2].astype(np.uint64)
+    states <<= 32
+    states |= words[0::2]
+    del words
     # pcg64_set_seed: inc = 2 * initseq + 1, then one step from
     # inc + initstate.
-    inc_hi = (i_hi << 1) | (i_lo >> 63)
-    inc_lo = (i_lo << 1) | 1
-    lo = inc_lo + s_lo
-    hi, lo = _step(inc_hi + s_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
-    return np.array([hi, lo, inc_hi, inc_lo], dtype=np.uint64)
+    hi, lo, inc_hi, inc_lo = states
+    inc_hi <<= 1
+    inc_hi |= inc_lo >> 63
+    inc_lo <<= 1
+    inc_lo |= 1
+    lo += inc_lo
+    hi += inc_hi
+    hi += lo < inc_lo
+    _step(hi, lo, inc_hi, inc_lo)
+    return states
 
 
 def _streams(seed: int, *path):
@@ -196,71 +221,195 @@ def _loaded(states: np.ndarray):
         yield generator
 
 
-def _step(hi, lo, inc_hi, inc_lo):
-    """PCG64's LCG step ``state * M + inc mod 2**128`` on every item.
+def _step(hi, lo, inc_hi, inc_lo, work=None) -> None:
+    """PCG64's LCG step ``state * M + inc mod 2**128`` on every item, in
+    place on ``hi`` and ``lo``.
 
     ``uint64`` products and sums wrap mod 2**64, which is all the high word
     needs, except for the carry out of ``lo * M_lo``: NumPy has no 128-bit
-    product, so that comes from 32-bit limbs.
+    product, so that comes from 32-bit limbs, in the four rows of ``work``
+    (a ``(4, K)`` ``uint64`` scratch array, or new ones).
     """
-    a0 = lo & _LOW32
-    a1 = lo >> 32
-    t = a0 * _M_LO0
-    u = a1 * _M_LO0 + (t >> 32)
-    v = a0 * _M_LO1 + (u & _LOW32)
-    carry = a1 * _M_LO1 + (u >> 32) + (v >> 32)
-    new_lo = lo * _M_LO + inc_lo
-    new_hi = carry + lo * _M_HI + hi * _M_LO + inc_hi + (new_lo < inc_lo)
-    return new_hi, new_lo
+    if work is None:
+        work = np.empty((4, lo.size), dtype=np.uint64)
+    a, b, c, d = work
+    np.bitwise_and(lo, _LOW32, out=a)
+    np.right_shift(lo, 32, out=b)
+    np.multiply(a, _M_LO0, out=c)
+    c >>= 32
+    c += np.multiply(b, _M_LO0, out=d)  # a1 * m0 + (a0 * m0 >> 32)
+    a *= _M_LO1
+    a += np.bitwise_and(c, _LOW32, out=d)
+    b *= _M_LO1
+    c >>= 32
+    b += c
+    a >>= 32
+    b += a                              # the carry out of lo * M_lo
+    hi *= _M_LO
+    hi += b
+    hi += inc_hi
+    hi += np.multiply(lo, _M_HI, out=b)
+    lo *= _M_LO
+    lo += inc_lo
+    hi += np.less(lo, inc_lo, out=a)
 
 
-def _output(hi, lo):
-    """PCG64's XSL-RR output: ``hi ^ lo`` rotated right by the top 6 bits."""
-    x = hi ^ lo
-    rot = hi >> 58
-    return (x >> rot) | (x << ((np.uint64(64) - rot) & 63))
+def _output(hi, lo, work=None):
+    """PCG64's XSL-RR output: ``hi ^ lo`` rotated right by the top 6 bits.
+
+    The result and its scratch are the first three rows of ``work`` when
+    it is given.
+    """
+    if work is None:
+        work = np.empty((3, lo.size), dtype=np.uint64)
+    x, rot, right = work[:3]
+    np.bitwise_xor(hi, lo, out=x)
+    np.right_shift(hi, 58, out=rot)
+    np.right_shift(x, rot, out=right)
+    np.subtract(np.uint64(64), rot, out=rot)
+    rot &= 63
+    x <<= rot
+    x |= right
+    return x
 
 
 def _draws(states: np.ndarray, uniforms: int, normals: int):
     """``random(uniforms)`` then ``standard_normal(normals)`` of every item.
 
     Returns ``(u, z, end)``: ``(K, uniforms)`` and ``(K, normals)`` draws,
-    and the ``(4, K)`` states after them. All items step together. A
-    uniform is ``(raw >> 11) * 2**-53`` and a normal is the fast path of
-    NumPy's ziggurat: layer ``raw & 0xff``, then a sign bit, then a 52-bit
-    magnitude, accepted below ``KI`` of its layer. An item whose normal
-    leaves the fast path finishes on a generator loaded with its state just
-    before that word, so every draw is the item's own stream, bit for bit.
+    and the ``(4, K)`` states after them, which is ``states`` itself,
+    stepped in place. All items step together. A uniform is ``(raw >> 11)
+    * 2**-53`` and a normal is the fast path of NumPy's ziggurat: layer
+    ``raw & 0xff``, then a sign bit, then a 52-bit magnitude, accepted
+    below ``KI`` of its layer. The first word of an item that leaves the
+    fast path is kept, and ``_off_path`` finishes those items from it, so
+    every draw is the item's own stream, bit for bit.
     """
+    k = states.shape[1]
+    u = np.empty((uniforms, k))
+    z = np.empty((normals, k))
+    off = _fast_path(states, u, z)
+    u, z = u.T, z.T
+    if off:
+        j, items, layer, rabs, x, s_hi, s_lo = map(np.concatenate, zip(*off))
+        items, at = np.unique(items, return_index=True)  # first words only
+        _off_path(z, states, items, j[at], layer[at], rabs[at], x[at],
+                  np.array([s_hi[at], s_lo[at]]))
+    return u, z, states
+
+
+def _fast_path(states, u, z) -> list:
+    """Step every item through the rows of ``u`` and then of ``z``, filling
+    uniforms and fast-path normals, and return, per normal word, the items
+    whose word left the fast path, with its index, layer, magnitude and
+    value, and the state just after it."""
     hi, lo, inc_hi, inc_lo = states
-    u = np.empty((states.shape[1], uniforms))
-    z = np.empty((states.shape[1], normals))
-    # Per item: the first normal off the fast path (``normals`` if none)
-    # and the state just before its word.
-    first = np.full(states.shape[1], normals)
-    resume = states.copy()
-    for w in range(uniforms + normals):
-        before = hi, lo
-        hi, lo = _step(hi, lo, inc_hi, inc_lo)
-        raw = _output(hi, lo)
-        if w < uniforms:
-            u[:, w] = (raw >> 11) * 2.0 ** -53
+    work = np.empty((4, states.shape[1]), dtype=np.uint64)
+    layer, sign, scaled = work[1].view(np.intp), work[2], work[3].view(float)
+    off = []
+    for w in range(len(u) + len(z)):
+        _step(hi, lo, inc_hi, inc_lo, work)
+        raw = _output(hi, lo, work)
+        if w < len(u):
+            raw >>= 11
+            np.multiply(raw, 2.0 ** -53, out=u[w])
             continue
-        layer = raw & 0xFF
-        rabs = raw >> 9 & _LOW52
-        x = rabs * _WI[layer]
-        z[:, w - uniforms] = np.where(raw & 0x100, -x, x)
-        off = np.flatnonzero((rabs >= _KI[layer]) & (first == normals))
-        first[off] = w - uniforms
-        resume[0, off], resume[1, off] = before[0][off], before[1][off]
-    end = np.array([hi, lo, inc_hi, inc_lo])
-    items = np.flatnonzero(first < normals)
-    for i, j, rng in zip(items.tolist(), first[items].tolist(),
-                         _loaded(resume[:, items])):
-        rng.standard_normal(out=z[i, j:])
-        state = rng.bit_generator.state["state"]["state"]
-        end[0, i], end[1, i] = state >> 64, state & _MASK64
-    return u, z, end
+        j = w - len(u)
+        np.bitwise_and(raw, 0xFF, out=layer.view(np.uint64))
+        np.bitwise_and(raw, 0x100, out=sign)
+        raw >>= 9
+        raw &= _LOW52
+        np.multiply(raw, np.take(_WI, layer, out=scaled), out=z[j])
+        # A set sign bit negates the normal: flip the sign bit of its float.
+        sign <<= 55
+        z[j].view(np.uint64)[...] ^= sign
+        slow = np.flatnonzero(raw >= np.take(_KI, layer, out=sign))
+        if slow.size:
+            off.append((np.full(slow.size, j), slow, layer[slow], raw[slow],
+                        z[j, slow], hi[slow], lo[slow]))
+    return off
+
+
+# Phases of an item in ``_off_path``: the next word starts a normal, is the
+# wedge test's uniform, or is the first or second uniform of a tail test.
+_NEW, _WEDGE, _TAIL_X, _TAIL_Y = range(4)
+
+
+def _off_path(z, end, items, j, layer, rabs, x, state) -> None:
+    """Finish the normals of ``items`` after a word off the fast path.
+
+    Item ``items[i]`` is drawing normal ``j[i]``; its word of ``layer``,
+    52-bit magnitude ``rabs`` and value ``x`` missed the fast path, and
+    ``state[:, i]`` (high, low) is its state just after that word. The
+    items step together through NumPy's ``random_standard_normal``:
+
+    - wedge (layer > 0): accept ``x`` when ``(FI[l-1] - FI[l]) * U + FI[l]
+      < exp(-x*x/2)`` for the next uniform ``U``, else draw a new normal;
+    - tail (layer 0): ``xx = -log1p(-U1) / r`` and ``yy = -log1p(-U2)``
+      from the next two uniforms until ``yy + yy > xx * xx``, then accept
+      ``r + xx``, negated when bit 8 of ``rabs`` is set.
+
+    ``exp`` and ``log1p`` are ``math``'s, the C library functions NumPy's
+    generator calls. Each item writes its normals into ``z`` and its final
+    state into ``end``.
+    """
+    normals = z.shape[1]
+    hi, lo = state
+    inc_hi, inc_lo = end[2:, items]
+    phase = np.where(layer == 0, _TAIL_X, _WEDGE)
+    xx = np.zeros(len(items))
+    while len(items):
+        _step(hi, lo, inc_hi, inc_lo)
+        raw = _output(hi, lo)
+        uniform = (raw >> 11) * 2.0 ** -53
+        accept = np.zeros(len(items), dtype=bool)
+        new, wedge, tail_x, tail_y = (np.flatnonzero(phase == p)
+                                      for p in range(4))
+        if new.size:
+            word = raw[new]
+            lay = word & 0xFF
+            mag = word >> 9 & _LOW52
+            value = mag * _WI[lay]
+            value[(word & 0x100) != 0] *= -1.0
+            layer[new], rabs[new], x[new] = lay, mag, value
+            fast = mag < _KI[lay]
+            accept[new[fast]] = True
+            phase[new] = np.where(fast, _NEW,
+                                  np.where(lay == 0, _TAIL_X, _WEDGE))
+        if wedge.size:
+            value, lay = x[wedge], layer[wedge]
+            density = _map_float(math.exp, (-0.5 * value) * value)
+            accept[wedge[(_FI[lay - 1] - _FI[lay]) * uniform[wedge] + _FI[lay]
+                         < density]] = True
+            phase[wedge] = _NEW
+        if tail_x.size:
+            xx[tail_x] = -_TAIL_INV_R * _map_float(math.log1p,
+                                                   -uniform[tail_x])
+            phase[tail_x] = _TAIL_Y
+        if tail_y.size:
+            yy = -_map_float(math.log1p, -uniform[tail_y])
+            t = xx[tail_y]
+            hit = yy + yy > t * t
+            value = _TAIL_R + t
+            value[(rabs[tail_y] >> 8 & 1) != 0] *= -1.0
+            x[tail_y[hit]] = value[hit]
+            accept[tail_y[hit]] = True
+            phase[tail_y] = np.where(hit, _NEW, _TAIL_X)
+        done = np.flatnonzero(accept)
+        z[items[done], j[done]] = x[done]
+        j[done] += 1
+        keep = j < normals
+        if not keep.all():
+            end[0, items[~keep]], end[1, items[~keep]] = hi[~keep], lo[~keep]
+            items, j, layer, rabs, x, xx, phase = (
+                a[keep] for a in (items, j, layer, rabs, x, xx, phase))
+            hi, lo, inc_hi, inc_lo = (a[keep]
+                                      for a in (hi, lo, inc_hi, inc_lo))
+
+
+def _map_float(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` of every entry of ``values``, one Python call each."""
+    return np.fromiter(map(fn, values.tolist()), float, count=values.size)
 
 
 def _count_rows(states: np.ndarray, n: int, rows: int):
@@ -287,11 +436,13 @@ def _count_rows(states: np.ndarray, n: int, rows: int):
     threshold = (2 ** 32 - n) % n
     for start in range(0, k, block):
         part = states[:, start:start + block]
-        hi, lo, inc_hi, inc_lo = part
+        hi, lo = part[:2].copy()
+        inc_hi, inc_lo = part[2:]
         raw = np.empty((part.shape[1], words), dtype="<u8")
+        work = np.empty_like(part)
         for w in range(words):
-            hi, lo = _step(hi, lo, inc_hi, inc_lo)
-            raw[:, w] = _output(hi, lo)
+            _step(hi, lo, inc_hi, inc_lo, work)
+            raw[:, w] = _output(hi, lo, work)
         draws = raw.view("<u4")[:, :n]
         rejected = (draws * np.uint32(n) < threshold).any(axis=1)
         for first in range(0, len(draws), rows):

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
-from .rng import (ROLE_NICHE, ROLE_SITE, _draws, _loaded, _seed_states,
-                  stream)
+from .rng import (ROLE_NICHE, ROLE_SITE, _draws, _loaded, _map_float,
+                  _seed_states, stream)
 from .tables import CommunityTable, PredictorBlock
 
 # Bound on per-site noise redraws when every species lands at zero.
 _MAX_SITE_REDRAWS = 100
+# Values per slice of ``_densities``' Python-level exponentials.
+_EXP_SLICE = 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -94,37 +96,92 @@ def _densities(values: np.ndarray, optima: np.ndarray,
     The arithmetic is the scalar ``exp(-z*z/2) / (sigma * sqrt(2 pi))``
     (the tests' scalar oracle), operation for operation; the exponential
     stays ``math.exp``, because ``np.exp`` rounds a few percent of its
-    results differently.
+    results differently. It runs over ``_EXP_SLICE`` values at a time, so
+    the Python floats it makes stay few.
     """
     z = (values[:, np.newaxis] - optima) / sigma
-    e = (-0.5 * z * z).ravel().tolist()
-    return (np.fromiter(map(math.exp, e), float, count=len(e)).reshape(z.shape)
-            / (sigma * math.sqrt(2.0 * math.pi)))
+    e = -0.5 * z
+    e *= z
+    flat = e.reshape(-1)
+    for start in range(0, flat.size, _EXP_SLICE):
+        part = flat[start:start + _EXP_SLICE]
+        part[:] = _map_float(math.exp, part)
+    e /= sigma * math.sqrt(2.0 * math.pi)
+    return e
 
 
 def _products(fx: np.ndarray, fy: np.ndarray, noise) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy product responses for whole rows, plus each row's ``math.fsum``
-    (inf where the exact sum overflows).
+    """Noisy product responses for whole rows, plus each row's ``_fsum``.
 
     Each species' two response factors get their noise terms, are floored
     at zero and multiplied, so no value is negative. ``noise`` holds each
     row's 2 x S noise terms in draw order (fx of the first species, fy of
     the first, fx of the second, ...), each as ``0.0 + sigma_noise * z``
-    like ``rng.normal(0.0, sigma_noise)``; or it is None.
+    like ``rng.normal(0.0, sigma_noise)``; or it is None. The products
+    are formed in ``fx``, and ``fy`` is overwritten.
     """
     if noise is not None:
-        fx = fx + noise[:, 0::2]
-        fy = fy + noise[:, 1::2]
-    alphas = np.maximum(fx, 0.0) * np.maximum(fy, 0.0)
-    rows = alphas.tolist()
-    # One call of _fsum per row made sweep-generate 4% slower (its rows
-    # hold 2 species; 10 of 10 benchmark pairs on a shared 2-vCPU host),
-    # so only a cell with a row whose exact sum overflows takes it.
-    try:
-        totals = [math.fsum(row) for row in rows]
-    except OverflowError:
-        totals = [_fsum(row) for row in rows]
-    return alphas, np.array(totals)
+        fx += noise[:, 0::2]
+        fy += noise[:, 1::2]
+    np.maximum(fx, 0.0, out=fx)
+    fx *= np.maximum(fy, 0.0, out=fy)
+    return fx, _row_sums(fx)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """``_fsum`` of every row of a matrix with no negative entries.
+
+    A TwoSum cascade over the columns leaves each row's float sum ``s``
+    and the exact rounding error of every addition; a second cascade sums
+    those errors into ``e`` and keeps the exact rounding errors of that
+    sum, whose magnitudes add up to ``m``. The exact row sum is then ``s +
+    e`` up to at most ``m``. ``r = s + e`` is that sum correctly rounded
+    when ``m`` is 0, or when ``|(s - r) + e|`` (the exact error of ``r``)
+    plus ``2m`` stays below half the gap from ``r`` down to its neighbour.
+    With two columns ``s`` is already the correctly rounded sum. Rows that
+    are zero, not finite or not certified take ``_fsum``.
+    """
+    n, width = rows.shape
+    s = rows[:, 0].copy() if width else np.zeros(n)
+    if width <= 2:
+        if width == 2:
+            s += rows[:, 1]
+        r, certified = s, np.isfinite(s) & (s > 0.0)
+    else:
+        e, m = np.zeros(n), np.zeros(n)
+        t, d, b = np.empty(n), np.empty(n), np.empty(n)
+        for k in range(1, width):
+            _two_sum(s, rows[:, k], t, d, b)
+            s, t = t, s
+            _two_sum(e, d, t, d, b)
+            e, t = t, e
+            m += np.abs(d, out=d)
+        r = s + e
+        np.subtract(s, r, out=s)
+        s += e                                     # the exact error of r
+        np.abs(s, out=s)
+        s += m
+        s += m
+        np.nextafter(r, 0.0, out=b)
+        np.subtract(r, b, out=b)
+        b *= 0.5
+        certified = ((m == 0.0) | (s < b)) & np.isfinite(r) & (r > 0.0)
+    for i in np.flatnonzero(~certified).tolist():
+        r[i] = _fsum(rows[i].tolist())
+    return r
+
+
+def _two_sum(x, y, total, error, scratch) -> None:
+    """Knuth's TwoSum into ``total`` and ``error``: ``x + y`` rounded, and
+    its exact rounding error. ``error`` may be ``y``; ``scratch`` must be
+    none of the others."""
+    np.add(x, y, out=total)
+    np.subtract(total, x, out=scratch)            # y as the sum saw it
+    np.subtract(y, scratch, out=error)
+    np.subtract(total, scratch, out=scratch)
+    np.subtract(x, scratch, out=scratch)
+    error += scratch                              # (y - b) + (x - (t - b))
 
 
 def _fsum(row) -> float:
@@ -133,6 +190,15 @@ def _fsum(row) -> float:
         return math.fsum(row)
     except OverflowError:
         return math.inf
+
+
+def _factors(config: ScenarioConfig, env: np.ndarray):
+    """Noise-free response factors of every site (row of ``env``) to every
+    species, on the first and on the second gradient."""
+    return (_densities(env[:, 0], np.array([c.x_opt for c in config.niches]),
+                       config.sigma_niche),
+            _densities(env[:, 1], np.array([c.y_opt for c in config.niches]),
+                       config.sigma_niche))
 
 
 # Overflow ends in the finiteness check below, not in a warning.
@@ -151,25 +217,35 @@ def _generate_cell(config: ScenarioConfig,
     replicates = np.asarray(replicates, dtype=np.int64)
     n, n_species = config.n_sites, config.n_species
     sigma = config.sigma_noise
+    normals = 2 * n_species if sigma > 0.0 else 0
     grid = np.column_stack([np.repeat(replicates, n),
                             np.tile(np.arange(n), len(replicates))])
-    u, z, end = _draws(_seed_states(config.seed, ROLE_SITE, grid), 2,
-                       2 * n_species if sigma > 0.0 else 0)
+    states = _seed_states(config.seed, ROLE_SITE, grid)
+    del grid
+    u, z, states = _draws(states, 2, normals)
+    del states  # a dead site draws its first words again below
     env = np.column_stack([u[:, 0], config.y_max * u[:, 1]])
-    fx = _densities(env[:, 0], np.array([c.x_opt for c in config.niches]),
-                    config.sigma_niche)
-    fy = _densities(env[:, 1], np.array([c.y_opt for c in config.niches]),
-                    config.sigma_niche)
-    alphas, totals = _products(fx, fy, 0.0 + sigma * z if sigma > 0.0 else None)
+    del u
+    if sigma > 0.0:
+        z *= sigma
+        z += 0.0  # 0.0 + sigma * z, as rng.normal(0.0, sigma) draws it
+    alphas, totals = _products(*_factors(config, env),
+                               z if sigma > 0.0 else None)
+    del z
 
     dead = np.flatnonzero(~(totals > 0.0))
     if dead.size and sigma > 0.0:
         # A dead site continues its own stream past its first draws.
+        paths = np.column_stack([replicates[dead // n], dead % n])
+        _, _, end = _draws(_seed_states(config.seed, ROLE_SITE, paths), 2,
+                           normals)
+        fx, fy = _factors(config, env[dead])
         still = []
-        for i, rng in zip(dead.tolist(), _loaded(end[:, dead])):
+        for k, (i, rng) in enumerate(zip(dead.tolist(), _loaded(end))):
             for _ in range(_MAX_SITE_REDRAWS - 1):
                 noise = 0.0 + sigma * rng.standard_normal((1, 2 * n_species))
-                row, total = _products(fx[i:i + 1], fy[i:i + 1], noise)
+                row, total = _products(fx[k:k + 1].copy(), fy[k:k + 1].copy(),
+                                       noise)
                 alphas[i], totals[i] = row[0], total[0]
                 if total[0] > 0.0:
                     break
@@ -187,9 +263,10 @@ def _generate_cell(config: ScenarioConfig,
             f"site {first % n}: every species response stayed zero ({reason})")
     if failed[first]:
         raise ValidationError("relative abundances must be finite and non-negative")
-    counts = np.where(alphas > 0.0,
-                      np.ceil(alphas / totals[:, np.newaxis]
-                              * config.carrying_capacity), 0.0)
+    counts = alphas / totals[:, np.newaxis]
+    counts *= config.carrying_capacity
+    np.ceil(counts, out=counts)
+    counts[~(alphas > 0.0)] = 0.0
     return (counts.reshape(len(replicates), n, n_species),
             env.reshape(len(replicates), n, 2))
 

@@ -1,6 +1,7 @@
 """Replicated scenario studies, sweeps, and the validation machinery."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,8 @@ from vpboot.experiments import (bootstrap_validation, cca_proportion,
 from vpboot.ordination import (adjusted_r2, center_columns, numerical_rank,
                                rda_r2)
 from vpboot.resample import relative_spread
-from vpboot.synth import ScenarioConfig, SpeciesNiche, generate_dataset
+from vpboot.synth import (ScenarioConfig, SpeciesNiche, _generate_cell,
+                          generate_dataset)
 from vpboot.tables import CommunityTable
 
 
@@ -351,3 +353,21 @@ def test_a_failing_replicate_raises_its_per_replicate_error():
     with pytest.raises(DegenerateDataError) as raised:
         run_replicated_scenario(config)
     assert str(raised.value) == expected
+
+
+def test_one_sweep_chunk_stays_within_its_memory_bound():
+    # The largest chunk of the 25-250-site sweep: generating it took about
+    # 390 bytes a site when the generator went through Python lists; the
+    # array generator and the fit each peak near 125.
+    config = ScenarioConfig(seed=5, n_sites=250)
+    size = experiments._CELL_CHUNK_VALUES // (config.n_sites * 4)
+    chunk = range(size)
+    experiments._effect_r2(None, *_generate_cell(config, chunk), "semipartial")
+    tracemalloc.start()
+    try:
+        experiments._effect_r2(None, *_generate_cell(config, chunk),
+                               "semipartial")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * size * config.n_sites

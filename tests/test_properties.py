@@ -626,12 +626,13 @@ def _exact_cca_share(y, x):
     return float(constrained / total)
 
 
-@pytest.mark.parametrize("big", [1e6, 1e12, 1e18])
+@pytest.mark.parametrize("big", [1e6, 1e12, 1e18, 1e30, 1e100])
 def test_cca_shares_hold_when_one_site_outweighs_the_rest(big):
     # The SVD fixes the design's singular vectors only to absolute
     # precision, so at a site of huge weight their orthogonality to the
-    # root weights is lost unless the fit corrects for the mean. (Past
-    # about 1e20 the total inertia falls below the kernel's zero cutoff.)
+    # root weights is lost unless the fit corrects for the mean. Past about
+    # 1e20 the total inertia is below 1e-20 of the uncentred sum of
+    # squares, and only the light sites' own deviations show it is real.
     rng = np.random.default_rng(115)
     for _ in range(20):
         n = int(rng.integers(5, 9))
@@ -639,14 +640,14 @@ def test_cca_shares_hold_when_one_site_outweighs_the_rest(big):
         y[0] *= big
         x = rng.uniform(size=(n, 1))
         expected = _exact_cca_share(y, x)
-        assert cca_explained(y, x)[2] == pytest.approx(expected, rel=1e-9)
+        assert cca_explained(y, x)[2] == pytest.approx(expected, rel=1e-12)
         counts = np.bincount(rng.integers(0, n, n), minlength=n)
         counts[0] = max(counts[0], 1)
         drawn = np.repeat(np.arange(n), counts)
         share, reasons = _block_fractions(y, [("x", x)], "cca", counts[None])
         if not reasons.any() and np.ptp(x[drawn]) > 0:
             assert share[0, 0] == pytest.approx(
-                _exact_cca_share(y[drawn], x[drawn]), rel=1e-9)
+                _exact_cca_share(y[drawn], x[drawn]), rel=1e-12)
 
 
 @pytest.mark.parametrize("lone", [1.0, 0.25])

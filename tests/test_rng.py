@@ -1,10 +1,15 @@
 """Batched stream construction against the one-at-a-time reference."""
 
+import glob
+import math
+import os
+import struct
+
 import numpy as np
 import pytest
 
 from vpboot import rng
-from vpboot._ziggurat import KI, WI
+from vpboot._ziggurat import FI, KI, WI
 from vpboot.rng import ROLE_BOOTSTRAP, ROLE_SITE, _streams, derive_seed, stream
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -227,3 +232,177 @@ def test_the_shape_rule_picks_a_path_with_the_same_bits(n, m, per_item,
     for j in range(0, m, 7 if per_item else 37):
         ref = stream(17, ROLE_BOOTSTRAP, j, 0).integers(0, n, size=n)
         assert np.array_equal(rows[j], np.bincount(ref, minlength=n))
+
+
+# The ziggurat's off-path branches, stepped as arrays (``rng._off_path``).
+# A state whose high word is 0 outputs its low word, so with a free odd
+# increment an item's first two raw words can both be forced: the first
+# state is the first word, and the increment steps it to the second.
+_MASK64 = (1 << 64) - 1
+_INVERSE = pow(_MULT, -1, 1 << 128)
+
+
+def _two_words(first, second):
+    """``(state, inc)`` whose first two raw words are ``first`` and
+    ``second``, which must differ in parity (the increment is odd)."""
+    inc = (second - first * _MULT) & _MASK128
+    assert inc & 1
+    return (first - inc) * _INVERSE & _MASK128, inc
+
+
+def _raw(state, inc, count):
+    """The next ``count`` raw words of a PCG64 state, in plain Python."""
+    words = []
+    for _ in range(count):
+        state = (state * _MULT + inc) & _MASK128
+        hi, lo = state >> 64, state & _MASK64
+        x, rot = hi ^ lo, hi >> 58
+        words.append((x >> rot | x << (64 - rot)) & _MASK64)
+    return words
+
+
+def _off_fast_path(word):
+    return (word >> 9 & (1 << 52) - 1) >= KI[word & 0xFF]
+
+
+def _reference(state, inc):
+    generator = np.random.Generator(np.random.PCG64(0))
+    generator.bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+        "has_uint32": 0, "uinteger": 0}
+    return generator
+
+
+def _assert_draws_match(items, uniforms, normals):
+    """``rng._draws`` of ``(state, inc)`` items against NumPy's generator;
+    returns the raw words NumPy used per item."""
+    states = np.array([[s >> 64 for s, _ in items],
+                       [s & _MASK64 for s, _ in items],
+                       [i >> 64 for _, i in items],
+                       [i & _MASK64 for _, i in items]], dtype=np.uint64)
+    u, z, end = rng._draws(states, uniforms, normals)
+    used = []
+    for k, (state, inc) in enumerate(items):
+        ref = _reference(state, inc)
+        assert u[k].tobytes() == ref.random(uniforms).tobytes()
+        assert z[k].tobytes() == ref.standard_normal(normals).tobytes()
+        final = ref.bit_generator.state["state"]["state"]
+        assert _state(end, k) == final
+        count, walk = 0, state
+        while walk != final:
+            walk = (walk * _MULT + inc) & _MASK128
+            count += 1
+        used.append(count)
+    return used
+
+
+def _uniform_word(fraction, parity):
+    """A raw word whose uniform is ``fraction`` (a multiple of 2**-53)."""
+    return int(fraction * 2.0 ** 53) << 11 | parity
+
+
+def test_a_rejecting_tail_draws_uniform_pairs_until_it_accepts():
+    # A first tail uniform just below 1 makes xx near 3.8, so the second
+    # pair almost surely rejects and the tail draws another pair.
+    items = []
+    for sign in (0, 1):  # the tail's sign is bit 8 of the magnitude
+        first = _normal_word(0, (KI[0] + 12345) & ~(1 << 8) | sign << 8)
+        items.append(_two_words(first, _uniform_word(1 - 2.0 ** -20, 1)))
+    used = _assert_draws_match(items, 0, 3)
+    assert all(n > 3 + 2 for n in used)  # a rejected pair, then more words
+
+
+def test_a_rejected_wedge_starts_over_and_can_leave_the_path_again():
+    # A wedge uniform just below 1 rejects in every layer; search the free
+    # low bits of that uniform's word for a third word off the fast path.
+    items = []
+    for layer in (1, 7, 128, 255):
+        first = _normal_word(layer, (KI[layer] + (1 << 52)) // 2, layer % 2)
+        for low in range(1 << 10):  # bits 1-10, below the uniform's 53
+            second = _uniform_word(1 - 2.0 ** -53, 1 - layer % 2) | low << 1
+            state, inc = _two_words(first, second)
+            if _off_fast_path(_raw(state, inc, 3)[2]):
+                items.append((state, inc))
+                break
+    assert len(items) == 4
+    used = _assert_draws_match(items, 0, 2)
+    assert all(n > 3 for n in used)
+
+
+@pytest.mark.parametrize("uniforms", [0, 2])
+def test_a_last_normal_off_the_path_ends_on_the_items_own_words(uniforms):
+    normals = 5
+    items = [(_forcing(word, uniforms + normals), _INC) for word in OFF_PATH]
+    used = _assert_draws_match(items, uniforms, normals)
+    assert all(n > uniforms + normals for n in used)
+
+
+def test_each_wedge_accepts_below_its_threshold_uniform_and_rejects_above():
+    # For a magnitude halfway into layer i's wedge, the wedge test
+    # ``(FI[i-1] - FI[i]) * U + FI[i] < exp(-x*x/2)`` flips between two
+    # adjacent uniforms; NumPy must agree on both, to the bit.
+    items = []
+    for layer in range(1, 256):
+        magnitude = (KI[layer] + (1 << 52)) // 2
+        x = magnitude * WI[layer]
+        density = math.exp(-0.5 * x * x)
+
+        def accepts(k):
+            u = k * 2.0 ** -53
+            return (FI[layer - 1] - FI[layer]) * u + FI[layer] < density
+
+        lo, hi = 0, 1 << 53  # the first uniform that rejects
+        assert accepts(lo) and not accepts(hi - 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if accepts(mid) else (lo, mid)
+        first = _normal_word(layer, magnitude, 0)
+        for k in (lo - 1, lo):
+            items.append(_two_words(first, k << 11 | (1 - layer % 2)))
+    used = _assert_draws_match(items, 0, 1)
+    assert used[0::2] == [2] * 255  # accepted on the wedge's uniform
+    assert all(n > 2 for n in used[1::2])
+
+
+def _elf_symbols(path, names):
+    """Bytes of the named symbols of a little-endian ELF64 file, read off
+    its symbol tables (``.symtab`` and ``.dynsym``)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:4] != b"\x7fELF" or data[4:6] != b"\x02\x01":
+        return {}
+    (shoff,) = struct.unpack_from("<Q", data, 0x28)
+    shentsize, shnum = struct.unpack_from("<HH", data, 0x3A)
+    sections = [struct.unpack_from("<IIQQQQIIQQ", data, shoff + k * shentsize)
+                for k in range(shnum)]
+    found = {}
+    for _, kind, _, _, offset, size, link, _, _, _ in sections:
+        if kind not in (2, 11):  # SHT_SYMTAB, SHT_DYNSYM
+            continue
+        strings = sections[link][4]
+        for at in range(offset, offset + size, 24):
+            name, _, _, index, value, length = struct.unpack_from(
+                "<IBBHQQ", data, at)
+            end = data.index(b"\0", strings + name)
+            symbol = data[strings + name:end].decode()
+            if symbol in names and 0 < index < shnum:
+                _, _, _, address, start, *_ = sections[index]
+                found[symbol] = data[start + value - address:
+                                     start + value - address + length]
+    return found
+
+
+def test_the_committed_tables_are_the_installed_numpys_symbols():
+    # NumPy compiles its ziggurat tables into the generator extension as
+    # fi_double, wi_double and ki_double; FI has no other source.
+    paths = glob.glob(os.path.join(os.path.dirname(np.random.__file__),
+                                   "_generator*"))
+    symbols = {}
+    for path in paths:
+        symbols.update(_elf_symbols(path, {"fi_double", "wi_double",
+                                           "ki_double"}))
+    if len(symbols) < 3 or any(len(v) != 2048 for v in symbols.values()):
+        pytest.skip("the generator extension has no ELF symbols for its tables")
+    assert struct.unpack("<256d", symbols["fi_double"]) == FI
+    assert struct.unpack("<256d", symbols["wi_double"]) == WI
+    assert struct.unpack("<256Q", symbols["ki_double"]) == KI
