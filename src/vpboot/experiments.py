@@ -38,14 +38,10 @@ _TAG_CCA = 15
 #: Float64 values of one chunk of a study cell: replicates x sites x
 #: (species + 2 gradients). Generating a chunk holds about 125 bytes per
 #: site at its peak (2 species), so a 250-site chunk traces about 0.25 MB,
-#: and its fit no more. Larger chunks run faster (the generator pays per
-#: chunk: one array step per raw word, a few more for the draws off the
-#: ziggurat's fast path), 2**14 by 25% and 2**15 by 35% on the 25-250-site
-#: sweep benchmark, but that benchmark's peak memory grows with the cells
-#: a run completes, because its worker keeps every output. Against the
-#: list-based generator at this size (41-42.6 MB in 30 s runs), the array
-#: one peaked 1-4% higher here, 3-6% at 2**14 and 7% at 2**15, and the
-#: benchmark's bound is 5%.
+#: and its fit no more. Larger chunks run faster (the generator pays one
+#: array step per raw word per chunk), but a caller that keeps every
+#: output, as the benchmark worker does, completes more cells in the same
+#: time, and its peak memory grows with them.
 _CELL_CHUNK_VALUES = 2 ** 13
 
 
@@ -247,22 +243,29 @@ def _validated_outcome(item, *, n_validation: int,
     config, observed = item
     outcome = observed if observed is not None else run_replicated_scenario(
         config, mode)
-    statistic = partial(_effect_r2, mode=mode)
-    spreads = []
-    for v in range(n_validation):
-        (table,), (env,) = _generate_cell(config, [config.replicates + v])
-        summary = bootstrap_statistic(
-            table, [env], statistic, config.replicates,
-            derive_seed(config.seed, _TAG_VALIDATION_TABLE, v),
-            names=("effect_r2",))[0]
-        spreads.append(summary.sd)
+    spread = _bootstrap_spread(config, partial(_effect_r2, mode=mode),
+                               config.replicates, n_validation)
     # Both error measures are scaled by the same across-replicate mean, so
     # the comparison isolates how well the bootstrap spread tracks the true
     # run-to-run spread. Dividing each table's spread by its own bootstrap
     # mean instead would blow up whenever that mean sits near zero.
-    estimate = abs(relative_spread(float(np.mean(spreads)),
-                                   outcome.observed_mean_r2))
+    estimate = abs(relative_spread(spread, outcome.observed_mean_r2))
     return replace(outcome, bootstrap_relative_error=estimate)
+
+
+def _bootstrap_spread(config: ScenarioConfig, statistic, m_replicates: int,
+                      n_validation: int) -> float:
+    """Mean bootstrap standard deviation of ``statistic`` over validation
+    tables ``m_replicates + v`` of ``config``, ``v < n_validation``, each
+    bootstrapped ``m_replicates`` times."""
+    spreads = []
+    for v in range(n_validation):
+        (table,), (env,) = _generate_cell(config, [m_replicates + v])
+        summary = bootstrap_statistic(
+            table, [env], statistic, m_replicates,
+            derive_seed(config.seed, _TAG_VALIDATION_TABLE, v))[0]
+        spreads.append(summary.sd)
+    return float(np.mean(spreads))
 
 
 def bootstrap_validation(scenarios, n_validation: int = 10,
@@ -332,14 +335,7 @@ def _cca_repeat(item, m_replicates: int,
     values = _cell_values(config, _cca_share, m_replicates)
     mean = float(values.mean())
     sd = float(values.std(ddof=1))
-    spreads = []
-    for v in range(n_validation):
-        (table,), (env,) = _generate_cell(config, [m_replicates + v])
-        summary = bootstrap_statistic(
-            table, [env], _cca_share, m_replicates,
-            derive_seed(config.seed, _TAG_VALIDATION_TABLE, v),
-            names=("cca_proportion",))[0]
-        spreads.append(summary.sd)
+    spread = _bootstrap_spread(config, _cca_share, m_replicates, n_validation)
     return CcaScenarioOutcome(
         n_sites=int(config.n_sites),
         sigma_noise=float(config.sigma_noise),
@@ -348,8 +344,7 @@ def _cca_repeat(item, m_replicates: int,
         mean_proportion=mean,
         observed_sd=sd,
         observed_relative_error=abs(relative_spread(sd, mean)),
-        bootstrap_relative_error=abs(relative_spread(float(np.mean(spreads)),
-                                                     mean)),
+        bootstrap_relative_error=abs(relative_spread(spread, mean)),
     )
 
 

@@ -16,10 +16,10 @@ from .tables import as_matrix, require_aligned
 FAILURE_BUDGET = 0.05
 
 #: Float64 values (256 KB) a chunk's per-replicate arrays may hold, as the
-#: fit kernel counts them (``ordination._replicate_values``). At 100 sites
-#: that is 80 replicates for a 2-species RDA and 20 for a 35-species CCA
-#: with 6 block columns, whose traced chunk peaks (391 and 393 KB) stay
-#: below those of the old table-width rule (394 KB at 81, 418 KB at 7).
+#: fit kernel counts them per replicate (``ordination._replicate_values``).
+#: At 100 sites that is 80 replicates for a 2-species RDA and 20 for a
+#: 35-species CCA with 6 block columns, whose traced chunks peak at 391 and
+#: 393 KB.
 _CHUNK_VALUES = 2 ** 15
 
 

@@ -9,20 +9,19 @@ same ``(seed, path)`` pair always reproduces the same stream.
 ``stream`` is the reference. Batches of items draw their first numbers
 from arrays of PCG64 states instead (``_draws``, ``_count_rows``), stepped
 together and turned into NumPy's uniforms, normals and bounded integers
-bit for bit. Normals that leave the ziggurat's fast path finish as arrays
-too, each item in its own phase of the wedge or tail test
-(``_off_path``); only a bootstrap row that meets a Lemire rejection, and a
-dead site's redraws, load a generator with an item's state (``_loaded``).
+bit for bit. An item the arrays cannot finish, one whose normal leaves the
+ziggurat's fast path or whose bootstrap row meets a Lemire rejection, is
+drawn again from a generator loaded with its start state (``_loaded``), as
+is a dead site's noise (``_streams``).
 """
 
 from __future__ import annotations
 
-import math
 from itertools import islice
 
 import numpy as np
 
-from ._ziggurat import FI, KI, WI
+from ._ziggurat import KI, WI
 
 # First path component. Keeps unrelated kinds of draws on disjoint streams
 # even when the remaining indices coincide.
@@ -50,10 +49,6 @@ _LOW32 = np.uint64(_MASK32)
 _LOW52 = np.uint64((1 << 52) - 1)
 _WI = np.array(WI)
 _KI = np.array(KI, dtype=np.uint64)
-_FI = np.array(FI)
-# NumPy's ziggurat_nor_r, where layer 0's tail begins, and its reciprocal.
-_TAIL_R = 3.6541528853610087963519472518
-_TAIL_INV_R = 0.27366123732975827203338247596
 
 #: Bootstrap rows step together only when a block holds at least this many
 #: rows per raw word of a row. Below that, the per-call overhead of short
@@ -276,13 +271,12 @@ def _output(hi, lo, work=None):
 def _draws(states: np.ndarray, uniforms: int, normals: int):
     """``random(uniforms)`` then ``standard_normal(normals)`` of every item.
 
-    Returns ``(u, z, end)``: ``(K, uniforms)`` and ``(K, normals)`` draws,
-    and the ``(4, K)`` states after them, which is ``states`` itself,
-    stepped in place. All items step together. A uniform is ``(raw >> 11)
-    * 2**-53`` and a normal is the fast path of NumPy's ziggurat: layer
-    ``raw & 0xff``, then a sign bit, then a 52-bit magnitude, accepted
-    below ``KI`` of its layer. The first word of an item that leaves the
-    fast path is kept, and ``_off_path`` finishes those items from it, so
+    Returns ``(K, uniforms)`` and ``(K, normals)`` draws. All items step
+    together from copies of their states. A uniform is ``(raw >> 11) *
+    2**-53`` and a normal is the fast path of NumPy's ziggurat: layer ``raw
+    & 0xff``, then a sign bit, then a 52-bit magnitude, accepted below
+    ``KI`` of its layer. An item with a normal word off the fast path draws
+    its normals again from a generator loaded with its start state, so
     every draw is the item's own stream, bit for bit.
     """
     k = states.shape[1]
@@ -290,23 +284,22 @@ def _draws(states: np.ndarray, uniforms: int, normals: int):
     z = np.empty((normals, k))
     off = _fast_path(states, u, z)
     u, z = u.T, z.T
-    if off:
-        j, items, layer, rabs, x, s_hi, s_lo = map(np.concatenate, zip(*off))
-        items, at = np.unique(items, return_index=True)  # first words only
-        _off_path(z, states, items, j[at], layer[at], rabs[at], x[at],
-                  np.array([s_hi[at], s_lo[at]]))
-    return u, z, states
+    items = np.flatnonzero(off)
+    for i, rng in zip(items.tolist(), _loaded(states[:, items])):
+        rng.random(uniforms)
+        z[i] = rng.standard_normal(normals)
+    return u, z
 
 
-def _fast_path(states, u, z) -> list:
+def _fast_path(states, u, z) -> np.ndarray:
     """Step every item through the rows of ``u`` and then of ``z``, filling
-    uniforms and fast-path normals, and return, per normal word, the items
-    whose word left the fast path, with its index, layer, magnitude and
-    value, and the state just after it."""
-    hi, lo, inc_hi, inc_lo = states
+    uniforms and fast-path normals, and return which items had a normal
+    word off the fast path."""
+    hi, lo = states[:2].copy()
+    inc_hi, inc_lo = states[2:]
     work = np.empty((4, states.shape[1]), dtype=np.uint64)
     layer, sign, scaled = work[1].view(np.intp), work[2], work[3].view(float)
-    off = []
+    off = np.zeros(states.shape[1], dtype=bool)
     for w in range(len(u) + len(z)):
         _step(hi, lo, inc_hi, inc_lo, work)
         raw = _output(hi, lo, work)
@@ -323,93 +316,8 @@ def _fast_path(states, u, z) -> list:
         # A set sign bit negates the normal: flip the sign bit of its float.
         sign <<= 55
         z[j].view(np.uint64)[...] ^= sign
-        slow = np.flatnonzero(raw >= np.take(_KI, layer, out=sign))
-        if slow.size:
-            off.append((np.full(slow.size, j), slow, layer[slow], raw[slow],
-                        z[j, slow], hi[slow], lo[slow]))
+        off |= raw >= np.take(_KI, layer, out=sign)
     return off
-
-
-# Phases of an item in ``_off_path``: the next word starts a normal, is the
-# wedge test's uniform, or is the first or second uniform of a tail test.
-_NEW, _WEDGE, _TAIL_X, _TAIL_Y = range(4)
-
-
-def _off_path(z, end, items, j, layer, rabs, x, state) -> None:
-    """Finish the normals of ``items`` after a word off the fast path.
-
-    Item ``items[i]`` is drawing normal ``j[i]``; its word of ``layer``,
-    52-bit magnitude ``rabs`` and value ``x`` missed the fast path, and
-    ``state[:, i]`` (high, low) is its state just after that word. The
-    items step together through NumPy's ``random_standard_normal``:
-
-    - wedge (layer > 0): accept ``x`` when ``(FI[l-1] - FI[l]) * U + FI[l]
-      < exp(-x*x/2)`` for the next uniform ``U``, else draw a new normal;
-    - tail (layer 0): ``xx = -log1p(-U1) / r`` and ``yy = -log1p(-U2)``
-      from the next two uniforms until ``yy + yy > xx * xx``, then accept
-      ``r + xx``, negated when bit 8 of ``rabs`` is set.
-
-    ``exp`` and ``log1p`` are ``math``'s, the C library functions NumPy's
-    generator calls. Each item writes its normals into ``z`` and its final
-    state into ``end``.
-    """
-    normals = z.shape[1]
-    hi, lo = state
-    inc_hi, inc_lo = end[2:, items]
-    phase = np.where(layer == 0, _TAIL_X, _WEDGE)
-    xx = np.zeros(len(items))
-    while len(items):
-        _step(hi, lo, inc_hi, inc_lo)
-        raw = _output(hi, lo)
-        uniform = (raw >> 11) * 2.0 ** -53
-        accept = np.zeros(len(items), dtype=bool)
-        new, wedge, tail_x, tail_y = (np.flatnonzero(phase == p)
-                                      for p in range(4))
-        if new.size:
-            word = raw[new]
-            lay = word & 0xFF
-            mag = word >> 9 & _LOW52
-            value = mag * _WI[lay]
-            value[(word & 0x100) != 0] *= -1.0
-            layer[new], rabs[new], x[new] = lay, mag, value
-            fast = mag < _KI[lay]
-            accept[new[fast]] = True
-            phase[new] = np.where(fast, _NEW,
-                                  np.where(lay == 0, _TAIL_X, _WEDGE))
-        if wedge.size:
-            value, lay = x[wedge], layer[wedge]
-            density = _map_float(math.exp, (-0.5 * value) * value)
-            accept[wedge[(_FI[lay - 1] - _FI[lay]) * uniform[wedge] + _FI[lay]
-                         < density]] = True
-            phase[wedge] = _NEW
-        if tail_x.size:
-            xx[tail_x] = -_TAIL_INV_R * _map_float(math.log1p,
-                                                   -uniform[tail_x])
-            phase[tail_x] = _TAIL_Y
-        if tail_y.size:
-            yy = -_map_float(math.log1p, -uniform[tail_y])
-            t = xx[tail_y]
-            hit = yy + yy > t * t
-            value = _TAIL_R + t
-            value[(rabs[tail_y] >> 8 & 1) != 0] *= -1.0
-            x[tail_y[hit]] = value[hit]
-            accept[tail_y[hit]] = True
-            phase[tail_y] = np.where(hit, _NEW, _TAIL_X)
-        done = np.flatnonzero(accept)
-        z[items[done], j[done]] = x[done]
-        j[done] += 1
-        keep = j < normals
-        if not keep.all():
-            end[0, items[~keep]], end[1, items[~keep]] = hi[~keep], lo[~keep]
-            items, j, layer, rabs, x, xx, phase = (
-                a[keep] for a in (items, j, layer, rabs, x, xx, phase))
-            hi, lo, inc_hi, inc_lo = (a[keep]
-                                      for a in (hi, lo, inc_hi, inc_lo))
-
-
-def _map_float(fn, values: np.ndarray) -> np.ndarray:
-    """``fn`` of every entry of ``values``, one Python call each."""
-    return np.fromiter(map(fn, values.tolist()), float, count=values.size)
 
 
 def _count_rows(states: np.ndarray, n: int, rows: int):

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
-from .rng import (ROLE_NICHE, ROLE_SITE, _draws, _loaded, _map_float,
-                  _seed_states, stream)
+from .rng import ROLE_NICHE, ROLE_SITE, _draws, _seed_states, _streams, stream
 from .tables import CommunityTable, PredictorBlock
 
 # Bound on per-site noise redraws when every species lands at zero.
@@ -108,6 +107,11 @@ def _densities(values: np.ndarray, optima: np.ndarray,
         part[:] = _map_float(math.exp, part)
     e /= sigma * math.sqrt(2.0 * math.pi)
     return e
+
+
+def _map_float(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` of every entry of ``values``, one Python call each."""
+    return np.fromiter(map(fn, values.tolist()), float, count=values.size)
 
 
 def _products(fx: np.ndarray, fy: np.ndarray, noise) -> tuple[np.ndarray, np.ndarray]:
@@ -209,10 +213,10 @@ def _generate_cell(config: ScenarioConfig,
 
     Entry ``k`` is ``generate_dataset(config, replicates[k])`` without its
     labels, bit for bit. The first draws of every (replicate, site) pair
-    come from one batched ``rng._draws`` pass; a dead site continues its
-    own stream from where they end. The first failing site of the first
-    failing replicate names the error, as a loop over ``generate_dataset``
-    would raise it.
+    come from one batched ``rng._draws`` pass; a dead site loads its own
+    stream again and continues it past them. The first failing site of the
+    first failing replicate names the error, as a loop over
+    ``generate_dataset`` would raise it.
     """
     replicates = np.asarray(replicates, dtype=np.int64)
     n, n_species = config.n_sites, config.n_species
@@ -222,8 +226,8 @@ def _generate_cell(config: ScenarioConfig,
                             np.tile(np.arange(n), len(replicates))])
     states = _seed_states(config.seed, ROLE_SITE, grid)
     del grid
-    u, z, states = _draws(states, 2, normals)
-    del states  # a dead site draws its first words again below
+    u, z = _draws(states, 2, normals)
+    del states
     env = np.column_stack([u[:, 0], config.y_max * u[:, 1]])
     del u
     if sigma > 0.0:
@@ -237,11 +241,12 @@ def _generate_cell(config: ScenarioConfig,
     if dead.size and sigma > 0.0:
         # A dead site continues its own stream past its first draws.
         paths = np.column_stack([replicates[dead // n], dead % n])
-        _, _, end = _draws(_seed_states(config.seed, ROLE_SITE, paths), 2,
-                           normals)
         fx, fy = _factors(config, env[dead])
         still = []
-        for k, (i, rng) in enumerate(zip(dead.tolist(), _loaded(end))):
+        for k, (i, rng) in enumerate(zip(
+                dead.tolist(), _streams(config.seed, ROLE_SITE, paths))):
+            rng.random(2)
+            rng.standard_normal(normals)
             for _ in range(_MAX_SITE_REDRAWS - 1):
                 noise = 0.0 + sigma * rng.standard_normal((1, 2 * n_species))
                 row, total = _products(fx[k:k + 1].copy(), fy[k:k + 1].copy(),
@@ -282,8 +287,8 @@ def generate_dataset(config: ScenarioConfig,
     responses all land at zero draws fresh noise from the same stream, up
     to ``_MAX_SITE_REDRAWS`` draws in all.
     """
-    if replicate < 0:
-        raise ValidationError("replicate index must be non-negative")
+    if not 0 <= replicate < 2 ** 32:
+        raise ValidationError("replicate index must lie in [0, 2**32)")
     counts, env = _generate_cell(config, [replicate])
     site_ids = tuple(f"site{i + 1}" for i in range(config.n_sites))
     species_ids = tuple(f"sp{j + 1}" for j in range(config.n_species))

@@ -321,6 +321,18 @@ def test_simulate_rejects_bad_configs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_rejects_a_replicate_beyond_the_stream_paths(tmp_path, capsys):
+    # Site stream paths hold 32-bit words; 2**32 used to end in a traceback.
+    config = tmp_path / "ok.cfg"
+    config.write_text("seed = 1\nn_sites = 5\n")
+    out = str(tmp_path / "x")
+    assert main(["simulate", str(config), "--out", out,
+                 "--replicate", str(2**32)]) == 2
+    assert "replicate" in capsys.readouterr().err
+    assert main(["simulate", str(config), "--out", out,
+                 "--replicate", str(2**32 - 1)]) == 0
+
+
 @pytest.mark.parametrize("sigma_noise", ["7e153", "1e155"])
 def test_simulate_rejects_noise_whose_row_sums_overflow(tmp_path, capsys,
                                                         sigma_noise):

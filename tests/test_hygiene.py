@@ -50,6 +50,43 @@ def test_the_scan_sees_an_unused_import():
     assert _unused_imports(source) == ["inf (line 2)", "os (line 1)"]
 
 
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names of ``sources`` (module name to source)
+    that no module of them reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [
+                    node.target]
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [f"{module}.{name}" for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(name for name in defined
+                  if name.rsplit(".", 1)[1] not in read)
+
+
+def test_every_private_name_has_a_caller_in_the_package():
+    # A private helper that only the tests call is dead code to the package.
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert _unreferenced_private_names(sources) == []
+    source = ("_A = 1\n_B, C = 2, _A\ndef _f(): pass\nclass _K: pass\n"
+              "__all__ = []\nx = obj._f\n")
+    assert _unreferenced_private_names({"m": source}) == ["m._B", "m._K"]
+
+
 # The halves of PCG64's 128-bit multiplier, and the multiplier itself.
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _PCG_LITERALS = {_PCG_MULT, _PCG_MULT >> 64, _PCG_MULT & (1 << 64) - 1}

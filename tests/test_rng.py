@@ -1,7 +1,6 @@
 """Batched stream construction against the one-at-a-time reference."""
 
 import glob
-import math
 import os
 import struct
 
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from vpboot import rng
-from vpboot._ziggurat import FI, KI, WI
+from vpboot._ziggurat import KI, WI
 from vpboot.rng import ROLE_BOOTSTRAP, ROLE_SITE, _streams, derive_seed, stream
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -103,10 +102,6 @@ def _columns(states):
                      [_INC & (1 << 64) - 1] * len(states)], dtype=np.uint64)
 
 
-def _state(end, i):
-    return int(end[0, i]) << 64 | int(end[1, i])
-
-
 def _normal_alone(word):
     """``standard_normal()`` with ``word`` as its next raw word, and whether
     the call used that word alone."""
@@ -156,28 +151,21 @@ def test_forced_normals_take_every_branch_of_the_ziggurat(uniforms):
     normals = 4
     states = [_forcing(word, uniforms + j + 1)
               for word in OFF_PATH + ON_PATH for j in range(normals)]
-    u, z, end = rng._draws(_columns(states), uniforms, normals)
+    u, z = rng._draws(_columns(states), uniforms, normals)
     for i, state in enumerate(states):
         ref = _generator(state)
         assert u[i].tobytes() == ref.random(uniforms).tobytes()
         assert z[i].tobytes() == ref.standard_normal(normals).tobytes()
-        assert _state(end, i) == ref.bit_generator.state["state"]["state"]
-        if i < len(OFF_PATH) * normals:
-            # An off-path word costs NumPy more words than there are draws.
-            plain = _generator(state)
-            plain.random(uniforms + normals)
-            assert _state(end, i) != plain.bit_generator.state["state"]["state"]
 
 
 @pytest.mark.parametrize("seed", [2**32 - 1, 2**64 - 1])
 def test_array_draws_equal_the_streams_at_extreme_seeds(seed):
     grid = np.array([[r, i] for r in (0, 2**32 - 1) for i in range(300)])
-    u, z, end = rng._draws(rng._seed_states(seed, ROLE_SITE, grid), 2, 10)
+    u, z = rng._draws(rng._seed_states(seed, ROLE_SITE, grid), 2, 10)
     for k, (r, i) in enumerate(grid.tolist()):
         ref = stream(seed, ROLE_SITE, r, i)
         assert u[k].tobytes() == ref.random(2).tobytes()
         assert z[k].tobytes() == ref.standard_normal(10).tobytes()
-        assert _state(end, k) == ref.bit_generator.state["state"]["state"]
     rows = np.concatenate(list(rng._count_rows(
         rng._seed_states(seed, ROLE_BOOTSTRAP, np.arange(400), 0), 9, 64)))
     assert len(rows) == 400
@@ -234,7 +222,8 @@ def test_the_shape_rule_picks_a_path_with_the_same_bits(n, m, per_item,
         assert np.array_equal(rows[j], np.bincount(ref, minlength=n))
 
 
-# The ziggurat's off-path branches, stepped as arrays (``rng._off_path``).
+# The ziggurat's off-path branches, which ``rng._draws`` redraws from the
+# item's start state.
 # A state whose high word is 0 outputs its low word, so with a free odd
 # increment an item's first two raw words can both be forced: the first
 # state is the first word, and the increment steps it to the second.
@@ -280,14 +269,13 @@ def _assert_draws_match(items, uniforms, normals):
                        [s & _MASK64 for s, _ in items],
                        [i >> 64 for _, i in items],
                        [i & _MASK64 for _, i in items]], dtype=np.uint64)
-    u, z, end = rng._draws(states, uniforms, normals)
+    u, z = rng._draws(states, uniforms, normals)
     used = []
     for k, (state, inc) in enumerate(items):
         ref = _reference(state, inc)
         assert u[k].tobytes() == ref.random(uniforms).tobytes()
         assert z[k].tobytes() == ref.standard_normal(normals).tobytes()
         final = ref.bit_generator.state["state"]["state"]
-        assert _state(end, k) == final
         count, walk = 0, state
         while walk != final:
             walk = (walk * _MULT + inc) & _MASK128
@@ -337,31 +325,34 @@ def test_a_last_normal_off_the_path_ends_on_the_items_own_words(uniforms):
     assert all(n > uniforms + normals for n in used)
 
 
-def test_each_wedge_accepts_below_its_threshold_uniform_and_rejects_above():
-    # For a magnitude halfway into layer i's wedge, the wedge test
-    # ``(FI[i-1] - FI[i]) * U + FI[i] < exp(-x*x/2)`` flips between two
-    # adjacent uniforms; NumPy must agree on both, to the bit.
-    items = []
-    for layer in range(1, 256):
-        magnitude = (KI[layer] + (1 << 52)) // 2
-        x = magnitude * WI[layer]
-        density = math.exp(-0.5 * x * x)
+@pytest.mark.parametrize("uniforms, normals",
+                         [(0, 1), (2, 1), (0, 4), (2, 4), (2, 0)])
+def test_only_items_with_an_off_path_normal_load_a_generator(
+        uniforms, normals, monkeypatch):
+    # The forced words sit at every normal of an item; its other normal
+    # words, read off in plain Python, may leave the fast path too.
+    states = [_forcing(word, uniforms + j + 1)
+              for word in OFF_PATH + ON_PATH for j in range(max(normals, 1))]
+    off = [any(map(_off_fast_path,
+                   _raw(state, _INC, uniforms + normals)[uniforms:]))
+           for state in states]
+    forced_off = len(OFF_PATH) * max(normals, 1)
+    assert off[:forced_off] == [normals > 0] * forced_off
+    if normals == 1:
+        assert not any(off[forced_off:])
+    columns = _columns(states)
+    calls = []
+    original = rng._loaded
 
-        def accepts(k):
-            u = k * 2.0 ** -53
-            return (FI[layer - 1] - FI[layer]) * u + FI[layer] < density
+    def spy(loaded):
+        calls.append(loaded.copy())
+        return original(loaded)
 
-        lo, hi = 0, 1 << 53  # the first uniform that rejects
-        assert accepts(lo) and not accepts(hi - 1)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            lo, hi = (mid + 1, hi) if accepts(mid) else (lo, mid)
-        first = _normal_word(layer, magnitude, 0)
-        for k in (lo - 1, lo):
-            items.append(_two_words(first, k << 11 | (1 - layer % 2)))
-    used = _assert_draws_match(items, 0, 1)
-    assert used[0::2] == [2] * 255  # accepted on the wedge's uniform
-    assert all(n > 2 for n in used[1::2])
+    monkeypatch.setattr(rng, "_loaded", spy)
+    rng._draws(columns.copy(), uniforms, normals)
+    loaded = [c for call in calls for c in call.T.tolist()]
+    # Each once, from its start state.
+    assert loaded == [c for c, o in zip(columns.T.tolist(), off) if o]
 
 
 def _elf_symbols(path, names):
@@ -394,15 +385,13 @@ def _elf_symbols(path, names):
 
 def test_the_committed_tables_are_the_installed_numpys_symbols():
     # NumPy compiles its ziggurat tables into the generator extension as
-    # fi_double, wi_double and ki_double; FI has no other source.
+    # wi_double and ki_double.
     paths = glob.glob(os.path.join(os.path.dirname(np.random.__file__),
                                    "_generator*"))
     symbols = {}
     for path in paths:
-        symbols.update(_elf_symbols(path, {"fi_double", "wi_double",
-                                           "ki_double"}))
-    if len(symbols) < 3 or any(len(v) != 2048 for v in symbols.values()):
+        symbols.update(_elf_symbols(path, {"wi_double", "ki_double"}))
+    if len(symbols) < 2 or any(len(v) != 2048 for v in symbols.values()):
         pytest.skip("the generator extension has no ELF symbols for its tables")
-    assert struct.unpack("<256d", symbols["fi_double"]) == FI
     assert struct.unpack("<256d", symbols["wi_double"]) == WI
     assert struct.unpack("<256Q", symbols["ki_double"]) == KI
