@@ -204,3 +204,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except MemoryError:
+        print("error: not enough memory for this request; ask for fewer "
+              "sites, species or replicates", file=sys.stderr)
+        return EXIT_INVALID

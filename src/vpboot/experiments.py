@@ -45,35 +45,26 @@ _TAG_CCA = 15
 _CELL_CHUNK_VALUES = 2 ** 13
 
 
-def predictor_effect_r2(table, env, mode: str = "semipartial") -> float:
-    """Adjusted explained-variance contribution of the second gradient.
+def predictor_effect_r2(table, env) -> float:
+    """Semipartial adjusted R^2 of the second gradient.
 
-    ``semipartial`` (the default) is the joint fit minus the fit on the
-    first column alone, so it isolates what the second column adds.
-    ``marginal`` fits the second column by itself.
+    The RDA fit on both columns of ``env`` minus the fit on its first column
+    alone, each with the small-sample adjustment: the pure share of the
+    table's variance that the second gradient explains.
     """
-    return float(_effect_r2(None, table, env, mode)[0][0, 0])
+    return float(_effect_r2(None, table, env)[0][0, 0])
 
 
-def _effect_r2(counts, table, env, mode: str):
+def _effect_r2(counts, table, env):
     """``predictor_effect_r2`` per count row, as a batched bootstrap statistic,
     or per table of a ``(k, n, S)`` stack with a ``(k, n, 2)`` environment."""
-    _check_mode(mode)
     em = _as_array(env)
     if em.shape[-1] != 2:
         raise ValidationError("environment block must have exactly 2 columns")
-    if mode == "marginal":
-        return _block_fractions(
-            table, [("second gradient", em[..., 1:2])], "rda", counts)
     fractions, reasons = _block_fractions(
         table, [("both gradients", em), ("first gradient", em[..., 0:1])],
         "rda", counts)
     return fractions[:, :1] - fractions[:, 1:], reasons
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("semipartial", "marginal"):
-        raise ValidationError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -93,12 +84,9 @@ class ScenarioOutcome:
     r2_values: tuple[float, ...] = ()
 
 
-def run_replicated_scenario(config: ScenarioConfig,
-                            mode: str = "semipartial") -> ScenarioOutcome:
+def run_replicated_scenario(config: ScenarioConfig) -> ScenarioOutcome:
     """Generate ``config.replicates`` datasets and summarise the effect size."""
-    _check_mode(mode)
-    values = _cell_values(config, partial(_effect_r2, mode=mode),
-                          config.replicates)
+    values = _cell_values(config, _effect_r2, config.replicates)
     mean = float(values.mean())
     sd = float(values.std(ddof=1)) if config.replicates > 1 else 0.0
     return ScenarioOutcome(
@@ -210,41 +198,33 @@ def optimum_distance_configs(base: ScenarioConfig,
 
 def sweep_sample_size(base: ScenarioConfig, sizes=DEFAULT_SAMPLE_SIZES,
                       noise_levels=DEFAULT_NOISE_LEVELS,
-                      mode: str = "semipartial",
                       threads: int = 1) -> list[ScenarioOutcome]:
     """Precision of the effect estimate as the number of sites grows."""
-    _check_mode(mode)
-    return _map(partial(run_replicated_scenario, mode=mode),
+    return _map(run_replicated_scenario,
                 sample_size_configs(base, sizes, noise_levels), threads)
 
 
 def sweep_sampling_range(base: ScenarioConfig, y_max_values=DEFAULT_Y_MAX_GRID,
                          noise_levels=DEFAULT_NOISE_LEVELS,
-                         mode: str = "semipartial",
                          threads: int = 1) -> list[ScenarioOutcome]:
     """Effect size and precision as the sampled gradient range narrows."""
-    _check_mode(mode)
-    return _map(partial(run_replicated_scenario, mode=mode),
+    return _map(run_replicated_scenario,
                 sampling_range_configs(base, y_max_values, noise_levels), threads)
 
 
 def sweep_optimum_distance(base: ScenarioConfig, y_opt_values=DEFAULT_Y_OPT_GRID,
                            noise_levels=DEFAULT_NOISE_LEVELS,
-                           mode: str = "semipartial",
                            threads: int = 1) -> list[ScenarioOutcome]:
     """Effect size and precision as the niche optima separate."""
-    _check_mode(mode)
-    return _map(partial(run_replicated_scenario, mode=mode),
+    return _map(run_replicated_scenario,
                 optimum_distance_configs(base, y_opt_values, noise_levels), threads)
 
 
-def _validated_outcome(item, *, n_validation: int,
-                       mode: str) -> ScenarioOutcome:
-    config, observed = item
-    outcome = observed if observed is not None else run_replicated_scenario(
-        config, mode)
-    spread = _bootstrap_spread(config, partial(_effect_r2, mode=mode),
-                               config.replicates, n_validation)
+def _validated_outcome(config: ScenarioConfig, *,
+                       n_validation: int) -> ScenarioOutcome:
+    outcome = run_replicated_scenario(config)
+    spread = _bootstrap_spread(config, _effect_r2, config.replicates,
+                               n_validation)
     # Both error measures are scaled by the same across-replicate mean, so
     # the comparison isolates how well the bootstrap spread tracks the true
     # run-to-run spread. Dividing each table's spread by its own bootstrap
@@ -269,35 +249,22 @@ def _bootstrap_spread(config: ScenarioConfig, statistic, m_replicates: int,
 
 
 def bootstrap_validation(scenarios, n_validation: int = 10,
-                         mode: str = "semipartial", threads: int = 1,
-                         observed_outcomes=None) -> list[ScenarioOutcome]:
+                         threads: int = 1) -> list[ScenarioOutcome]:
     """Observed versus bootstrap-estimated relative error per scenario.
 
-    For each scenario the observed error comes from full re-generation
-    (reused from ``observed_outcomes`` when provided); the bootstrap error
-    is the mean bootstrap standard deviation over ``n_validation`` fresh
-    datasets, divided by the scenario's mean effect size so that both error
-    measures share one denominator.
+    For each scenario the observed error comes from full re-generation; the
+    bootstrap error is the mean bootstrap standard deviation over
+    ``n_validation`` fresh datasets, divided by the scenario's mean effect
+    size so that both error measures share one denominator.
     """
-    _check_mode(mode)
     if n_validation < 1:
         raise ValidationError("need at least 1 validation table")
     scenarios = list(scenarios)
     if any(cfg.replicates < 2 for cfg in scenarios):
         raise ValidationError(
             "validation scenarios need at least 2 replicates to bootstrap")
-    if observed_outcomes is None:
-        observed = [None] * len(scenarios)
-    else:
-        observed = list(observed_outcomes)
-        if len(observed) != len(scenarios):
-            raise ValidationError("one observed outcome per scenario required")
-        for cfg, out in zip(scenarios, observed):
-            if out.config != cfg:
-                raise ValidationError(
-                    "observed outcomes do not match the scenario list")
-    return _map(partial(_validated_outcome, n_validation=n_validation, mode=mode),
-                zip(scenarios, observed), threads)
+    return _map(partial(_validated_outcome, n_validation=n_validation),
+                scenarios, threads)
 
 
 def cca_proportion(table, env) -> float:

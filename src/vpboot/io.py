@@ -116,8 +116,7 @@ def read_table_csv(path: str, kind: str = "community", name: str | None = None):
     return PredictorBlock(name, tuple(site_ids), values)
 
 
-def write_table_csv(path: str, obj, provenance=None,
-                    corner: str = "site") -> None:
+def write_table_csv(path: str, obj, provenance=None) -> None:
     """Write a table or block; ``provenance`` pairs become ``#`` header lines."""
     if isinstance(obj, CommunityTable):
         column_ids = obj.species_ids
@@ -131,7 +130,7 @@ def write_table_csv(path: str, obj, provenance=None,
         for key, value in (provenance or ()):
             fh.write(f"# {key}={value}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([corner, *column_ids])
+        writer.writerow(["site", *column_ids])
         for label, row in zip(obj.site_ids, obj.values):
             writer.writerow([label, *(format_number(v) for v in row)])
 

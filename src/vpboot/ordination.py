@@ -207,25 +207,18 @@ def _aligned(y, x, what: str = "response"):
     return ym, xm
 
 
-def fit_projection(y, x, weights=None) -> np.ndarray:
+def fit_projection(y, x) -> np.ndarray:
     """Least-squares projection of each column of ``y`` onto the span of ``x``.
 
-    Rank deficiency is handled by truncating singular values below
-    ``SV_RCOND`` times the largest one; an effectively empty design gives
-    the zero matrix. With ``weights`` (strictly positive, one per row) the
-    projection minimises the weighted residual sum of squares.
+    The projection is uncentred: ``x`` spans only its own columns. Rank
+    deficiency is handled by truncating singular values below ``SV_RCOND``
+    times the largest one; an effectively empty design gives the zero
+    matrix.
     """
     ym, xm = _aligned(y, x)
-    w = np.ones(ym.shape[0]) if weights is None else np.asarray(
-        weights, dtype=float).reshape(-1)
-    if w.shape[0] != ym.shape[0]:
-        raise ValidationError("one weight per row required")
-    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-        raise ValidationError("weights must be finite and strictly positive")
-    sw = np.sqrt(w)[:, np.newaxis]
-    u, keep = _svd_basis(xm * sw)
+    u, keep = _svd_basis(xm)
     u = u * keep
-    return u @ (u.T @ (ym * sw)) / sw
+    return u @ (u.T @ ym)
 
 
 def _adjust(r2, n, df):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DEGENERATE_REASONS, DegenerateDataError, ValidationError
 from .ordination import _replicate_values
-from .rng import ROLE_BOOTSTRAP, _count_rows, _seed_states, stream
+from .rng import ROLE_BOOTSTRAP, _bootstrap_rows, stream
 from .tables import as_matrix, require_aligned
 
 #: Fraction of replicates allowed to fail (and be redrawn) before aborting.
@@ -56,7 +56,7 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
 
     Replicate ``j`` draws ``n_sites`` row indices with replacement from
     ``stream(seed, ROLE_BOOTSTRAP, j, attempt)`` (the first attempts all
-    come from one batched ``rng._count_rows`` pass with the same bits) and
+    come from batched ``rng._count_rows`` blocks with the same bits) and
     counts how often each site was drawn, so a site's abundances never
     separate from its predictors. Replicates are evaluated in chunks:
     ``statistic`` is called as ``statistic(counts, y, *blocks)`` with a
@@ -75,6 +75,8 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     """
     if m_replicates < 2:
         raise ValidationError("need at least 2 bootstrap replicates")
+    if m_replicates >= 2 ** 32:
+        raise ValidationError("need fewer than 2**32 bootstrap replicates")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
     blocks = list(blocks)
@@ -114,8 +116,7 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     parts: list[np.ndarray] = []
     failures = 0
     budget = FAILURE_BUDGET * m_replicates
-    first_draws = _count_rows(
-        _seed_states(seed, ROLE_BOOTSTRAP, np.arange(m_replicates), 0), n, chunk)
+    first_draws = _bootstrap_rows(seed, m_replicates, n, chunk)
     for start, first in zip(range(0, m_replicates, chunk), first_draws):
         js = range(start, min(start + chunk, m_replicates))
         values, reasons = evaluate(first)

@@ -320,6 +320,22 @@ def _fast_path(states, u, z) -> np.ndarray:
     return off
 
 
+def _block_rows(n: int, rows: int) -> int:
+    """Rows in one block of ``_count_rows``: a multiple of ``rows``."""
+    return max(1, _BLOCK_VALUES // max(n * rows, 1)) * rows
+
+
+def _bootstrap_rows(seed: int, m: int, n: int, rows: int):
+    """``_count_rows`` of the first attempts ``stream(seed, ROLE_BOOTSTRAP,
+    j, 0)``, ``j < m``, ``rows`` at a time. Each block's states are seeded
+    when the block is reached, so they take memory for one block, not m."""
+    block = _block_rows(n, rows)
+    for start in range(0, m, block):
+        yield from _count_rows(_seed_states(
+            seed, ROLE_BOOTSTRAP, np.arange(start, min(start + block, m)), 0),
+            n, rows)
+
+
 def _count_rows(states: np.ndarray, n: int, rows: int):
     """Yield the bootstrap count rows of the columns of ``states``, ``rows``
     at a time, as ``(rows, n)`` matrices (the last one may be shorter).
@@ -334,7 +350,7 @@ def _count_rows(states: np.ndarray, n: int, rows: int):
     """
     k = states.shape[1]
     words = (n + 1) // 2
-    block = max(1, _BLOCK_VALUES // max(n * rows, 1)) * rows
+    block = _block_rows(n, rows)
     if not n or min(k, block) < _ROW_WORD_RATIO * words:
         loaded = _loaded(states)
         for start in range(0, k, rows):

@@ -90,17 +90,9 @@ class PredictorBlock:
     values: np.ndarray
 
     def __post_init__(self):
-        raw = np.asarray(self.values, dtype=float)
-        if raw.ndim == 1:
-            raw = raw[:, np.newaxis]
-        if raw.ndim != 2:
-            raise ValidationError("predictor block must be 2-D")
-        if raw.shape[0] < 2:
+        a = _frozen_matrix(self.values, what=f"block '{self.name}'")
+        if a.shape[0] < 2:
             raise ValidationError("predictor block needs at least 2 sites")
-        if not np.all(np.isfinite(raw)):
-            raise ValidationError(f"block '{self.name}' contains non-finite entries")
-        a = raw.copy()
-        a.setflags(write=False)
         object.__setattr__(self, "values", a)
         object.__setattr__(
             self, "site_ids", _labels(self.site_ids, a.shape[0], what="site ids"))

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from vpboot import cli, resample
 from vpboot.analysis import report_to_dict, run_analysis
 from vpboot.cli import main
 from vpboot.io import write_table_csv
@@ -175,6 +176,32 @@ def test_analyze_exit_codes_for_bad_inputs(tmp_path, capsys):
 
     assert main(good[:-1] + ["-1", "--bootstrap", "20"]) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_analyze_rejects_a_bootstrap_beyond_the_stream_paths(tmp_path, capsys,
+                                                            monkeypatch):
+    # Bootstrap stream paths hold 32-bit words. M is checked before the
+    # bootstrap sizes or allocates anything: 2**32 states take 128 GB.
+    def no_work(*_args):
+        raise AssertionError("the bootstrap started before checking M")
+
+    monkeypatch.setattr(resample, "_replicate_values", no_work)
+    paths, _, _ = _write_inputs(tmp_path, n_sites=10)
+    assert main(["analyze", str(paths["community"]), str(paths["env"]),
+                 str(paths["spatial"]), "--seed", "1",
+                 "--bootstrap", str(2**32)]) == 2
+    assert "fewer than 2**32 bootstrap replicates" in capsys.readouterr().err
+
+
+def test_running_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_analysis", exhausted)
+    paths, _, _ = _write_inputs(tmp_path, n_sites=10)
+    assert main(["analyze", str(paths["community"]), str(paths["env"]),
+                 str(paths["spatial"]), "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: not enough memory")
 
 
 def test_analyze_rejects_abundances_that_overflow_once_centred(tmp_path,

@@ -82,13 +82,8 @@ def test_predictor_effect_matches_manual_decomposition():
     assert semipartial == pytest.approx(
         adjusted(em) - adjusted(em[:, 0:1]), abs=1e-12)
 
-    marginal = predictor_effect_r2(table, env, mode="marginal")
-    assert marginal == pytest.approx(adjusted(em[:, 1:2]), abs=1e-12)
-
     with pytest.raises(ValidationError):
         predictor_effect_r2(table, np.ones((n, 3)))
-    with pytest.raises(ValidationError):
-        predictor_effect_r2(table, env, mode="other")
 
 
 def test_replicated_scenario_is_deterministic_and_self_consistent():
@@ -203,21 +198,6 @@ def test_easiest_cell_has_small_well_matched_errors():
     assert 0.5 < ratio < 2.0
 
 
-def test_bootstrap_validation_reuses_observed_outcomes():
-    config = ScenarioConfig(seed=18, n_sites=30, replicates=40)
-    fresh, = bootstrap_validation([config], n_validation=3)
-    observed = run_replicated_scenario(config)
-    reused, = bootstrap_validation([config], n_validation=3,
-                                   observed_outcomes=[observed])
-    assert fresh == reused
-
-    with pytest.raises(ValidationError):
-        bootstrap_validation([config], observed_outcomes=[])
-    other = run_replicated_scenario(replace(config, seed=19))
-    with pytest.raises(ValidationError):
-        bootstrap_validation([config], observed_outcomes=[other])
-
-
 def test_cca_proportion_prunes_empty_lines():
     values = np.array([
         [5.0, 1.0, 0.0],
@@ -292,20 +272,8 @@ def _no_generation(*_args):
     lambda: cca_validation(sizes=(20,), noise_levels=(0.0,), m_replicates=1),
     lambda: cca_validation(sizes=(20,), noise_levels=(0.0,), seed=-1),
     lambda: cca_validation(sizes=(20, 4), noise_levels=(0.0,)),
-    lambda: bootstrap_validation([ScenarioConfig(seed=1, n_sites=10)],
-                                 mode="bogus"),
-    lambda: run_replicated_scenario(ScenarioConfig(seed=1, n_sites=10),
-                                    mode="bogus"),
-    lambda: sweep_sample_size(ScenarioConfig(seed=1), sizes=(10,),
-                              noise_levels=(0.01,), mode="bogus", threads=2),
-    lambda: sweep_sampling_range(ScenarioConfig(seed=1), y_max_values=(0.5,),
-                                 noise_levels=(0.01,), mode="bogus"),
-    lambda: sweep_optimum_distance(ScenarioConfig(seed=1), y_opt_values=(0.5,),
-                                   noise_levels=(0.01,), mode="bogus"),
 ], ids=["no-validation-tables", "one-replicate", "cca-no-validation-tables",
-        "cca-one-replicate", "cca-negative-seed", "cca-too-few-sites",
-        "validation-bad-mode", "scenario-bad-mode", "sample-size-bad-mode",
-        "sampling-range-bad-mode", "optimum-distance-bad-mode"])
+        "cca-one-replicate", "cca-negative-seed", "cca-too-few-sites"])
 def test_studies_check_their_arguments_before_any_work(study, monkeypatch):
     monkeypatch.setattr(experiments, "_generate_cell", _no_generation)
     with pytest.raises(ValidationError):
@@ -362,11 +330,10 @@ def test_one_sweep_chunk_stays_within_its_memory_bound():
     config = ScenarioConfig(seed=5, n_sites=250)
     size = experiments._CELL_CHUNK_VALUES // (config.n_sites * 4)
     chunk = range(size)
-    experiments._effect_r2(None, *_generate_cell(config, chunk), "semipartial")
+    experiments._effect_r2(None, *_generate_cell(config, chunk))
     tracemalloc.start()
     try:
-        experiments._effect_r2(None, *_generate_cell(config, chunk),
-                               "semipartial")
+        experiments._effect_r2(None, *_generate_cell(config, chunk))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -41,8 +41,8 @@ def test_write_headers_and_provenance(tmp_path):
     assert lines[2] == "a,0.1,0.2"
 
     wide = PredictorBlock("geo", ("a", "b"), [[1.0, 2.0, 3.0]] * 2)
-    write_table_csv(path, wide, corner="id")
-    assert path.read_text().splitlines()[0] == "id,c1,c2,c3"
+    write_table_csv(path, wide)
+    assert path.read_text().splitlines()[0] == "site,c1,c2,c3"
 
     with pytest.raises(ValidationError):
         write_table_csv(path, np.ones((2, 2)))

@@ -97,28 +97,6 @@ def test_projection_residual_is_orthogonal_to_design():
         assert np.all(np.abs(x.T @ residual) < 1e-8)
 
 
-def test_weighted_projection_matches_normal_equations():
-    rng = np.random.default_rng(15)
-    for _ in range(50):
-        x = np.column_stack([np.ones(8), rng.normal(size=(8, 2))])
-        y = rng.normal(size=(8, 3))
-        w = rng.uniform(0.2, 3.0, size=8)
-        fitted = fit_projection(y, x, weights=w)
-        coef = np.linalg.solve(x.T @ (w[:, None] * x), x.T @ (w[:, None] * y))
-        assert np.allclose(fitted, x @ coef, atol=1e-8)
-        # residuals are orthogonal in the weighted inner product
-        assert np.all(np.abs(x.T @ (w[:, None] * (y - fitted))) < 1e-8)
-
-
-def test_weighted_projection_validates_weights():
-    y = np.ones((4, 1))
-    x = np.ones((4, 1))
-    with pytest.raises(ValidationError):
-        fit_projection(y, x, weights=[1.0, 2.0])
-    with pytest.raises(ValidationError):
-        fit_projection(y, x, weights=[1.0, -1.0, 1.0, 1.0])
-
-
 def test_projection_rejects_row_mismatch():
     with pytest.raises(ValidationError):
         fit_projection(np.ones((4, 1)), np.ones((5, 1)))

