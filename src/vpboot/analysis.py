@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
 from .ordination import PartitionResult, _log1p, _partition, _rollups
-from .resample import BootstrapSummary, bootstrap_statistic
+from .resample import BootstrapSummary, _check_bootstrap, bootstrap_statistic
 from .tables import CommunityTable, PredictorBlock, require_aligned
 
 #: Fixed fraction names used in reports and serialized output.
@@ -76,6 +76,7 @@ def run_analysis(table: CommunityTable, env: PredictorBlock,
                  dataset_name: str = "community") -> AnalysisReport:
     """Full analysis: point partition plus bootstrap uncertainty per fraction."""
     start = time.perf_counter()
+    _check_bootstrap(m_replicates, seed)
     require_aligned(table, env, spatial)
     if log1p is None:
         log1p = method == "cca"

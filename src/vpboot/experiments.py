@@ -124,16 +124,17 @@ def _cell_values(config: ScenarioConfig, statistic,
 
 
 def _map(fn, items, threads: int) -> list:
-    """``[fn(item) for item in items]``, spread over ``threads`` processes.
+    """``[fn(item) for item in items]``, spread over ``threads`` processes,
+    never more than there are items.
 
     Results come back in input order, so the thread count never changes them.
     The pool's modules are imported only here: multiprocessing adds about
     2 MB to every process that imports vpboot, most of which never fork.
     """
-    if threads > 1:
+    if threads > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 

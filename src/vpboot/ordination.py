@@ -357,8 +357,9 @@ def _block_fractions(y, named_blocks, method: str, counts=None):
     freedom is degenerate. ``cca`` gives each block's share of chi-square
     inertia over the live sites and species (a positive row or column sum);
     fewer than 3 live sites, copies counted, or 2 live species is
-    degenerate. This is the one place where blocks are aligned, tables
-    pruned and ranks taken.
+    degenerate. A table of fewer than 3 rows is rejected before any fit.
+    This is the one place where blocks are aligned, tables pruned and
+    ranks taken.
     """
     if method not in ("cca", "rda"):
         raise ValidationError(f"unknown method {method!r}")
@@ -370,6 +371,8 @@ def _block_fractions(y, named_blocks, method: str, counts=None):
             raise ValidationError("response and predictor blocks must share rows")
         blocks.append((name, parts[0] if len(parts) == 1
                        else np.concatenate(parts, axis=-1)))
+    if ym.shape[-2] < 3:
+        raise ValidationError("need at least 3 rows")
     if counts is None:
         c = np.ones(ym.shape[:2] if ym.ndim == 3 else (1, ym.shape[0]))
     else:
@@ -388,9 +391,6 @@ def _rda_fractions(ym, blocks, c, *, raise_degenerate: bool):
     total_count = c.sum(axis=1)[:, np.newaxis]
     df = total_count - rank - 1
     short = df < 1
-    # A unit fit whose first block is short reports that before the size.
-    if n < 3 and not (raise_degenerate and short[0, :1].any()):
-        raise ValidationError("need at least 3 rows")
     reasons = np.where(short.any(axis=1), NO_RESIDUAL_DF, 0)
     if raise_degenerate and reasons.any():
         row = np.flatnonzero(reasons)[0]

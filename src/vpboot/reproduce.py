@@ -112,7 +112,7 @@ def build_fig2(base: ScenarioConfig, threads: int = 1) -> FigureResult:
         _series_by_noise(outcomes, lambda c: c.n_sites, DEFAULT_NOISE_LEVELS),
         title="Gradient contribution vs number of sites",
         x_label="number of sites", y_label="mean adjusted R2 (+/- SE)",
-        x_log=True, y_log=True)
+        x_log=True)
     return FigureResult("fig2", SWEEP_COLUMNS, _sweep_rows("fig2", outcomes),
                         checks, svg)
 
@@ -140,7 +140,7 @@ def build_fig3(base: ScenarioConfig, threads: int = 1) -> FigureResult:
         _series_by_noise(outcomes, lambda c: c.y_max, DEFAULT_NOISE_LEVELS),
         title="Gradient contribution vs sampled range",
         x_label="sampled range of second gradient (y_max)",
-        y_label="mean adjusted R2 (+/- SE)", x_log=False, y_log=True)
+        y_label="mean adjusted R2 (+/- SE)", x_log=False)
     return FigureResult("fig3", SWEEP_COLUMNS, _sweep_rows("fig3", outcomes),
                         checks, svg)
 
@@ -156,7 +156,7 @@ def build_fig4(base: ScenarioConfig, threads: int = 1) -> FigureResult:
                          DEFAULT_NOISE_LEVELS),
         title="Gradient contribution vs niche separation",
         x_label="optimum of second species on second gradient",
-        y_label="mean adjusted R2 (+/- SE)", x_log=False, y_log=True)
+        y_label="mean adjusted R2 (+/- SE)", x_log=False)
     return FigureResult("fig4", SWEEP_COLUMNS, _sweep_rows("fig4", outcomes),
                         checks, svg)
 
@@ -199,7 +199,7 @@ def build_fig5(base: ScenarioConfig, threads: int = 1) -> FigureResult:
         observed, estimated,
         title="Bootstrap-estimated vs observed relative error",
         x_label="observed relative error",
-        y_label="bootstrap-estimated relative error", log=True)
+        y_label="bootstrap-estimated relative error")
     return FigureResult("fig5", SWEEP_COLUMNS, _sweep_rows("fig5", outcomes),
                         checks, svg)
 
@@ -246,7 +246,7 @@ def build_fig6(base: ScenarioConfig, threads: int = 1) -> FigureResult:
         observed, [o.bootstrap_relative_error for o in outcomes],
         title="Bootstrap-estimated vs observed relative error (many species)",
         x_label="observed relative error",
-        y_label="bootstrap-estimated relative error", log=True)
+        y_label="bootstrap-estimated relative error")
     return FigureResult("fig6", CCA_COLUMNS, rows, checks, svg)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DEGENERATE_REASONS, DegenerateDataError, ValidationError
 from .ordination import _replicate_values
-from .rng import ROLE_BOOTSTRAP, _bootstrap_rows, stream
+from .rng import ROLE_BOOTSTRAP, _bootstrap_rows, _count_row, stream
 from .tables import as_matrix, require_aligned
 
 #: Fraction of replicates allowed to fail (and be redrawn) before aborting.
@@ -50,6 +50,17 @@ def relative_spread(sd: float, mean: float) -> float:
     return sd / mean
 
 
+def _check_bootstrap(m_replicates: int, seed: int) -> None:
+    """Reject a replicate count or seed that ``bootstrap_statistic`` cannot
+    use; callers check before any other work."""
+    if m_replicates < 2:
+        raise ValidationError("need at least 2 bootstrap replicates")
+    if m_replicates >= 2 ** 32:
+        raise ValidationError("need fewer than 2**32 bootstrap replicates")
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
+
+
 def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
                         seed: int, names=None) -> list[BootstrapSummary]:
     """Summaries of ``statistic`` over ``m_replicates`` site resamples.
@@ -73,12 +84,7 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     run aborts, naming the reason of the last failure. Confidence bounds
     are the 2.5 and 97.5 percentiles with linear interpolation.
     """
-    if m_replicates < 2:
-        raise ValidationError("need at least 2 bootstrap replicates")
-    if m_replicates >= 2 ** 32:
-        raise ValidationError("need fewer than 2**32 bootstrap replicates")
-    if seed < 0:
-        raise ValidationError("seed must be non-negative")
+    _check_bootstrap(m_replicates, seed)
     blocks = list(blocks)
     require_aligned(table, *blocks)
     y = as_matrix(table)
@@ -86,9 +92,6 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     n = y.shape[0]
     chunk = max(1, _CHUNK_VALUES // _replicate_values(
         n, y.shape[1], sum(b.shape[1] for b in blocks)))
-
-    def counts(rng: np.random.Generator) -> np.ndarray:
-        return np.bincount(rng.integers(0, n, size=n), minlength=n)
 
     width = None
 
@@ -133,7 +136,7 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
                         f"last failure: {reason}")
                 attempt += 1
                 rng = stream(seed, ROLE_BOOTSTRAP, js[i], attempt)
-                redrawn, flagged = evaluate(counts(rng)[np.newaxis])
+                redrawn, flagged = evaluate(_count_row(rng, n)[np.newaxis])
                 values[i], reasons[i] = redrawn[0], flagged[0]
         parts.append(values)
 

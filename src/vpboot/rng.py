@@ -9,10 +9,13 @@ same ``(seed, path)`` pair always reproduces the same stream.
 ``stream`` is the reference. Batches of items draw their first numbers
 from arrays of PCG64 states instead (``_draws``, ``_count_rows``), stepped
 together and turned into NumPy's uniforms, normals and bounded integers
-bit for bit. An item the arrays cannot finish, one whose normal leaves the
-ziggurat's fast path or whose bootstrap row meets a Lemire rejection, is
-drawn again from a generator loaded with its start state (``_loaded``), as
-is a dead site's noise (``_streams``).
+bit for bit. Only what NumPy does not provide is written here: a batch's
+states start from the pool of NumPy's own SeedSequence over the seed and
+the path before the varying component (``_seed_states``). An item the
+arrays cannot finish, one whose normal leaves the ziggurat's fast path or
+whose bootstrap row meets a Lemire rejection, is drawn again from a
+generator loaded with its start state (``_loaded``), as is a dead site's
+noise (``_streams``).
 """
 
 from __future__ import annotations
@@ -90,12 +93,11 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _hash_consts(start: int, mult: int, count: int) -> list[int]:
-    """``count + 1`` successive values of a SeedSequence hash constant."""
-    consts = [start]
-    for _ in range(count):
-        consts.append((consts[-1] * mult) & _MASK32)
-    return consts
+def _hash_consts(start: int, mult: int, count: int) -> np.ndarray:
+    """``count + 1`` successive values of a SeedSequence hash constant, as a
+    ``(count + 1, 1)`` ``uint32`` column."""
+    return np.cumprod(np.array([start] + [mult] * count, dtype=np.uint32),
+                      dtype=np.uint32)[:, np.newaxis]
 
 
 def _seed_states(seed: int, *path) -> np.ndarray:
@@ -106,11 +108,13 @@ def _seed_states(seed: int, *path) -> np.ndarray:
     Exactly one component of ``path`` is an array of indices below 2**32:
     1-D, where item ``i`` replaces the component with its ``i``-th entry,
     or 2-D, where item ``i`` replaces it with the ``w`` consecutive
-    components of row ``i`` (a ``(replicate, site)`` grid, say). NumPy's
-    SeedSequence hash runs once for all items: the seed words fill the pool
-    as Python ints, then each later word is hashed into all four pool words
-    at once as ``uint32`` arrays with one column per item. PCG64's seeding,
-    itself one LCG step, then runs on all items at once too.
+    components of row ``i`` (a ``(replicate, site)`` grid, say). The pool
+    of NumPy's SeedSequence hash over the seed and the components before
+    the array one is the same for every item, so it comes from NumPy's own
+    ``SeedSequence(seed, spawn_key=path[:at]).pool``. Each later word is
+    then hashed into all four pool words at once as ``uint32`` arrays with
+    one column per item, and PCG64's seeding, itself one LCG step, runs on
+    all items at once too.
     """
     varying = [k for k, p in enumerate(path) if isinstance(p, np.ndarray)]
     if len(varying) != 1:
@@ -121,41 +125,19 @@ def _seed_states(seed: int, *path) -> np.ndarray:
             0 <= items.min() and items.max() <= _MASK32)):
         raise ValueError("the varying component must be 1-D or 2-D with "
                          "entries in [0, 2**32)")
-    words = _words(int(seed))
-    words += [0] * (_POOL_SIZE - len(words))
-    words += [w for p in path[:at] for w in _words(int(p))]
+    prefix = tuple(int(p) for p in path[:at])
+    pool = np.random.SeedSequence(int(seed), spawn_key=prefix).pool
+    # Words hashed so far: the seed's, padded to the pool size, then the
+    # prefix's. Four hash constants go to each.
+    mixed = max(_POOL_SIZE, len(_words(int(seed)))) + sum(
+        len(_words(p)) for p in prefix)
     columns = [items] if items.ndim == 1 else list(items.T)
     tail = [c.astype(np.uint32) for c in columns] + [
         w for p in path[at + 1:] for w in _words(int(p))]
-
-    # mix_entropy: hashmix t xors in consts[t] and multiplies by consts[t+1].
-    consts = _hash_consts(_INIT_A, _MULT_A, 4 * (len(words) + len(tail)))
-    t = 0
-
-    def hashmix(value: int) -> int:
-        nonlocal t
-        value = ((value ^ consts[t]) * consts[t + 1]) & _MASK32
-        t += 1
-        return value ^ (value >> 16)
-
-    def mix(x: int, y: int) -> int:
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ (result >> 16)
-
-    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    # From the varying word on, each word meets the four pool words at once:
-    # rows are pool words, columns items, and uint32 arithmetic wraps where
-    # the ints above are masked.
-    pool = np.repeat(np.array(pool, dtype=np.uint32)[:, np.newaxis],
-                     len(items), axis=1)
-    table = np.array(consts[t:], dtype=np.uint32)[:, np.newaxis]
+    table = _hash_consts(_INIT_A, _MULT_A, 4 * (mixed + len(tail)))[4 * mixed:]
+    # Each word meets the four pool words at once: rows are pool words,
+    # columns items, and uint32 arithmetic wraps as the hash does.
+    pool = np.repeat(pool[:, np.newaxis], len(items), axis=1)
     hashed = np.empty_like(pool)
     shifted = np.empty_like(pool)
     for k, w in enumerate(tail):
@@ -169,8 +151,7 @@ def _seed_states(seed: int, *path) -> np.ndarray:
     del hashed, shifted
     # generate_state(4, uint64): eight words cycle through the pool, and
     # words 2r and 2r + 1 are the low and high halves of state row r.
-    out_consts = np.array(_hash_consts(_INIT_B, _MULT_B, 8),
-                          dtype=np.uint32)[:, np.newaxis]
+    out_consts = _hash_consts(_INIT_B, _MULT_B, 8)
     words = np.concatenate((pool, pool))
     del pool
     words ^= out_consts[:8]
@@ -190,7 +171,7 @@ def _seed_states(seed: int, *path) -> np.ndarray:
     lo += inc_lo
     hi += inc_hi
     hi += lo < inc_lo
-    _step(hi, lo, inc_hi, inc_lo)
+    _step(hi, lo, inc_hi, inc_lo, np.empty_like(states))
     return states
 
 
@@ -216,17 +197,15 @@ def _loaded(states: np.ndarray):
         yield generator
 
 
-def _step(hi, lo, inc_hi, inc_lo, work=None) -> None:
+def _step(hi, lo, inc_hi, inc_lo, work) -> None:
     """PCG64's LCG step ``state * M + inc mod 2**128`` on every item, in
     place on ``hi`` and ``lo``.
 
     ``uint64`` products and sums wrap mod 2**64, which is all the high word
     needs, except for the carry out of ``lo * M_lo``: NumPy has no 128-bit
     product, so that comes from 32-bit limbs, in the four rows of ``work``
-    (a ``(4, K)`` ``uint64`` scratch array, or new ones).
+    (a ``(4, K)`` ``uint64`` scratch array).
     """
-    if work is None:
-        work = np.empty((4, lo.size), dtype=np.uint64)
     a, b, c, d = work
     np.bitwise_and(lo, _LOW32, out=a)
     np.right_shift(lo, 32, out=b)
@@ -249,14 +228,11 @@ def _step(hi, lo, inc_hi, inc_lo, work=None) -> None:
     hi += np.less(lo, inc_lo, out=a)
 
 
-def _output(hi, lo, work=None):
+def _output(hi, lo, work):
     """PCG64's XSL-RR output: ``hi ^ lo`` rotated right by the top 6 bits.
 
-    The result and its scratch are the first three rows of ``work`` when
-    it is given.
+    The result and its scratch are the first three rows of ``work``.
     """
-    if work is None:
-        work = np.empty((3, lo.size), dtype=np.uint64)
     x, rot, right = work[:3]
     np.bitwise_xor(hi, lo, out=x)
     np.right_shift(hi, 58, out=rot)
@@ -266,6 +242,17 @@ def _output(hi, lo, work=None):
     x <<= rot
     x |= right
     return x
+
+
+def _raw_words(states: np.ndarray, count: int, work: np.ndarray):
+    """Step copies of ``states`` ``count`` times and yield each raw word of
+    every item, as row 0 of the ``(4, K)`` ``uint64`` scratch ``work``,
+    valid until the next word is requested."""
+    hi, lo = states[:2].copy()
+    inc_hi, inc_lo = states[2:]
+    for _ in range(count):
+        _step(hi, lo, inc_hi, inc_lo, work)
+        yield _output(hi, lo, work)
 
 
 def _draws(states: np.ndarray, uniforms: int, normals: int):
@@ -282,7 +269,25 @@ def _draws(states: np.ndarray, uniforms: int, normals: int):
     k = states.shape[1]
     u = np.empty((uniforms, k))
     z = np.empty((normals, k))
-    off = _fast_path(states, u, z)
+    work = np.empty((4, k), dtype=np.uint64)
+    layer, sign, scaled = work[1].view(np.intp), work[2], work[3].view(float)
+    off = np.zeros(k, dtype=bool)
+    words = _raw_words(states, uniforms + normals, work)
+    # zip takes a row before a word, so the uniforms leave the normals'
+    # words unread.
+    for row, raw in zip(u, words):
+        raw >>= 11
+        np.multiply(raw, 2.0 ** -53, out=row)
+    for row, raw in zip(z, words):
+        np.bitwise_and(raw, 0xFF, out=layer.view(np.uint64))
+        np.bitwise_and(raw, 0x100, out=sign)
+        raw >>= 9
+        raw &= _LOW52
+        np.multiply(raw, np.take(_WI, layer, out=scaled), out=row)
+        # A set sign bit negates the normal: flip the sign bit of its float.
+        sign <<= 55
+        row.view(np.uint64)[...] ^= sign
+        off |= raw >= np.take(_KI, layer, out=sign)
     u, z = u.T, z.T
     items = np.flatnonzero(off)
     for i, rng in zip(items.tolist(), _loaded(states[:, items])):
@@ -291,45 +296,17 @@ def _draws(states: np.ndarray, uniforms: int, normals: int):
     return u, z
 
 
-def _fast_path(states, u, z) -> np.ndarray:
-    """Step every item through the rows of ``u`` and then of ``z``, filling
-    uniforms and fast-path normals, and return which items had a normal
-    word off the fast path."""
-    hi, lo = states[:2].copy()
-    inc_hi, inc_lo = states[2:]
-    work = np.empty((4, states.shape[1]), dtype=np.uint64)
-    layer, sign, scaled = work[1].view(np.intp), work[2], work[3].view(float)
-    off = np.zeros(states.shape[1], dtype=bool)
-    for w in range(len(u) + len(z)):
-        _step(hi, lo, inc_hi, inc_lo, work)
-        raw = _output(hi, lo, work)
-        if w < len(u):
-            raw >>= 11
-            np.multiply(raw, 2.0 ** -53, out=u[w])
-            continue
-        j = w - len(u)
-        np.bitwise_and(raw, 0xFF, out=layer.view(np.uint64))
-        np.bitwise_and(raw, 0x100, out=sign)
-        raw >>= 9
-        raw &= _LOW52
-        np.multiply(raw, np.take(_WI, layer, out=scaled), out=z[j])
-        # A set sign bit negates the normal: flip the sign bit of its float.
-        sign <<= 55
-        z[j].view(np.uint64)[...] ^= sign
-        off |= raw >= np.take(_KI, layer, out=sign)
-    return off
-
-
-def _block_rows(n: int, rows: int) -> int:
-    """Rows in one block of ``_count_rows``: a multiple of ``rows``."""
-    return max(1, _BLOCK_VALUES // max(n * rows, 1)) * rows
+def _count_row(rng: np.random.Generator, n: int) -> np.ndarray:
+    """How often each of ``n`` sites is drawn in ``n`` draws of ``rng``."""
+    return np.bincount(rng.integers(0, n, size=n), minlength=n)
 
 
 def _bootstrap_rows(seed: int, m: int, n: int, rows: int):
     """``_count_rows`` of the first attempts ``stream(seed, ROLE_BOOTSTRAP,
-    j, 0)``, ``j < m``, ``rows`` at a time. Each block's states are seeded
-    when the block is reached, so they take memory for one block, not m."""
-    block = _block_rows(n, rows)
+    j, 0)``, ``j < m``, ``rows`` at a time. States are seeded a block of
+    about ``_BLOCK_VALUES`` draws, a multiple of ``rows``, at a time, so
+    they take memory for one block, not m."""
+    block = max(1, _BLOCK_VALUES // max(n * rows, 1)) * rows
     for start in range(0, m, block):
         yield from _count_rows(_seed_states(
             seed, ROLE_BOOTSTRAP, np.arange(start, min(start + block, m)), 0),
@@ -337,45 +314,36 @@ def _bootstrap_rows(seed: int, m: int, n: int, rows: int):
 
 
 def _count_rows(states: np.ndarray, n: int, rows: int):
-    """Yield the bootstrap count rows of the columns of ``states``, ``rows``
-    at a time, as ``(rows, n)`` matrices (the last one may be shorter).
+    """Yield the ``_count_row`` of a generator loaded with each column of
+    ``states``, ``rows`` at a time, as ``(rows, n)`` matrices (the last one
+    may be shorter).
 
-    The row of a column is ``np.bincount(g.integers(0, n, size=n),
-    minlength=n)`` for a generator ``g`` loaded with its state.
     ``integers`` takes NumPy's Lemire method on 32-bit draws, the low half
-    of each raw word and then the high half. When a block holds enough
-    rows per raw word of a row (``_ROW_WORD_RATIO``), all its rows step
-    together and a row that meets a rejection is drawn again from its own
-    generator; otherwise every row is drawn from its own generator.
+    of each raw word and then the high half. When there are enough columns
+    per raw word of a row (``_ROW_WORD_RATIO``), all of them step together
+    and a row that meets a rejection is drawn again from its own
+    generator; otherwise every row is drawn from its own generator. All
+    raw words are held at once, so a caller passes one block of states.
     """
     k = states.shape[1]
     words = (n + 1) // 2
-    block = _block_rows(n, rows)
-    if not n or min(k, block) < _ROW_WORD_RATIO * words:
+    if not n or k < _ROW_WORD_RATIO * words:
         loaded = _loaded(states)
         for start in range(0, k, rows):
-            yield np.array([np.bincount(rng.integers(0, n, size=n), minlength=n)
-                            for rng in islice(loaded, rows)])
+            yield np.array([_count_row(rng, n) for rng in islice(loaded, rows)])
         return
-    threshold = (2 ** 32 - n) % n
-    for start in range(0, k, block):
-        part = states[:, start:start + block]
-        hi, lo = part[:2].copy()
-        inc_hi, inc_lo = part[2:]
-        raw = np.empty((part.shape[1], words), dtype="<u8")
-        work = np.empty_like(part)
-        for w in range(words):
-            _step(hi, lo, inc_hi, inc_lo, work)
-            raw[:, w] = _output(hi, lo, work)
-        draws = raw.view("<u4")[:, :n]
-        rejected = (draws * np.uint32(n) < threshold).any(axis=1)
-        for first in range(0, len(draws), rows):
-            cells = draws[first:first + rows] * np.uint64(n)
-            cells >>= 32
-            cells += np.arange(0, cells.size, n, dtype=np.uint64)[:, np.newaxis]
-            counts = np.bincount(cells.view(np.int64).ravel(),
-                                 minlength=cells.size).reshape(cells.shape)
-            redo = np.flatnonzero(rejected[first:first + rows])
-            for i, rng in zip(redo, _loaded(part[:, first + redo])):
-                counts[i] = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            yield counts
+    raw = np.empty((k, words), dtype="<u8")
+    for w, word in enumerate(_raw_words(states, words, np.empty_like(states))):
+        raw[:, w] = word
+    draws = raw.view("<u4")[:, :n]
+    rejected = (draws * np.uint32(n) < (2 ** 32 - n) % n).any(axis=1)
+    for first in range(0, k, rows):
+        cells = draws[first:first + rows] * np.uint64(n)
+        cells >>= 32
+        cells += np.arange(0, cells.size, n, dtype=np.uint64)[:, np.newaxis]
+        counts = np.bincount(cells.view(np.int64).ravel(),
+                             minlength=cells.size).reshape(cells.shape)
+        redo = np.flatnonzero(rejected[first:first + rows])
+        for i, rng in zip(redo, _loaded(states[:, first + redo])):
+            counts[i] = _count_row(rng, n)
+        yield counts

@@ -108,18 +108,17 @@ def _axes(parts: list[str], xaxis: _Axis, yaxis: _Axis,
 
 
 def line_chart(series, *, title: str, x_label: str, y_label: str,
-               x_log: bool = False, y_log: bool = True) -> str:
-    """Multi-series line chart; each series is (label, xs, ys, errs or None)."""
+               x_log: bool = False) -> str:
+    """Multi-series line chart on a log10 y axis; each series is
+    (label, xs, ys, errs or None)."""
     all_x = [x for _, xs, _, _ in series for x in xs]
     all_y = []
     for _, _, ys, errs in series:
         all_y.extend(ys)
         if errs is not None:
             all_y.extend(y + e for y, e in zip(ys, errs))
-            if not y_log:
-                all_y.extend(y - e for y, e in zip(ys, errs))
     xaxis = _Axis(all_x, x_log, _LEFT, _RIGHT)
-    yaxis = _Axis(all_y, y_log, _BOTTOM, _TOP)
+    yaxis = _Axis(all_y, True, _BOTTOM, _TOP)
     parts = _header(title)
     _axes(parts, xaxis, yaxis, x_label, y_label)
     for s, (label, xs, ys, errs) in enumerate(series):
@@ -132,7 +131,7 @@ def line_chart(series, *, title: str, x_label: str, y_label: str,
             for x, y, e in zip(xs, ys, errs):
                 px = xaxis.to_px(x)
                 top = yaxis.to_px(y + e)
-                bot = yaxis.to_px(max(y - e, yaxis.floor) if y_log else y - e)
+                bot = yaxis.to_px(max(y - e, yaxis.floor))
                 parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(top)}" '
                              f'x2="{_fmt(px)}" y2="{_fmt(bot)}" '
                              f'stroke="{color}" stroke-width="1"/>')
@@ -150,24 +149,19 @@ def line_chart(series, *, title: str, x_label: str, y_label: str,
     return "\n".join(parts) + "\n"
 
 
-def scatter_chart(xs, ys, *, title: str, x_label: str, y_label: str,
-                  log: bool = True, diagonal: bool = True) -> str:
-    """Scatter of paired values with an optional identity diagonal."""
+def scatter_chart(xs, ys, *, title: str, x_label: str, y_label: str) -> str:
+    """Scatter of paired values on log10 axes with the identity diagonal."""
     pooled = list(xs) + list(ys)
-    xaxis = _Axis(pooled, log, _LEFT, _RIGHT)
-    yaxis = _Axis(pooled, log, _BOTTOM, _TOP)
+    xaxis = _Axis(pooled, True, _LEFT, _RIGHT)
+    yaxis = _Axis(pooled, True, _BOTTOM, _TOP)
     parts = _header(title)
     _axes(parts, xaxis, yaxis, x_label, y_label)
-    if diagonal:
-        if log:
-            lo, hi = 10.0 ** xaxis.lo, 10.0 ** xaxis.hi
-        else:
-            lo, hi = xaxis.lo, xaxis.hi
-        parts.append(f'<line x1="{_fmt(xaxis.to_px(lo))}" '
-                     f'y1="{_fmt(yaxis.to_px(lo))}" '
-                     f'x2="{_fmt(xaxis.to_px(hi))}" '
-                     f'y2="{_fmt(yaxis.to_px(hi))}" '
-                     f'stroke="gray" stroke-dasharray="6,4"/>')
+    lo, hi = 10.0 ** xaxis.lo, 10.0 ** xaxis.hi
+    parts.append(f'<line x1="{_fmt(xaxis.to_px(lo))}" '
+                 f'y1="{_fmt(yaxis.to_px(lo))}" '
+                 f'x2="{_fmt(xaxis.to_px(hi))}" '
+                 f'y2="{_fmt(yaxis.to_px(hi))}" '
+                 f'stroke="gray" stroke-dasharray="6,4"/>')
     for x, y in zip(xs, ys):
         parts.append(f'<circle cx="{_fmt(xaxis.to_px(x))}" '
                      f'cy="{_fmt(yaxis.to_px(y))}" r="3.5" '

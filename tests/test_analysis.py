@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from vpboot import analysis
 from vpboot.analysis import (FRACTION_NAMES, format_report, partition_tables,
                              report_to_dict, run_analysis, trend_surface)
 from vpboot.errors import DegenerateDataError, ValidationError
@@ -162,6 +163,23 @@ def test_run_analysis_requires_aligned_blocks():
                            env.values[:, 1:])
     with pytest.raises(ValidationError):
         run_analysis(table, x, other, seed=1, m_replicates=10)
+
+
+@pytest.mark.parametrize("m_replicates, seed, message", [
+    (1, 1, "at least 2 bootstrap replicates"),
+    (2**32, 1, r"fewer than 2\*\*32 bootstrap replicates"),
+    (10, -1, "seed must be non-negative"),
+], ids=["one-replicate", "too-many-replicates", "negative-seed"])
+def test_run_analysis_checks_the_bootstrap_before_the_point_fit(
+        m_replicates, seed, message, monkeypatch):
+    def no_fit(*_args, **_kwargs):
+        raise AssertionError("the point partition was fitted first")
+
+    monkeypatch.setattr(analysis, "partition_tables", no_fit)
+    table, env = generate_dataset(ScenarioConfig(seed=37, n_sites=10))
+    x, w = _split_blocks(table, env)
+    with pytest.raises(ValidationError, match=message):
+        run_analysis(table, x, w, seed=seed, m_replicates=m_replicates)
 
 
 def test_report_serialization_and_text_rendering():

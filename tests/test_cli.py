@@ -291,6 +291,24 @@ def test_analyze_degenerate_inputs_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("method", ["rda", "cca"])
+@pytest.mark.parametrize("env", [[[1.0], [1.0]], [[0.5], [2.0]]],
+                         ids=["constant-env", "varying-env"])
+def test_analyze_needs_three_sites_whatever_the_predictors(tmp_path, capsys,
+                                                           method, env):
+    ids = ("a", "b")
+    write_table_csv(tmp_path / "y.csv", CommunityTable(
+        ids, ("sp1", "sp2"), [[3.0, 1.0], [1.0, 4.0]]))
+    write_table_csv(tmp_path / "x.csv", PredictorBlock("env", ids, env))
+    write_table_csv(tmp_path / "w.csv",
+                    PredictorBlock("spatial", ids, [[0.2], [0.9]]))
+    code = main(["analyze", str(tmp_path / "y.csv"), str(tmp_path / "x.csv"),
+                 str(tmp_path / "w.csv"), "--method", method, "--seed", "1",
+                 "--bootstrap", "20"])
+    assert code == 2
+    assert "need at least 3 rows" in capsys.readouterr().err
+
+
 def test_analyze_cca_needs_two_live_species(tmp_path, capsys):
     rng = np.random.default_rng(15)
     ids = tuple(f"s{i}" for i in range(12))

@@ -172,6 +172,33 @@ def test_optimum_sweep_pins_the_first_species_and_needs_two():
         optimum_distance_configs(three_species)
 
 
+def test_the_pool_never_outnumbers_the_items(monkeypatch):
+    # A fork pool starts all its workers on the first submit, so asking for
+    # more workers than items forks processes that never get work.
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *_exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert experiments._map(lambda v: 10 * v, range(3), threads=64) == [0, 10, 20]
+    assert asked == [3]
+    assert experiments._map(lambda v: 10 * v, [4], threads=64) == [40]
+    assert asked == [3]
+
+
 def test_parallel_sweep_matches_serial():
     base = ScenarioConfig(seed=16, replicates=10)
     serial = sweep_sample_size(base, sizes=(10, 15), noise_levels=(0.05,))

@@ -54,9 +54,9 @@ def test_line_chart_is_deterministic_and_well_formed():
         ("noise=0.1", [25, 100, 400], [0.2, 0.3, 0.4], None),
     ]
     svg = line_chart(series, title="a <b> & c", x_label="sites",
-                     y_label="R2", x_log=True, y_log=True)
+                     y_label="R2", x_log=True)
     assert svg == line_chart(series, title="a <b> & c", x_label="sites",
-                             y_label="R2", x_log=True, y_log=True)
+                             y_label="R2", x_log=True)
     assert svg.startswith("<svg ")
     assert svg.endswith("</svg>\n")
     assert "a &lt;b&gt; &amp; c" in svg
@@ -67,27 +67,24 @@ def test_line_chart_is_deterministic_and_well_formed():
 def test_scatter_chart_draws_every_point_and_diagonal():
     xs = [0.01, 0.1, 0.5, 1.2]
     ys = [0.02, 0.08, 0.6, 1.4]
-    svg = scatter_chart(xs, ys, title="t", x_label="x", y_label="y", log=True)
+    svg = scatter_chart(xs, ys, title="t", x_label="x", y_label="y")
     assert svg.count("<circle") == 4
     assert "stroke-dasharray" in svg
-    plain = scatter_chart(xs, ys, title="t", x_label="x", y_label="y",
-                          log=False, diagonal=False)
-    assert "stroke-dasharray" not in plain
 
 
 def test_charts_tolerate_degenerate_inputs():
     flat = line_chart([("s", [1.0, 1.0], [0.3, 0.3], None)],
                       title="flat", x_label="x", y_label="y",
-                      x_log=False, y_log=False)
+                      x_log=False)
     assert flat.endswith("</svg>\n")
     nonpositive = scatter_chart([0.0, -1.0], [0.0, -2.0], title="np",
-                                x_label="x", y_label="y", log=True)
+                                x_label="x", y_label="y")
     assert nonpositive.endswith("</svg>\n")
 
 
 def test_write_svg_round_trips_bytes(tmp_path):
     content = scatter_chart([1.0, 2.0], [1.5, 2.5], title="t",
-                            x_label="x", y_label="y", log=False)
+                            x_label="x", y_label="y")
     path = tmp_path / "chart.svg"
     write_svg(str(path), content)
     assert path.read_bytes() == content.encode()

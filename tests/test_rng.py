@@ -11,7 +11,7 @@ from vpboot import rng
 from vpboot._ziggurat import KI, WI
 from vpboot.rng import ROLE_BOOTSTRAP, ROLE_SITE, _streams, derive_seed, stream
 
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 3, 2**160 - 1]
 SEEDS = EDGE_SEEDS + [derive_seed(11, k) for k in range(20)]
 INDICES = np.array([0, 1, 2, 3, 1000, 2**31, 2**32 - 1], dtype=np.int64)
 
