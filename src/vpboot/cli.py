@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 invalid input, 3 numerical degeneracy,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -16,7 +15,7 @@ from ._version import __version__
 from .analysis import format_report, report_to_dict, run_analysis, trend_surface
 from .errors import (DegenerateDataError, ReproductionCheckError,
                      ValidationError)
-from .io import (config_digest, format_number, provenance_pairs,
+from .io import (_write_csv, config_digest, provenance_pairs,
                  read_scenario_config, read_table_csv, write_table_csv)
 from .reproduce import FIGURE_IDS, SCALE_REPLICATES, build_figure
 from .svgplot import write_svg
@@ -127,13 +126,8 @@ def _cmd_reproduce(args) -> int:
         ("figure", args.figure), ("scale", args.scale),
         ("replicates", SCALE_REPLICATES[args.scale])])
     csv_path = os.path.join(args.out, f"{args.figure}_results.csv")
-    with open(csv_path, "w", newline="") as fh:
-        for key, value in prov:
-            fh.write(f"# {key}={value}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(result.columns)
-        for row in result.rows:
-            writer.writerow([_cell(row[c]) for c in result.columns])
+    _write_csv(csv_path, prov, result.columns,
+               ([row[c] for c in result.columns] for row in result.rows))
     checks_path = os.path.join(args.out, f"{args.figure}_checks.json")
     with open(checks_path, "w") as fh:
         json.dump({
@@ -156,14 +150,6 @@ def _cmd_reproduce(args) -> int:
             f"{args.figure}: "
             f"{sum(not c['passed'] for c in result.checks)} check(s) failed")
     return EXIT_OK
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return format_number(value)
 
 
 def _cmd_simulate(args) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, ValidationError, VpbootError
 from .ordination import _as_array, _block_fractions, _log1p
-from .resample import bootstrap_statistic, relative_spread
+from .resample import _check_bootstrap, bootstrap_statistic, relative_spread
 from .rng import derive_seed
 from .synth import (ScenarioConfig, SpeciesNiche, _complex_config,
                     _generate_cell)
@@ -86,21 +86,31 @@ class ScenarioOutcome:
 
 def run_replicated_scenario(config: ScenarioConfig) -> ScenarioOutcome:
     """Generate ``config.replicates`` datasets and summarise the effect size."""
-    values = _cell_values(config, _effect_r2, config.replicates)
+    return _outcome(config, _effect_r2)
+
+
+def _outcome(config: ScenarioConfig, statistic,
+             n_validation: int = 0) -> ScenarioOutcome:
+    """Replication summary of ``statistic`` over ``config``'s replicates;
+    with ``n_validation`` tables, also the bootstrap relative error."""
+    values = _cell_values(config, statistic)
     mean = float(values.mean())
     sd = float(values.std(ddof=1)) if config.replicates > 1 else 0.0
-    return ScenarioOutcome(
-        config=config,
-        observed_mean_r2=mean,
-        observed_sd=sd,
-        observed_relative_error=abs(relative_spread(sd, mean)),
-        r2_values=tuple(float(v) for v in values),
-    )
+    estimate = None
+    if n_validation:
+        spread = _bootstrap_spread(config, statistic, n_validation)
+        # Both error measures are scaled by the same across-replicate mean,
+        # so the comparison isolates how well the bootstrap spread tracks
+        # the true run-to-run spread. Dividing each table's spread by its
+        # own bootstrap mean instead would blow up whenever that mean sits
+        # near zero.
+        estimate = abs(relative_spread(spread, mean))
+    return ScenarioOutcome(config, mean, sd, abs(relative_spread(sd, mean)),
+                           estimate, tuple(float(v) for v in values))
 
 
-def _cell_values(config: ScenarioConfig, statistic,
-                 replicates: int) -> np.ndarray:
-    """``statistic`` of replicates ``0 .. replicates - 1``, one value each.
+def _cell_values(config: ScenarioConfig, statistic) -> np.ndarray:
+    """``statistic`` of replicates ``0 .. config.replicates - 1``.
 
     Replicates are generated and fitted a chunk at a time as stacked
     arrays; ``statistic(None, counts, env)`` is a unit-count statistic such
@@ -111,8 +121,8 @@ def _cell_values(config: ScenarioConfig, statistic,
     per_replicate = config.n_sites * (config.n_species + 2)
     size = max(1, _CELL_CHUNK_VALUES // per_replicate)
     values = []
-    for start in range(0, replicates, size):
-        chunk = range(start, min(start + size, replicates))
+    for start in range(0, config.replicates, size):
+        chunk = range(start, min(start + size, config.replicates))
         try:
             fractions, _ = statistic(None, *_generate_cell(config, chunk))
         except VpbootError:
@@ -121,6 +131,28 @@ def _cell_values(config: ScenarioConfig, statistic,
             raise
         values.append(fractions[:, 0])
     return np.concatenate(values)
+
+
+def _bootstrap_spread(config: ScenarioConfig, statistic,
+                      n_validation: int) -> float:
+    """Mean bootstrap standard deviation of ``statistic`` over validation
+    tables ``R + v`` of ``config``, ``v < n_validation``, each bootstrapped
+    ``R = config.replicates`` times; one generator call makes the tables."""
+    m = config.replicates
+    tables, envs = _generate_cell(config, range(m, m + n_validation))
+    return float(np.mean([
+        bootstrap_statistic(table, [env], statistic, m, derive_seed(
+            config.seed, _TAG_VALIDATION_TABLE, v))[0].sd
+        for v, (table, env) in enumerate(zip(tables, envs))]))
+
+
+def _check_validation(replicates, n_validation: int) -> None:
+    """The validation studies' checks, made before any generation: each
+    scenario is bootstrapped as many times as it has replicates."""
+    if n_validation < 1:
+        raise ValidationError("need at least 1 validation table")
+    for r in replicates:
+        _check_bootstrap(r, 0)
 
 
 def _map(fn, items, threads: int) -> list:
@@ -139,22 +171,29 @@ def _map(fn, items, threads: int) -> list:
     return [fn(item) for item in items]
 
 
+def _grid(base: ScenarioConfig, tag: int, noise_levels,
+          cells) -> list[ScenarioConfig]:
+    """``base`` with each cell's dict of changed fields at each noise level.
+
+    All cells within one noise level share a seed derived from ``tag``, so
+    they see the same site draws (common random numbers) and differ only in
+    the swept parameter. Per-cell marginals are unaffected; cross-cell
+    comparisons lose most of their Monte Carlo noise.
+    """
+    return [
+        replace(base, **cell, sigma_noise=float(noise),
+                seed=derive_seed(base.seed, tag, j))
+        for j, noise in enumerate(noise_levels)
+        for cell in cells
+    ]
+
+
 def sample_size_configs(base: ScenarioConfig,
                         sizes=DEFAULT_SAMPLE_SIZES,
                         noise_levels=DEFAULT_NOISE_LEVELS) -> list[ScenarioConfig]:
-    """Grid of configs varying the number of sites at each noise level.
-
-    All cells within one noise level share a derived seed, so they see the
-    same site draws (common random numbers) and differ only in the swept
-    parameter. Per-cell marginals are unaffected; cross-cell comparisons
-    lose most of their Monte Carlo noise.
-    """
-    return [
-        replace(base, n_sites=int(n), sigma_noise=float(noise),
-                seed=derive_seed(base.seed, _TAG_SAMPLE_SIZE, j))
-        for j, noise in enumerate(noise_levels)
-        for n in sizes
-    ]
+    """Grid of configs varying the number of sites at each noise level."""
+    return _grid(base, _TAG_SAMPLE_SIZE, noise_levels,
+                 [{"n_sites": int(n)} for n in sizes])
 
 
 def sampling_range_configs(base: ScenarioConfig,
@@ -162,16 +201,11 @@ def sampling_range_configs(base: ScenarioConfig,
                            noise_levels=DEFAULT_NOISE_LEVELS) -> list[ScenarioConfig]:
     """Grid of configs shrinking the sampled range of the second gradient.
 
-    Cells within a noise level share a seed (common random numbers), so the
-    gradient positions scale smoothly with the range cap instead of being
-    redrawn per cell.
+    With common random numbers the gradient positions scale smoothly with
+    the range cap instead of being redrawn per cell.
     """
-    return [
-        replace(base, y_max=float(v), sigma_noise=float(noise),
-                seed=derive_seed(base.seed, _TAG_RANGE, j))
-        for j, noise in enumerate(noise_levels)
-        for v in y_max_values
-    ]
+    return _grid(base, _TAG_RANGE, noise_levels,
+                 [{"y_max": float(v)} for v in y_max_values])
 
 
 def optimum_distance_configs(base: ScenarioConfig,
@@ -180,21 +214,15 @@ def optimum_distance_configs(base: ScenarioConfig,
     """Grid of configs moving the second species' optimum along the gradient.
 
     The first species keeps its optimum at the foot of the gradient; only
-    the separation between the two optima changes. Cells within a noise
-    level share a seed (common random numbers).
+    the separation between the two optima changes.
     """
     if len(base.niches) != 2:
         raise ValidationError("optimum-distance sweep needs a 2-species base config")
     first, second = base.niches
-    return [
-        replace(base,
-                niches=(SpeciesNiche(first.x_opt, 0.0),
-                        SpeciesNiche(second.x_opt, float(v))),
-                sigma_noise=float(noise),
-                seed=derive_seed(base.seed, _TAG_OPTIMUM, j))
-        for j, noise in enumerate(noise_levels)
-        for v in y_opt_values
-    ]
+    return _grid(base, _TAG_OPTIMUM, noise_levels, [
+        {"niches": (SpeciesNiche(first.x_opt, 0.0),
+                    SpeciesNiche(second.x_opt, float(v)))}
+        for v in y_opt_values])
 
 
 def sweep_sample_size(base: ScenarioConfig, sizes=DEFAULT_SAMPLE_SIZES,
@@ -221,34 +249,6 @@ def sweep_optimum_distance(base: ScenarioConfig, y_opt_values=DEFAULT_Y_OPT_GRID
                 optimum_distance_configs(base, y_opt_values, noise_levels), threads)
 
 
-def _validated_outcome(config: ScenarioConfig, *,
-                       n_validation: int) -> ScenarioOutcome:
-    outcome = run_replicated_scenario(config)
-    spread = _bootstrap_spread(config, _effect_r2, config.replicates,
-                               n_validation)
-    # Both error measures are scaled by the same across-replicate mean, so
-    # the comparison isolates how well the bootstrap spread tracks the true
-    # run-to-run spread. Dividing each table's spread by its own bootstrap
-    # mean instead would blow up whenever that mean sits near zero.
-    estimate = abs(relative_spread(spread, outcome.observed_mean_r2))
-    return replace(outcome, bootstrap_relative_error=estimate)
-
-
-def _bootstrap_spread(config: ScenarioConfig, statistic, m_replicates: int,
-                      n_validation: int) -> float:
-    """Mean bootstrap standard deviation of ``statistic`` over validation
-    tables ``m_replicates + v`` of ``config``, ``v < n_validation``, each
-    bootstrapped ``m_replicates`` times."""
-    spreads = []
-    for v in range(n_validation):
-        (table,), (env,) = _generate_cell(config, [m_replicates + v])
-        summary = bootstrap_statistic(
-            table, [env], statistic, m_replicates,
-            derive_seed(config.seed, _TAG_VALIDATION_TABLE, v))[0]
-        spreads.append(summary.sd)
-    return float(np.mean(spreads))
-
-
 def bootstrap_validation(scenarios, n_validation: int = 10,
                          threads: int = 1) -> list[ScenarioOutcome]:
     """Observed versus bootstrap-estimated relative error per scenario.
@@ -258,14 +258,10 @@ def bootstrap_validation(scenarios, n_validation: int = 10,
     ``n_validation`` fresh datasets, divided by the scenario's mean effect
     size so that both error measures share one denominator.
     """
-    if n_validation < 1:
-        raise ValidationError("need at least 1 validation table")
     scenarios = list(scenarios)
-    if any(cfg.replicates < 2 for cfg in scenarios):
-        raise ValidationError(
-            "validation scenarios need at least 2 replicates to bootstrap")
-    return _map(partial(_validated_outcome, n_validation=n_validation),
-                scenarios, threads)
+    _check_validation([cfg.replicates for cfg in scenarios], n_validation)
+    return _map(partial(_outcome, statistic=_effect_r2,
+                        n_validation=n_validation), scenarios, threads)
 
 
 def cca_proportion(table, env) -> float:
@@ -297,23 +293,13 @@ class CcaScenarioOutcome:
     bootstrap_relative_error: float
 
 
-def _cca_repeat(item, m_replicates: int,
-                n_validation: int) -> CcaScenarioOutcome:
+def _cca_repeat(item, n_validation: int) -> CcaScenarioOutcome:
     config, repeat = item
-    values = _cell_values(config, _cca_share, m_replicates)
-    mean = float(values.mean())
-    sd = float(values.std(ddof=1))
-    spread = _bootstrap_spread(config, _cca_share, m_replicates, n_validation)
+    o = _outcome(config, _cca_share, n_validation)
     return CcaScenarioOutcome(
-        n_sites=int(config.n_sites),
-        sigma_noise=float(config.sigma_noise),
-        repeat=int(repeat),
-        seed=config.seed,
-        mean_proportion=mean,
-        observed_sd=sd,
-        observed_relative_error=abs(relative_spread(sd, mean)),
-        bootstrap_relative_error=abs(relative_spread(spread, mean)),
-    )
+        int(config.n_sites), float(config.sigma_noise), int(repeat),
+        config.seed, o.observed_mean_r2, o.observed_sd,
+        o.observed_relative_error, o.bootstrap_relative_error)
 
 
 def cca_validation(sizes=CCA_SAMPLE_SIZES, noise_levels=CCA_NOISE_LEVELS,
@@ -323,26 +309,25 @@ def cca_validation(sizes=CCA_SAMPLE_SIZES, noise_levels=CCA_NOISE_LEVELS,
     """Bootstrap-error validation on randomly assembled many-species communities.
 
     Every (size, noise) cell is repeated ``repeats`` times with fresh niche
-    optima. Returns ``(outcomes, report)`` where the report carries the
-    pooled correlation between observed and bootstrap-estimated relative
-    errors across all repeats.
+    optima, and each repeat runs ``m_replicates`` replicates. Returns
+    ``(outcomes, report)`` where the report carries the pooled correlation
+    between observed and bootstrap-estimated relative errors across all
+    repeats.
     """
     if seed < 0:
         raise ValidationError("seed must be non-negative")
-    if m_replicates < 2:
-        raise ValidationError("need at least 2 replicates per cell")
-    if n_validation < 1:
-        raise ValidationError("need at least 1 validation table")
+    _check_validation([m_replicates], n_validation)
     # Every cell's scenario, niche optima included, is built before any work.
     items = [
-        (_complex_config(n, n_species, noise,
-                         derive_seed(seed, _TAG_CCA, i, j, rep), 0.5), rep)
+        (replace(_complex_config(n, n_species, noise,
+                                 derive_seed(seed, _TAG_CCA, i, j, rep), 0.5),
+                 replicates=m_replicates), rep)
         for i, n in enumerate(sizes)
         for j, noise in enumerate(noise_levels)
         for rep in range(repeats)
     ]
-    outcomes = _map(partial(_cca_repeat, m_replicates=m_replicates,
-                            n_validation=n_validation), items, threads)
+    outcomes = _map(partial(_cca_repeat, n_validation=n_validation), items,
+                    threads)
     observed = [o.observed_relative_error for o in outcomes]
     estimated = [o.bootstrap_relative_error for o in outcomes]
     r, t, df = pearson_r(observed, estimated)

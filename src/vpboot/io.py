@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
+import numbers
 import os
 from dataclasses import asdict
 
@@ -20,8 +22,11 @@ from .tables import CommunityTable, PredictorBlock
 from ._version import __version__
 
 
-def format_number(value: float) -> str:
-    """Shortest exact decimal form; integral values drop the fraction."""
+def format_number(value) -> str:
+    """Integers (``int`` or NumPy) digit for digit; floats in the shortest
+    exact decimal form, integral ones below 1e16 without the fraction."""
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
     f = float(value)
     if f.is_integer() and abs(f) < 1e16:
         return str(int(f))
@@ -29,11 +34,12 @@ def format_number(value: float) -> str:
 
 
 def _read_text(path: str) -> str:
-    """The file's text; bytes that are not UTF-8 are a ``ValidationError``."""
+    """The file's text without a leading byte-order mark; bytes that are not
+    UTF-8 are a ``ValidationError``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValidationError(
@@ -126,13 +132,22 @@ def write_table_csv(path: str, obj, provenance=None) -> None:
             column_ids = ("x", "y")
     else:
         raise ValidationError("can only write CommunityTable or PredictorBlock")
+    _write_csv(path, provenance, ["site", *column_ids],
+               ([label, *row] for label, row in zip(obj.site_ids, obj.values)))
+
+
+def _write_csv(path: str, provenance, header, rows) -> None:
+    """``# key=value`` lines for the ``provenance`` pairs, the header, then
+    the rows; a cell is empty for None, kept for a str, and otherwise
+    written by ``format_number``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for key, value in (provenance or ()):
             fh.write(f"# {key}={value}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["site", *column_ids])
-        for label, row in zip(obj.site_ids, obj.values):
-            writer.writerow([label, *(format_number(v) for v in row)])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if v is None else v if isinstance(v, str)
+                             else format_number(v) for v in row])
 
 
 _TOP_LEVEL_INT = {"n_sites", "carrying_capacity", "replicates", "seed"}
@@ -178,6 +193,9 @@ def parse_scenario_config(text: str) -> ScenarioConfig:
         except ValueError:
             raise ValidationError(
                 f"line {lineno}: non-numeric value {value!r} for {key!r}") from None
+        if not math.isfinite(scope[key]):
+            raise ValidationError(
+                f"line {lineno}: non-finite value {value!r} for {key!r}")
     if "seed" not in top:
         raise ValidationError(
             "seed is required: add an explicit 'seed = <integer>' line")

@@ -40,6 +40,8 @@ CCA_COLUMNS = (
 VALIDATION_BAND = (0.03, 1.0)
 #: Span the many-species study's observed errors must at least cover.
 CCA_SPAN = (0.01, 0.25)
+#: Species per community in the many-species study.
+CCA_SPECIES = 5
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,8 @@ def build_fig5(base: ScenarioConfig, threads: int = 1) -> FigureResult:
 def build_fig6(base: ScenarioConfig, threads: int = 1) -> FigureResult:
     """Bootstrap validation on randomly assembled five-species communities."""
     outcomes, report = cca_validation(
-        m_replicates=base.replicates, seed=base.seed, threads=threads)
+        m_replicates=base.replicates, n_species=CCA_SPECIES, seed=base.seed,
+        threads=threads)
     observed = [o.observed_relative_error for o in outcomes]
     lo, hi = CCA_SPAN
     checks = [
@@ -233,7 +236,7 @@ def build_fig6(base: ScenarioConfig, threads: int = 1) -> FigureResult:
         "figure": "fig6",
         "sigma_noise": o.sigma_noise,
         "n_sites": o.n_sites,
-        "n_species": 5,
+        "n_species": CCA_SPECIES,
         "repeat": o.repeat,
         "replicates": base.replicates,
         "cell_seed": o.seed,

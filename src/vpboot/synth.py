@@ -65,8 +65,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
-        if self.n_sites < 3:
-            raise ValidationError("need at least 3 sites")
+        if not 3 <= self.n_sites < 2 ** 32:
+            raise ValidationError("need at least 3 and fewer than 2**32 sites")
         niches = tuple(self.niches)
         if len(niches) < 2:
             raise ValidationError("need at least 2 species")

@@ -1,10 +1,15 @@
 """End-to-end command-line behaviour, run in process via ``main``."""
 
+import contextlib
+import io
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpboot import cli, resample
 from vpboot.analysis import report_to_dict, run_analysis
@@ -12,6 +17,9 @@ from vpboot.cli import main
 from vpboot.io import write_table_csv
 from vpboot.synth import ScenarioConfig, generate_dataset
 from vpboot.tables import CommunityTable, PredictorBlock
+
+#: Hostile inputs tried per fuzz test; each runs ``main`` in process.
+FUZZ_EXAMPLES = 200
 
 
 def _write_inputs(tmp_path, n_sites=20, seed=9):
@@ -401,3 +409,136 @@ def test_reproduce_argument_validation(tmp_path, capsys):
     assert main(["reproduce", "fig2", "--seed", "1", "--threads", "0",
                  "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("doc", ["seed = 1\nn_sites = nan\n",
+                                 "seed = 1\nn_sites = 1e308\n", "seed = inf\n"])
+def test_simulate_exits_two_on_an_unusable_config_value(tmp_path, capsys,
+                                                        doc):
+    # Each of these escaped ``main`` as a ValueError or OverflowError.
+    config = tmp_path / "scenario.cfg"
+    config.write_text(doc)
+    assert main(["simulate", str(config), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# ------------------------------------------------------------------ fuzz
+
+HOSTILE_CELLS = ("nan", "inf", "-inf", "1e308", "-1e308", "-0", "", "x")
+TABLE_EDITS = ("cell", "ragged", "empty", "duplicate", "zero", "one-site",
+               "one-column")
+
+
+def _hostile_bytes(draw, raw: bytes) -> bytes:
+    encoding = draw(st.sampled_from(("plain", "bom", "latin")))
+    if encoding == "bom":
+        return b"\xef\xbb\xbf" + raw
+    if encoding == "latin":
+        at = draw(st.integers(0, len(raw)))
+        return raw[:at] + b"\xff" + raw[at:]
+    return raw
+
+
+@st.composite
+def _analyze_inputs(draw):
+    """Three valid small tables, then hostile edits of one table's cells
+    and of one file's bytes."""
+    n = draw(st.integers(1, 7))
+    value = st.integers(0, 30).map(str)
+
+    def table(columns):
+        return [["site", *columns]] + [
+            [f"site{i}", *(draw(value) for _ in columns)] for i in range(n)]
+
+    files = {"community": table([f"sp{j}" for j in range(draw(
+                 st.integers(1, 3)))]),
+             "env": table(["e"]), "spatial": table(["x", "y"])}
+    rows = files[draw(st.sampled_from(sorted(files)))]
+    for edit in draw(st.lists(st.sampled_from(TABLE_EDITS), max_size=3)):
+        i = draw(st.integers(0, len(rows) - 1))
+        if edit == "cell" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(
+                st.sampled_from(HOSTILE_CELLS))
+        elif edit == "ragged":
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
+        elif edit == "empty":
+            rows.insert(i, [""] * draw(st.integers(1, 3)))
+        elif edit == "duplicate":
+            rows[i][:1] = rows[-1][:1]
+        elif edit == "zero":
+            j = draw(st.integers(1, 3))
+            for row in rows[1:]:
+                row[j:j + 1] = ["0"] * len(row[j:j + 1])
+        elif edit == "one-site":
+            del rows[2:]
+        elif edit == "one-column":
+            rows[:] = [row[:2] for row in rows]
+    data = {name: "".join(",".join(row) + "\n" for row in rows).encode()
+            for name, rows in files.items()}
+    name = draw(st.sampled_from(sorted(data)))
+    data[name] = _hostile_bytes(draw, data[name])
+    return data
+
+
+def _run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return main(argv)
+
+
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+@given(data=_analyze_inputs(), method=st.sampled_from(("rda", "cca")),
+       bootstrap=st.one_of(st.integers(2, 9),
+                           st.sampled_from((2 ** 32, 10 ** 12, 10 ** 30))))
+def test_analyze_on_hostile_input_exits_cleanly(data, method, bootstrap,
+                                                tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for name, raw in data.items():
+        (work / f"{name}.csv").write_bytes(raw)
+        paths.append(str(work / f"{name}.csv"))
+    out = work / "report.json"
+    code = _run_quietly(["analyze", *paths, "--method", method,
+                         "--bootstrap", str(bootstrap), "--seed", "1",
+                         "--out", str(out)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        fractions = json.loads(out.read_text())["fractions"]
+        assert all(math.isfinite(v) for v in fractions.values())
+        assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+SCENARIO_KEYS = ("seed", "n_sites", "carrying_capacity", "replicates",
+                 "sigma_niche", "sigma_noise", "y_max", "x_opt", "y_opt")
+SCENARIO_VALUES = ("nan", "inf", "-inf", "1e308", "-0", "0", "-1", "2.5",
+                   "5", "0.5", "x")
+
+
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(SCENARIO_KEYS),
+                                st.sampled_from(SCENARIO_VALUES)),
+                      max_size=3),
+       species=st.integers(0, 3),
+       replicate=st.sampled_from((0, 1, -1, 2 ** 32)), data=st.data())
+def test_simulate_on_hostile_input_exits_cleanly(edits, species, replicate,
+                                                 data, tmp_path_factory):
+    top = {"seed": "1", "n_sites": "5"}
+    niches = [{"x_opt": "0.5", "y_opt": "0.5"} for _ in range(species)]
+    for key, value in edits:
+        if key in ("x_opt", "y_opt"):
+            for niche in niches:
+                niche[key] = value
+        else:
+            top[key] = value
+    lines = [f"{k} = {v}" for k, v in top.items()]
+    for niche in niches:
+        lines += ["[species]"] + [f"{k} = {v}" for k, v in niche.items()]
+    raw = ("\n".join(lines) + "\n").encode()
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "scenario.cfg").write_bytes(_hostile_bytes(data.draw, raw))
+    code = _run_quietly(["simulate", str(work / "scenario.cfg"),
+                         "--replicate", str(replicate),
+                         "--out", str(work / "sim")])
+    assert code in (0, 2, 3)

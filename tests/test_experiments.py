@@ -299,12 +299,52 @@ def _no_generation(*_args):
     lambda: cca_validation(sizes=(20,), noise_levels=(0.0,), m_replicates=1),
     lambda: cca_validation(sizes=(20,), noise_levels=(0.0,), seed=-1),
     lambda: cca_validation(sizes=(20, 4), noise_levels=(0.0,)),
+    lambda: bootstrap_validation([ScenarioConfig(seed=1, n_sites=10,
+                                                 replicates=2 ** 32)]),
+    lambda: cca_validation(sizes=(20,), noise_levels=(0.0,),
+                           m_replicates=2 ** 32),
 ], ids=["no-validation-tables", "one-replicate", "cca-no-validation-tables",
-        "cca-one-replicate", "cca-negative-seed", "cca-too-few-sites"])
+        "cca-one-replicate", "cca-negative-seed", "cca-too-few-sites",
+        "too-many-replicates", "cca-too-many-replicates"])
 def test_studies_check_their_arguments_before_any_work(study, monkeypatch):
     monkeypatch.setattr(experiments, "_generate_cell", _no_generation)
     with pytest.raises(ValidationError):
         study()
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    original = getattr(experiments, name)
+
+    def spy(config, arg, *rest):
+        calls.append((config, list(arg) if name == "_generate_cell" else arg))
+        return original(config, arg, *rest)
+
+    monkeypatch.setattr(experiments, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("study, scenarios", [
+    (lambda: bootstrap_validation(
+        [ScenarioConfig(seed=s, n_sites=12, replicates=6) for s in (2, 3)],
+        n_validation=3), 2),
+    (lambda: cca_validation(sizes=(12,), noise_levels=(0.05,), repeats=3,
+                            m_replicates=6, n_validation=3, seed=2), 3),
+], ids=["rda", "cca"])
+def test_one_generator_call_makes_a_scenarios_validation_tables(
+        study, scenarios, monkeypatch):
+    calls = _spy(monkeypatch, "_generate_cell")
+    study()
+    assert [r for _, r in calls if max(r) >= 6] == [[6, 7, 8]] * scenarios
+
+
+def test_cca_configs_carry_the_studys_replicate_count(monkeypatch):
+    calls = _spy(monkeypatch, "_cell_values")
+    outcomes, _ = cca_validation(sizes=(12,), noise_levels=(0.0, 0.05),
+                                 repeats=2, m_replicates=7, n_validation=1,
+                                 seed=3)
+    assert len(calls) == len(outcomes) == 4
+    assert [config.replicates for config, _ in calls] == [7] * 4
 
 
 @pytest.mark.parametrize("broken, expected", [(5, "fit of 2"),
@@ -328,7 +368,7 @@ def test_cell_errors_come_in_replicate_order(broken, expected, monkeypatch):
 
     monkeypatch.setattr(experiments, "_generate_cell", generating)
     with pytest.raises(DegenerateDataError, match=f"^{expected}$"):
-        experiments._cell_values(config, fitting, 8)
+        experiments._cell_values(config, fitting)
 
 
 def test_a_failing_replicate_raises_its_per_replicate_error():

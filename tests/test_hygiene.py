@@ -32,17 +32,23 @@ def test_modules_use_every_name_they_import(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def _svd_calls(source: str) -> int:
+def _calls(source: str, name: str) -> int:
     return sum(isinstance(node, ast.Call) and (
-        isinstance(node.func, ast.Attribute) and node.func.attr == "svd"
-        or isinstance(node.func, ast.Name) and node.func.id == "svd")
+        isinstance(node.func, ast.Attribute) and node.func.attr == name
+        or isinstance(node.func, ast.Name) and node.func.id == name)
         for node in ast.walk(ast.parse(source)))
 
 
 def test_the_package_has_one_svd_call():
     # Every rank, projection and fit goes through ordination._svd_basis.
-    assert sum(_svd_calls(p.read_text()) for p in PACKAGE.glob("*.py")) == 1
-    assert _svd_calls("u = np.linalg.svd(a)\nsvd(b)\nnp.svd\n") == 2
+    assert sum(_calls(p.read_text(), "svd") for p in PACKAGE.glob("*.py")) == 1
+    assert _calls("u = np.linalg.svd(a)\nsvd(b)\nnp.svd\n", "svd") == 2
+
+
+def test_the_package_builds_one_process_pool():
+    # Every fan-out goes through experiments._map.
+    assert sum(_calls(p.read_text(), "ProcessPoolExecutor")
+               for p in PACKAGE.glob("*.py")) == 1
 
 
 def test_the_scan_sees_an_unused_import():

@@ -20,6 +20,14 @@ def test_format_number_cases():
     assert format_number(1e16) == "1e+16"
 
 
+@pytest.mark.parametrize("value", [2 ** 64 - 1, 2 ** 53 + 1,
+                                   np.uint64(2 ** 64 - 1), np.int64(-2 ** 63)])
+def test_format_number_writes_integers_digit_for_digit(value):
+    # A seed such as 9747643465689162965 used to print as 9.747643465689164e+18.
+    assert int(format_number(value)) == int(value)
+    assert format_number(value) == str(int(value))
+
+
 def test_write_read_write_is_byte_identical(tmp_path):
     table, env = generate_dataset(ScenarioConfig(seed=3, n_sites=12))
     for obj, kind in ((table, "community"), (env, "predictor")):
@@ -175,6 +183,9 @@ def test_parse_scenario_config_defaults_except_seed():
     ("seed = 1.5\n", "seed must be an integer"),
     ("seed = 1\n[species]\nx_opt = 0.1\n", "species section 1 is missing ['y_opt']"),
     ("seed = 1\n[species]\nx_opt = 0.1\ny_opt = 0.2\n", "at least 2 species"),
+    ("seed = 1\nn_sites = nan\n", "line 2: non-finite value 'nan' for 'n_sites'"),
+    ("seed = inf\n", "line 1: non-finite value 'inf' for 'seed'"),
+    ("seed = 1\n[species]\nx_opt = -inf\n", "line 3: non-finite value '-inf'"),
 ])
 def test_parse_scenario_config_errors(doc, fragment):
     with pytest.raises(ValidationError) as err:
@@ -202,6 +213,19 @@ def test_readers_reject_bytes_that_are_not_utf8(tmp_path):
     config.write_bytes(b"seed = 1 # \xe9\n")
     with pytest.raises(ValidationError, match=r"scenario\.cfg:1: not UTF-8"):
         read_scenario_config(str(config))
+
+
+def test_readers_skip_a_leading_byte_order_mark(tmp_path):
+    # With the mark kept, a leading comment line was read as the header.
+    table = tmp_path / "t.csv"
+    table.write_bytes(b"\xef\xbb\xbf# tool=x\nsite,sp1\na,1\nb,2\n")
+    assert read_table_csv(str(table)).values.tolist() == [[1.0], [2.0]]
+    config = tmp_path / "scenario.cfg"
+    config.write_bytes(b"\xef\xbb\xbfseed = 4\n\n\xff\n")
+    with pytest.raises(ValidationError, match=r"scenario\.cfg:3: .*0xff"):
+        read_scenario_config(str(config))
+    config.write_bytes(b"\xef\xbb\xbfseed = 4\n")
+    assert read_scenario_config(str(config)) == ScenarioConfig(seed=4)
 
 
 def test_config_digest_is_stable_and_sensitive():

@@ -99,6 +99,8 @@ def test_scenario_config_validation():
     cases = [
         dict(seed=-1),
         dict(seed=0, n_sites=2),
+        dict(seed=0, n_sites=2 ** 32),
+        dict(seed=0, n_sites=10 ** 308),
         dict(seed=0, niches=(SpeciesNiche(0.5, 0.5),)),
         dict(seed=0, sigma_niche=0.0),
         dict(seed=0, sigma_noise=-0.1),
