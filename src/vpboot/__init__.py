@@ -17,10 +17,9 @@ from .experiments import (CcaScenarioOutcome, ScenarioOutcome,
                           run_replicated_scenario, spearman_rho,
                           sweep_optimum_distance, sweep_sample_size,
                           sweep_sampling_range)
-from .ordination import (PartitionResult, adjusted_r2, cca_explained,
-                         center_columns, chi_square_transform,
-                         fit_projection, numerical_rank, partition_from_r2,
-                         rda_r2, varpart_two)
+from .ordination import (PartitionResult, chi_square_transform,
+                         fit_projection, partition_from_r2, rda_r2,
+                         varpart_two)
 from .resample import BootstrapSummary, bootstrap_statistic
 from .rng import derive_seed, stream
 from .synth import (ScenarioConfig, SpeciesNiche, generate_complex_dataset,
@@ -33,10 +32,9 @@ __all__ = [
     "CommunityTable", "DegenerateDataError", "PartitionResult",
     "PredictorBlock", "ReproductionCheckError", "ScenarioConfig",
     "ScenarioOutcome", "SpeciesNiche", "ValidationError", "VpbootError",
-    "adjusted_r2", "bootstrap_statistic", "bootstrap_validation",
-    "cca_explained", "cca_proportion", "cca_validation", "center_columns",
-    "chi_square_transform", "derive_seed", "fit_projection", "format_report",
-    "generate_complex_dataset", "generate_dataset", "numerical_rank",
+    "bootstrap_statistic", "bootstrap_validation", "cca_proportion",
+    "cca_validation", "chi_square_transform", "derive_seed", "fit_projection",
+    "format_report", "generate_complex_dataset", "generate_dataset",
     "partition_from_r2", "partition_tables", "pearson_r",
     "predictor_effect_r2", "rda_r2", "report_to_dict", "run_analysis",
     "run_replicated_scenario", "spearman_rho", "stream",

@@ -18,6 +18,7 @@ from .errors import (DegenerateDataError, ReproductionCheckError,
 from .io import (_write_csv, config_digest, provenance_pairs,
                  read_scenario_config, read_table_csv, write_table_csv)
 from .reproduce import FIGURE_IDS, SCALE_REPLICATES, build_figure
+from .resample import _check_bootstrap
 from .svgplot import write_svg
 from .synth import generate_dataset
 
@@ -90,8 +91,9 @@ def _require_file(path: str) -> None:
 def _cmd_analyze(args) -> int:
     for path in (args.community, args.env, args.spatial):
         _require_file(path)
-    if args.bootstrap < 2:
-        raise ValidationError("--bootstrap must be at least 2")
+    _check_bootstrap(args.bootstrap, args.seed)
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValidationError(f"no such directory for --out: {args.out}")
     table = read_table_csv(args.community, kind="community")
     env = read_table_csv(args.env, kind="predictor", name="env")
     spatial = read_table_csv(args.spatial, kind="predictor", name="spatial")

@@ -367,17 +367,10 @@ def pearson_r(xs, ys) -> tuple[float, float, int]:
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # ties share the mean rank
-        i = j + 1
-    return ranks
+    """1-based ranks; ties share the mean of the ranks they span."""
+    _, inverse, counts = np.unique(values, return_inverse=True,
+                                   return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman_rho(xs, ys) -> float:
@@ -386,4 +379,6 @@ def spearman_rho(xs, ys) -> float:
     y = np.asarray(ys, dtype=float).reshape(-1)
     if x.shape != y.shape:
         raise ValidationError("inputs must have equal length")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValidationError("inputs contain non-finite values")
     return pearson_r(_ranks(x), _ranks(y))[0]

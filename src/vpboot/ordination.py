@@ -1,11 +1,11 @@
 """Core ordination statistics.
 
-Linear (redundancy-style) and chi-square (correspondence-style) machinery:
-column centring, rank-truncated least-squares projection, explained-variance
-ratios with the small-sample adjustment, the two-block variance partition,
-and the contingency-table decomposition behind constrained correspondence
-analysis. The public helpers are the batched fit kernel's pieces
-(``_block_fractions``) called with unit weights.
+Linear (redundancy-style) and chi-square (correspondence-style) variance
+partitioning. One batched fit kernel, ``_block_fractions``, gives every
+reported quantity: each predictor block's adjusted R2 for RDA and its share
+of chi-square inertia for CCA. The public helpers (the rank-truncated
+projection, the unadjusted R2, the chi-square decomposition and the
+two-block partition) are the kernel or its pieces, with unit weights.
 """
 
 from __future__ import annotations
@@ -59,29 +59,12 @@ def _weighted_centre(a, w, what: str | None = "matrix") -> np.ndarray:
     return np.swapaxes(ac, -1, -2)
 
 
-def center_columns(m) -> np.ndarray:
-    """Subtract each column's mean; adding the mean row back restores the input.
-
-    A second pass removes the roundoff of the first mean, so a constant
-    column centres to exactly 0 and has rank 0.
-    """
-    a = as_matrix(m)
-    if a.shape[0] < 1:
-        raise ValidationError("cannot centre an empty matrix")
-    return _weighted_centre(a, np.ones((1, a.shape[0])))[0]
-
-
 def _svd_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors of ``a`` (one matrix or a stack) and the mask of
     singular values above ``SV_RCOND`` times the largest: the package's one SVD.
     """
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return u, s > SV_RCOND * s[..., :1]
-
-
-def numerical_rank(m) -> int:
-    """Rank by singular values above ``SV_RCOND`` times the largest one."""
-    return int(_svd_basis(as_matrix(m))[1].sum())
 
 
 def _weighted_sums(c, a) -> np.ndarray:
@@ -199,10 +182,10 @@ def _replicate_values(n_sites: int, n_species: int, n_block_columns: int) -> int
     return max(2 * q * (n_sites + n_species), n_sites, 1)
 
 
-def _aligned(y, x, what: str = "response"):
+def _aligned(y, x):
     ym, xm = as_matrix(y), as_matrix(x)
     if ym.shape[0] != xm.shape[0]:
-        raise ValidationError(f"row mismatch: {what} has {ym.shape[0]} rows, "
+        raise ValidationError(f"row mismatch: response has {ym.shape[0]} rows, "
                               f"design has {xm.shape[0]}")
     return ym, xm
 
@@ -224,19 +207,6 @@ def fit_projection(y, x) -> np.ndarray:
 def _adjust(r2, n, df):
     """Small-sample adjustment with ``df`` residual degrees of freedom."""
     return 1.0 - (1.0 - r2) * (n - 1) / df
-
-
-def adjusted_r2(r2: float, n: int, m: int) -> float:
-    """Small-sample adjustment of an explained-variance fraction.
-
-    ``m`` is the rank of the predictor block, not its raw column count.
-    The result can be negative; callers should not clamp it, or additive
-    partitions stop adding up.
-    """
-    if n - m - 1 < 1:
-        raise DegenerateDataError(
-            f"no residual degrees of freedom (n={n}, predictor rank m={m})")
-    return _adjust(float(r2), n, n - m - 1)
 
 
 def _rda_r2(ym, blocks, c) -> tuple[np.ndarray, np.ndarray]:
@@ -264,7 +234,9 @@ def rda_r2(y, x) -> float:
     ym, xm = _aligned(y, x)
     if ym.shape[0] < 3:
         raise ValidationError("need at least 3 rows")
-    r2, _ = _rda_r2(ym, [xm], np.ones((1, ym.shape[0])))
+    # Non-finite input ends in a ValidationError, not in a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2, _ = _rda_r2(ym, [xm], np.ones((1, ym.shape[0])))
     return float(r2[0, 0])
 
 
@@ -402,8 +374,8 @@ def _rda_fractions(ym, blocks, c, *, raise_degenerate: bool):
 
 
 def _inertia_shares(total, fitted, r, w, h):
-    """Constrained inertia and its share of ``total``, ``(k, n_blocks)`` each,
-    for the row profiles ``r``, weights and column scales of ``_explained``.
+    """Constrained inertia's share of ``total``, ``(k, n_blocks)``, for the
+    row profiles ``r``, weights and column scales of ``_explained``.
 
     A replicate explains nothing unless one of its drawn sites deviates from
     its mean profile by more than ``SV_RCOND`` of its own profile, both in
@@ -425,8 +397,7 @@ def _inertia_shares(total, fitted, r, w, h):
     total = total[:, np.newaxis]
     constrained = np.minimum(np.maximum(fitted, 0.0), total)
     live = live[:, np.newaxis]
-    return constrained, np.where(
-        live, constrained / np.where(live, total, 1.0), 0.0)
+    return np.where(live, constrained / np.where(live, total, 1.0), 0.0)
 
 
 def _cca_fractions(ym, blocks, c, *, raise_degenerate: bool):
@@ -475,7 +446,7 @@ def _cca_fractions(ym, blocks, c, *, raise_degenerate: bool):
             f"only {int(sites[row])} non-empty sites and "
             f"{int(species[row])} non-empty species remain")
     total, fitted, _ = _explained(d, w, h, [b for _, b in blocks], "table")
-    return _inertia_shares(total, fitted, d, w, h)[1], reasons
+    return _inertia_shares(total, fitted, d, w, h), reasons
 
 
 def _log1p(table) -> np.ndarray:
@@ -517,8 +488,8 @@ def varpart_two(y, x, w) -> PartitionResult:
 
 def _checked_table(y) -> np.ndarray:
     """A finite, non-negative table with a positive total and no empty row
-    or column, as a matrix; ``chi_square_transform`` and ``cca_explained``
-    accept nothing else."""
+    or column, as a matrix; ``chi_square_transform`` accepts nothing else.
+    The fit kernel prunes empty lines instead (``_cca_fractions``)."""
     ym = as_matrix(y)
     if not np.all(np.isfinite(ym)):
         raise ValidationError("table contains non-finite entries")
@@ -549,18 +520,3 @@ def chi_square_transform(y):
                        "table")[0]
     return (qbar, ym.sum(axis=1) / total, ym.sum(axis=0) / total,
             float(np.sum(qbar * qbar)))
-
-
-def cca_explained(y, x) -> tuple[float, float, float]:
-    """Share of chi-square inertia captured by the predictor block.
-
-    Returns ``(total_inertia, constrained_inertia, proportion)``. The
-    predictors are centred under the table's row weights, scaled by the
-    square root of those weights, and the standardised table is projected
-    onto their span. A table with zero total inertia yields proportion 0.
-    """
-    ym, xm = _aligned(y, x, "table")
-    response = _response(_checked_table(ym), np.ones((1, ym.shape[0])), "cca")
-    total, fitted, _ = _explained(*response, [xm], "table")
-    constrained, share = _inertia_shares(total, fitted, *response)
-    return float(total[0]), float(constrained[0, 0]), float(share[0, 0])

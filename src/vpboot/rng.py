@@ -15,7 +15,7 @@ the path before the varying component (``_seed_states``). An item the
 arrays cannot finish, one whose normal leaves the ziggurat's fast path or
 whose bootstrap row meets a Lemire rejection, is drawn again from a
 generator loaded with its start state (``_loaded``), as is a dead site's
-noise (``_streams``).
+noise.
 """
 
 from __future__ import annotations
@@ -173,17 +173,6 @@ def _seed_states(seed: int, *path) -> np.ndarray:
     hi += lo < inc_lo
     _step(hi, lo, inc_hi, inc_lo, np.empty_like(states))
     return states
-
-
-def _streams(seed: int, *path):
-    """Yield ``stream(seed, *path_i)`` for every item of one array component.
-
-    The component and its items are as in ``_seed_states``. Each yielded
-    generator is bit-for-bit ``stream(seed, *path_i)``, valid until the
-    next item is requested. Bad paths raise ``ValueError`` when the first
-    item is requested.
-    """
-    yield from _loaded(_seed_states(seed, *path))
 
 
 def _loaded(states: np.ndarray):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
-from .rng import ROLE_NICHE, ROLE_SITE, _draws, _seed_states, _streams, stream
+from .rng import (ROLE_NICHE, ROLE_SITE, _draws, _loaded, _seed_states,
+                  stream)
 from .tables import CommunityTable, PredictorBlock
 
 # Bound on per-site noise redraws when every species lands at zero.
@@ -243,8 +244,8 @@ def _generate_cell(config: ScenarioConfig,
         paths = np.column_stack([replicates[dead // n], dead % n])
         fx, fy = _factors(config, env[dead])
         still = []
-        for k, (i, rng) in enumerate(zip(
-                dead.tolist(), _streams(config.seed, ROLE_SITE, paths))):
+        streams = _loaded(_seed_states(config.seed, ROLE_SITE, paths))
+        for k, (i, rng) in enumerate(zip(dead.tolist(), streams)):
             rng.random(2)
             rng.standard_normal(normals)
             for _ in range(_MAX_SITE_REDRAWS - 1):
@@ -303,8 +304,6 @@ def _complex_config(n_sites: int, n_species: int, sigma_noise: float,
     from ``stream(seed, ROLE_NICHE)``."""
     if n_sites < 5:
         raise ValidationError("need at least 5 sites")
-    if n_species < 2:
-        raise ValidationError("need at least 2 species")
     rng = stream(seed, ROLE_NICHE)
     niches = tuple(
         SpeciesNiche(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))

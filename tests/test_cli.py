@@ -186,6 +186,37 @@ def test_analyze_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert "seed must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--seed", "1", "--bootstrap", "1"], "need at least 2 bootstrap"),
+    (["--seed", "-1"], "seed must be non-negative"),
+    (["--seed", "1", "--bootstrap", str(2**32)], "fewer than 2**32 bootstrap"),
+])
+def test_analyze_checks_its_arguments_before_reading_a_table(
+        tmp_path, capsys, monkeypatch, options, message):
+    def no_read(*_args, **_kwargs):
+        raise AssertionError("a table was read before the arguments passed")
+
+    monkeypatch.setattr(cli, "read_table_csv", no_read)
+    paths, _, _ = _write_inputs(tmp_path, n_sites=10)
+    assert main(["analyze", str(paths["community"]), str(paths["env"]),
+                 str(paths["spatial"]), *options]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_analyze_checks_the_output_directory_before_the_analysis(
+        tmp_path, capsys, monkeypatch):
+    def no_analysis(*_args, **_kwargs):
+        raise AssertionError("the analysis ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_analysis", no_analysis)
+    paths, _, _ = _write_inputs(tmp_path, n_sites=10)
+    out = tmp_path / "missing-dir" / "report.json"
+    assert main(["analyze", str(paths["community"]), str(paths["env"]),
+                 str(paths["spatial"]), "--seed", "1",
+                 "--out", str(out)]) == 2
+    assert "no such directory" in capsys.readouterr().err
+
+
 def test_analyze_rejects_a_bootstrap_beyond_the_stream_paths(tmp_path, capsys,
                                                             monkeypatch):
     # Bootstrap stream paths hold 32-bit words. M is checked before the

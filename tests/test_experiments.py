@@ -16,8 +16,6 @@ from vpboot.experiments import (bootstrap_validation, cca_proportion,
                                 sample_size_configs, spearman_rho,
                                 sweep_optimum_distance, sweep_sample_size,
                                 sweep_sampling_range)
-from vpboot.ordination import (adjusted_r2, center_columns, numerical_rank,
-                               rda_r2)
 from vpboot.resample import relative_spread
 from vpboot.synth import (ScenarioConfig, SpeciesNiche, _generate_cell,
                           generate_dataset)
@@ -57,6 +55,17 @@ def test_spearman_rho_ranks_with_ties():
     assert spearman_rho([1, 2, 2, 3], [10, 20, 20, 30]) == 1.0
     xs = [1.0, 2.0, 3.0, 4.0, 5.0]
     assert spearman_rho(xs, np.exp(xs)) == 1.0
+    # Mean ranks of tied runs, against Pearson's r of hand-ranked values.
+    assert spearman_rho([3, 1, 3, 2, 3, 1], [1, 2, 3, 4, 5, 6]) == pearson_r(
+        [5, 1.5, 5, 3, 5, 1.5], [1, 2, 3, 4, 5, 6])[0]
+
+
+def test_spearman_rho_rejects_non_finite_values():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValidationError, match="non-finite"):
+            spearman_rho([1.0, 2.0, bad, 4.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValidationError, match="non-finite"):
+            spearman_rho([1.0, 2.0, 3.0, 4.0], [bad, 2.0, 3.0, 4.0])
 
 
 def test_relative_error_conventions():
@@ -75,8 +84,12 @@ def test_predictor_effect_matches_manual_decomposition():
     n = ym.shape[0]
 
     def adjusted(block):
-        return adjusted_r2(rda_r2(ym, block), n,
-                           numerical_rank(center_columns(block)))
+        # Least squares on centred columns, adjusted by the block's rank.
+        yc, bc = ym - ym.mean(axis=0), block - block.mean(axis=0)
+        coef, *_ = np.linalg.lstsq(bc, yc, rcond=None)
+        r2 = np.sum(np.square(bc @ coef)) / np.sum(np.square(yc))
+        m = np.linalg.matrix_rank(bc)
+        return 1.0 - (1.0 - r2) * (n - 1) / (n - m - 1)
 
     semipartial = predictor_effect_r2(table, env)
     assert semipartial == pytest.approx(

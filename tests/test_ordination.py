@@ -5,13 +5,14 @@ computation (column-wise least squares, double-loop chi-square) rather
 than against the implementation's own intermediate values.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from vpboot.errors import DegenerateDataError, ValidationError
-from vpboot.ordination import (PartitionResult, adjusted_r2, cca_explained,
-                               center_columns, chi_square_transform,
-                               fit_projection, numerical_rank,
+from vpboot.ordination import (PartitionResult, _block_fractions,
+                               chi_square_transform, fit_projection,
                                partition_from_r2, rda_r2, varpart_two)
 from vpboot.tables import PredictorBlock
 
@@ -25,6 +26,20 @@ def ols_r2_oracle(y, x):
     return float(np.sum(fitted * fitted)) / float(np.sum(yc * yc))
 
 
+def adjusted_r2_oracle(y, x):
+    """Adjusted R2 of ``x`` from least squares on centred columns, with the
+    rank of the centred block as the predictor count."""
+    n = y.shape[0]
+    m = np.linalg.matrix_rank(x - x.mean(axis=0))
+    return 1.0 - (1.0 - ols_r2_oracle(y, x)) * (n - 1) / (n - m - 1)
+
+
+def cca_share(y, x):
+    """Share of chi-square inertia of ``x``, by the route of the reports."""
+    shares, _ = _block_fractions(y, [("X", x)], "cca")
+    return float(shares[0, 0])
+
+
 def chi_square_oracle(y):
     """Pearson chi-square of a table divided by its grand total, both loops."""
     total = y.sum()
@@ -34,33 +49,6 @@ def chi_square_oracle(y):
             expected = y[i].sum() * y[:, j].sum() / total
             chi2 += (y[i, j] - expected) ** 2 / expected
     return chi2 / total
-
-
-def test_center_columns_removes_means():
-    assert np.array_equal(center_columns([[1.0], [3.0]]), [[-1.0], [1.0]])
-    assert np.array_equal(center_columns([[4.0], [4.0], [4.0]]),
-                          [[0.0], [0.0], [0.0]])
-    # 0.1 has no exact binary form; one pass leaves roundoff and a rank of 1.
-    assert np.array_equal(center_columns(np.full((7, 1), 0.1)), np.zeros((7, 1)))
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(5, 3))
-    centred = center_columns(m)
-    assert np.all(np.abs(centred.sum(axis=0)) < 1e-12)
-    assert np.allclose(centred + m.mean(axis=0), m)
-
-
-def test_center_columns_rejects_bad_input():
-    with pytest.raises(ValidationError):
-        center_columns([[1.0, float("nan")]])
-    with pytest.raises(ValidationError):
-        center_columns(np.empty((0, 2)))
-
-
-def test_numerical_rank_counts_independent_columns():
-    assert numerical_rank([[1.0, 1.0], [2.0, 2.0]]) == 1
-    assert numerical_rank(np.zeros((3, 2))) == 0
-    assert numerical_rank(np.empty((3, 0))) == 0
-    assert numerical_rank(np.eye(3)) == 3
 
 
 def test_projection_recovers_exact_linear_response():
@@ -117,8 +105,10 @@ def test_rda_r2_perfect_null_and_constant_cases():
     y = x @ rng.normal(size=(2, 2)) + 0.3
     assert rda_r2(y, x) == pytest.approx(1.0, abs=1e-10)
 
-    yc = center_columns(rng.normal(size=(6, 1)))
-    probe = center_columns(rng.normal(size=(6, 1)))
+    yc = rng.normal(size=(6, 1))
+    yc -= yc.mean(axis=0)
+    probe = rng.normal(size=(6, 1))
+    probe -= probe.mean(axis=0)
     orthogonal = probe - yc * (yc.T @ probe).item() / (yc.T @ yc).item()
     assert rda_r2(yc, orthogonal) <= 1e-12
 
@@ -132,37 +122,42 @@ def test_rda_r2_requires_three_aligned_rows():
         rda_r2(np.ones((4, 1)), np.ones((3, 1)))
 
 
+def test_rda_r2_rejects_non_finite_input():
+    rng = np.random.default_rng(15)
+    y, x = rng.normal(size=(5, 2)), rng.normal(size=(5, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an error, not a RuntimeWarning first
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="^design contains"):
+                rda_r2(y, np.vstack([x[:4], [[bad]]]))
+            with pytest.raises(ValidationError, match="^matrix contains"):
+                rda_r2(np.vstack([y[:4], [[bad, 1.0]]]), x)
+
+
 def test_rda_r2_is_affine_invariant_in_the_design():
     rng = np.random.default_rng(18)
     for _ in range(100):
         y = rng.normal(size=(6, 2))
         x = rng.normal(size=(6, 2))
         recoded = x @ rng.normal(size=(2, 2)) + rng.normal(size=2)
-        if numerical_rank(center_columns(recoded)) < 2:
+        if np.linalg.matrix_rank(recoded - recoded.mean(axis=0)) < 2:
             continue  # the random recoding collapsed the column space
         assert rda_r2(y, recoded) == pytest.approx(rda_r2(y, x), abs=1e-10)
 
 
-def test_adjusted_r2_formula_and_edge_cases():
-    assert adjusted_r2(1.0, 30, 4) == pytest.approx(1.0, abs=1e-15)
-    assert adjusted_r2(0.37, 50, 0) == pytest.approx(0.37, abs=1e-15)
-    assert adjusted_r2(0.5, 100, 2) == pytest.approx(1.0 - 0.5 * 99 / 97,
-                                                     abs=1e-15)
-    with pytest.raises(DegenerateDataError):
-        adjusted_r2(0.5, 4, 3)
-
-
 def test_varpart_two_matches_three_fit_oracle():
     rng = np.random.default_rng(19)
-    for _ in range(100):
+    for k in range(100):
         n = 8
         y = rng.normal(size=(n, 3))
         x = rng.normal(size=(n, 2))
+        if k % 4 == 0:
+            x[:, 1] = 2.0 * x[:, 0]  # a rank-1 block of two columns
         w = rng.normal(size=(n, 1))
         part = varpart_two(y, x, w)
-        r2_x = adjusted_r2(rda_r2(y, x), n, 2)
-        r2_w = adjusted_r2(rda_r2(y, w), n, 1)
-        r2_xw = adjusted_r2(rda_r2(y, np.hstack([x, w])), n, 3)
+        r2_x = adjusted_r2_oracle(y, x)
+        r2_w = adjusted_r2_oracle(y, w)
+        r2_xw = adjusted_r2_oracle(y, np.hstack([x, w]))
         assert part.frac_pure_x == pytest.approx(r2_xw - r2_w, abs=1e-12)
         assert part.frac_pure_w == pytest.approx(r2_xw - r2_x, abs=1e-12)
         assert part.frac_shared == pytest.approx(r2_x + r2_w - r2_xw, abs=1e-12)
@@ -182,6 +177,12 @@ def test_varpart_collapses_for_empty_second_block():
     assert part.frac_pure_w == 0.0
     assert part.frac_shared == 0.0
     assert part.frac_pure_x == part.r2_xw
+
+    # 0.1 has no exact binary form; one centring pass leaves roundoff, and
+    # with it a rank of 1 and a nonzero fit.
+    constant = varpart_two(rng.normal(size=(7, 2)), rng.normal(size=(7, 1)),
+                           np.full((7, 1), 0.1))
+    assert constant.r2_w == 0.0
 
 
 def test_varpart_duplicate_blocks_share_everything():
@@ -248,15 +249,16 @@ def test_chi_square_transform_reports_empty_lines():
 
 
 def test_cca_explained_saturated_and_null_designs():
-    diag = np.diag([5.0, 5.0])
-    total, constrained, proportion = cca_explained(diag, [[1.0], [0.0]])
-    assert total == pytest.approx(1.0, abs=1e-12)
-    assert proportion == pytest.approx(1.0, abs=1e-10)
+    # Two groups of identical rows: all inertia lies on the one axis that
+    # separates them.
+    grouped = np.array([[5.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
+    assert chi_square_transform(grouped)[3] == pytest.approx(1.0, abs=1e-12)
+    assert cca_share(grouped, [[1.0], [1.0], [0.0]]) == pytest.approx(
+        1.0, abs=1e-10)
 
     rng = np.random.default_rng(24)
     y = rng.uniform(0.5, 4.0, size=(5, 3))
-    _, _, null_proportion = cca_explained(y, np.full((5, 1), 2.0))
-    assert null_proportion == pytest.approx(0.0, abs=1e-12)
+    assert cca_share(y, np.full((5, 1), 2.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cca_explained_matches_weighted_ols_oracle():
@@ -271,10 +273,9 @@ def test_cca_explained_matches_weighted_ols_oracle():
         for j in range(qbar.shape[1]):
             coef = float(xw[:, 0] @ qbar[:, j]) / float(xw[:, 0] @ xw[:, 0])
             ssq += float(np.sum((xw[:, 0] * coef) ** 2))
-        total_got, constrained, proportion = cca_explained(y, x)
-        assert total_got == pytest.approx(total, abs=1e-12)
-        assert constrained == pytest.approx(ssq, abs=1e-10)
-        assert 0.0 <= proportion <= 1.0
+        share = cca_share(y, x)
+        assert share * total == pytest.approx(ssq, abs=1e-10)
+        assert 0.0 <= share <= 1.0
 
 
 def test_cca_proportion_is_scale_invariant():
@@ -282,6 +283,6 @@ def test_cca_proportion_is_scale_invariant():
     for _ in range(100):
         y = rng.uniform(0.1, 4.0, size=(5, 4))
         x = rng.normal(size=(5, 2))
-        base = cca_explained(y, x)[2]
-        scaled = cca_explained(3.7 * y, x)[2]
+        base = cca_share(y, x)
+        scaled = cca_share(3.7 * y, x)
         assert scaled == pytest.approx(base, abs=1e-10)

@@ -17,8 +17,7 @@ from vpboot.errors import DegenerateDataError, ValidationError
 from vpboot.experiments import (_cca_share, _effect_r2, cca_proportion,
                                 predictor_effect_r2)
 from vpboot.ordination import (_block_fractions, _partition, _rda_r2,
-                               _rollups, cca_explained, chi_square_transform,
-                               fit_projection)
+                               _rollups, chi_square_transform, fit_projection)
 from vpboot.resample import FAILURE_BUDGET, bootstrap_statistic
 from vpboot.rng import ROLE_NICHE, ROLE_SITE, stream
 from vpboot.synth import (ScenarioConfig, SpeciesNiche,
@@ -638,7 +637,8 @@ def test_cca_shares_hold_when_one_site_outweighs_the_rest(big):
         y[0] *= big
         x = rng.uniform(size=(n, 1))
         expected = _exact_cca_share(y, x)
-        assert cca_explained(y, x)[2] == pytest.approx(expected, rel=1e-12)
+        share, _ = _block_fractions(y, [("x", x)], "cca")
+        assert share[0, 0] == pytest.approx(expected, rel=1e-12)
         counts = np.bincount(rng.integers(0, n, n), minlength=n)
         counts[0] = max(counts[0], 1)
         drawn = np.repeat(np.arange(n), counts)

@@ -9,7 +9,8 @@ import pytest
 
 from vpboot import rng
 from vpboot._ziggurat import KI, WI
-from vpboot.rng import ROLE_BOOTSTRAP, ROLE_SITE, _streams, derive_seed, stream
+from vpboot.rng import (ROLE_BOOTSTRAP, ROLE_SITE, _loaded, _seed_states,
+                        derive_seed, stream)
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 3, 2**160 - 1]
 SEEDS = EDGE_SEEDS + [derive_seed(11, k) for k in range(20)]
@@ -34,7 +35,7 @@ def _fill(template, value):
     ids=["site", "bootstrap", "wide-constant", "constant-after", "bare"])
 def test_batched_streams_equal_the_reference(template):
     for seed in SEEDS:
-        batched = _streams(seed, *_fill(template, INDICES))
+        batched = _loaded(_seed_states(seed, *_fill(template, INDICES)))
         for index, rng in zip(INDICES.tolist(), batched, strict=True):
             ref = stream(seed, *_fill(template, index))
             assert rng.bit_generator.state == ref.bit_generator.state
@@ -47,27 +48,27 @@ def test_a_grid_component_fills_consecutive_path_components():
     grid = np.array([[0, 0], [0, 1], [3, 2**32 - 1], [2**31, 7]])
     for seed in EDGE_SEEDS:
         for tail in ((), (2**40,)):
-            batched = _streams(seed, ROLE_SITE, grid, *tail)
+            batched = _loaded(_seed_states(seed, ROLE_SITE, grid, *tail))
             for (r, i), rng in zip(grid.tolist(), batched, strict=True):
                 ref = stream(seed, ROLE_SITE, r, i, *tail)
                 assert rng.bit_generator.state == ref.bit_generator.state
     with pytest.raises(ValueError, match="2\\*\\*32"):
-        next(_streams(0, np.zeros((2, 2, 2), dtype=int)))
+        _loaded(_seed_states(0, np.zeros((2, 2, 2), dtype=int)))
 
 
 def test_one_array_component_is_required():
     with pytest.raises(ValueError, match="exactly one"):
-        next(_streams(0, 1, 2))
+        _loaded(_seed_states(0, 1, 2))
     with pytest.raises(ValueError, match="exactly one"):
-        next(_streams(0, np.arange(2), np.arange(2)))
+        _loaded(_seed_states(0, np.arange(2), np.arange(2)))
     with pytest.raises(ValueError, match="2\\*\\*32"):
-        next(_streams(0, np.array([2**32])))
+        _loaded(_seed_states(0, np.array([2**32])))
     with pytest.raises(ValueError, match="2\\*\\*32"):
-        next(_streams(0, np.array([-1])))
+        _loaded(_seed_states(0, np.array([-1])))
 
 
 def test_empty_batch_yields_nothing():
-    assert list(_streams(3, ROLE_SITE, np.arange(0))) == []
+    assert list(_loaded(_seed_states(3, ROLE_SITE, np.arange(0)))) == []
 
 
 # Forced states: PCG64 outputs the low word of a state whose high word is 0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vpboot.errors import ValidationError
-from vpboot.ordination import center_columns, numerical_rank
 from vpboot.tables import (CommunityTable, PredictorBlock, as_matrix,
                            require_aligned)
 
@@ -47,7 +46,7 @@ def test_community_table_values_are_frozen():
 
 def test_predictor_block_allows_zero_columns_and_reports_rank():
     def rank(block):
-        return numerical_rank(center_columns(block))
+        return np.linalg.matrix_rank(block.values - block.values.mean(axis=0))
 
     ids = ("a", "b", "c", "d")
     empty = PredictorBlock("w", ids, np.empty((4, 0)))
