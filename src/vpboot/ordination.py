@@ -59,12 +59,13 @@ def _weighted_centre(a, w, what: str | None = "matrix") -> np.ndarray:
     return np.swapaxes(ac, -1, -2)
 
 
-def _svd_basis(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left singular vectors of ``a`` (one matrix or a stack) and the mask of
-    singular values above ``SV_RCOND`` times the largest: the package's one SVD.
+def _svd_basis(a: np.ndarray):
+    """Left singular vectors of ``a`` (one matrix or a stack), the mask of
+    singular values above ``SV_RCOND`` times the largest, and the singular
+    values: the package's one SVD.
     """
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u, s > SV_RCOND * s[..., :1]
+    return u, s > SV_RCOND * s[..., :1], s
 
 
 def _weighted_sums(c, a) -> np.ndarray:
@@ -108,21 +109,17 @@ def _deviations(r, w, h, what: str) -> np.ndarray:
     return dw
 
 
-def _explained(r, w, h, blocks, what: str):
+def _explained(r, w, h, blocks, what: str, counted: bool):
     """Total and fitted sums of squares of the response ``r`` (``_response``).
 
     ``r`` is centred once per call with unit counts, as ``d``; replicate
     ``i`` then weighs the sites by ``w[i]`` and the columns by ``g =
     h[i]^2``. Its total is ``sum_j g_j (sum_i w_i d_ij^2 - W delta_j^2)``
     for the weight total ``W`` and weighted column means ``delta``, each
-    term multiplied by ``h_j`` twice. A block's fitted sum of squares is
-    ``sum_j |h_j (V^T d_j - (V^T 1) delta_j)|^2`` for ``V = U * sqrt(w)``
-    and the kept left singular vectors ``U`` of its weighted-centred
-    design: the projection of the centred response, with no stack of it.
-    ``U`` is orthogonal to ``sqrt(w)``, so the second term is 0 in exact
-    arithmetic, but the SVD gives ``U`` only to absolute precision: where
-    the weights span many orders of magnitude, that term is what keeps the
-    fit right.
+    term multiplied by ``h_j`` twice. Each block is fitted by
+    ``_fitted_ss``: a unit call (``counted`` False) by each row's own
+    weighted SVD, a count-weighted call from Gram systems in one basis of
+    the unit design, with the SVD as the fallback.
 
     A row whose total cancels below half of ``sum g w d^2``, or whose sums
     are not finite, takes its total and fits from its own two-pass
@@ -150,14 +147,42 @@ def _explained(r, w, h, blocks, what: str):
     if rows.size:
         own = _deviations(r if r.ndim == 2 else r[rows], w[rows], h[rows], what)
         total[rows] = np.square(own).reshape(rows.size, -1).sum(axis=1)
-    fits = [_fitted_ss(d, w, h, mean, rows, own, b) for b in blocks]
+    fits = [_fitted_ss(d, w, h, weight, mean, rows, own, b, counted)
+            for b in blocks]
     return (total, *(np.stack(v, axis=1) for v in zip(*fits)))
 
 
-def _fitted_ss(d, w, h, mean, rows, own, block) -> tuple[np.ndarray, np.ndarray]:
-    """Fitted sum of squares and rank ``(k,)`` of one block (``_explained``);
-    the listed ``rows`` project their own deviations ``own``."""
-    u, keep = _svd_basis(_weighted_centre(block, w, "design"))
+def _fitted_ss(d, w, h, weight, mean, rows, own, block, counted):
+    """Fitted sum of squares and rank ``(k,)`` of one block (``_explained``).
+
+    A unit call fits every row from its own weighted SVD (``_svd_fit``),
+    which for a unit fit is the fit itself. A count-weighted call fits the
+    rows that ``_gram_fit`` accepts from their Gram systems, and the rest
+    from their own SVD.
+    """
+    if not counted:
+        return _svd_fit(d, w, h, mean, rows, own, block)
+    fitted, rank, redo = _gram_fit(d, w, h, weight, mean, rows, block)
+    if redo.size:
+        # ``rows`` is a subset of ``redo``; both are sorted.
+        fitted[redo], rank[redo] = _svd_fit(
+            d, w[redo], h[redo], mean[redo], np.searchsorted(redo, rows), own,
+            block)
+    return fitted, rank
+
+
+def _svd_fit(d, w, h, mean, rows, own, block):
+    """Fitted sum of squares and rank ``(k,)`` of one block from the kept
+    left singular vectors ``U`` of each row's weighted-centred design.
+
+    The fit is ``sum_j |h_j (V^T d_j - (V^T 1) delta_j)|^2`` for ``V = U *
+    sqrt(w)``: the projection of the centred response, with no stack of it.
+    ``U`` is orthogonal to ``sqrt(w)``, so the second term is 0 in exact
+    arithmetic, but the SVD gives ``U`` only to absolute precision: where
+    the weights span many orders of magnitude, that term is what keeps the
+    fit right. The listed ``rows`` project their own deviations ``own``.
+    """
+    u, keep, _ = _svd_basis(_weighted_centre(block, w, "design"))
     u = np.ascontiguousarray(np.swapaxes(u, 1, 2))  # (k, r, n): along the sites
     redone = np.matmul(u[rows], own) if rows.size else None
     u *= np.sqrt(w)[:, np.newaxis, :]
@@ -170,16 +195,96 @@ def _fitted_ss(d, w, h, mean, rows, own, block) -> tuple[np.ndarray, np.ndarray]
             keep.sum(axis=1))
 
 
+#: Unit singular values between these multiples of the largest leave a
+#: block's count-weighted rank in doubt: below the band a direction is an
+#: exact dependence, which reweighting keeps, and above it a kept direction
+#: stands far clear of ``SV_RCOND``.
+_RANK_BAND = (1e-13, 1e-4)
+
+#: Largest condition number of a row's Gram matrix that ``_gram_fit``
+#: solves; its smallest eigenvalue must also reach ``W / n`` over this.
+_GRAM_CONDITION = 1e3
+
+
+def _gram_fit(d, w, h, weight, mean, rows, block):
+    """Fitted sums of squares and ranks ``(k,)`` of a count-weighted block
+    call from Gram systems, and the sorted rows left to ``_svd_fit``.
+
+    Reweighting only drops or repeats sites, so every row's weighted-centred
+    design lies in the span of the ``r`` kept left singular vectors ``Q`` of
+    the unit-centred design, and has rank at most ``r``. With ``s = Q^T w``,
+    a row's Gram matrix is ``G = Q^T diag(w) Q - s s^T / W`` and its cross
+    products with the response are ``B = Q^T diag(w) d - s delta^T``; it
+    fits ``sum_j g_j b_j^T G^{-1} b_j``, from the eigenvalues ``lambda`` and
+    vectors of ``G``, with rank ``r``. Forming ``G`` squares the condition
+    number, so the SVD stays the rank authority and takes:
+
+    - every row, when the unit-centred design is not finite or one of its
+      singular values lies in ``_RANK_BAND`` of the largest;
+    - a row whose ``lambda`` spread exceeds ``_GRAM_CONDITION``, or whose
+      smallest ``lambda`` is below ``W / n`` over it (a column constant over
+      the drawn sites; for ``r = 1`` the spread is always 1);
+    - a row whose ``sum w |x|^2`` over the design's rows is not finite,
+      which bounds every sum the SVD route forms (it raises on overflow);
+    - the ``rows`` that ``_explained`` re-centres on their own.
+
+    A row whose rank is provably ``r`` keeps it: the band keeps the unit
+    singular values ``1e4`` above ``SV_RCOND`` and the spread costs at most
+    a factor ``sqrt(_GRAM_CONDITION)``. Each product is taken one row at a
+    time, so a row keeps its bits in any chunk.
+    """
+    k, n = w.shape
+    fitted, rank = np.zeros(k), np.zeros(k, dtype=np.intp)
+    a = _weighted_centre(block, np.ones((1, n)), None)[0]
+    if not np.isfinite(np.square(a).sum()):
+        return fitted, rank, np.arange(k)
+    u, keep, s = _svd_basis(a)
+    low, high = _RANK_BAND
+    if np.any((s > low * s[:1]) & (s < high * s[:1])):
+        return fitted, rank, np.arange(k)
+    if not keep.any():  # a design constant over the sites fits nothing
+        return fitted, rank, rows
+    q = u[:, keep]
+    r = q.shape[1]
+    gram, cross = np.empty((k, r, r)), np.empty((k, r, d.shape[-1]))
+    scaled = np.empty_like(w)  # a row holds one weighted column at a time
+    for i, column in enumerate(q.T):
+        np.multiply(w, column, out=scaled)
+        gram[:, i] = _weighted_sums(scaled, q)
+        cross[:, i] = _weighted_sums(scaled, d)
+    s1 = _weighted_sums(w, q)
+    scale = np.where(weight > 0.0, weight, 1.0)[:, np.newaxis]
+    gram -= s1[:, :, np.newaxis] * (s1 / scale)[:, np.newaxis]
+    cross -= s1[:, :, np.newaxis] * mean[:, np.newaxis, :]
+    lam, vec = np.linalg.eigh(gram)
+    sizes = _weighted_sums(w, np.square(block).sum(axis=1)[:, np.newaxis])
+    ok = ((lam[:, -1] <= _GRAM_CONDITION * lam[:, 0])
+          & (lam[:, 0] * (_GRAM_CONDITION * n) >= weight) & (weight > 0.0)
+          & np.isfinite(sizes[:, 0]))
+    ok[rows] = False
+    z = np.matmul(np.swapaxes(vec, 1, 2), cross)  # B in the eigenbasis
+    z *= h[:, np.newaxis, :]
+    np.square(z, out=z)
+    z /= np.where(ok[:, np.newaxis], lam, 1.0)[:, :, np.newaxis]
+    fitted[ok] = z.reshape(k, -1).sum(axis=1)[ok]
+    rank[ok] = r
+    return fitted, rank, np.flatnonzero(~ok)
+
+
 def _replicate_values(n_sites: int, n_species: int, n_block_columns: int) -> int:
     """Float64 values the fit kernel holds per count row of a bootstrap.
 
-    The response enters once per call; per replicate the kernel holds the
-    weighted design of each block and of their union (``n x 2q`` for ``q``
-    block columns) and their projections of the response (``2q x p`` for
-    ``p`` table columns), and its count row (``n``).
+    The response enters once per call. Per replicate the Gram route
+    (``_gram_fit``) holds the count row, its float copy, the CCA site
+    weights and one weighted basis column (``4n`` for ``n`` sites), a
+    block's cross products with the response and their image in its
+    eigenbasis (``2q x p`` for ``q`` block columns and ``p`` table
+    columns), and a few weighted sums of the response (``6p``). A row that
+    takes the SVD route (``_svd_fit``) holds its weighted design and its
+    singular vectors, up to ``3q x n`` more.
     """
     q = n_block_columns
-    return max(2 * q * (n_sites + n_species), n_sites, 1)
+    return max(4 * n_sites + 2 * (q + 3) * n_species, 1)
 
 
 def _aligned(y, x):
@@ -196,10 +301,13 @@ def fit_projection(y, x) -> np.ndarray:
     The projection is uncentred: ``x`` spans only its own columns. Rank
     deficiency is handled by truncating singular values below ``SV_RCOND``
     times the largest one; an effectively empty design gives the zero
-    matrix.
+    matrix. A non-finite entry raises ``ValidationError``, as in ``rda_r2``.
     """
     ym, xm = _aligned(y, x)
-    u, keep = _svd_basis(xm)
+    for what, m in (("matrix", ym), ("design", xm)):
+        if not np.isfinite(m).all():
+            raise ValidationError(f"{what} contains non-finite entries")
+    u, keep, _ = _svd_basis(xm)
     u = u * keep
     return u @ (u.T @ ym)
 
@@ -209,14 +317,15 @@ def _adjust(r2, n, df):
     return 1.0 - (1.0 - r2) * (n - 1) / df
 
 
-def _rda_r2(ym, blocks, c) -> tuple[np.ndarray, np.ndarray]:
+def _rda_r2(ym, blocks, c,
+            counted: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Count-weighted R2 and rank of each block, ``(k, n_blocks)`` each.
 
     A response with zero total sum of squares has nothing to explain and
     gets 0; R2 is clipped to [0, 1] against roundoff.
     """
     total, fitted, rank = _explained(*_response(ym, c, "rda"), blocks,
-                                     "matrix")
+                                     "matrix", counted)
     total = total[:, np.newaxis]
     explains = total > 0.0
     r2 = np.where(explains, np.clip(
@@ -236,7 +345,7 @@ def rda_r2(y, x) -> float:
         raise ValidationError("need at least 3 rows")
     # Non-finite input ends in a ValidationError, not in a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        r2, _ = _rda_r2(ym, [xm], np.ones((1, ym.shape[0])))
+        r2, _ = _rda_r2(ym, [xm], np.ones((1, ym.shape[0])), counted=False)
     return float(r2[0, 0])
 
 
@@ -359,7 +468,8 @@ def _block_fractions(y, named_blocks, method: str, counts=None):
 def _rda_fractions(ym, blocks, c, *, raise_degenerate: bool):
     """``_block_fractions`` for ``rda``: count-weighted adjusted R2."""
     n = ym.shape[-2]
-    r2, rank = _rda_r2(ym, [block for _, block in blocks], c)
+    r2, rank = _rda_r2(ym, [block for _, block in blocks], c,
+                       not raise_degenerate)
     total_count = c.sum(axis=1)[:, np.newaxis]
     df = total_count - rank - 1
     short = df < 1
@@ -429,7 +539,8 @@ def _cca_fractions(ym, blocks, c, *, raise_degenerate: bool):
         return tuple(np.concatenate(v) for v in zip(*fits))
     if ym.ndim == 2:
         # Empty sites and species are dead in every replicate; drop them once.
-        ym, c = ym[np.ix_(rows, cols)], c[:, rows]
+        ym = ym[np.ix_(rows, cols)]
+        c = c if rows.all() else c[:, rows]
         blocks = [(name, b[rows]) for name, b in blocks]
     else:  # Nothing to prune; copy the blocks as pruning does, for the bits.
         blocks = [(name, np.ascontiguousarray(b)) for name, b in blocks]
@@ -445,7 +556,8 @@ def _cca_fractions(ym, blocks, c, *, raise_degenerate: bool):
         raise DegenerateDataError(
             f"only {int(sites[row])} non-empty sites and "
             f"{int(species[row])} non-empty species remain")
-    total, fitted, _ = _explained(d, w, h, [b for _, b in blocks], "table")
+    total, fitted, _ = _explained(d, w, h, [b for _, b in blocks], "table",
+                                  not raise_degenerate)
     return _inertia_shares(total, fitted, d, w, h), reasons
 
 

@@ -15,12 +15,13 @@ from .tables import as_matrix, require_aligned
 #: Fraction of replicates allowed to fail (and be redrawn) before aborting.
 FAILURE_BUDGET = 0.05
 
-#: Float64 values (256 KB) a chunk's per-replicate arrays may hold, as the
+#: Float64 values (512 KB) a chunk's per-replicate arrays may hold, as the
 #: fit kernel counts them per replicate (``ordination._replicate_values``).
-#: At 100 sites that is 80 replicates for a 2-species RDA and 20 for a
-#: 35-species CCA with 6 block columns, whose traced chunks peak at 391 and
-#: 393 KB.
-_CHUNK_VALUES = 2 ** 15
+#: At 100 sites that is 156 replicates for a 2-species RDA and 63 for a
+#: 35-species CCA with 6 block columns; one ``analyze`` call's traced peak
+#: is then 0.79 and 1.09 MB. Twice the budget ran the kernel about 10%
+#: faster but kept 0.4-0.6 MB more resident in an analyze process.
+_CHUNK_VALUES = 2 ** 16
 
 
 @dataclass(frozen=True)

@@ -332,6 +332,7 @@ def _count_rows(states: np.ndarray, n: int, rows: int):
         cells += np.arange(0, cells.size, n, dtype=np.uint64)[:, np.newaxis]
         counts = np.bincount(cells.view(np.int64).ravel(),
                              minlength=cells.size).reshape(cells.shape)
+        del cells  # not held while the caller uses the rows
         redo = np.flatnonzero(rejected[first:first + rows])
         for i, rng in zip(redo, _loaded(states[:, first + redo])):
             counts[i] = _count_row(rng, n)

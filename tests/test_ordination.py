@@ -134,6 +134,17 @@ def test_rda_r2_rejects_non_finite_input():
                 rda_r2(np.vstack([y[:4], [[bad, 1.0]]]), x)
 
 
+def test_fit_projection_rejects_non_finite_input():
+    # A NaN design escaped as LinAlgError and an infinite one returned NaNs.
+    rng = np.random.default_rng(16)
+    y, x = rng.normal(size=(4, 2)), rng.normal(size=(4, 1))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="^design contains"):
+            fit_projection(y, np.vstack([x[:3], [[bad]]]))
+        with pytest.raises(ValidationError, match="^matrix contains"):
+            fit_projection(np.vstack([y[:3], [[bad, 1.0]]]), x)
+
+
 def test_rda_r2_is_affine_invariant_in_the_design():
     rng = np.random.default_rng(18)
     for _ in range(100):

@@ -7,9 +7,10 @@ from functools import partial
 import numpy as np
 import pytest
 
+from vpboot import resample
 from vpboot import rng as rng_module
 from vpboot.errors import FEW_SPECIES, DegenerateDataError, ValidationError
-from vpboot.ordination import _rollups
+from vpboot.ordination import _replicate_values, _rollups
 from vpboot.resample import (BootstrapSummary, bootstrap_statistic,
                              relative_spread)
 from vpboot.rng import stream
@@ -111,9 +112,11 @@ def test_resample_follows_the_uniform_law():
 
 
 @pytest.mark.parametrize("method", ["cca", "rda"])
-def test_chunks_do_not_change_replicate_values(method):
-    # 200 sites x 10 columns put 16 replicates in a chunk, so 37 and 100
+def test_chunks_do_not_change_replicate_values(method, monkeypatch):
+    # A budget of 16 replicates of 200 sites x 10 columns, so 37 and 100
     # replicates both cross a chunk boundary and end on a partial chunk.
+    monkeypatch.setattr(resample, "_CHUNK_VALUES",
+                        16 * _replicate_values(200, 6, 4))
     rng = np.random.default_rng(41)
     y = rng.poisson(2.0, size=(200, 6)).astype(float)
     x, w = rng.normal(size=(200, 2)), rng.normal(size=(200, 2))
