@@ -1,4 +1,4 @@
-"""Golden ``vpboot analyze`` reports: how they are made, and their files.
+"""Golden ``vpboot`` outputs: how they are made, and their files.
 
 Regenerate the files under ``tests/golden/`` from the root of a checkout:
 
@@ -15,6 +15,12 @@ makes from a fixed seed:
   coordinates (the second gradient and an unrelated uniform axis), which
   ``analyze`` expands to a trend surface.
 
+The figure studies, ``reproduce FIG --scale desk --seed 1`` for fig2 to
+fig6, keep ``FIG_results.csv`` and ``FIG_checks.json`` as they are and
+each chart as the SHA-256 of its SVG in ``figure_svgs.json``. The
+``simulate`` outputs are ``simulate.community.csv`` and
+``simulate.env.csv`` of the scenario document ``SCENARIO``.
+
 ``host.json`` records the NumPy version and BLAS library that wrote them:
 ``test_golden`` compares bytes on a matching host and numbers otherwise.
 """
@@ -22,9 +28,11 @@ makes from a fixed seed:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -38,6 +46,10 @@ from vpboot.tables import PredictorBlock
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 METHODS = ("rda", "cca")
+FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6")
+SVG_DIGESTS = "figure_svgs.json"
+SCENARIO = "seed = 5\nn_sites = 30\nsigma_noise = 0.05\n"
+SIMULATED = ("simulate.community.csv", "simulate.env.csv")
 
 
 def host() -> dict:
@@ -80,12 +92,54 @@ def report(method: str) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def reproduce(figure: str, out, threads: int = 1) -> int:
+    """``vpboot reproduce FIG --scale desk --seed 1`` into ``out``; the
+    exit code."""
+    return cli.main(["reproduce", figure, "--scale", "desk", "--seed", "1",
+                     "--out", str(out), "--threads", str(threads)])
+
+
+def figure_files(figure: str) -> tuple[str, str]:
+    """The text artifacts of ``figure`` kept as golden files."""
+    return f"{figure}_results.csv", f"{figure}_checks.json"
+
+
+def svg_digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def simulate(out: Path) -> list[Path]:
+    """``vpboot simulate`` of ``SCENARIO`` into ``out``; the paths of
+    ``SIMULATED``."""
+    config = out / "scenario.cfg"
+    config.write_text(SCENARIO)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["simulate", str(config),
+                         "--out", str(out / "simulate")])
+    if code != 0:
+        raise RuntimeError(f"vpboot simulate exited with {code}")
+    return [out / name for name in SIMULATED]
+
+
 def main() -> int:
     GOLDEN.mkdir(exist_ok=True)
     for method in METHODS:
         (GOLDEN / f"analyze_{method}.json").write_text(report(method))
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for figure in FIGURES:
+            with contextlib.redirect_stdout(io.StringIO()):
+                reproduce(figure, tmp)
+            for name in figure_files(figure):
+                shutil.copyfile(tmp / name, GOLDEN / name)
+            digests[f"{figure}.svg"] = svg_digest(tmp / f"{figure}.svg")
+        for path in simulate(tmp):
+            shutil.copyfile(path, GOLDEN / path.name)
+    (GOLDEN / SVG_DIGESTS).write_text(json.dumps(digests, indent=2) + "\n")
     (GOLDEN / "host.json").write_text(json.dumps(host(), indent=2) + "\n")
-    print(f"wrote {len(METHODS)} reports and host.json to {GOLDEN}")
+    print(f"wrote {len(METHODS)} reports, {len(FIGURES)} figures, "
+          f"{len(SIMULATED)} simulate tables and host.json to {GOLDEN}")
     return 0
 
 

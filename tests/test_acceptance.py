@@ -136,28 +136,6 @@ def test_criterion_1_oracle_equivalence():
     assert worst_identity <= 1e-12
 
 
-# ------------------------------------------------- shared figure artifacts
-
-
-@pytest.fixture(scope="session")
-def figure_artifacts(tmp_path_factory):
-    cache = {}
-
-    def run(figure: str, threads: int = 1):
-        key = (figure, threads)
-        if key not in cache:
-            out = tmp_path_factory.mktemp(f"{figure}-t{threads}")
-            start = time.perf_counter()
-            code = main(["reproduce", figure, "--scale", "desk",
-                         "--seed", str(SEED), "--out", str(out),
-                         "--threads", str(threads)])
-            elapsed = time.perf_counter() - start
-            cache[key] = (out, elapsed, code)
-        return cache[key]
-
-    return run
-
-
 # ---------------------------------------------------------- criteria 2 - 4
 
 
