@@ -93,6 +93,8 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     n = y.shape[0]
     chunk = max(1, _CHUNK_VALUES // _replicate_values(
         n, y.shape[1], sum(b.shape[1] for b in blocks)))
+    if names is not None:
+        names = tuple(str(s) for s in names)
 
     width = None
 
@@ -115,6 +117,9 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
                 f"statistic width changed between replicates "
                 f"({width} vs {values.shape[1]})")
         width = values.shape[1]
+        if names is not None and len(names) != width:
+            raise ValidationError(
+                f"{len(names)} names for a {width}-component statistic")
         return values, reasons
 
     parts: list[np.ndarray] = []
@@ -145,10 +150,6 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     if names is None:
         names = ("stat",) if width == 1 else tuple(
             f"stat{k + 1}" for k in range(width))
-    names = tuple(str(s) for s in names)
-    if len(names) != width:
-        raise ValidationError(
-            f"{len(names)} names for a {width}-component statistic")
 
     summaries = []
     for k, statistic_name in enumerate(names):

@@ -296,6 +296,21 @@ def test_bootstrap_tuple_statistic_and_names():
         bootstrap_statistic(table, [block], shifting, 40, seed=7)
 
 
+def test_wrong_names_fail_after_the_first_chunk():
+    table, block = _indexed_inputs(6)
+    calls = []
+
+    def counted(counts, *arrays):
+        calls.append(len(counts))
+        return _constant(0.5)(counts, *arrays)
+
+    with pytest.raises(ValidationError,
+                       match="2 names for a 1-component statistic"):
+        bootstrap_statistic(table, [block], counted, 10_000, seed=6,
+                            names=("a", "b"))
+    assert len(calls) == 1
+
+
 def test_bootstrap_redraws_within_budget():
     table, block = _indexed_inputs(10)
     calls = {"count": 0}
