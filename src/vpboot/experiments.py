@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError, VpbootError
-from .ordination import _as_array, _block_fractions, _log1p
+from .ordination import _as_stack, _block_fractions, _log1p
 from .resample import _check_bootstrap, bootstrap_statistic, relative_spread
 from .rng import derive_seed
 from .synth import (ScenarioConfig, SpeciesNiche, _complex_config,
@@ -58,7 +58,7 @@ def predictor_effect_r2(table, env) -> float:
 def _effect_r2(counts, table, env):
     """``predictor_effect_r2`` per count row, as a batched bootstrap statistic,
     or per table of a ``(k, n, S)`` stack with a ``(k, n, 2)`` environment."""
-    em = _as_array(env)
+    em = _as_stack(env)
     if em.shape[-1] != 2:
         raise ValidationError("environment block must have exactly 2 columns")
     fractions, reasons = _block_fractions(

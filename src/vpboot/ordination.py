@@ -25,7 +25,7 @@ SV_RCOND = 1e-10
 
 
 def _weighted_centre(a, w, what: str | None = "matrix") -> np.ndarray:
-    """Columns of ``(n, q)`` ``a`` centred under each row of ``(k, n)`` weights.
+    """Columns of a table or stack ``a`` centred under each row of ``w``.
 
     Returns ``(k, n, q)``: replicate ``i`` holds the rows centred on their
     ``w[i]``-weighted mean and scaled by ``sqrt(w[i])``, so a site of count
@@ -73,8 +73,8 @@ def _weighted_sums(c, a) -> np.ndarray:
 
     A single matrix product may round a row differently depending on how
     many rows it has; per-row products keep a replicate's value independent
-    of the chunk it was evaluated in. ``a`` is one matrix or a stack with
-    one matrix per row of ``c``.
+    of the chunk it was evaluated in. ``a`` is one matrix or a stack of one
+    matrix shared by every row of ``c`` or one per row.
     """
     return np.matmul(c[:, np.newaxis], a)[:, 0]
 
@@ -84,8 +84,8 @@ def _response(ym, c, method: str):
     root species weights ``h`` ``(k, p)`` for the ``(k, n)`` counts ``c``;
     a species weighs ``g = h^2``.
 
-    ``r`` is the ``(n, p)`` table or a ``(k, n, p)`` stack of tables,
-    uncentred and shared by every replicate, which only reweights it.
+    ``r`` is a ``(T, n, p)`` stack, uncentred: one table every replicate
+    reweights (``T = 1``) or one table per replicate (``T = k``).
     ``rda`` fits the table's columns with ``w = c`` and ``h = 1``. ``cca``
     fits the row profiles ``y / R`` with ``w = c R`` and ``h = 1 / sqrt(s)``
     for the replicate's species sums ``s`` (0 for a species no drawn site
@@ -99,6 +99,11 @@ def _response(ym, c, method: str):
     root = np.sqrt(_weighted_sums(c, ym))
     return (ym / row_sums[..., np.newaxis], c * row_sums,
             np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0))
+
+
+def _tables_of(r, rows) -> np.ndarray:
+    """The tables of stack ``r`` that replicates ``rows`` fit, one shared."""
+    return r if len(r) == 1 else r[rows]
 
 
 def _deviations(r, w, h, what: str) -> np.ndarray:
@@ -132,9 +137,7 @@ def _explained(r, w, h, blocks, what: str, counted: bool):
     chunk.
     Returns ``(total (k,), fitted (k, n_blocks), rank (k, n_blocks))``.
     """
-    unit = np.ones((len(r) if r.ndim == 3 else 1, r.shape[-2]))
-    d = _weighted_centre(r, unit, None)  # checked through the sums below
-    d = d if r.ndim == 3 else d[0]
+    d = _weighted_centre(r, np.ones(r.shape[:2]), None)  # checked below
     weight = w.sum(axis=1)
     mean = _weighted_sums(w, d) / np.where(
         weight > 0.0, weight, 1.0)[:, np.newaxis]
@@ -145,7 +148,7 @@ def _explained(r, w, h, blocks, what: str, counted: bool):
     rows = np.flatnonzero(~np.isfinite(raw + weight) | (total < 0.5 * raw))
     own = None
     if rows.size:
-        own = _deviations(r if r.ndim == 2 else r[rows], w[rows], h[rows], what)
+        own = _deviations(_tables_of(r, rows), w[rows], h[rows], what)
         total[rows] = np.square(own).reshape(rows.size, -1).sum(axis=1)
     fits = [_fitted_ss(d, w, h, weight, mean, rows, own, b, counted)
             for b in blocks]
@@ -235,6 +238,7 @@ def _gram_fit(d, w, h, weight, mean, rows, block):
     """
     k, n = w.shape
     fitted, rank = np.zeros(k), np.zeros(k, dtype=np.intp)
+    (block,) = block  # a stack of one: every row reweights one design
     a = _weighted_centre(block, np.ones((1, n)), None)[0]
     if not np.isfinite(np.square(a).sum()):
         return fitted, rank, np.arange(k)
@@ -317,11 +321,10 @@ def _adjust(r2, n, df):
     return 1.0 - (1.0 - r2) * (n - 1) / df
 
 
-def _rda_r2(ym, blocks, c,
-            counted: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Count-weighted R2 and rank of each block, ``(k, n_blocks)`` each.
-
-    A response with zero total sum of squares has nothing to explain and
+def _rda_r2(ym, blocks, c, counted: bool) -> tuple[np.ndarray, np.ndarray]:
+    """R2 and rank of each block, ``(k, n_blocks)`` each, of the stacks
+    ``ym`` and ``blocks`` under counts ``c`` (``_block_fractions``). A
+    response with zero total sum of squares has nothing to explain and
     gets 0; R2 is clipped to [0, 1] against roundoff.
     """
     total, fitted, rank = _explained(*_response(ym, c, "rda"), blocks,
@@ -345,7 +348,8 @@ def rda_r2(y, x) -> float:
         raise ValidationError("need at least 3 rows")
     # Non-finite input ends in a ValidationError, not in a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        r2, _ = _rda_r2(ym, [xm], np.ones((1, ym.shape[0])), counted=False)
+        r2, _ = _rda_r2(ym[np.newaxis], [xm[np.newaxis]],
+                        np.ones((1, ym.shape[0])), counted=False)
     return float(r2[0, 0])
 
 
@@ -404,11 +408,12 @@ def partition_from_r2(r2_x: float, r2_w: float, r2_xw: float) -> PartitionResult
     return PartitionResult(*_split(r2_x, r2_w, r2_xw), r2_x, r2_w, r2_xw)
 
 
-def _as_array(data) -> np.ndarray:
-    """``as_matrix``, except that a 3-D stack of matrices passes as it is."""
+def _as_stack(data) -> np.ndarray:
+    """A ``(T, n, q)`` float stack: a 3-D array as it is, else ``as_matrix``
+    as a stack of one. The fit kernel's one rank test."""
     if isinstance(data, np.ndarray) and data.ndim == 3:
         return data.astype(float, copy=False)
-    return as_matrix(data)
+    return as_matrix(data)[np.newaxis]
 
 
 def _block_fractions(y, named_blocks, method: str, counts=None):
@@ -416,17 +421,16 @@ def _block_fractions(y, named_blocks, method: str, counts=None):
 
     Each entry of ``named_blocks`` is ``(name, *parts)``; the parts are
     joined side by side into one predictor block, so a joint fit is written
-    ``(name, x, w)``. A replicate is one of two kinds:
-
-    - a bootstrap resample: ``counts`` is a ``(k, n)`` matrix of site
-      counts, one row per replicate of the one ``(n, S)`` table ``y``. A
-      site drawn ``c`` times weighs as ``c`` copies of its row, which is
-      exactly the fit on the resampled table.
-    - a table fitted once with unit weights (``counts`` None): ``y`` is one
-      ``(n, S)`` table or a ``(k, n, S)`` stack of tables with every part
-      stacked alike as ``(k, n, q)``. Row ``i`` of a stack is the unit fit
-      of table ``i``, bit for bit, when each part has that table's memory
-      layout (a column slice stays a strided view).
+    ``(name, x, w)``. ``y`` and every part are stacks, ``(T, n, S)`` and
+    ``(T, n, q)``; a 2-D table or block is a stack of one (``_as_stack``).
+    Row ``i`` of the ``(k, n)`` ``counts`` (all ones for None, ``k = T``)
+    weighs the sites of replicate ``i``'s table: the one table of a stack
+    of one (a bootstrap chunk, a point partition; counts need one) or
+    table ``i`` (a sweep cell). A site counted ``c`` times weighs as ``c``
+    copies of its row, which is exactly the fit on the resampled table.
+    Row ``i`` of a stack is the unit fit of table ``i``, bit for bit, when
+    each part has that table's memory layout (a column slice stays a
+    strided view).
 
     Returns ``(fractions (k, n_blocks), reasons (k,))``: a nonzero reason
     is a code of ``errors.DEGENERATE_REASONS`` and marks a replicate whose
@@ -444,42 +448,38 @@ def _block_fractions(y, named_blocks, method: str, counts=None):
     """
     if method not in ("cca", "rda"):
         raise ValidationError(f"unknown method {method!r}")
-    ym = _as_array(y)
+    ym = _as_stack(y)
     blocks = []
     for name, *parts in named_blocks:
-        parts = [_as_array(p) for p in parts]
+        parts = [_as_stack(p) for p in parts]
         if any(p.shape[:-1] != ym.shape[:-1] for p in parts):
             raise ValidationError("response and predictor blocks must share rows")
         blocks.append((name, parts[0] if len(parts) == 1
                        else np.concatenate(parts, axis=-1)))
     if ym.shape[-2] < 3:
         raise ValidationError("need at least 3 rows")
-    if counts is None:
-        c = np.ones(ym.shape[:2] if ym.ndim == 3 else (1, ym.shape[0]))
-    else:
-        c = np.asarray(counts, dtype=float)
+    counted = counts is not None
+    c = np.asarray(counts, dtype=float) if counted else np.ones(ym.shape[:2])
     fit = _cca_fractions if method == "cca" else _rda_fractions
     # Overflow ends in a ValidationError (_weighted_centre, _explained),
     # not in a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        return fit(ym, blocks, c, raise_degenerate=counts is None)
+        return fit(ym, blocks, c, counted)
 
 
-def _rda_fractions(ym, blocks, c, *, raise_degenerate: bool):
+def _rda_fractions(ym, blocks, c, counted: bool):
     """``_block_fractions`` for ``rda``: count-weighted adjusted R2."""
-    n = ym.shape[-2]
-    r2, rank = _rda_r2(ym, [block for _, block in blocks], c,
-                       not raise_degenerate)
+    r2, rank = _rda_r2(ym, [block for _, block in blocks], c, counted)
     total_count = c.sum(axis=1)[:, np.newaxis]
     df = total_count - rank - 1
     short = df < 1
     reasons = np.where(short.any(axis=1), NO_RESIDUAL_DF, 0)
-    if raise_degenerate and reasons.any():
+    if not counted and reasons.any():
         row = np.flatnonzero(reasons)[0]
         i = int(np.argmax(short[row]))
         raise DegenerateDataError(
             f"block '{blocks[i][0]}': {DEGENERATE_REASONS[NO_RESIDUAL_DF]} "
-            f"(n={n}, rank m={int(rank[row, i])})")
+            f"(n={ym.shape[-2]}, rank m={int(rank[row, i])})")
     return _adjust(r2, total_count, np.where(short, 1.0, df)), reasons
 
 
@@ -499,10 +499,10 @@ def _inertia_shares(total, fitted, r, w, h):
     live = total > SV_RCOND ** 2 * (h * h).sum(axis=1) * w.sum(axis=1)
     rows = np.flatnonzero(~live & (total > 0.0))
     if rows.size:
-        spread = np.square(_deviations(r if r.ndim == 2 else r[rows], w[rows],
-                                       h[rows], None)).sum(axis=2)
-        size = np.square((r if r.ndim == 2 else r[rows])
-                         * h[rows][:, np.newaxis]).sum(axis=2)
+        tables = _tables_of(r, rows)
+        spread = np.square(_deviations(tables, w[rows], h[rows], None)).sum(
+            axis=2)
+        size = np.square(tables * h[rows][:, np.newaxis]).sum(axis=2)
         live[rows] = (spread > SV_RCOND ** 2 * w[rows] * size).any(axis=1)
     total = total[:, np.newaxis]
     constrained = np.minimum(np.maximum(fitted, 0.0), total)
@@ -510,7 +510,7 @@ def _inertia_shares(total, fitted, r, w, h):
     return np.where(live, constrained / np.where(live, total, 1.0), 0.0)
 
 
-def _cca_fractions(ym, blocks, c, *, raise_degenerate: bool):
+def _cca_fractions(ym, blocks, c, counted: bool):
     """``_block_fractions`` for ``cca``: weighted chi-square inertia shares.
 
     Empty sites and species are pruned, table by table in a stack. Each
@@ -531,19 +531,18 @@ def _cca_fractions(ym, blocks, c, *, raise_degenerate: bool):
         raise ValidationError(
             "table contains non-finite entries or overflows once summed")
     rows, cols = row_sums > 0, ym.sum(axis=-2) > 0
-    if ym.ndim == 3 and not (rows.all() and cols.all()):
+    if len(ym) > 1 and not (rows.all() and cols.all()):
         # Prune each table of the stack on its own, as its unit fit does.
-        fits = [_cca_fractions(t, [(name, b[i]) for name, b in blocks],
-                               c[i:i + 1], raise_degenerate=raise_degenerate)
-                for i, t in enumerate(ym)]
+        fits = [_cca_fractions(ym[i:i + 1], [(name, b[i:i + 1])
+                                             for name, b in blocks],
+                               c[i:i + 1], counted) for i in range(len(ym))]
         return tuple(np.concatenate(v) for v in zip(*fits))
-    if ym.ndim == 2:
-        # Empty sites and species are dead in every replicate; drop them once.
-        ym = ym[np.ix_(rows, cols)]
-        c = c if rows.all() else c[:, rows]
-        blocks = [(name, b[rows]) for name, b in blocks]
-    else:  # Nothing to prune; copy the blocks as pruning does, for the bits.
-        blocks = [(name, np.ascontiguousarray(b)) for name, b in blocks]
+    # Drop the sites and species dead in every replicate once, into C-ordered
+    # copies: a table's sums keep their bits alone or stacked, pruned or not.
+    rows, cols = rows[0], cols[0]
+    ym = np.ascontiguousarray(ym[:, rows][:, :, cols])
+    c = c if rows.all() else c[:, rows]
+    blocks = [(name, np.ascontiguousarray(b[:, rows])) for name, b in blocks]
     _, exponent = np.frexp(ym.max(axis=(-2, -1), initial=0.0, keepdims=True))
     ym = np.ldexp(ym, -2 * (exponent // 2))  # drops the pruned copy
     d, w, h = _response(ym, c, "cca")
@@ -551,19 +550,19 @@ def _cca_fractions(ym, blocks, c, *, raise_degenerate: bool):
     species = np.count_nonzero(h, axis=1)
     reasons = np.where(sites < 3, FEW_SITES,
                        np.where(species < 2, FEW_SPECIES, 0))
-    if raise_degenerate and reasons.any():
+    if not counted and reasons.any():
         row = np.flatnonzero(reasons)[0]
         raise DegenerateDataError(
             f"only {int(sites[row])} non-empty sites and "
             f"{int(species[row])} non-empty species remain")
     total, fitted, _ = _explained(d, w, h, [b for _, b in blocks], "table",
-                                  not raise_degenerate)
+                                  counted)
     return _inertia_shares(total, fitted, d, w, h), reasons
 
 
 def _log1p(table) -> np.ndarray:
     """``ln(1 + y)`` of a non-negative table or stack, checked first."""
-    ym = _as_array(table)
+    ym = np.asarray(getattr(table, "values", table), dtype=float)
     if not np.all(ym >= 0.0):
         raise ValidationError("table contains negative or non-finite entries")
     return np.log1p(ym)

@@ -45,6 +45,22 @@ def test_the_package_has_one_svd_call():
     assert _calls("u = np.linalg.svd(a)\nsvd(b)\nnp.svd\n", "svd") == 2
 
 
+def _rank_tests(source: str) -> list[str]:
+    """The top-level definition around each ``ndim`` read of ``source``."""
+    return [getattr(top, "name", f"line {top.lineno}")
+            for top in ast.parse(source).body for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr == "ndim"]
+
+
+def test_the_fit_kernel_tests_array_rank_once():
+    # Every kernel array is a (T, n, q) stack made by ordination._as_stack.
+    source = (PACKAGE / "ordination.py").read_text()
+    assert _rank_tests(source) == ["_as_stack"]
+    assert source.count("ndim") == 1
+    assert _rank_tests("def f(a):\n    return a.ndim, np.ndim(a)\n"
+                       "x = b.ndim\n") == ["f", "f", "line 3"]
+
+
 def test_the_package_builds_one_process_pool():
     # Every fan-out goes through experiments._map.
     assert sum(_calls(p.read_text(), "ProcessPoolExecutor")

@@ -538,8 +538,9 @@ def test_an_rda_response_constant_over_the_drawn_sites_reads_exactly_zero():
         y = rng.normal(size=(n, int(rng.integers(1, 4))))
         y[1] = y[2] = y[0]
         x, w = rng.normal(size=(n, 1)), rng.normal(size=(n, 2))
-        r2, rank = _rda_r2(y, [x, w, np.hstack([x, w])],
-                           _three_site_counts(rng, n))
+        r2, rank = _rda_r2(y[np.newaxis],
+                           [b[np.newaxis] for b in (x, w, np.hstack([x, w]))],
+                           _three_site_counts(rng, n), counted=True)
         assert np.all(r2 == 0.0)
         assert np.all(rank[:, 2] <= 2)
 
