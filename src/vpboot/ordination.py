@@ -537,12 +537,12 @@ def _cca_fractions(ym, blocks, c, counted: bool):
                                              for name, b in blocks],
                                c[i:i + 1], counted) for i in range(len(ym))]
         return tuple(np.concatenate(v) for v in zip(*fits))
-    # Drop the sites and species dead in every replicate once, into C-ordered
-    # copies: a table's sums keep their bits alone or stacked, pruned or not.
-    rows, cols = rows[0], cols[0]
-    ym = np.ascontiguousarray(ym[:, rows][:, :, cols])
+    # Drop sites and species dead in every replicate once, into C-ordered
+    # copies (``np.ix_``), so a table's sums keep their bits stacked or not.
+    tables, rows, cols = range(len(ym)), rows[0], cols[0]
+    ym = ym[np.ix_(tables, rows, cols)]
     c = c if rows.all() else c[:, rows]
-    blocks = [(name, np.ascontiguousarray(b[:, rows])) for name, b in blocks]
+    blocks = [(name, b[np.ix_(tables, rows)]) for name, b in blocks]
     _, exponent = np.frexp(ym.max(axis=(-2, -1), initial=0.0, keepdims=True))
     ym = np.ldexp(ym, -2 * (exponent // 2))  # drops the pruned copy
     d, w, h = _response(ym, c, "cca")
