@@ -15,6 +15,7 @@ from vpboot import cli, resample
 from vpboot.analysis import report_to_dict, run_analysis
 from vpboot.cli import main
 from vpboot.io import write_table_csv
+from vpboot.reproduce import FigureResult
 from vpboot.synth import ScenarioConfig, generate_dataset
 from vpboot.tables import CommunityTable, PredictorBlock
 
@@ -573,3 +574,28 @@ def test_simulate_on_hostile_input_exits_cleanly(edits, species, replicate,
                          "--replicate", str(replicate),
                          "--out", str(work / "sim")])
     assert code in (0, 2, 3)
+
+
+def test_reproduce_writes_every_artifact_before_failing_checks_exit_four(
+        tmp_path, capsys, monkeypatch):
+    failing = FigureResult("fig2", ("figure",), [{"figure": "fig2"}],
+                           [{"name": "trend", "passed": False}], "<svg/>\n")
+    monkeypatch.setattr(cli, "build_figure", lambda *_args, **_kw: failing)
+    assert main(["reproduce", "fig2", "--seed", "1",
+                 "--out", str(tmp_path)]) == 4
+    assert "check trend: FAIL" in capsys.readouterr().out
+    checks = json.loads((tmp_path / "fig2_checks.json").read_text())
+    assert checks["passed"] is False
+    assert (tmp_path / "fig2_results.csv").read_text().endswith(
+        "figure\nfig2\n")
+    assert (tmp_path / "fig2.svg").read_text() == "<svg/>\n"
+
+
+def test_an_unwritable_report_path_exits_two(tmp_path, capsys):
+    paths, _, _ = _write_inputs(tmp_path, n_sites=10)
+    out = tmp_path / "a-directory"
+    out.mkdir()
+    assert main(["analyze", str(paths["community"]), str(paths["env"]),
+                 str(paths["spatial"]), "--seed", "1", "--bootstrap", "20",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno")

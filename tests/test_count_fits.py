@@ -175,3 +175,31 @@ def test_a_response_constant_over_the_drawn_sites_fits_as_its_table(spread):
     blocks = [rng.normal(size=(n, 1)), rng.normal(size=(n, 2))]
     counts = _counts(rng, n, 10, sites=range(10))
     _assert_rows_fit_as_their_tables(y, blocks, "rda", counts)
+
+
+def test_a_design_that_overflows_once_unit_centred_raises_from_the_svd_route(
+        monkeypatch):
+    # A 1e200 entry squares past the float range in the unit-centred design,
+    # so ``_gram_fit`` leaves every row to the SVD route, which raises as
+    # the unit fit does.
+    rng = np.random.default_rng(127)
+    n = 30
+    y = rng.normal(size=(n, 2))
+    x = rng.normal(size=(n, 1))
+    x[0] = 1e200
+    blocks = [x, rng.normal(size=(n, 1))]
+    counts = _counts(rng, n, 5, first=1)
+    overflow = "^design contains non-finite entries or overflows once centred$"
+    with pytest.raises(ValidationError, match=overflow):
+        _block_fractions(y, _named(*blocks), "rda")
+    left, gram_fit = [], ordination._gram_fit
+
+    def recording_gram_fit(*args):
+        out = gram_fit(*args)
+        left.append(out[2].tolist())
+        return out
+
+    monkeypatch.setattr(ordination, "_gram_fit", recording_gram_fit)
+    with pytest.raises(ValidationError, match=overflow):
+        _block_fractions(y, _named(*blocks), "rda", counts)
+    assert left == [list(range(len(counts)))]

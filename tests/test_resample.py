@@ -311,6 +311,20 @@ def test_wrong_names_fail_after_the_first_chunk():
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("shape, message", [
+    (lambda k: (k,), r"statistic must return \(\d+, width\) values"),
+    (lambda k: (k, 0), "statistic returned no values"),
+], ids=["one-axis", "no-columns"])
+def test_a_statistic_of_the_wrong_shape_is_rejected(shape, message):
+    table, block = _indexed_inputs(6)
+
+    def shaped(counts, *_arrays):
+        return np.zeros(shape(len(counts))), np.zeros(len(counts), dtype=int)
+
+    with pytest.raises(ValidationError, match=message):
+        bootstrap_statistic(table, [block], shaped, 10, seed=6)
+
+
 def test_bootstrap_redraws_within_budget():
     table, block = _indexed_inputs(10)
     calls = {"count": 0}
