@@ -8,10 +8,12 @@ same ``(seed, path)`` pair always reproduces the same stream.
 
 ``stream`` is the reference. Batches of items draw their first numbers
 from arrays of PCG64 states instead (``_draws``, ``_count_rows``), stepped
-together and turned into NumPy's uniforms, normals and bounded integers
-bit for bit. Only what NumPy does not provide is written here: a batch's
-states start from the pool of NumPy's own SeedSequence over the seed and
-the path before the varying component (``_seed_states``). An item the
+together (or, in a short block of long count rows, read off a generator
+loaded with each state) and turned into NumPy's uniforms, normals and
+bounded integers bit for bit. Only what NumPy does not provide is written
+here: a batch's states start from the pool of NumPy's own SeedSequence
+over the seed and the path before the varying component
+(``_seed_states``). An item the
 arrays cannot finish, one whose normal leaves the ziggurat's fast path or
 whose bootstrap row meets a Lemire rejection, is drawn again from a
 generator loaded with its start state (``_loaded``), as is a dead site's
@@ -19,8 +21,6 @@ noise.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 import numpy as np
 
@@ -55,10 +55,11 @@ _KI = np.array(KI, dtype=np.uint64)
 
 #: Bootstrap rows step together only when a block holds at least this many
 #: rows per raw word of a row. Below that, the per-call overhead of short
-#: arrays costs more than loading a generator per row: on a 2-core x86 host
-#: with NumPy 2.4, 1000 rows of 100 draws (blocks of 648 rows) took 40% of
-#: the row-by-row time stepped together, but 1000 rows of 200 draws (blocks
-#: of 320 rows) took 15% longer.
+#: arrays costs more than reading each row's raw words off a loaded
+#: generator: on a 2-core x86 host with NumPy 2.4, 1000 rows of 100 draws
+#: (blocks of 648 rows) took 80-90% of the row-by-row time stepped
+#: together, but 1000 rows of 200 draws (blocks of 320 rows) took twice as
+#: long, and 150 draws (blocks of 432 rows) 1.2-1.5 times as long.
 _ROW_WORD_RATIO = 4
 #: Draws in one block of stepped bootstrap rows. The block's raw words, 4
 #: bytes a draw, stay alive while its rows are evaluated.
@@ -308,32 +309,34 @@ def _count_rows(states: np.ndarray, n: int, rows: int):
     may be shorter).
 
     ``integers`` takes NumPy's Lemire method on 32-bit draws, the low half
-    of each raw word and then the high half. When there are enough columns
-    per raw word of a row (``_ROW_WORD_RATIO``), all of them step together
-    and a row that meets a rejection is drawn again from its own
-    generator; otherwise every row is drawn from its own generator. All
-    raw words are held at once, so a caller passes one block of states.
+    of each raw word and then the high half. Every row's raw words come
+    first: when there are enough columns per raw word of a row
+    (``_ROW_WORD_RATIO``), all of them step together; otherwise each is
+    read off a generator loaded with its state. A row that meets a
+    rejection is drawn again from its own generator. All raw words are
+    held at once, so a caller passes one block of states.
     """
     k = states.shape[1]
     words = (n + 1) // 2
-    if not n or k < _ROW_WORD_RATIO * words:
-        loaded = _loaded(states)
-        for start in range(0, k, rows):
-            yield np.array([_count_row(rng, n) for rng in islice(loaded, rows)])
-        return
     raw = np.empty((k, words), dtype="<u8")
-    for w, word in enumerate(_raw_words(states, words, np.empty_like(states))):
-        raw[:, w] = word
+    if not n or k < _ROW_WORD_RATIO * words:
+        for row, rng in zip(raw, _loaded(states)):
+            row[:] = rng.bit_generator.random_raw(words)
+    else:
+        for w, word in enumerate(_raw_words(states, words,
+                                            np.empty_like(states))):
+            raw[:, w] = word
     draws = raw.view("<u4")[:, :n]
-    rejected = (draws * np.uint32(n) < (2 ** 32 - n) % n).any(axis=1)
+    rejected = (draws * np.uint32(n) < (2 ** 32 - n) % max(n, 1)).any(axis=1)
     for first in range(0, k, rows):
         cells = draws[first:first + rows] * np.uint64(n)
         cells >>= 32
-        cells += np.arange(0, cells.size, n, dtype=np.uint64)[:, np.newaxis]
+        cells += np.arange(len(cells), dtype=np.uint64)[:, np.newaxis] * n
         counts = np.bincount(cells.view(np.int64).ravel(),
                              minlength=cells.size).reshape(cells.shape)
         del cells  # not held while the caller uses the rows
         redo = np.flatnonzero(rejected[first:first + rows])
-        for i, rng in zip(redo, _loaded(states[:, first + redo])):
-            counts[i] = _count_row(rng, n)
+        if redo.size:
+            for i, rng in zip(redo, _loaded(states[:, first + redo])):
+                counts[i] = _count_row(rng, n)
         yield counts
