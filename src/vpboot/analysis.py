@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -103,22 +103,13 @@ def run_analysis(table: CommunityTable, env: PredictorBlock,
 
 def report_to_dict(report: AnalysisReport) -> dict:
     """JSON-ready dict with a stable key order."""
-    part = report.partition
     return {
         "dataset_name": report.dataset_name,
         "method": report.method,
         "log1p": report.log1p,
         "seed": report.seed,
         "bootstrap_replicates": report.bootstrap_replicates,
-        "partition": {
-            "frac_pure_x": part.frac_pure_x,
-            "frac_shared": part.frac_shared,
-            "frac_pure_w": part.frac_pure_w,
-            "frac_residual": part.frac_residual,
-            "r2_x": part.r2_x,
-            "r2_w": part.r2_w,
-            "r2_xw": part.r2_xw,
-        },
+        "partition": asdict(report.partition),
         "fractions": {k: report.fractions[k] for k in FRACTION_NAMES},
         "uncertainty": {
             k: {
