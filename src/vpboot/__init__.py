@@ -15,8 +15,7 @@ from .experiments import (CcaScenarioOutcome, ScenarioOutcome,
                           bootstrap_validation, cca_proportion,
                           cca_validation, pearson_r, predictor_effect_r2,
                           run_replicated_scenario, spearman_rho,
-                          sweep_optimum_distance, sweep_sample_size,
-                          sweep_sampling_range)
+                          sweep_sample_size)
 from .ordination import (PartitionResult, chi_square_transform,
                          fit_projection, partition_from_r2, rda_r2,
                          varpart_two)
@@ -37,7 +36,6 @@ __all__ = [
     "format_report", "generate_complex_dataset", "generate_dataset",
     "partition_from_r2", "partition_tables", "pearson_r",
     "predictor_effect_r2", "rda_r2", "report_to_dict", "run_analysis",
-    "run_replicated_scenario", "spearman_rho", "stream",
-    "sweep_optimum_distance", "sweep_sample_size", "sweep_sampling_range",
+    "run_replicated_scenario", "spearman_rho", "stream", "sweep_sample_size",
     "trend_surface", "varpart_two",
 ]

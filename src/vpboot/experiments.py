@@ -233,22 +233,6 @@ def sweep_sample_size(base: ScenarioConfig, sizes=DEFAULT_SAMPLE_SIZES,
                 sample_size_configs(base, sizes, noise_levels), threads)
 
 
-def sweep_sampling_range(base: ScenarioConfig, y_max_values=DEFAULT_Y_MAX_GRID,
-                         noise_levels=DEFAULT_NOISE_LEVELS,
-                         threads: int = 1) -> list[ScenarioOutcome]:
-    """Effect size and precision as the sampled gradient range narrows."""
-    return _map(run_replicated_scenario,
-                sampling_range_configs(base, y_max_values, noise_levels), threads)
-
-
-def sweep_optimum_distance(base: ScenarioConfig, y_opt_values=DEFAULT_Y_OPT_GRID,
-                           noise_levels=DEFAULT_NOISE_LEVELS,
-                           threads: int = 1) -> list[ScenarioOutcome]:
-    """Effect size and precision as the niche optima separate."""
-    return _map(run_replicated_scenario,
-                optimum_distance_configs(base, y_opt_values, noise_levels), threads)
-
-
 def bootstrap_validation(scenarios, n_validation: int = 10,
                          threads: int = 1) -> list[ScenarioOutcome]:
     """Observed versus bootstrap-estimated relative error per scenario.

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .experiments import (DEFAULT_NOISE_LEVELS, DEFAULT_Y_MAX_GRID,
+from .experiments import (DEFAULT_NOISE_LEVELS, DEFAULT_Y_MAX_GRID, _map,
                           bootstrap_validation, cca_validation,
                           optimum_distance_configs, pearson_r,
-                          sample_size_configs, sampling_range_configs,
-                          spearman_rho, sweep_optimum_distance,
-                          sweep_sample_size, sweep_sampling_range)
+                          run_replicated_scenario, sample_size_configs,
+                          sampling_range_configs, spearman_rho)
 from .errors import ValidationError
 from .svgplot import line_chart, scatter_chart
 from .synth import ScenarioConfig
@@ -79,22 +79,21 @@ def _sweep_rows(figure: str, outcomes) -> list[dict]:
     return rows
 
 
-def _series_by_noise(outcomes, x_of, noise_levels):
+def _series_by_noise(rows, column: str):
     series = []
-    for noise in noise_levels:
-        cells = [o for o in outcomes if o.config.sigma_noise == noise]
-        xs = [x_of(o.config) for o in cells]
-        ys = [o.observed_mean_r2 for o in cells]
-        errs = [o.observed_sd / math.sqrt(o.config.replicates) for o in cells]
-        series.append((f"noise={noise:g}", xs, ys, errs))
+    for noise in DEFAULT_NOISE_LEVELS:
+        cells = [r for r in rows if r["sigma_noise"] == noise]
+        series.append((f"noise={noise:g}", [r[column] for r in cells],
+                       [r["observed_mean_r2"] for r in cells],
+                       [r["observed_sd"] / math.sqrt(r["replicates"])
+                        for r in cells]))
     return series
 
 
-def _trend_check(name: str, outcomes, x_of, noise: float) -> dict:
-    cells = [o for o in outcomes if o.config.sigma_noise == noise]
-    xs = [x_of(o.config) for o in cells]
-    rels = [o.observed_relative_error for o in cells]
-    rho = spearman_rho(xs, rels)
+def _trend_check(name: str, rows, column: str, noise: float) -> dict:
+    cells = [r for r in rows if r["sigma_noise"] == noise]
+    rho = spearman_rho([r[column] for r in cells],
+                       [r["observed_relative_error"] for r in cells])
     return {
         "name": name,
         "sigma_noise": noise,
@@ -104,70 +103,67 @@ def _trend_check(name: str, outcomes, x_of, noise: float) -> dict:
     }
 
 
-def build_fig2(base: ScenarioConfig, threads: int = 1) -> FigureResult:
-    """Estimate precision versus number of sites, per noise level."""
-    outcomes = sweep_sample_size(base, threads=threads)
-    checks = [_trend_check("relative_error_decreases_with_sample_size",
-                           outcomes, lambda c: c.n_sites,
-                           DEFAULT_NOISE_LEVELS[0])]
-    svg = line_chart(
-        _series_by_noise(outcomes, lambda c: c.n_sites, DEFAULT_NOISE_LEVELS),
-        title="Gradient contribution vs number of sites",
-        x_label="number of sites", y_label="mean adjusted R2 (+/- SE)",
-        x_log=True)
-    return FigureResult("fig2", SWEEP_COLUMNS, _sweep_rows("fig2", outcomes),
-                        checks, svg)
+#: The parameter sweeps: each figure's scenario grid, the CSV column it
+#: varies, its trend check, and its chart's title, x label and x scale.
+_SWEEPS = {
+    "fig2": (sample_size_configs, "n_sites",
+             "relative_error_decreases_with_sample_size",
+             "Gradient contribution vs number of sites", "number of sites",
+             True),
+    "fig3": (sampling_range_configs, "y_max",
+             "relative_error_grows_as_range_shrinks",
+             "Gradient contribution vs sampled range",
+             "sampled range of second gradient (y_max)", False),
+    "fig4": (optimum_distance_configs, "y_opt2",
+             "relative_error_decreases_with_separation",
+             "Gradient contribution vs niche separation",
+             "optimum of second species on second gradient", False),
+}
 
 
-def build_fig3(base: ScenarioConfig, threads: int = 1) -> FigureResult:
-    """Effect size and precision versus sampled range of the second gradient."""
-    outcomes = sweep_sampling_range(base, threads=threads)
+def _build_sweep(figure: str, base: ScenarioConfig,
+                 threads: int = 1) -> FigureResult:
+    """Effect size and precision along one sweep's grid, per noise level.
+
+    The precision check is a falling relative error along the swept
+    column; fig3 also checks that the mean effect shrinks with the range.
+    """
+    grid, column, trend, title, x_label, x_log = _SWEEPS[figure]
+    rows = _sweep_rows(figure, _map(run_replicated_scenario, grid(base),
+                                    threads))
     noise = DEFAULT_NOISE_LEVELS[0]
-    checks = [_trend_check("relative_error_grows_as_range_shrinks",
-                           outcomes, lambda c: c.y_max, noise)]
-    low = [o for o in outcomes
-           if o.config.sigma_noise == noise and o.config.y_max == DEFAULT_Y_MAX_GRID[0]]
-    high = [o for o in outcomes
-            if o.config.sigma_noise == noise and o.config.y_max == DEFAULT_Y_MAX_GRID[-1]]
-    mean_low = low[0].observed_mean_r2
-    mean_high = high[0].observed_mean_r2
-    checks.append({
-        "name": "mean_effect_shrinks_with_range",
-        "sigma_noise": noise,
-        "mean_r2_at_narrowest": mean_low,
-        "mean_r2_at_full_range": mean_high,
-        "passed": mean_low < mean_high,
-    })
-    svg = line_chart(
-        _series_by_noise(outcomes, lambda c: c.y_max, DEFAULT_NOISE_LEVELS),
-        title="Gradient contribution vs sampled range",
-        x_label="sampled range of second gradient (y_max)",
-        y_label="mean adjusted R2 (+/- SE)", x_log=False)
-    return FigureResult("fig3", SWEEP_COLUMNS, _sweep_rows("fig3", outcomes),
-                        checks, svg)
-
-
-def build_fig4(base: ScenarioConfig, threads: int = 1) -> FigureResult:
-    """Effect size and precision versus separation of the niche optima."""
-    outcomes = sweep_optimum_distance(base, threads=threads)
-    checks = [_trend_check("relative_error_decreases_with_separation",
-                           outcomes, lambda c: c.niches[1].y_opt,
-                           DEFAULT_NOISE_LEVELS[0])]
-    svg = line_chart(
-        _series_by_noise(outcomes, lambda c: c.niches[1].y_opt,
-                         DEFAULT_NOISE_LEVELS),
-        title="Gradient contribution vs niche separation",
-        x_label="optimum of second species on second gradient",
-        y_label="mean adjusted R2 (+/- SE)", x_log=False)
-    return FigureResult("fig4", SWEEP_COLUMNS, _sweep_rows("fig4", outcomes),
-                        checks, svg)
+    checks = [_trend_check(trend, rows, column, noise)]
+    if figure == "fig3":
+        at = {r["y_max"]: r["observed_mean_r2"] for r in rows
+              if r["sigma_noise"] == noise}
+        low, high = at[DEFAULT_Y_MAX_GRID[0]], at[DEFAULT_Y_MAX_GRID[-1]]
+        checks.append({
+            "name": "mean_effect_shrinks_with_range",
+            "sigma_noise": noise,
+            "mean_r2_at_narrowest": low,
+            "mean_r2_at_full_range": high,
+            "passed": low < high,
+        })
+    svg = line_chart(_series_by_noise(rows, column), title=title,
+                     x_label=x_label, y_label="mean adjusted R2 (+/- SE)",
+                     x_log=x_log)
+    return FigureResult(figure, SWEEP_COLUMNS, rows, checks, svg)
 
 
 def validation_pool(base: ScenarioConfig) -> list[ScenarioConfig]:
     """Union of all sweep cells: the scenario pool for bootstrap validation."""
-    return (sample_size_configs(base)
-            + sampling_range_configs(base)
-            + optimum_distance_configs(base))
+    return [config for grid, *_ in _SWEEPS.values() for config in grid(base)]
+
+
+def _scatter(outcomes, title_suffix: str) -> str:
+    """Chart of each validation outcome's bootstrap-estimated against its
+    observed relative error."""
+    return scatter_chart(
+        [o.observed_relative_error for o in outcomes],
+        [o.bootstrap_relative_error for o in outcomes],
+        title="Bootstrap-estimated vs observed relative error" + title_suffix,
+        x_label="observed relative error",
+        y_label="bootstrap-estimated relative error")
 
 
 def build_fig5(base: ScenarioConfig, threads: int = 1) -> FigureResult:
@@ -197,13 +193,8 @@ def build_fig5(base: ScenarioConfig, threads: int = 1) -> FigureResult:
         "mean_signed_difference": mean_diff,
         "passed": bool(above) and mean_diff > 0,
     })
-    svg = scatter_chart(
-        observed, estimated,
-        title="Bootstrap-estimated vs observed relative error",
-        x_label="observed relative error",
-        y_label="bootstrap-estimated relative error")
     return FigureResult("fig5", SWEEP_COLUMNS, _sweep_rows("fig5", outcomes),
-                        checks, svg)
+                        checks, _scatter(outcomes, ""))
 
 
 def build_fig6(base: ScenarioConfig, threads: int = 1) -> FigureResult:
@@ -245,21 +236,12 @@ def build_fig6(base: ScenarioConfig, threads: int = 1) -> FigureResult:
         "observed_relative_error": o.observed_relative_error,
         "bootstrap_relative_error": o.bootstrap_relative_error,
     } for o in outcomes]
-    svg = scatter_chart(
-        observed, [o.bootstrap_relative_error for o in outcomes],
-        title="Bootstrap-estimated vs observed relative error (many species)",
-        x_label="observed relative error",
-        y_label="bootstrap-estimated relative error")
-    return FigureResult("fig6", CCA_COLUMNS, rows, checks, svg)
+    return FigureResult("fig6", CCA_COLUMNS, rows, checks,
+                        _scatter(outcomes, " (many species)"))
 
 
-_BUILDERS = {
-    "fig2": build_fig2,
-    "fig3": build_fig3,
-    "fig4": build_fig4,
-    "fig5": build_fig5,
-    "fig6": build_fig6,
-}
+_BUILDERS = {**{figure: partial(_build_sweep, figure) for figure in _SWEEPS},
+             "fig5": build_fig5, "fig6": build_fig6}
 
 
 def build_figure(figure: str, seed: int, scale: str = "desk",

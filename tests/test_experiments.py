@@ -13,9 +13,8 @@ from vpboot.experiments import (bootstrap_validation, cca_proportion,
                                 cca_validation, optimum_distance_configs,
                                 pearson_r, predictor_effect_r2,
                                 run_replicated_scenario,
-                                sample_size_configs, spearman_rho,
-                                sweep_optimum_distance, sweep_sample_size,
-                                sweep_sampling_range)
+                                sample_size_configs, sampling_range_configs,
+                                spearman_rho, sweep_sample_size)
 from vpboot.resample import relative_spread
 from vpboot.synth import (ScenarioConfig, SpeciesNiche, _generate_cell,
                           generate_dataset)
@@ -140,14 +139,15 @@ def test_null_second_optimum_keeps_range_sweep_flat():
     base = ScenarioConfig(
         seed=24, replicates=20, n_sites=50,
         niches=(SpeciesNiche(0.25, 0.0), SpeciesNiche(0.75, 0.0)))
-    outcomes = sweep_sampling_range(base, y_max_values=(0.1, 0.5, 1.0),
-                                    noise_levels=(0.01,))
+    outcomes = [run_replicated_scenario(c) for c in sampling_range_configs(
+        base, y_max_values=(0.1, 0.5, 1.0), noise_levels=(0.01,))]
     assert all(abs(o.observed_mean_r2) < 0.02 for o in outcomes)
 
 
 def test_mean_effect_rises_with_separation():
     base = ScenarioConfig(seed=25, replicates=60)
-    outcomes = sweep_optimum_distance(base, noise_levels=(0.01,))
+    outcomes = [run_replicated_scenario(c)
+                for c in optimum_distance_configs(base, noise_levels=(0.01,))]
     rho = spearman_rho([o.config.niches[1].y_opt for o in outcomes],
                        [o.observed_mean_r2 for o in outcomes])
     assert rho >= 0.9

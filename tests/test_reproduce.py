@@ -7,7 +7,9 @@ chart rendering.
 
 import pytest
 
+from vpboot import reproduce
 from vpboot.errors import ValidationError
+from vpboot.experiments import ScenarioOutcome
 from vpboot.reproduce import (CCA_COLUMNS, FIGURE_IDS, SCALE_REPLICATES,
                               SWEEP_COLUMNS, FigureResult, build_figure,
                               validation_pool)
@@ -27,6 +29,13 @@ def test_figure_registry_and_scales():
         build_figure("fig2", seed=1, scale="huge")
 
 
+def test_every_figure_has_one_builder_and_each_sweep_one_csv_column():
+    assert tuple(reproduce._SWEEPS) == ("fig2", "fig3", "fig4")
+    for _grid, column, *_chart in reproduce._SWEEPS.values():
+        assert column in SWEEP_COLUMNS
+    assert tuple(reproduce._BUILDERS) == FIGURE_IDS
+
+
 def test_validation_pool_covers_all_sweep_cells():
     pool = validation_pool(ScenarioConfig(seed=4))
     # 6 sizes, 10 range caps, and 11 optima, each at 3 noise levels.
@@ -37,6 +46,21 @@ def test_validation_pool_covers_all_sweep_cells():
     assert max(c.y_max for c in pool) == 1.0
     assert min(c.y_max for c in pool) == pytest.approx(0.1)
     assert max(c.niches[1].y_opt for c in pool) == 1.0
+
+
+def test_a_band_with_fewer_than_three_pairs_fails_without_a_correlation(
+        monkeypatch):
+    config = ScenarioConfig(seed=4, replicates=2)
+    # Observed errors: two inside the validation band, two above it.
+    outcomes = [ScenarioOutcome(config, 0.1, 0.01, observed, observed * 1.5)
+                for observed in (0.05, 0.5, 1.5, 2.0)]
+    monkeypatch.setattr(reproduce, "bootstrap_validation",
+                        lambda *_args, **_kw: outcomes)
+    band, above = reproduce.build_fig5(config).checks
+    assert band["n_pairs"] == 2
+    assert band["pearson_r"] is band["t"] is band["df"] is None
+    assert band["passed"] is False
+    assert above["n_pairs"] == 2 and above["passed"] is True
 
 
 def test_figure_result_passed_property():
