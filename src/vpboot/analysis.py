@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateDataError, ValidationError
+from .errors import ValidationError
 from .ordination import PartitionResult, _log1p, _partition, _rollups
 from .resample import BootstrapSummary, _check_bootstrap, bootstrap_statistic
 from .tables import CommunityTable, PredictorBlock, require_aligned
@@ -81,10 +81,8 @@ def run_analysis(table: CommunityTable, env: PredictorBlock,
     if log1p is None:
         log1p = method == "cca"
     y = _log1p(table) if log1p else table
-    part = partition_tables(y, env, spatial, method, log1p=False)
+    part = _partition(y, env, spatial, method)
     rollup = part.rollup()
-    if abs(sum(rollup) - 1.0) > 1e-9:
-        raise DegenerateDataError("partition rollup does not sum to 1")
     summaries = bootstrap_statistic(
         y, [env, spatial], partial(_rollups, method=method), m_replicates,
         seed, names=FRACTION_NAMES)

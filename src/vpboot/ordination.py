@@ -101,9 +101,10 @@ def _response(ym, c, method: str):
             np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0))
 
 
-def _tables_of(r, rows) -> np.ndarray:
-    """The tables of stack ``r`` that replicates ``rows`` fit, one shared."""
-    return r if len(r) == 1 else r[rows]
+def _take(a, rows) -> np.ndarray:
+    """Rows ``rows`` (sorted, distinct) of stack ``a``: ``a`` itself, not a
+    copy, when it is one shared table or ``rows`` are all of its rows."""
+    return a if len(a) == 1 or len(rows) == len(a) else a[rows]
 
 
 def _deviations(r, w, h, what: str) -> np.ndarray:
@@ -117,83 +118,67 @@ def _deviations(r, w, h, what: str) -> np.ndarray:
 def _explained(r, w, h, blocks, what: str, counted: bool):
     """Total and fitted sums of squares of the response ``r`` (``_response``).
 
-    ``r`` is centred once per call with unit counts, as ``d``; replicate
-    ``i`` then weighs the sites by ``w[i]`` and the columns by ``g =
-    h[i]^2``. Its total is ``sum_j g_j (sum_i w_i d_ij^2 - W delta_j^2)``
-    for the weight total ``W`` and weighted column means ``delta``, each
-    term multiplied by ``h_j`` twice. Each block is fitted by
-    ``_fitted_ss``: a unit call (``counted`` False) by each row's own
-    weighted SVD, a count-weighted call from Gram systems in one basis of
-    the unit design, with the SVD as the fallback.
+    Replicate ``i`` weighs the sites by ``w[i]`` and the columns by ``g =
+    h[i]^2``. Each (row, block) pair takes one of two routes, each with one
+    response. The Gram route (``_gram_fit``, count-weighted calls only)
+    fits ``d``, ``r`` centred once per call with unit counts; the row's
+    total is ``sum_j g_j (sum_i w_i d_ij^2 - W delta_j^2)`` for the weight
+    total ``W`` and weighted column means ``delta``. The SVD route
+    (``_svd_fit``) projects the row's own two-pass centring of ``r``
+    (``_deviations``) onto its own weighted SVD. It takes every row of a
+    unit call, where the SVD is the fit, every row a Gram gate rejects,
+    and every row whose ``d`` total cancels below half of ``sum g w d^2``
+    or whose sums are not finite.
 
-    A row whose total cancels below half of ``sum g w d^2``, or whose sums
-    are not finite, takes its total and fits from its own two-pass
-    centring of ``r`` instead (``_deviations``), as a table fitted on its
-    own would: a response constant over the drawn sites reads exactly 0,
-    the roundoff of a unit mean far from the replicate's (an outlier site
-    it did not draw) does not reach it, and only a replicate whose own
-    centred sums overflow raises ``ValidationError``. Every product is
-    taken one replicate at a time, so a replicate keeps its bits in any
-    chunk.
+    Those last rows and every row of a unit call take their total from
+    their own centring, as a table fitted on its own would: a response
+    constant over the drawn sites reads exactly 0, the roundoff of a unit
+    mean far from the replicate's (an outlier site it did not draw) does
+    not reach it, and only a replicate whose own centred sums overflow
+    raises ``ValidationError``. Every product is taken one replicate at a
+    time, so a replicate keeps its bits in any chunk.
     Returns ``(total (k,), fitted (k, n_blocks), rank (k, n_blocks))``.
     """
-    d = _weighted_centre(r, np.ones(r.shape[:2]), None)  # checked below
-    weight = w.sum(axis=1)
-    mean = _weighted_sums(w, d) / np.where(
-        weight > 0.0, weight, 1.0)[:, np.newaxis]
-    squares = _weighted_sums(w, np.square(d))
-    raw = (squares * h * h).sum(axis=1)
-    total = ((squares - weight[:, np.newaxis] * np.square(mean)) * h * h).sum(
-        axis=1)
-    rows = np.flatnonzero(~np.isfinite(raw + weight) | (total < 0.5 * raw))
-    own = None
+    k, shape = len(w), (len(w), len(blocks))
+    if counted:
+        d = _weighted_centre(r, np.ones(r.shape[:2]), None)  # checked below
+        weight = w.sum(axis=1)
+        mean = _weighted_sums(w, d) / np.where(
+            weight > 0.0, weight, 1.0)[:, np.newaxis]
+        squares = _weighted_sums(w, np.square(d))
+        raw = (squares * h * h).sum(axis=1)
+        total = ((squares - weight[:, np.newaxis] * np.square(mean))
+                 * h * h).sum(axis=1)
+        own = ~np.isfinite(raw + weight) | (total < 0.5 * raw)
+        fitted, rank, ok = (np.stack(v, axis=1) for v in zip(
+            *(_gram_fit(d, w, h, weight, mean, b) for b in blocks)))
+        svd = own[:, np.newaxis] | ~ok
+    else:
+        total, own = np.zeros(k), np.ones(k, dtype=bool)
+        fitted, rank = np.zeros(shape), np.zeros(shape, dtype=np.intp)
+        svd = np.ones(shape, dtype=bool)
+    rows = np.flatnonzero(svd.any(axis=1))
     if rows.size:
-        own = _deviations(_tables_of(r, rows), w[rows], h[rows], what)
-        total[rows] = np.square(own).reshape(rows.size, -1).sum(axis=1)
-    fits = [_fitted_ss(d, w, h, weight, mean, rows, own, b, counted)
-            for b in blocks]
-    return (total, *(np.stack(v, axis=1) for v in zip(*fits)))
+        dev = _deviations(_take(r, rows), _take(w, rows), _take(h, rows), what)
+        total[rows] = np.where(
+            own[rows], np.square(dev).reshape(rows.size, -1).sum(axis=1),
+            total[rows])
+        for j, block in enumerate(blocks):
+            pick = np.flatnonzero(svd[rows, j])
+            if pick.size:
+                at = rows[pick]
+                fitted[at, j], rank[at, j] = _svd_fit(
+                    _take(dev, pick), _take(w, at), _take(block, at))
+    return total, fitted, rank
 
 
-def _fitted_ss(d, w, h, weight, mean, rows, own, block, counted):
-    """Fitted sum of squares and rank ``(k,)`` of one block (``_explained``).
-
-    A unit call fits every row from its own weighted SVD (``_svd_fit``),
-    which for a unit fit is the fit itself. A count-weighted call fits the
-    rows that ``_gram_fit`` accepts from their Gram systems, and the rest
-    from their own SVD.
-    """
-    if not counted:
-        return _svd_fit(d, w, h, mean, rows, own, block)
-    fitted, rank, redo = _gram_fit(d, w, h, weight, mean, rows, block)
-    if redo.size:
-        # ``rows`` is a subset of ``redo``; both are sorted.
-        fitted[redo], rank[redo] = _svd_fit(
-            d, w[redo], h[redo], mean[redo], np.searchsorted(redo, rows), own,
-            block)
-    return fitted, rank
-
-
-def _svd_fit(d, w, h, mean, rows, own, block):
-    """Fitted sum of squares and rank ``(k,)`` of one block from the kept
-    left singular vectors ``U`` of each row's weighted-centred design.
-
-    The fit is ``sum_j |h_j (V^T d_j - (V^T 1) delta_j)|^2`` for ``V = U *
-    sqrt(w)``: the projection of the centred response, with no stack of it.
-    ``U`` is orthogonal to ``sqrt(w)``, so the second term is 0 in exact
-    arithmetic, but the SVD gives ``U`` only to absolute precision: where
-    the weights span many orders of magnitude, that term is what keeps the
-    fit right. The listed ``rows`` project their own deviations ``own``.
-    """
+def _svd_fit(own, w, block):
+    """Fitted sum of squares and rank ``(k,)`` of one block: each row's own
+    deviations ``own`` (``_deviations``) projected on the kept left
+    singular vectors of its weighted-centred design."""
     u, keep, _ = _svd_basis(_weighted_centre(block, w, "design"))
     u = np.ascontiguousarray(np.swapaxes(u, 1, 2))  # (k, r, n): along the sites
-    redone = np.matmul(u[rows], own) if rows.size else None
-    u *= np.sqrt(w)[:, np.newaxis, :]
-    projected = np.matmul(u, d)
-    projected -= u.sum(axis=2)[:, :, np.newaxis] * mean[:, np.newaxis, :]
-    projected *= h[:, np.newaxis, :]
-    if rows.size:
-        projected[rows] = redone
+    projected = np.matmul(u, own)
     return ((np.square(projected).sum(axis=2) * keep).sum(axis=1),
             keep.sum(axis=1))
 
@@ -209,9 +194,10 @@ _RANK_BAND = (1e-13, 1e-4)
 _GRAM_CONDITION = 1e3
 
 
-def _gram_fit(d, w, h, weight, mean, rows, block):
+def _gram_fit(d, w, h, weight, mean, block):
     """Fitted sums of squares and ranks ``(k,)`` of a count-weighted block
-    call from Gram systems, and the sorted rows left to ``_svd_fit``.
+    call from Gram systems, and the mask ``(k,)`` of the rows it fitted:
+    ``_explained`` leaves the rest to ``_svd_fit``.
 
     Reweighting only drops or repeats sites, so every row's weighted-centred
     design lies in the span of the ``r`` kept left singular vectors ``Q`` of
@@ -228,8 +214,7 @@ def _gram_fit(d, w, h, weight, mean, rows, block):
       smallest ``lambda`` is below ``W / n`` over it (a column constant over
       the drawn sites; for ``r = 1`` the spread is always 1);
     - a row whose ``sum w |x|^2`` over the design's rows is not finite,
-      which bounds every sum the SVD route forms (it raises on overflow);
-    - the ``rows`` that ``_explained`` re-centres on their own.
+      which bounds every sum the SVD route forms (it raises on overflow).
 
     A row whose rank is provably ``r`` keeps it: the band keeps the unit
     singular values ``1e4`` above ``SV_RCOND`` and the spread costs at most
@@ -241,13 +226,13 @@ def _gram_fit(d, w, h, weight, mean, rows, block):
     (block,) = block  # a stack of one: every row reweights one design
     a = _weighted_centre(block, np.ones((1, n)), None)[0]
     if not np.isfinite(np.square(a).sum()):
-        return fitted, rank, np.arange(k)
+        return fitted, rank, np.zeros(k, dtype=bool)
     u, keep, s = _svd_basis(a)
     low, high = _RANK_BAND
     if np.any((s > low * s[:1]) & (s < high * s[:1])):
-        return fitted, rank, np.arange(k)
+        return fitted, rank, np.zeros(k, dtype=bool)
     if not keep.any():  # a design constant over the sites fits nothing
-        return fitted, rank, rows
+        return fitted, rank, np.ones(k, dtype=bool)
     q = u[:, keep]
     r = q.shape[1]
     gram, cross = np.empty((k, r, r)), np.empty((k, r, d.shape[-1]))
@@ -265,14 +250,13 @@ def _gram_fit(d, w, h, weight, mean, rows, block):
     ok = ((lam[:, -1] <= _GRAM_CONDITION * lam[:, 0])
           & (lam[:, 0] * (_GRAM_CONDITION * n) >= weight) & (weight > 0.0)
           & np.isfinite(sizes[:, 0]))
-    ok[rows] = False
     z = np.matmul(np.swapaxes(vec, 1, 2), cross)  # B in the eigenbasis
     z *= h[:, np.newaxis, :]
     np.square(z, out=z)
     z /= np.where(ok[:, np.newaxis], lam, 1.0)[:, :, np.newaxis]
     fitted[ok] = z.reshape(k, -1).sum(axis=1)[ok]
     rank[ok] = r
-    return fitted, rank, np.flatnonzero(~ok)
+    return fitted, rank, ok
 
 
 def _replicate_values(n_sites: int, n_species: int, n_block_columns: int) -> int:
@@ -284,8 +268,10 @@ def _replicate_values(n_sites: int, n_species: int, n_block_columns: int) -> int
     block's cross products with the response and their image in its
     eigenbasis (``2q x p`` for ``q`` block columns and ``p`` table
     columns), and a few weighted sums of the response (``6p``). A row that
-    takes the SVD route (``_svd_fit``) holds its weighted design and its
-    singular vectors, up to ``3q x n`` more.
+    takes the SVD route (``_svd_fit``) holds its own ``n x p`` deviations,
+    its weighted design and its singular vectors, up to ``(p + 3q) x n``
+    more; no analyze-benchmark row leaves the Gram route, so the chunk
+    rule counts only that route.
     """
     q = n_block_columns
     return max(4 * n_sites + 2 * (q + 3) * n_species, 1)
@@ -499,7 +485,7 @@ def _inertia_shares(total, fitted, r, w, h):
     live = total > SV_RCOND ** 2 * (h * h).sum(axis=1) * w.sum(axis=1)
     rows = np.flatnonzero(~live & (total > 0.0))
     if rows.size:
-        tables = _tables_of(r, rows)
+        tables = _take(r, rows)
         spread = np.square(_deviations(tables, w[rows], h[rows], None)).sum(
             axis=2)
         size = np.square(tables * h[rows][:, np.newaxis]).sum(axis=2)

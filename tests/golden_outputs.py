@@ -23,6 +23,11 @@ each chart as the SHA-256 of its SVG in ``figure_svgs.json``. The
 
 ``host.json`` records the NumPy version and BLAS library that wrote them:
 ``test_golden`` compares bytes on a matching host and numbers otherwise.
+
+For each file it rewrites, the script prints how many fields moved from
+the file it replaces and the largest absolute and relative move, as
+``test_golden`` measures them, so a change that moves bits on purpose can
+quote its move from this one command.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ import hashlib
 import io
 import json
 import os
-import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -121,10 +125,26 @@ def simulate(out: Path) -> list[Path]:
     return [out / name for name in SIMULATED]
 
 
+def _rewrite(name: str, text: str) -> None:
+    """Write golden file ``name`` and print how far it moved."""
+    from test_golden import _field_moves, _parser  # it imports this module
+    path = GOLDEN / name
+    old = path.read_text() if path.exists() else None
+    path.write_text(text)
+    if old is None or old == text:
+        print(f"{name}: {'new' if old is None else 'unchanged'}")
+        return
+    moves = _field_moves(old, text, 0.0, _parser(name))
+    sizes = [(a, r) for _, a, r in moves if a is not None]
+    largest = (f", largest absolute {max(a for a, _ in sizes):.2e}, "
+               f"relative {max(r for _, r in sizes):.2e}" if sizes else "")
+    print(f"{name}: {len(moves)} fields moved{largest}")
+
+
 def main() -> int:
     GOLDEN.mkdir(exist_ok=True)
     for method in METHODS:
-        (GOLDEN / f"analyze_{method}.json").write_text(report(method))
+        _rewrite(f"analyze_{method}.json", report(method))
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -132,12 +152,12 @@ def main() -> int:
             with contextlib.redirect_stdout(io.StringIO()):
                 reproduce(figure, tmp)
             for name in figure_files(figure):
-                shutil.copyfile(tmp / name, GOLDEN / name)
+                _rewrite(name, (tmp / name).read_text())
             digests[f"{figure}.svg"] = svg_digest(tmp / f"{figure}.svg")
         for path in simulate(tmp):
-            shutil.copyfile(path, GOLDEN / path.name)
-    (GOLDEN / SVG_DIGESTS).write_text(json.dumps(digests, indent=2) + "\n")
-    (GOLDEN / "host.json").write_text(json.dumps(host(), indent=2) + "\n")
+            _rewrite(path.name, path.read_text())
+    _rewrite(SVG_DIGESTS, json.dumps(digests, indent=2) + "\n")
+    _rewrite("host.json", json.dumps(host(), indent=2) + "\n")
     print(f"wrote {len(METHODS)} reports, {len(FIGURES)} figures, "
           f"{len(SIMULATED)} simulate tables and host.json to {GOLDEN}")
     return 0

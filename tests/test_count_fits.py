@@ -21,10 +21,11 @@ def _named(x, w):
 
 
 def _fit(y, blocks, method, counts=None):
-    """Fractions, reasons and block ranks of one kernel call, and the
-    number of dimensions of each array it passed to ``_svd_basis``: the
-    Gram route takes one 2-D SVD per block, the SVD route a 3-D stack."""
-    ranks, dims = [], []
+    """Fractions, reasons and block ranks of one kernel call, and the shape
+    of each array it passed to ``_svd_basis``, in call order: the Gram
+    route takes one ``(n, q)`` SVD per block, then the SVD route one
+    ``(rows, n, q)`` stack per block that has rows left to it."""
+    ranks, shapes = [], []
     explained, svd_basis = ordination._explained, ordination._svd_basis
 
     def recording_explained(*args):
@@ -33,7 +34,7 @@ def _fit(y, blocks, method, counts=None):
         return out
 
     def recording_svd_basis(a):
-        dims.append(a.ndim)
+        shapes.append(a.shape)
         return svd_basis(a)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -41,14 +42,14 @@ def _fit(y, blocks, method, counts=None):
         patch.setattr(ordination, "_svd_basis", recording_svd_basis)
         fractions, reasons = _block_fractions(y, _named(*blocks), method,
                                               counts)
-    return fractions, reasons, ranks[0], dims
+    return fractions, reasons, ranks[0], shapes
 
 
 def _assert_rows_fit_as_their_tables(y, blocks, method, counts, tol=1e-12):
     """Each count row fits as the unit fit of the table it resamples.
-    Returns the dimensions of the arrays the count call passed to
+    Returns the shapes of the arrays the count call passed to
     ``_svd_basis``."""
-    fractions, reasons, ranks, dims = _fit(y, blocks, method, counts)
+    fractions, reasons, ranks, shapes = _fit(y, blocks, method, counts)
     for i, c in enumerate(counts):
         drawn = np.repeat(np.arange(len(y)), c)
         unit, unit_reasons, unit_ranks, _ = _fit(
@@ -56,7 +57,7 @@ def _assert_rows_fit_as_their_tables(y, blocks, method, counts, tol=1e-12):
         assert reasons[i] == unit_reasons[0] == 0
         assert np.array_equal(ranks[i], unit_ranks[0])
         assert np.max(np.abs(fractions[i] - unit[0])) <= tol
-    return dims
+    return shapes
 
 
 def _counts(rng, n, k=20, sites=None, first=0):
@@ -75,9 +76,9 @@ def test_a_healthy_table_fits_every_row_on_the_gram_route(method):
     n = 100
     y = rng.poisson(3.0, size=(n, 6)).astype(float) + 1.0
     blocks = [rng.normal(size=(n, 1)), rng.normal(size=(n, 5))]
-    dims = _assert_rows_fit_as_their_tables(y, blocks, method,
-                                            _counts(rng, n))
-    assert dims == [2, 2, 2]
+    shapes = _assert_rows_fit_as_their_tables(y, blocks, method,
+                                              _counts(rng, n))
+    assert shapes == [(n, 1), (n, 5), (n, 6)]
 
 
 @pytest.mark.parametrize("method", ["cca", "rda"])
@@ -89,9 +90,9 @@ def test_a_duplicated_design_column_keeps_the_gram_route(method):
     y = rng.uniform(0.5, 4.0, size=(n, 3))
     x = rng.normal(size=(n, 1))
     blocks = [np.hstack([x, x]), rng.normal(size=(n, 2))]
-    dims = _assert_rows_fit_as_their_tables(y, blocks, method,
-                                            _counts(rng, n))
-    assert dims == [2, 2, 2]
+    shapes = _assert_rows_fit_as_their_tables(y, blocks, method,
+                                              _counts(rng, n))
+    assert shapes == [(n, 2), (n, 2), (n, 4)]
 
 
 def test_a_binary_column_constant_over_the_drawn_sites_has_rank_zero():
@@ -127,8 +128,9 @@ def test_a_cca_site_that_outweighs_the_rest_fits_as_its_table():
 def test_a_design_in_the_rank_band_takes_the_svd_route(method, gap):
     # The unit singular values of two near-copies of a column are about
     # 0.4 gap apart, so at 2.6e-10 some resamples keep the second
-    # direction and some drop it. The rank band sends the whole call to
-    # each row's own SVD, which decides as the resampled table does.
+    # direction and some drop it. The rank band sends every row of the two
+    # blocks that hold them to its own SVD, which decides as the resampled
+    # table does; the other block keeps the Gram route.
     # Neither that SVD nor the table's own fixes the span of a design of
     # condition number k closer than about k times the float precision.
     rng = np.random.default_rng(124)
@@ -138,10 +140,12 @@ def test_a_design_in_the_rank_band_takes_the_svd_route(method, gap):
     x = np.column_stack([a, a + gap * b])
     s = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
     assert 0.3 < s[1] / s[0] / gap < 0.5
-    dims = _assert_rows_fit_as_their_tables(
-        y, [x, rng.normal(size=(n, 1))], method, _counts(rng, n),
+    counts = _counts(rng, n)
+    shapes = _assert_rows_fit_as_their_tables(
+        y, [x, rng.normal(size=(n, 1))], method, counts,
         tol=1e-15 * s[0] / s[1])
-    assert dims == [2, 3, 2, 2, 3]
+    k = len(counts)
+    assert shapes == [(n, 2), (n, 1), (n, 3), (k, n, 2), (k, n, 3)]
 
 
 def test_a_design_that_overflows_only_under_counts_still_raises():
@@ -180,8 +184,8 @@ def test_a_response_constant_over_the_drawn_sites_fits_as_its_table(spread):
 def test_a_design_that_overflows_once_unit_centred_raises_from_the_svd_route(
         monkeypatch):
     # A 1e200 entry squares past the float range in the unit-centred design,
-    # so ``_gram_fit`` leaves every row to the SVD route, which raises as
-    # the unit fit does.
+    # so ``_gram_fit`` leaves every row of the two blocks that hold it to
+    # the SVD route, which raises as the unit fit does.
     rng = np.random.default_rng(127)
     n = 30
     y = rng.normal(size=(n, 2))
@@ -196,10 +200,11 @@ def test_a_design_that_overflows_once_unit_centred_raises_from_the_svd_route(
 
     def recording_gram_fit(*args):
         out = gram_fit(*args)
-        left.append(out[2].tolist())
+        left.append(np.flatnonzero(~out[2]).tolist())
         return out
 
     monkeypatch.setattr(ordination, "_gram_fit", recording_gram_fit)
     with pytest.raises(ValidationError, match=overflow):
         _block_fractions(y, _named(*blocks), "rda", counts)
-    assert left == [list(range(len(counts)))]
+    every = list(range(len(counts)))
+    assert left == [every, [], every]

@@ -59,6 +59,11 @@ def test_spearman_rho_ranks_with_ties():
         [5, 1.5, 5, 3, 5, 1.5], [1, 2, 3, 4, 5, 6])[0]
 
 
+def test_spearman_rho_rejects_unequal_lengths():
+    with pytest.raises(ValidationError, match="^inputs must have equal length$"):
+        spearman_rho([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
+
+
 def test_spearman_rho_rejects_non_finite_values():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValidationError, match="non-finite"):

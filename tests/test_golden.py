@@ -49,26 +49,40 @@ def _csv_fields(text: str) -> dict:
                for i, row in enumerate(reader, start=1)}}
 
 
-def _moves(expected: str, got: str, tolerance: float,
-           parse=json.loads) -> list[str]:
-    """One line per field of ``got`` that differs from ``expected`` by more
-    than ``tolerance`` (0: any change of bits)."""
+def _field_moves(expected: str, got: str, tolerance: float,
+                 parse=json.loads) -> list[tuple]:
+    """``(line, absolute, relative)`` for each field of ``got`` that differs
+    from ``expected`` by more than ``tolerance`` (0: any change of bits);
+    the sizes are None unless the field is a finite number in both."""
     want, have = dict(_leaves(parse(expected))), dict(_leaves(parse(got)))
-    lines = [f"{field}: missing or added" for field in sorted(
+    moves = [(f"{field}: missing or added", None, None) for field in sorted(
         want.keys() ^ have.keys())]
     for field in want.keys() & have.keys():
         a, b = want[field], have[field]
         numeric = all(isinstance(v, float) for v in (a, b))
         if not numeric or not (math.isfinite(a) and math.isfinite(b)):
             if a != b and not (a != a and b != b):
-                lines.append(f"{field}: {a!r} -> {b!r}")
+                moves.append((f"{field}: {a!r} -> {b!r}", None, None))
             continue
         move = abs(b - a)
         if move > tolerance * max(1.0, abs(a)) or (not tolerance and a != b):
             relative = move / abs(a) if a else math.inf
-            lines.append(f"{field}: {a!r} -> {b!r} "
-                         f"(absolute {move:.2e}, relative {relative:.2e})")
-    return sorted(lines)
+            moves.append((f"{field}: {a!r} -> {b!r} (absolute {move:.2e}, "
+                          f"relative {relative:.2e})", move, relative))
+    return moves
+
+
+def _moves(expected: str, got: str, tolerance: float,
+           parse=json.loads) -> list[str]:
+    """One line per field of ``got`` that differs from ``expected`` by more
+    than ``tolerance`` (0: any change of bits)."""
+    return sorted(line for line, _, _ in _field_moves(expected, got,
+                                                      tolerance, parse))
+
+
+def _parser(name: str):
+    """How ``_moves`` reads golden file ``name``."""
+    return _csv_fields if name.endswith(".csv") else json.loads
 
 
 def _same_host() -> bool:
@@ -83,8 +97,8 @@ def _assert_matches_golden(name: str, got: str) -> None:
     same_host = _same_host()
     if same_host and got == expected:
         return
-    parse = _csv_fields if name.endswith(".csv") else json.loads
-    moves = _moves(expected, got, 0.0 if same_host else TOLERANCE, parse)
+    moves = _moves(expected, got, 0.0 if same_host else TOLERANCE,
+                   _parser(name))
     if same_host and not moves:  # same numbers, other text
         moves = ["text differs with equal values"]
     assert not moves, (
@@ -136,3 +150,16 @@ def test_a_moved_csv_cell_is_named_by_row_and_column():
     assert _moves(text, moved, TOLERANCE, _csv_fields) == []
     assert _moves(text, text.replace("seed=1", "seed=2"), TOLERANCE,
                   _csv_fields) == ["header[0]: '# seed=1' -> '# seed=2'"]
+
+
+def test_a_rewritten_golden_file_reports_its_largest_move(tmp_path, monkeypatch,
+                                                          capsys):
+    monkeypatch.setattr(golden_outputs, "GOLDEN", tmp_path)
+    for values in ({"a": 0.25, "b": [1.0, "x"]}, {"a": 0.5, "b": [1.0, "y"]},
+                   {"a": 0.5, "b": [1.0, "y"]}):
+        golden_outputs._rewrite("r.json", json.dumps(values))
+    assert capsys.readouterr().out.splitlines() == [
+        "r.json: new",
+        "r.json: 2 fields moved, largest absolute 2.50e-01, relative 1.00e+00",
+        "r.json: unchanged"]
+    assert json.loads((tmp_path / "r.json").read_text())["b"] == [1.0, "y"]

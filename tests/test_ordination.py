@@ -219,9 +219,13 @@ def test_varpart_names_the_offending_block():
 
 
 def test_partition_result_enforces_its_identities():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="do not sum to the joint R2"):
         PartitionResult(frac_pure_x=0.3, frac_shared=0.1, frac_pure_w=0.2,
                         frac_residual=0.4, r2_x=0.4, r2_w=0.3, r2_xw=0.7)
+    with pytest.raises(ValidationError,
+                       match="residual fraction does not complement"):
+        PartitionResult(frac_pure_x=0.3, frac_shared=0.1, frac_pure_w=0.2,
+                        frac_residual=0.5, r2_x=0.4, r2_w=0.3, r2_xw=0.6)
     part = partition_from_r2(0.4, 0.3, 0.6)
     assert sum(part.rollup()) == pytest.approx(1.0, abs=1e-12)
     assert part.rollup() == (part.frac_pure_x,
@@ -257,6 +261,10 @@ def test_chi_square_transform_reports_empty_lines():
         chi_square_transform([[1.0, -0.5], [2.0, 1.0]])
     with pytest.raises(DegenerateDataError):
         chi_square_transform(np.zeros((2, 2)))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError,
+                           match="^table contains non-finite entries$"):
+            chi_square_transform([[1.0, bad], [2.0, 1.0]])
 
 
 def test_cca_explained_saturated_and_null_designs():

@@ -114,6 +114,14 @@ def test_scenario_config_validation():
             ScenarioConfig(**kwargs)
 
 
+def test_species_niche_rejects_non_finite_optima():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for optima in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(ValidationError,
+                               match="^niche optima must be finite$"):
+                SpeciesNiche(*optima)
+
+
 def test_generate_dataset_is_deterministic():
     config = ScenarioConfig(seed=42, n_sites=12)
     table1, env1 = generate_dataset(config, replicate=3)
