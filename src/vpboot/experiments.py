@@ -15,7 +15,8 @@ from functools import partial
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError, VpbootError
-from .ordination import _as_stack, _block_fractions, _log1p
+from .ordination import (_as_stack, _block_fractions, _log1p,
+                         _PlannedStatistic)
 from .resample import _check_bootstrap, bootstrap_statistic, relative_spread
 from .rng import derive_seed
 from .synth import (ScenarioConfig, SpeciesNiche, _complex_config,
@@ -55,13 +56,15 @@ def predictor_effect_r2(table, env) -> float:
     return float(_effect_r2(None, table, env)[0][0, 0])
 
 
-def _effect_r2(counts, table, env):
+def _effect_r2(counts, table, env, fit=_block_fractions):
     """``predictor_effect_r2`` per count row, as a batched bootstrap statistic,
-    or per table of a ``(k, n, S)`` stack with a ``(k, n, 2)`` environment."""
+    or per table of a ``(k, n, S)`` stack with a ``(k, n, 2)`` environment.
+    ``fit`` is ``_block_fractions`` or a bootstrap's planned stand-in
+    (``ordination._PlannedStatistic``)."""
     em = _as_stack(env)
     if em.shape[-1] != 2:
         raise ValidationError("environment block must have exactly 2 columns")
-    fractions, reasons = _block_fractions(
+    fractions, reasons = fit(
         table, [("both gradients", em), ("first gradient", em[..., 0:1])],
         "rda", counts)
     return fractions[:, :1] - fractions[:, 1:], reasons
@@ -141,8 +144,9 @@ def _bootstrap_spread(config: ScenarioConfig, statistic,
     m = config.replicates
     tables, envs = _generate_cell(config, range(m, m + n_validation))
     return float(np.mean([
-        bootstrap_statistic(table, [env], statistic, m, derive_seed(
-            config.seed, _TAG_VALIDATION_TABLE, v))[0].sd
+        bootstrap_statistic(
+            table, [env], _PlannedStatistic(statistic), m,
+            derive_seed(config.seed, _TAG_VALIDATION_TABLE, v))[0].sd
         for v, (table, env) in enumerate(zip(tables, envs))]))
 
 
@@ -258,9 +262,10 @@ def cca_proportion(table, env) -> float:
     return float(_cca_share(None, table, env)[0][0, 0])
 
 
-def _cca_share(counts, table, env):
-    """``cca_proportion`` per count row, as a batched bootstrap statistic."""
-    return _block_fractions(_log1p(table), [("env", env)], "cca", counts)
+def _cca_share(counts, table, env, fit=_block_fractions):
+    """``cca_proportion`` per count row, as a batched bootstrap statistic;
+    ``fit`` as in ``_effect_r2``."""
+    return fit(_log1p(table), [("env", env)], "cca", counts)
 
 
 @dataclass(frozen=True)

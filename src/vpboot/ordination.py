@@ -115,61 +115,35 @@ def _deviations(r, w, h, what: str) -> np.ndarray:
     return dw
 
 
-def _explained(r, w, h, blocks, what: str, counted: bool):
-    """Total and fitted sums of squares of the response ``r`` (``_response``).
+def _explained(r, w, h, blocks, what: str):
+    """Total and fitted sums of squares of a unit fit of the response ``r``
+    (``_response``): every row takes the SVD route (``_svd_route``), where
+    the SVD is the fit. Returns ``(total (k,), fitted (k, n_blocks), rank
+    (k, n_blocks))``; ``_Plan.explained`` is the count-weighted twin.
+    """
+    return _svd_route(r, w, h, blocks,
+                      np.ones((len(w), len(blocks)), dtype=bool), what)
+
+
+def _svd_route(r, w, h, blocks, svd, what: str):
+    """The SVD route of the rows of ``w``: each row's two-pass centring of
+    ``r`` (``_deviations``), its total, and its projection on its own
+    weighted SVD of each block that ``svd`` ``(k, n_blocks)`` marks
+    (``_svd_fit``; fitted sums and ranks are 0 elsewhere).
 
     Replicate ``i`` weighs the sites by ``w[i]`` and the columns by ``g =
-    h[i]^2``. Each (row, block) pair takes one of two routes, each with one
-    response. The Gram route (``_gram_fit``, count-weighted calls only)
-    fits ``d``, ``r`` centred once per call with unit counts; the row's
-    total is ``sum_j g_j (sum_i w_i d_ij^2 - W delta_j^2)`` for the weight
-    total ``W`` and weighted column means ``delta``. The SVD route
-    (``_svd_fit``) projects the row's own two-pass centring of ``r``
-    (``_deviations``) onto its own weighted SVD. It takes every row of a
-    unit call, where the SVD is the fit, every row a Gram gate rejects,
-    and every row whose ``d`` total cancels below half of ``sum g w d^2``
-    or whose sums are not finite.
-
-    Those last rows and every row of a unit call take their total from
-    their own centring, as a table fitted on its own would: a response
-    constant over the drawn sites reads exactly 0, the roundoff of a unit
-    mean far from the replicate's (an outlier site it did not draw) does
-    not reach it, and only a replicate whose own centred sums overflow
-    raises ``ValidationError``. Every product is taken one replicate at a
-    time, so a replicate keeps its bits in any chunk.
-    Returns ``(total (k,), fitted (k, n_blocks), rank (k, n_blocks))``.
+    h[i]^2``. A response constant over the drawn sites reads exactly 0, and
+    only a replicate whose own centred sums overflow raises
+    ``ValidationError``. Returns ``(total, fitted, rank)``.
     """
-    k, shape = len(w), (len(w), len(blocks))
-    if counted:
-        d = _weighted_centre(r, np.ones(r.shape[:2]), None)  # checked below
-        weight = w.sum(axis=1)
-        mean = _weighted_sums(w, d) / np.where(
-            weight > 0.0, weight, 1.0)[:, np.newaxis]
-        squares = _weighted_sums(w, np.square(d))
-        raw = (squares * h * h).sum(axis=1)
-        total = ((squares - weight[:, np.newaxis] * np.square(mean))
-                 * h * h).sum(axis=1)
-        own = ~np.isfinite(raw + weight) | (total < 0.5 * raw)
-        fitted, rank, ok = (np.stack(v, axis=1) for v in zip(
-            *(_gram_fit(d, w, h, weight, mean, b) for b in blocks)))
-        svd = own[:, np.newaxis] | ~ok
-    else:
-        total, own = np.zeros(k), np.ones(k, dtype=bool)
-        fitted, rank = np.zeros(shape), np.zeros(shape, dtype=np.intp)
-        svd = np.ones(shape, dtype=bool)
-    rows = np.flatnonzero(svd.any(axis=1))
-    if rows.size:
-        dev = _deviations(_take(r, rows), _take(w, rows), _take(h, rows), what)
-        total[rows] = np.where(
-            own[rows], np.square(dev).reshape(rows.size, -1).sum(axis=1),
-            total[rows])
-        for j, block in enumerate(blocks):
-            pick = np.flatnonzero(svd[rows, j])
-            if pick.size:
-                at = rows[pick]
-                fitted[at, j], rank[at, j] = _svd_fit(
-                    _take(dev, pick), _take(w, at), _take(block, at))
-    return total, fitted, rank
+    dev = _deviations(r, w, h, what)
+    fitted, rank = np.zeros(svd.shape), np.zeros(svd.shape, dtype=np.intp)
+    for j, block in enumerate(blocks):
+        rows = np.flatnonzero(svd[:, j])
+        if rows.size:
+            fitted[rows, j], rank[rows, j] = _svd_fit(
+                _take(dev, rows), _take(w, rows), _take(block, rows))
+    return np.square(dev).reshape(len(w), -1).sum(axis=1), fitted, rank
 
 
 def _svd_fit(own, w, block):
@@ -194,22 +168,162 @@ _RANK_BAND = (1e-13, 1e-4)
 _GRAM_CONDITION = 1e3
 
 
-def _gram_fit(d, w, h, weight, mean, block):
-    """Fitted sums of squares and ranks ``(k,)`` of a count-weighted block
-    call from Gram systems, and the mask ``(k,)`` of the rows it fitted:
-    ``_explained`` leaves the rest to ``_svd_fit``.
+def _unit_basis(block):
+    """Kept left singular vectors ``(n, r)`` of a ``(1, n, q)`` design
+    centred with unit counts, or None when the Gram route may fit no row
+    of it: the centred design is not finite, or one of its singular values
+    lies in ``_RANK_BAND`` of the largest."""
+    a = _weighted_centre(block, np.ones(block.shape[:2]), None)[0]
+    if not np.isfinite(np.square(a).sum()):
+        return None
+    u, keep, s = _svd_basis(a)
+    low, high = _RANK_BAND
+    if np.any((s > low * s[:1]) & (s < high * s[:1])):
+        return None
+    return u[:, keep]
 
-    Reweighting only drops or repeats sites, so every row's weighted-centred
-    design lies in the span of the ``r`` kept left singular vectors ``Q`` of
-    the unit-centred design, and has rank at most ``r``. With ``s = Q^T w``,
-    a row's Gram matrix is ``G = Q^T diag(w) Q - s s^T / W`` and its cross
-    products with the response are ``B = Q^T diag(w) d - s delta^T``; it
-    fits ``sum_j g_j b_j^T G^{-1} b_j``, from the eigenvalues ``lambda`` and
-    vectors of ``G``, with rank ``r``. Forming ``G`` squares the condition
+
+class _Plan:
+    """A count-weighted fit of one table, less its counts.
+
+    Built once per table, it holds everything the fit does not need the
+    counts for: the checked table (for ``cca`` pruned of empty sites and
+    species and scaled by a power of 4, ``_cca_scaled``); the response
+    ``r`` (``_response``: the table, or its row profiles) and the site
+    factors ``R`` that turn counts into site weights ``w = c R`` (ones, or
+    the row sums); ``d``, ``r`` centred with unit counts; and per block its
+    unit basis ``Q`` (``_unit_basis``). Its moment matrix ``(n, m)`` holds
+    per site ``R``, ``R d``, ``R d^2``, for ``cca`` the table ``y`` (the
+    species sums), and per block with a basis ``R Q``, ``R q_i q_j`` for ``i
+    <= j`` and ``R |x|^2``: ``m <= 1 + 3p + sum_b (r_b (r_b + 3) / 2 + 1)``
+    for ``p`` table columns, and no ``n x r x p`` product.
+
+    ``fit(counts)`` then reads every count-weighted sum but the cross
+    products from one per-row product with that matrix (``explained``).
+    ``_block_fractions`` builds one per count call; ``_PlannedStatistic``
+    keeps one across a bootstrap's chunks and redraws.
+    """
+
+    def __init__(self, y, named_blocks, method: str):
+        ym, blocks = _stacks(y, named_blocks, method)
+        designs = [block for _, block in blocks]
+        self.method, self.sites = method, None
+        self.what = "table" if method == "cca" else "matrix"
+        with np.errstate(over="ignore", invalid="ignore"):
+            if method == "cca":
+                (rows,), (cols,) = _cca_live(ym)
+                ym, designs = _cca_scaled(ym, designs, rows, cols)
+                if not rows.all():
+                    self.sites = rows
+                sums = ym.sum(axis=-1)
+                r, factor = ym / sums[..., np.newaxis], sums[0]
+            else:
+                r, factor = ym, np.ones(ym.shape[1])
+            d = _weighted_centre(r, np.ones(r.shape[:2]), None)[0]
+            factor = factor[:, np.newaxis]
+            columns = [factor, factor * d, factor * np.square(d)]
+            if method == "cca":
+                columns.append(ym[0])
+            self.bases = []
+            for block in designs:
+                q = _unit_basis(block)
+                if q is None:
+                    self.bases.append(None)
+                    continue
+                upper = np.triu_indices(q.shape[1])
+                start = sum(column.shape[1] for column in columns)
+                self.bases.append(
+                    (np.ascontiguousarray((factor * q).T), upper, start))
+                columns += [factor * q,
+                            factor * (q[:, upper[0]] * q[:, upper[1]]),
+                            factor * np.square(block[0]).sum(
+                                axis=1, keepdims=True)]
+        self.r, self.d, self.factor, self.designs = r, d, factor[:, 0], designs
+        self.moments = np.hstack(columns)
+
+    def fit(self, counts):
+        """``_block_fractions`` of the ``(k, n)`` ``counts``: ``(fractions,
+        reasons)``."""
+        c = np.asarray(counts, dtype=float)
+        if self.sites is not None:
+            c = c[:, self.sites]
+        with np.errstate(over="ignore", invalid="ignore"):
+            total, fitted, rank, w, h = self.explained(c)
+            if self.method == "rda":
+                fractions, short = _rda_fractions(total, fitted, rank, c)
+                return fractions, np.where(short.any(axis=1), NO_RESIDUAL_DF, 0)
+            return (_inertia_shares(total, fitted, self.r, w, h),
+                    _cca_reasons(c, h)[0])
+
+    def explained(self, c):
+        """Total and fitted sums of squares of the response under the
+        ``(k, n)`` float counts ``c``: ``(total, fitted, rank, w, h)``, with
+        site weights ``w = c R`` and root species weights ``h``
+        (``_response``).
+
+        Each (row, block) pair takes one of two routes, each with one
+        response. The Gram route (``_gram_fit``) fits ``d``; the row's
+        total is ``sum_j g_j (sum_i w_i d_ij^2 - W delta_j^2)`` for the
+        weight total ``W`` and weighted column means ``delta``. The SVD
+        route (``_svd_route``) takes every row a Gram gate rejects, and
+        every row whose ``d`` total cancels below half of ``sum g w d^2``
+        or whose sums are not finite. Those last rows take their total from
+        their own centring, as a table fitted on its own would: the
+        roundoff of a unit mean far from the replicate's (an outlier site
+        it did not draw) does not reach it. Every product is taken one
+        replicate at a time, so a replicate keeps its bits in any chunk.
+        """
+        sums = _weighted_sums(c, self.moments)
+        p = self.d.shape[1]
+        weight = sums[:, 0]
+        mean = sums[:, 1:p + 1] / np.where(
+            weight > 0.0, weight, 1.0)[:, np.newaxis]
+        squares = sums[:, p + 1:2 * p + 1]
+        if self.method == "cca":
+            h = np.sqrt(sums[:, 2 * p + 1:3 * p + 1])
+            np.divide(1.0, h, out=h, where=h > 0.0)  # 0 for a species not drawn
+        else:
+            h = np.ones((len(c), p))
+        g = h * h
+        raw = (squares * g).sum(axis=1)
+        total = ((squares - weight[:, np.newaxis] * np.square(mean))
+                 * g).sum(axis=1)
+        own = ~np.isfinite(raw + weight) | (total < 0.5 * raw)
+        fitted, rank, ok = (np.stack(v, axis=1) for v in zip(*(
+            _gram_fit(basis, sums, c, self.d, g, weight, mean)
+            for basis in self.bases)))
+        svd = own[:, np.newaxis] | ~ok
+        w = c * self.factor if self.method == "cca" else c  # after the peak
+        rows = np.flatnonzero(svd.any(axis=1))
+        if rows.size:
+            pick = svd[rows]
+            own_total, own_fitted, own_rank = _svd_route(
+                self.r, w[rows], h[rows], self.designs, pick, self.what)
+            total[rows] = np.where(own[rows], own_total, total[rows])
+            fitted[rows] = np.where(pick, own_fitted, fitted[rows])
+            rank[rows] = np.where(pick, own_rank, rank[rows])
+        return total, fitted, rank, w, h
+
+
+def _gram_fit(basis, sums, c, d, g, weight, mean):
+    """Fitted sums of squares and ranks ``(k,)`` of one block under the
+    ``(k, n)`` counts ``c`` from Gram systems, and the mask ``(k,)`` of the
+    rows it fitted: ``_Plan.explained`` leaves the rest to the SVD route.
+
+    ``basis`` is the block's entry of ``_Plan.bases`` and ``sums`` the
+    rows' products with the plan's moment matrix. Reweighting only drops or
+    repeats sites, so every row's weighted-centred design lies in the span
+    of the ``r`` columns of the unit basis ``Q``, and has rank at most
+    ``r``. With ``s = Q^T w``, a row's Gram matrix is ``G = Q^T diag(w) Q -
+    s s^T / W`` and its cross products with the response are ``B = Q^T
+    diag(w) d - s delta^T``; it fits ``sum_j g_j b_j^T G^{-1} b_j``, from
+    the eigenvalues ``lambda`` and vectors of ``G``, with rank ``r``.
+    ``s``, ``G`` and the sizes below come from ``sums``; ``B`` takes one
+    per-row product per basis column. Forming ``G`` squares the condition
     number, so the SVD stays the rank authority and takes:
 
-    - every row, when the unit-centred design is not finite or one of its
-      singular values lies in ``_RANK_BAND`` of the largest;
+    - every row, when the block has no unit basis (None: a design that is
+      not finite, or in the rank band);
     - a row whose ``lambda`` spread exceeds ``_GRAM_CONDITION``, or whose
       smallest ``lambda`` is below ``W / n`` over it (a column constant over
       the drawn sites; for ``r = 1`` the spread is always 1);
@@ -218,43 +332,40 @@ def _gram_fit(d, w, h, weight, mean, block):
 
     A row whose rank is provably ``r`` keeps it: the band keeps the unit
     singular values ``1e4`` above ``SV_RCOND`` and the spread costs at most
-    a factor ``sqrt(_GRAM_CONDITION)``. Each product is taken one row at a
-    time, so a row keeps its bits in any chunk.
+    a factor ``sqrt(_GRAM_CONDITION)``.
     """
-    k, n = w.shape
+    k, n = c.shape
     fitted, rank = np.zeros(k), np.zeros(k, dtype=np.intp)
-    (block,) = block  # a stack of one: every row reweights one design
-    a = _weighted_centre(block, np.ones((1, n)), None)[0]
-    if not np.isfinite(np.square(a).sum()):
+    if basis is None:
         return fitted, rank, np.zeros(k, dtype=bool)
-    u, keep, s = _svd_basis(a)
-    low, high = _RANK_BAND
-    if np.any((s > low * s[:1]) & (s < high * s[:1])):
-        return fitted, rank, np.zeros(k, dtype=bool)
-    if not keep.any():  # a design constant over the sites fits nothing
+    weighted, (i, j), start = basis
+    r, pairs = len(weighted), len(i)
+    if not r:  # a design constant over the sites fits nothing
         return fitted, rank, np.ones(k, dtype=bool)
-    q = u[:, keep]
-    r = q.shape[1]
-    gram, cross = np.empty((k, r, r)), np.empty((k, r, d.shape[-1]))
-    scaled = np.empty_like(w)  # a row holds one weighted column at a time
-    for i, column in enumerate(q.T):
-        np.multiply(w, column, out=scaled)
-        gram[:, i] = _weighted_sums(scaled, q)
-        cross[:, i] = _weighted_sums(scaled, d)
-    s1 = _weighted_sums(w, q)
+    s1 = sums[:, start:start + r]
+    gram = np.empty((k, r, r))
+    gram[:, i, j] = gram[:, j, i] = sums[:, start + r:start + r + pairs]
+    sizes = sums[:, start + r + pairs]
+    cross = np.empty((k, r, d.shape[-1]))
+    scaled = np.empty_like(c)  # a row holds one weighted column at a time
+    for at, column in enumerate(weighted):
+        np.copyto(scaled, column)  # then in place: no broadcast buffer
+        scaled *= c
+        cross[:, at] = _weighted_sums(scaled, d)
+        cross[:, at] -= s1[:, at, np.newaxis] * mean
     scale = np.where(weight > 0.0, weight, 1.0)[:, np.newaxis]
     gram -= s1[:, :, np.newaxis] * (s1 / scale)[:, np.newaxis]
-    cross -= s1[:, :, np.newaxis] * mean[:, np.newaxis, :]
-    lam, vec = np.linalg.eigh(gram)
-    sizes = _weighted_sums(w, np.square(block).sum(axis=1)[:, np.newaxis])
+    if r == 1:  # LAPACK's eigh of a 1 x 1 matrix: its entry, and 1
+        lam, z = gram[:, 0], cross
+    else:
+        lam, vec = np.linalg.eigh(gram)
+        z = np.matmul(np.swapaxes(vec, 1, 2), cross)  # B in the eigenbasis
     ok = ((lam[:, -1] <= _GRAM_CONDITION * lam[:, 0])
           & (lam[:, 0] * (_GRAM_CONDITION * n) >= weight) & (weight > 0.0)
-          & np.isfinite(sizes[:, 0]))
-    z = np.matmul(np.swapaxes(vec, 1, 2), cross)  # B in the eigenbasis
-    z *= h[:, np.newaxis, :]
+          & np.isfinite(sizes))
     np.square(z, out=z)
-    z /= np.where(ok[:, np.newaxis], lam, 1.0)[:, :, np.newaxis]
-    fitted[ok] = z.reshape(k, -1).sum(axis=1)[ok]
+    spread = _weighted_sums(g, np.swapaxes(z, 1, 2))  # sum_j g_j z_lj^2
+    fitted[ok] = (spread[ok] / lam[ok]).sum(axis=1)
     rank[ok] = r
     return fitted, rank, ok
 
@@ -262,19 +373,24 @@ def _gram_fit(d, w, h, weight, mean, block):
 def _replicate_values(n_sites: int, n_species: int, n_block_columns: int) -> int:
     """Float64 values the fit kernel holds per count row of a bootstrap.
 
-    The response enters once per call. Per replicate the Gram route
-    (``_gram_fit``) holds the count row, its float copy, the CCA site
-    weights and one weighted basis column (``4n`` for ``n`` sites), a
-    block's cross products with the response and their image in its
-    eigenbasis (``2q x p`` for ``q`` block columns and ``p`` table
-    columns), and a few weighted sums of the response (``6p``). A row that
-    takes the SVD route (``_svd_fit``) holds its own ``n x p`` deviations,
-    its weighted design and its singular vectors, up to ``(p + 3q) x n``
-    more; no analyze-benchmark row leaves the Gram route, so the chunk
-    rule counts only that route.
+    The table, its response and each block's unit basis enter once per
+    bootstrap (``_Plan``), not once per chunk. Per replicate the Gram route
+    holds the count row, its float copy and one weighted basis column
+    (``3n`` for ``n`` sites); its moment row (at most ``3p + q (q + 3) +
+    4`` for ``p`` table columns and ``q`` block columns, the joint block
+    having ``q``); the means, root species weights and their squares
+    (``3p``); and the joint block's cross products with the response and
+    their image in its eigenbasis, its Gram matrix and eigenvectors (``2q
+    (p + q)``) and eigenvalues (``q``). The CCA site weights (``n``) are
+    formed after the Gram fits, when those are gone. A row that takes the
+    SVD route (``_svd_route``) holds its own ``n x p`` deviations, its
+    weighted design and its singular vectors, up to ``(p + 3q) x n`` more;
+    no analyze-benchmark row leaves the Gram route, so the chunk rule
+    counts only that route.
     """
-    q = n_block_columns
-    return max(4 * n_sites + 2 * (q + 3) * n_species, 1)
+    p, q = n_species, n_block_columns
+    moments = 3 * p + q * (q + 3) + 4
+    return 3 * n_sites + moments + 3 * p + 2 * q * (p + q) + q
 
 
 def _aligned(y, x):
@@ -307,19 +423,14 @@ def _adjust(r2, n, df):
     return 1.0 - (1.0 - r2) * (n - 1) / df
 
 
-def _rda_r2(ym, blocks, c, counted: bool) -> tuple[np.ndarray, np.ndarray]:
-    """R2 and rank of each block, ``(k, n_blocks)`` each, of the stacks
-    ``ym`` and ``blocks`` under counts ``c`` (``_block_fractions``). A
-    response with zero total sum of squares has nothing to explain and
-    gets 0; R2 is clipped to [0, 1] against roundoff.
-    """
-    total, fitted, rank = _explained(*_response(ym, c, "rda"), blocks,
-                                     "matrix", counted)
+def _r2(total, fitted):
+    """R2 of each block, ``(k, n_blocks)``, from the sums of ``_explained``:
+    a response with zero total sum of squares has nothing to explain and
+    gets 0; R2 is clipped to [0, 1] against roundoff."""
     total = total[:, np.newaxis]
     explains = total > 0.0
-    r2 = np.where(explains, np.clip(
+    return np.where(explains, np.clip(
         fitted / np.where(explains, total, 1.0), 0.0, 1.0), 0.0)
-    return r2, rank
 
 
 def rda_r2(y, x) -> float:
@@ -334,9 +445,10 @@ def rda_r2(y, x) -> float:
         raise ValidationError("need at least 3 rows")
     # Non-finite input ends in a ValidationError, not in a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        r2, _ = _rda_r2(ym[np.newaxis], [xm[np.newaxis]],
-                        np.ones((1, ym.shape[0])), counted=False)
-    return float(r2[0, 0])
+        total, fitted, _ = _explained(
+            *_response(ym[np.newaxis], np.ones((1, ym.shape[0])), "rda"),
+            [xm[np.newaxis]], "matrix")
+    return float(_r2(total, fitted)[0, 0])
 
 
 def _split(r_x, r_w, r_xw):
@@ -402,6 +514,24 @@ def _as_stack(data) -> np.ndarray:
     return as_matrix(data)[np.newaxis]
 
 
+def _stacks(y, named_blocks, method: str):
+    """The checked table stack and ``[(name, block stack)]`` of a fit
+    (``_block_fractions``): each block's parts joined side by side."""
+    if method not in ("cca", "rda"):
+        raise ValidationError(f"unknown method {method!r}")
+    ym = _as_stack(y)
+    blocks = []
+    for name, *parts in named_blocks:
+        parts = [_as_stack(p) for p in parts]
+        if any(p.shape[:-1] != ym.shape[:-1] for p in parts):
+            raise ValidationError("response and predictor blocks must share rows")
+        blocks.append((name, parts[0] if len(parts) == 1
+                       else np.concatenate(parts, axis=-1)))
+    if ym.shape[-2] < 3:
+        raise ValidationError("need at least 3 rows")
+    return ym, blocks
+
+
 def _block_fractions(y, named_blocks, method: str, counts=None):
     """Explained fraction of ``y`` for each named predictor set, per replicate.
 
@@ -418,6 +548,11 @@ def _block_fractions(y, named_blocks, method: str, counts=None):
     each part has that table's memory layout (a column slice stays a
     strided view).
 
+    A count call fits through a ``_Plan`` of the table, built for this call
+    alone; a bootstrap keeps one plan across its chunks instead
+    (``_PlannedStatistic``). A unit call (counts None) fits every table on
+    the SVD route (``_explained``).
+
     Returns ``(fractions (k, n_blocks), reasons (k,))``: a nonzero reason
     is a code of ``errors.DEGENERATE_REASONS`` and marks a replicate whose
     fractions are meaningless. Unit fits raise instead: the first
@@ -429,49 +564,49 @@ def _block_fractions(y, named_blocks, method: str, counts=None):
     inertia over the live sites and species (a positive row or column sum);
     fewer than 3 live sites, copies counted, or 2 live species is
     degenerate. A table of fewer than 3 rows is rejected before any fit.
-    This is the one place where blocks are aligned, tables pruned and
-    ranks taken.
+    This and ``_Plan``, which share ``_stacks`` and the CCA pruning, are
+    the only places where blocks are aligned, tables pruned and ranks
+    taken.
     """
-    if method not in ("cca", "rda"):
-        raise ValidationError(f"unknown method {method!r}")
-    ym = _as_stack(y)
-    blocks = []
-    for name, *parts in named_blocks:
-        parts = [_as_stack(p) for p in parts]
-        if any(p.shape[:-1] != ym.shape[:-1] for p in parts):
-            raise ValidationError("response and predictor blocks must share rows")
-        blocks.append((name, parts[0] if len(parts) == 1
-                       else np.concatenate(parts, axis=-1)))
-    if ym.shape[-2] < 3:
-        raise ValidationError("need at least 3 rows")
-    counted = counts is not None
-    c = np.asarray(counts, dtype=float) if counted else np.ones(ym.shape[:2])
-    fit = _cca_fractions if method == "cca" else _rda_fractions
-    # Overflow ends in a ValidationError (_weighted_centre, _explained),
+    if counts is not None:
+        return _Plan(y, named_blocks, method).fit(counts)
+    ym, blocks = _stacks(y, named_blocks, method)
+    fit = _cca_unit_fractions if method == "cca" else _rda_unit_fractions
+    # Overflow ends in a ValidationError (_weighted_centre, _svd_route),
     # not in a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        return fit(ym, blocks, c, counted)
+        return fit(ym, blocks, np.ones(ym.shape[:2]))
 
 
-def _rda_fractions(ym, blocks, c, counted: bool):
-    """``_block_fractions`` for ``rda``: count-weighted adjusted R2."""
-    r2, rank = _rda_r2(ym, [block for _, block in blocks], c, counted)
+def _rda_fractions(total, fitted, rank, c):
+    """Adjusted R2 of each block under counts ``c``, adjusted by the rank
+    of its weighted-centred columns with n the total count, and the mask of
+    blocks left with no residual degrees of freedom: ``(k, n_blocks)``
+    each."""
     total_count = c.sum(axis=1)[:, np.newaxis]
     df = total_count - rank - 1
     short = df < 1
-    reasons = np.where(short.any(axis=1), NO_RESIDUAL_DF, 0)
-    if not counted and reasons.any():
-        row = np.flatnonzero(reasons)[0]
-        i = int(np.argmax(short[row]))
+    return _adjust(_r2(total, fitted), total_count,
+                   np.where(short, 1.0, df)), short
+
+
+def _rda_unit_fractions(ym, blocks, c):
+    """``_block_fractions`` of a unit ``rda`` call."""
+    total, fitted, rank = _explained(
+        *_response(ym, c, "rda"), [block for _, block in blocks], "matrix")
+    fractions, short = _rda_fractions(total, fitted, rank, c)
+    if short.any():
+        row, i = np.argwhere(short)[0]
         raise DegenerateDataError(
             f"block '{blocks[i][0]}': {DEGENERATE_REASONS[NO_RESIDUAL_DF]} "
             f"(n={ym.shape[-2]}, rank m={int(rank[row, i])})")
-    return _adjust(r2, total_count, np.where(short, 1.0, df)), reasons
+    return fractions, np.zeros(len(c), dtype=int)
 
 
 def _inertia_shares(total, fitted, r, w, h):
     """Constrained inertia's share of ``total``, ``(k, n_blocks)``, for the
-    row profiles ``r``, weights and column scales of ``_explained``.
+    row profiles ``r``, weights and column scales of ``_explained`` or
+    ``_Plan.explained``.
 
     A replicate explains nothing unless one of its drawn sites deviates from
     its mean profile by more than ``SV_RCOND`` of its own profile, both in
@@ -496,53 +631,72 @@ def _inertia_shares(total, fitted, r, w, h):
     return np.where(live, constrained / np.where(live, total, 1.0), 0.0)
 
 
-def _cca_fractions(ym, blocks, c, counted: bool):
-    """``_block_fractions`` for ``cca``: weighted chi-square inertia shares.
-
-    Empty sites and species are pruned, table by table in a stack. Each
-    table is then scaled by the power of 4 that puts its largest entry in
-    [1/2, 2). The profiles keep their bits, and the site weights, species
-    sums and root species weights scale by exact powers of 2, so the
-    shares do not move, and no count-weighted total overflows once the
-    table's own total is finite.
-    The exception is a table whose entries span more than the float range:
-    entries that become subnormal when scaled lose low bits, which moves
-    the shares at roundoff level, and a site whose entries all underflow
-    to 0 ends in ``_weighted_centre``'s ``ValidationError``.
-    """
+def _cca_live(ym):
+    """Live sites ``(T, n)`` and species ``(T, p)`` of a ``cca`` stack (a
+    positive row or column sum), after checking its entries."""
     if not np.all(ym >= 0.0):
         raise ValidationError("table contains negative or non-finite entries")
     row_sums = ym.sum(axis=-1)
     if not np.all(np.isfinite(row_sums.sum(axis=-1))):
         raise ValidationError(
             "table contains non-finite entries or overflows once summed")
-    rows, cols = row_sums > 0, ym.sum(axis=-2) > 0
-    if len(ym) > 1 and not (rows.all() and cols.all()):
-        # Prune each table of the stack on its own, as its unit fit does.
-        fits = [_cca_fractions(ym[i:i + 1], [(name, b[i:i + 1])
-                                             for name, b in blocks],
-                               c[i:i + 1], counted) for i in range(len(ym))]
-        return tuple(np.concatenate(v) for v in zip(*fits))
-    # Drop sites and species dead in every replicate once, into C-ordered
-    # copies (``np.ix_``), so a table's sums keep their bits stacked or not.
-    tables, rows, cols = range(len(ym)), rows[0], cols[0]
+    return row_sums > 0, ym.sum(axis=-2) > 0
+
+
+def _cca_scaled(ym, designs, rows, cols):
+    """The stack and its designs less the sites and species ``rows`` and
+    ``cols`` leave out, as C-ordered copies (``np.ix_``), so a table's sums
+    keep their bits stacked or not; each table scaled by the power of 4
+    that puts its largest entry in [1/2, 2).
+
+    The profiles keep their bits, and the site weights, species sums and
+    root species weights scale by exact powers of 2, so the shares do not
+    move, and no count-weighted total overflows once the table's own total
+    is finite. The exception is a table whose entries span more than the
+    float range: entries that become subnormal when scaled lose low bits,
+    which moves the shares at roundoff level, and a site whose entries all
+    underflow to 0 ends in ``_weighted_centre``'s ``ValidationError``.
+    """
+    tables = range(len(ym))
     ym = ym[np.ix_(tables, rows, cols)]
-    c = c if rows.all() else c[:, rows]
-    blocks = [(name, b[np.ix_(tables, rows)]) for name, b in blocks]
+    designs = [b[np.ix_(tables, rows)] for b in designs]
     _, exponent = np.frexp(ym.max(axis=(-2, -1), initial=0.0, keepdims=True))
-    ym = np.ldexp(ym, -2 * (exponent // 2))  # drops the pruned copy
-    d, w, h = _response(ym, c, "cca")
+    return np.ldexp(ym, -2 * (exponent // 2)), designs  # drops the pruned copy
+
+
+def _cca_reasons(c, h):
+    """Reason codes ``(k,)`` of ``cca`` replicates under counts ``c`` and
+    root species weights ``h``, with their live sites (copies counted) and
+    species."""
     sites = c.sum(axis=1)
     species = np.count_nonzero(h, axis=1)
-    reasons = np.where(sites < 3, FEW_SITES,
-                       np.where(species < 2, FEW_SPECIES, 0))
-    if not counted and reasons.any():
+    return (np.where(sites < 3, FEW_SITES,
+                     np.where(species < 2, FEW_SPECIES, 0)), sites, species)
+
+
+def _cca_unit_fractions(ym, blocks, c):
+    """``_block_fractions`` of a unit ``cca`` call: weighted chi-square
+    inertia shares. Empty sites and species are pruned, table by table in a
+    stack, and each table scaled (``_cca_scaled``)."""
+    rows, cols = _cca_live(ym)
+    if len(ym) > 1 and not (rows.all() and cols.all()):
+        # Prune each table of the stack on its own, as its unit fit does.
+        fits = [_cca_unit_fractions(ym[i:i + 1], [(name, b[i:i + 1])
+                                                  for name, b in blocks],
+                                    c[i:i + 1]) for i in range(len(ym))]
+        return tuple(np.concatenate(v) for v in zip(*fits))
+    # Drop sites and species dead in every replicate once.
+    rows = rows[0]
+    ym, designs = _cca_scaled(ym, [b for _, b in blocks], rows, cols[0])
+    c = c if rows.all() else c[:, rows]
+    d, w, h = _response(ym, c, "cca")
+    reasons, sites, species = _cca_reasons(c, h)
+    if reasons.any():
         row = np.flatnonzero(reasons)[0]
         raise DegenerateDataError(
             f"only {int(sites[row])} non-empty sites and "
             f"{int(species[row])} non-empty species remain")
-    total, fitted, _ = _explained(d, w, h, [b for _, b in blocks], "table",
-                                  counted)
+    total, fitted, _ = _explained(d, w, h, designs, "table")
     return _inertia_shares(total, fitted, d, w, h), reasons
 
 
@@ -565,11 +719,40 @@ def _partition(y, x, w, method: str) -> PartitionResult:
     return partition_from_r2(*(float(v) for v in fractions[0]))
 
 
-def _rollups(counts, y, x, w, method: str):
-    """Batched bootstrap statistic: the ``PartitionResult.rollup`` per replicate."""
-    fractions, reasons = _block_fractions(
-        y, _named_partition_blocks(x, w), method, counts)
+def _rollups(counts, y, x, w, method: str, fit=_block_fractions):
+    """Batched bootstrap statistic: the ``PartitionResult.rollup`` per
+    replicate. ``fit`` is ``_block_fractions`` or a bootstrap's planned
+    stand-in (``_PlannedStatistic``)."""
+    fractions, reasons = fit(y, _named_partition_blocks(x, w), method, counts)
     return np.column_stack(_rollup(*_split(*fractions.T))), reasons
+
+
+class _PlannedStatistic:
+    """One bootstrap's package statistic, ``statistic(counts, y, *blocks)``
+    as ``bootstrap_statistic`` calls it, with its fit planned once.
+
+    ``statistic`` is ``_rollups``, ``experiments._effect_r2`` or
+    ``experiments._cca_share``, and ``options`` its keywords. Its one
+    ``_block_fractions`` call per chunk is served by the ``_Plan`` of the
+    arrays this object was last called with, built again only when they
+    change. Arrays are compared by identity: the object holds them, so
+    their ids cannot be reused. Make one per ``bootstrap_statistic`` call.
+    """
+
+    def __init__(self, statistic, **options):
+        self.statistic, self.options = statistic, options
+        self.arrays, self.plan = (), None
+
+    def __call__(self, counts, *arrays):
+        if len(arrays) != len(self.arrays) or any(
+                a is not b for a, b in zip(arrays, self.arrays)):
+            self.arrays, self.plan = arrays, None
+        return self.statistic(counts, *arrays, fit=self._fit, **self.options)
+
+    def _fit(self, y, named_blocks, method: str, counts):
+        if self.plan is None:
+            self.plan = _Plan(y, named_blocks, method)
+        return self.plan.fit(counts)
 
 
 def varpart_two(y, x, w) -> PartitionResult:

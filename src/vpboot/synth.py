@@ -9,6 +9,7 @@ result is scaled to a fixed carrying capacity and rounded up to integers.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,11 @@ from .tables import CommunityTable, PredictorBlock
 _MAX_SITE_REDRAWS = 100
 # Values per slice of ``_densities``' Python-level exponentials.
 _EXP_SLICE = 2 ** 10
+#: Bytes ``generate_dataset`` may hold at its peak per value of its table
+#: and gradients, ``n_sites x (n_species + 2)`` values, site labels
+#: included; traced peaks grew by about 37 bytes a value from 20,000 to
+#: 50,000 sites.
+_DATASET_VALUE_BYTES = 48
 
 
 @dataclass(frozen=True)
@@ -277,6 +283,14 @@ def _generate_cell(config: ScenarioConfig,
             env.reshape(len(replicates), n, 2))
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory of this host, or 0 if it cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return 0
+
+
 def generate_dataset(config: ScenarioConfig,
                      replicate: int = 0) -> tuple[CommunityTable, PredictorBlock]:
     """One community table plus its two-column environmental block.
@@ -286,10 +300,19 @@ def generate_dataset(config: ScenarioConfig,
     same dataset no matter what else has been generated. A site draws x,
     then y, then (with noise) two normal terms per species; a site whose
     responses all land at zero draws fresh noise from the same stream, up
-    to ``_MAX_SITE_REDRAWS`` draws in all.
+    to ``_MAX_SITE_REDRAWS`` draws in all. A dataset whose estimated peak
+    (``_DATASET_VALUE_BYTES`` a value) exceeds the host's physical memory
+    raises ``MemoryError`` before anything is allocated.
     """
     if not 0 <= replicate < 2 ** 32:
         raise ValidationError("replicate index must lie in [0, 2**32)")
+    need = config.n_sites * (config.n_species + 2) * _DATASET_VALUE_BYTES
+    memory = _physical_memory()
+    if memory and need > memory:
+        # Refused before allocating: an overcommitting host would let the
+        # arrays grow until the OOM killer ends the process.
+        raise MemoryError(f"{config.n_sites} sites need about {need:.3g} "
+                          f"bytes; this host has {memory:.3g}")
     counts, env = _generate_cell(config, [replicate])
     site_ids = tuple(f"site{i + 1}" for i in range(config.n_sites))
     species_ids = tuple(f"sp{j + 1}" for j in range(config.n_species))

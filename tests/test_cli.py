@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpboot import cli, resample
+from vpboot import cli, resample, synth
 from vpboot.analysis import report_to_dict, run_analysis
 from vpboot.cli import main
 from vpboot.io import write_table_csv
@@ -599,3 +599,32 @@ def test_an_unwritable_report_path_exits_two(tmp_path, capsys):
                  str(paths["spatial"]), "--seed", "1", "--bootstrap", "20",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: [Errno")
+
+
+def test_simulate_refuses_a_dataset_larger_than_memory(tmp_path, capsys,
+                                                       monkeypatch):
+    # 1,000 sites of 2 species are estimated at 192 KB; a host stubbed to
+    # 100 KB refuses them before generating anything, and the CLI exits 2.
+    def no_work(*_args):
+        raise AssertionError("the dataset was generated before the check")
+
+    config = tmp_path / "scenario.cfg"
+    config.write_text("seed = 3\nn_sites = 1000\n")
+    monkeypatch.setattr(synth, "_generate_cell", no_work)
+    monkeypatch.setattr(synth, "_physical_memory", lambda: 100_000)
+    assert main(["simulate", str(config), "--out", str(tmp_path / "s")]) == 2
+    assert "not enough memory" in capsys.readouterr().err
+    assert not list(tmp_path.glob("s.*"))
+    with pytest.raises(MemoryError, match="^1000 sites need about 1.92e"):
+        synth.generate_dataset(synth.ScenarioConfig(seed=3, n_sites=1000))
+
+
+def test_simulate_runs_when_memory_is_unknown_or_enough(tmp_path, capsys,
+                                                        monkeypatch):
+    config = tmp_path / "scenario.cfg"
+    config.write_text("seed = 3\nn_sites = 1000\n")
+    for memory in (0, 192_000):
+        monkeypatch.setattr(synth, "_physical_memory", lambda: memory)
+        assert main(["simulate", str(config),
+                     "--out", str(tmp_path / f"s{memory}")]) == 0
+    capsys.readouterr()

@@ -11,9 +11,10 @@ resamples: fractions to 1e-12, the same reason code and the same ranks.
 import numpy as np
 import pytest
 
-from vpboot import ordination
+from vpboot import ordination, resample
 from vpboot.errors import ValidationError
-from vpboot.ordination import _block_fractions
+from vpboot.ordination import _block_fractions, _PlannedStatistic
+from vpboot.resample import bootstrap_statistic
 
 
 def _named(x, w):
@@ -22,23 +23,29 @@ def _named(x, w):
 
 def _fit(y, blocks, method, counts=None):
     """Fractions, reasons and block ranks of one kernel call, and the shape
-    of each array it passed to ``_svd_basis``, in call order: the Gram
-    route takes one ``(n, q)`` SVD per block, then the SVD route one
-    ``(rows, n, q)`` stack per block that has rows left to it."""
+    of each array it passed to ``_svd_basis``, in call order: the count
+    call's plan takes one ``(n, q)`` SVD per block, then the SVD route one
+    ``(rows, n, q)`` stack per block that has rows left to it. Ranks come
+    from ``_explained`` (unit calls) or ``_Plan.explained`` (count calls)."""
     ranks, shapes = [], []
-    explained, svd_basis = ordination._explained, ordination._svd_basis
+    svd_basis = ordination._svd_basis
 
-    def recording_explained(*args):
-        out = explained(*args)
-        ranks.append(out[2])
-        return out
+    def recording(explained):
+        def recording_explained(*args):
+            out = explained(*args)
+            ranks.append(out[2])
+            return out
+        return recording_explained
 
     def recording_svd_basis(a):
         shapes.append(a.shape)
         return svd_basis(a)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ordination, "_explained", recording_explained)
+        patch.setattr(ordination, "_explained",
+                      recording(ordination._explained))
+        patch.setattr(ordination._Plan, "explained",
+                      recording(ordination._Plan.explained))
         patch.setattr(ordination, "_svd_basis", recording_svd_basis)
         fractions, reasons = _block_fractions(y, _named(*blocks), method,
                                               counts)
@@ -208,3 +215,94 @@ def test_a_design_that_overflows_once_unit_centred_raises_from_the_svd_route(
         _block_fractions(y, _named(*blocks), "rda", counts)
     every = list(range(len(counts)))
     assert left == [every, [], every]
+
+
+def _bootstrapped_fits(y, blocks, method, m_replicates, monkeypatch):
+    """Count rows, fractions, reasons and ranks of every evaluation of a
+    ``bootstrap_statistic`` run over chunks of 8 replicates, with the
+    plan one bootstrap keeps (``_PlannedStatistic``), and how many rows
+    the SVD route took."""
+    monkeypatch.setattr(resample, "_CHUNK_VALUES",
+                        8 * resample._replicate_values(
+                            len(y), y.shape[1],
+                            sum(b.shape[1] for b in blocks)))
+    rows, ranks, routed = [], [], []
+    explained, svd_route = ordination._Plan.explained, ordination._svd_route
+
+    def recording_explained(plan, c):
+        out = explained(plan, c)
+        ranks.extend(out[2])
+        return out
+
+    def recording_svd_route(r, w, *args):
+        routed.append(len(w))
+        return svd_route(r, w, *args)
+
+    def fractions(counts, y, x, w, fit):
+        out = fit(y, _named(x, w), method, counts)
+        rows.extend(zip(counts, *out))
+        return out
+
+    monkeypatch.setattr(ordination._Plan, "explained", recording_explained)
+    monkeypatch.setattr(ordination, "_svd_route", recording_svd_route)
+    bootstrap_statistic(y, blocks, _PlannedStatistic(fractions),
+                        m_replicates, seed=5)
+    return rows, ranks, sum(routed)
+
+
+def _assert_replicates_fit_as_their_tables(y, blocks, method, monkeypatch,
+                                           m_replicates=20):
+    """Every replicate of a chunked bootstrap fits as the unit fit of its
+    resampled table. Returns the replicates' count rows and ranks, and the
+    SVD route's row count."""
+    rows, ranks, routed = _bootstrapped_fits(y, blocks, method, m_replicates,
+                                             monkeypatch)
+    assert len(rows) >= m_replicates > 8
+    for (c, fractions, reason), rank in zip(rows, ranks):
+        drawn = np.repeat(np.arange(len(y)), c)
+        unit, unit_reasons, unit_ranks, _ = _fit(
+            y[drawn], [b[drawn] for b in blocks], method)
+        assert reason == unit_reasons[0] == 0
+        assert np.array_equal(rank, unit_ranks[0])
+        assert np.max(np.abs(fractions - unit[0])) <= 1e-12
+    return np.array([c for c, *_ in rows]), np.array(ranks), routed
+
+
+def test_chunked_bootstraps_fit_a_column_constant_over_the_drawn_sites(
+        monkeypatch):
+    # One site holds the binary column's ones: a resample that misses it
+    # (about a third) trips the eigenvalue floor and reads rank 0.
+    rng = np.random.default_rng(128)
+    n = 30
+    y = rng.normal(size=(n, 2))
+    x = (np.arange(n) == 0).astype(float)[:, np.newaxis]
+    _, ranks, routed = _assert_replicates_fit_as_their_tables(
+        y, [x, rng.normal(size=(n, 2))], "rda", monkeypatch)
+    assert 0 < np.count_nonzero(ranks[:, 0] == 0) < len(ranks)
+    assert routed
+
+
+def test_chunked_bootstraps_fit_a_cancelling_total(monkeypatch):
+    # Site 0's response sits 1e3 away: centred on the unit mean, a
+    # resample that misses it keeps less than half its raw sum of squares.
+    rng = np.random.default_rng(129)
+    n = 30
+    y = rng.normal(size=(n, 2))
+    y[0] += 1e3
+    counts, _, routed = _assert_replicates_fit_as_their_tables(
+        y, [rng.normal(size=(n, 1)), rng.normal(size=(n, 2))], "rda",
+        monkeypatch)
+    assert routed == np.count_nonzero(counts[:, 0] == 0) > 0
+
+
+def test_chunked_bootstraps_fit_a_cca_site_that_outweighs_the_rest(
+        monkeypatch):
+    # As in the unit-count test above, site 0 weighs 1e8 times the others.
+    rng = np.random.default_rng(130)
+    n = 30
+    y = rng.uniform(0.5, 4.0, size=(n, 4))
+    y[0] = 1e8 * (y[1:] / y[1:].sum(axis=1, keepdims=True)).mean(axis=0)
+    _, _, routed = _assert_replicates_fit_as_their_tables(
+        y, [rng.normal(size=(n, 1)), rng.normal(size=(n, 2))], "cca",
+        monkeypatch)
+    assert routed

@@ -15,7 +15,8 @@ from vpboot.experiments import (bootstrap_validation, cca_proportion,
                                 run_replicated_scenario,
                                 sample_size_configs, sampling_range_configs,
                                 spearman_rho, sweep_sample_size)
-from vpboot.resample import relative_spread
+from vpboot.resample import bootstrap_statistic, relative_spread
+from vpboot.rng import derive_seed
 from vpboot.synth import (ScenarioConfig, SpeciesNiche, _generate_cell,
                           generate_dataset)
 from vpboot.tables import CommunityTable
@@ -354,6 +355,21 @@ def test_one_generator_call_makes_a_scenarios_validation_tables(
     calls = _spy(monkeypatch, "_generate_cell")
     study()
     assert [r for _, r in calls if max(r) >= 6] == [[6, 7, 8]] * scenarios
+
+
+@pytest.mark.parametrize("statistic", ["_effect_r2", "_cca_share"])
+def test_validation_tables_get_bootstraps_of_their_own(statistic):
+    # Each table's bootstrap plans its own fit: the spread over two tables
+    # is the mean of two bootstraps that fit every chunk afresh.
+    statistic = getattr(experiments, statistic)
+    config = ScenarioConfig(seed=6, n_sites=30, replicates=40)
+    tables, envs = _generate_cell(config, range(40, 42))
+    fresh = [bootstrap_statistic(table, [env], statistic, 40, derive_seed(
+        6, experiments._TAG_VALIDATION_TABLE, v))[0].sd
+        for v, (table, env) in enumerate(zip(tables, envs))]
+    assert fresh[0] != fresh[1]
+    assert experiments._bootstrap_spread(config, statistic, 2) == float(
+        np.mean(fresh))
 
 
 def test_cca_configs_carry_the_studys_replicate_count(monkeypatch):

@@ -16,7 +16,7 @@ from scalar_oracle import SiteEnvironment, relative_abundance, site_abundances
 from vpboot.errors import DegenerateDataError, ValidationError
 from vpboot.experiments import (_cca_share, _effect_r2, cca_proportion,
                                 predictor_effect_r2)
-from vpboot.ordination import (_block_fractions, _partition, _rda_r2,
+from vpboot.ordination import (_block_fractions, _partition, _Plan, _r2,
                                _rollups, chi_square_transform, fit_projection)
 from vpboot.resample import FAILURE_BUDGET, bootstrap_statistic
 from vpboot.rng import ROLE_NICHE, ROLE_SITE, stream
@@ -538,10 +538,9 @@ def test_an_rda_response_constant_over_the_drawn_sites_reads_exactly_zero():
         y = rng.normal(size=(n, int(rng.integers(1, 4))))
         y[1] = y[2] = y[0]
         x, w = rng.normal(size=(n, 1)), rng.normal(size=(n, 2))
-        r2, rank = _rda_r2(y[np.newaxis],
-                           [b[np.newaxis] for b in (x, w, np.hstack([x, w]))],
-                           _three_site_counts(rng, n), counted=True)
-        assert np.all(r2 == 0.0)
+        total, fitted, rank, _, _ = _Plan(y, _named(x, w), "rda").explained(
+            _three_site_counts(rng, n))
+        assert np.all(_r2(total, fitted) == 0.0)
         assert np.all(rank[:, 2] <= 2)
 
 

@@ -7,10 +7,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from vpboot import resample
+from vpboot import analysis, ordination, resample
 from vpboot import rng as rng_module
 from vpboot.errors import FEW_SPECIES, DegenerateDataError, ValidationError
-from vpboot.ordination import _replicate_values, _rollups
+from vpboot.ordination import _PlannedStatistic, _replicate_values, _rollups
 from vpboot.resample import (BootstrapSummary, bootstrap_statistic,
                              relative_spread)
 from vpboot.rng import stream
@@ -161,6 +161,108 @@ def test_a_cca_chunk_never_holds_a_table_per_replicate():
     finally:
         tracemalloc.stop()
     assert peak < len(counts) * y.size * y.itemsize
+
+
+def _benchmark_shaped(method, rng, n=100):
+    """A table and two blocks shaped like an analyze benchmark input: RDA
+    100 x 2 with blocks of 1 and 1 columns (joint 2), CCA 100 x 35, sparse,
+    with blocks of 1 and 5 columns (joint 6)."""
+    if method == "rda":
+        return (rng.normal(size=(n, 2)), rng.normal(size=(n, 1)),
+                rng.normal(size=(n, 1)))
+    y = np.log1p(rng.poisson(0.5, size=(n, 35)).astype(float))
+    y[:, 0] += 1.0
+    return y, rng.normal(size=(n, 1)), rng.normal(size=(n, 5))
+
+
+def _plan_bytes(plan):
+    """Bytes of the arrays a ``_Plan`` keeps."""
+    arrays = [plan.r, plan.d, plan.factor, plan.moments, *plan.designs,
+              *(b[0] for b in plan.bases if b is not None)]
+    return sum(a.nbytes for a in arrays)
+
+
+@pytest.mark.parametrize("method", ["rda", "cca"])
+def test_a_chunk_holds_what_the_chunk_rule_counts(method):
+    # One chunk of the benchmark shapes, sized by the rule, peaks within
+    # its count of values per count row; the first call adds the plan.
+    rng = np.random.default_rng(46)
+    y, x, w = _benchmark_shaped(method, rng)
+    values = _replicate_values(len(y), y.shape[1], x.shape[1] + w.shape[1])
+    k = resample._CHUNK_VALUES // values
+    counts = np.stack([np.bincount(rng.integers(0, len(y), len(y)),
+                                   minlength=len(y)) for _ in range(k)])
+    _PlannedStatistic(_rollups, method=method)(counts, y, x, w)  # warm up
+    statistic = _PlannedStatistic(_rollups, method=method)
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            statistic(counts, y, x, w)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    bound = values * k * 8
+    assert peaks[1] <= bound
+    assert peaks[0] <= bound + _plan_bytes(statistic.plan)
+
+
+@pytest.mark.parametrize("method", ["cca", "rda"])
+def test_a_bootstrap_plans_each_block_once(method, monkeypatch):
+    # Three chunks and a forced redraw: run_analysis passes each block's
+    # unit-centred design to _svd_basis once for the whole bootstrap, not
+    # once per chunk call (its point partition passes stacks).
+    n = 40
+    rng = np.random.default_rng(47)
+    ids = tuple(f"site{i}" for i in range(n))
+    table = CommunityTable(ids, ("a", "b", "c"),
+                           rng.poisson(3.0, size=(n, 3)).astype(float) + 1.0)
+    env = PredictorBlock("env", ids, rng.normal(size=(n, 1)))
+    spatial = PredictorBlock("spatial", ids, rng.normal(size=(n, 2)))
+    monkeypatch.setattr(resample, "_CHUNK_VALUES",
+                        8 * _replicate_values(n, 3, 3))
+    designs, calls = [], []
+    svd_basis = ordination._svd_basis
+
+    def recording_svd_basis(a):
+        if a.ndim == 2:
+            designs.append(a.shape)
+        return svd_basis(a)
+
+    def flaky_bootstrap(table, blocks, statistic, *args, **kwargs):
+        def flaky(c, *arrays):
+            values, reasons = statistic(c, *arrays)
+            calls.append(len(c))
+            if len(calls) == 1:
+                reasons[0] = FEW_SPECIES
+            return values, reasons
+        return bootstrap_statistic(table, blocks, flaky, *args, **kwargs)
+
+    monkeypatch.setattr(ordination, "_svd_basis", recording_svd_basis)
+    monkeypatch.setattr(analysis, "bootstrap_statistic", flaky_bootstrap)
+    report = analysis.run_analysis(table, env, spatial, seed=1,
+                                   method=method, m_replicates=20)
+    assert report.uncertainty["residual"].redraw_count == 1
+    assert calls == [8, 1, 8, 4]
+    assert designs == [(n, 1), (n, 2), (n, 3)]
+
+
+def test_a_planned_statistic_plans_again_for_new_arrays():
+    # Arrays are told apart by identity, so an equal copy plans again and
+    # a changed table never meets a stale plan.
+    rng = np.random.default_rng(48)
+    tables = [tuple(rng.normal(size=(30, q)) for q in (2, 1, 2))
+              for _ in range(2)]
+    counts = np.stack([np.bincount(rng.integers(0, 30, 30), minlength=30)
+                       for _ in range(5)])
+    statistic = _PlannedStatistic(_rollups, method="rda")
+    for arrays in (tables[0], tables[1], tables[0],
+                   tuple(a.copy() for a in tables[1])):
+        got = statistic(counts, *arrays)
+        expected = _rollups(counts, *arrays, method="rda")
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+        assert statistic.arrays == arrays
 
 
 def test_draws_follow_the_stream_across_seeding_blocks(monkeypatch):
