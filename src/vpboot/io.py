@@ -16,6 +16,8 @@ import numbers
 import os
 from dataclasses import asdict
 
+import numpy as np
+
 from .errors import ValidationError
 from .synth import ScenarioConfig, SpeciesNiche
 from .tables import CommunityTable, PredictorBlock
@@ -48,6 +50,10 @@ def _read_text(path: str) -> str:
 
 
 def _parse_rows(path: str) -> list[tuple[int, list[str]]]:
+    """``(line number, cells)`` of each line that is neither blank nor a
+    ``#`` comment. A line is one record: one ``csv.reader`` reads them all,
+    unless a quoted field runs past its line, when each line is read on its
+    own."""
     kept: list[tuple[int, str]] = []
     for lineno, raw in enumerate(io.StringIO(_read_text(path), newline=""),
                                  start=1):
@@ -55,11 +61,10 @@ def _parse_rows(path: str) -> list[tuple[int, list[str]]]:
         if not stripped.strip() or stripped.lstrip().startswith("#"):
             continue
         kept.append((lineno, stripped))
-    rows = []
-    for lineno, line in kept:
-        for parsed in csv.reader(io.StringIO(line)):
-            rows.append((lineno, parsed))
-    return rows
+    rows = list(csv.reader(line for _, line in kept))
+    if len(rows) != len(kept):
+        rows = [next(csv.reader([line])) for _, line in kept]
+    return [(lineno, row) for (lineno, _), row in zip(kept, rows)]
 
 
 def read_table_csv(path: str, kind: str = "community", name: str | None = None):
@@ -82,13 +87,46 @@ def read_table_csv(path: str, kind: str = "community", name: str | None = None):
     body = rows[1:]
     if len(body) < 2:
         raise ValidationError(f"{path}: need at least 2 site rows")
-    site_ids: list[str] = []
+    values = _fast_values(body, column_ids, kind)
+    if values is None:  # some check fails: find and name its first cell
+        values = _checked_values(path, body, column_ids, kind)
+    site_ids = [row[0].strip() for _, row in body]
+    if name is None:
+        name = os.path.splitext(os.path.basename(path))[0]
+    if kind == "community":
+        return CommunityTable(tuple(site_ids), tuple(column_ids), values)
+    return PredictorBlock(name, tuple(site_ids), values)
+
+
+def _fast_values(body, column_ids, kind: str):
+    """The body's values as one array, or None unless every row has a
+    cell per column and its site label, every label is present and
+    distinct, and every cell is a finite number (non-negative for
+    ``community``)."""
+    width = len(column_ids) + 1
+    labels = {row[0].strip() for _, row in body if len(row) == width}
+    if len(labels) != len(body) or "" in labels:
+        return None
+    try:
+        values = np.array([row[1:] for _, row in body], dtype=float)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all() or kind == "community" and (
+            values < 0.0).any():
+        return None
+    return values
+
+
+def _checked_values(path: str, body, column_ids, kind: str) -> list[list[float]]:
+    """The body's values, cell by cell: the first row or cell that fails a
+    check raises ``ValidationError`` with its line, column and cell."""
+    width = len(column_ids) + 1
     seen: dict[str, int] = {}
     values: list[list[float]] = []
     for lineno, row in body:
-        if len(row) != len(header):
+        if len(row) != width:
             raise ValidationError(
-                f"{path}:{lineno}: expected {len(header)} cells, found {len(row)}")
+                f"{path}:{lineno}: expected {width} cells, found {len(row)}")
         label = row[0].strip()
         if not label:
             raise ValidationError(f"{path}:{lineno}: empty site label")
@@ -113,13 +151,8 @@ def read_table_csv(path: str, kind: str = "community", name: str | None = None):
                     f"{path}:{lineno}: negative abundance {cell!r} "
                     f"in column {column_id!r}")
             parsed_row.append(v)
-        site_ids.append(label)
         values.append(parsed_row)
-    if name is None:
-        name = os.path.splitext(os.path.basename(path))[0]
-    if kind == "community":
-        return CommunityTable(tuple(site_ids), tuple(column_ids), values)
-    return PredictorBlock(name, tuple(site_ids), values)
+    return values
 
 
 def write_table_csv(path: str, obj, provenance=None) -> None:

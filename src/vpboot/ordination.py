@@ -316,11 +316,14 @@ def _gram_fit(basis, sums, c, d, g, weight, mean):
     of the ``r`` columns of the unit basis ``Q``, and has rank at most
     ``r``. With ``s = Q^T w``, a row's Gram matrix is ``G = Q^T diag(w) Q -
     s s^T / W`` and its cross products with the response are ``B = Q^T
-    diag(w) d - s delta^T``; it fits ``sum_j g_j b_j^T G^{-1} b_j``, from
-    the eigenvalues ``lambda`` and vectors of ``G``, with rank ``r``.
-    ``s``, ``G`` and the sizes below come from ``sums``; ``B`` takes one
-    per-row product per basis column. Forming ``G`` squares the condition
-    number, so the SVD stays the rank authority and takes:
+    diag(w) d - s delta^T``; it fits ``sum_j g_j b_j^T G^{-1} b_j`` with
+    rank ``r``. ``s``, ``G`` and the sizes below come from ``sums``; ``B``
+    takes one per-row product per basis column. A row with ``r >= 2`` that
+    a Cholesky factor of ``G`` certifies (``_cholesky_fit``) is fitted
+    from that factor; every other row from the eigenvalues ``lambda`` and
+    vectors of ``G``, whose gates the certificate implies. Forming ``G``
+    squares the condition number, so the SVD stays the rank authority and
+    takes:
 
     - every row, when the block has no unit basis (None: a design that is
       not finite, or in the rank band);
@@ -355,19 +358,69 @@ def _gram_fit(basis, sums, c, d, g, weight, mean):
         cross[:, at] -= s1[:, at, np.newaxis] * mean
     scale = np.where(weight > 0.0, weight, 1.0)[:, np.newaxis]
     gram -= s1[:, :, np.newaxis] * (s1 / scale)[:, np.newaxis]
-    if r == 1:  # LAPACK's eigh of a 1 x 1 matrix: its entry, and 1
-        lam, z = gram[:, 0], cross
-    else:
-        lam, vec = np.linalg.eigh(gram)
-        z = np.matmul(np.swapaxes(vec, 1, 2), cross)  # B in the eigenbasis
-    ok = ((lam[:, -1] <= _GRAM_CONDITION * lam[:, 0])
-          & (lam[:, 0] * (_GRAM_CONDITION * n) >= weight) & (weight > 0.0)
-          & np.isfinite(sizes))
-    np.square(z, out=z)
-    spread = _weighted_sums(g, np.swapaxes(z, 1, 2))  # sum_j g_j z_lj^2
-    fitted[ok] = (spread[ok] / lam[ok]).sum(axis=1)
+    usable = (weight > 0.0) & np.isfinite(sizes)
+    ok = np.zeros(k, dtype=bool)
+    if r > 1:
+        ok, fits = _cholesky_fit(gram, cross, g, weight, n, usable)
+        fitted[ok] = fits[ok]
+    rows = np.flatnonzero(~ok)
+    if rows.size:
+        gram, cross = _take(gram, rows), _take(cross, rows)
+        if r == 1:  # LAPACK's eigh of a 1 x 1 matrix: its entry, and 1
+            lam, z = gram[:, 0], cross
+        else:
+            lam, vec = np.linalg.eigh(gram)
+            z = np.matmul(np.swapaxes(vec, 1, 2), cross)  # B in the eigenbasis
+        passed = ((lam[:, -1] <= _GRAM_CONDITION * lam[:, 0])
+                  & (lam[:, 0] * (_GRAM_CONDITION * n) >= weight[rows])
+                  & usable[rows])
+        spread = _spread(_take(g, rows), z)
+        fitted[rows[passed]] = (spread[passed] / lam[passed]).sum(axis=1)
+        ok[rows[passed]] = True
     rank[ok] = r
     return fitted, rank, ok
+
+
+def _spread(g, z):
+    """``sum_j g_j z_lj^2`` ``(k, r)`` of an image ``z`` ``(k, r, p)`` of
+    the cross products, squared in place."""
+    np.square(z, out=z)
+    return _weighted_sums(g, np.swapaxes(z, 1, 2))
+
+
+def _cholesky_fit(gram, cross, g, weight, n: int, usable):
+    """The rows of ``_gram_fit`` that a Cholesky factor ``G = L L^T``
+    certifies, and every row's fit ``sum_j g_j |L^{-1} b_j|^2 = sum_j g_j
+    b_j^T G^{-1} b_j``: ``(certified (k,), fits (k,))``.
+
+    ``|L^{-1}|_F^2 = tr G^{-1}`` bounds ``1 / lambda_min`` and ``tr G``
+    bounds ``lambda_max``, so a row with ``tr G tr G^{-1}`` at most half of
+    ``_GRAM_CONDITION`` and ``2 W tr G^{-1}`` at most ``_GRAM_CONDITION n``
+    passes both eigenvalue gates with a factor 2 to spare for roundoff,
+    without an eigenvalue. A chunk with a row that is not positive definite
+    (``LinAlgError``) certifies none.
+    """
+    try:
+        inverse = _lower_inverse(np.linalg.cholesky(gram))
+    except np.linalg.LinAlgError:
+        return np.zeros(len(gram), dtype=bool), np.zeros(len(gram))
+    bound = np.square(inverse).sum(axis=(1, 2))
+    certified = ((np.trace(gram, axis1=1, axis2=2) * bound
+                  <= _GRAM_CONDITION / 2)
+                 & (2.0 * weight * bound <= _GRAM_CONDITION * n) & usable)
+    return certified, _spread(g, np.matmul(inverse, cross)).sum(axis=1)
+
+
+def _lower_inverse(low):
+    """Inverses of a stack of lower-triangular matrices with a positive
+    diagonal, one row at a time by forward substitution."""
+    inverse = np.zeros_like(low)
+    for i in range(low.shape[1]):
+        inverse[:, i, i] = 1.0
+        inverse[:, i, :i] -= np.matmul(low[:, i:i + 1, :i],
+                                       inverse[:, :i, :i])[:, 0]
+        inverse[:, i, :i + 1] /= low[:, i, i, np.newaxis]
+    return inverse
 
 
 def _replicate_values(n_sites: int, n_species: int, n_block_columns: int) -> int:
@@ -380,17 +433,23 @@ def _replicate_values(n_sites: int, n_species: int, n_block_columns: int) -> int
     4`` for ``p`` table columns and ``q`` block columns, the joint block
     having ``q``); the means, root species weights and their squares
     (``3p``); and the joint block's cross products with the response and
-    their image in its eigenbasis, its Gram matrix and eigenvectors (``2q
-    (p + q)``) and eigenvalues (``q``). The CCA site weights (``n``) are
-    formed after the Gram fits, when those are gone. A row that takes the
-    SVD route (``_svd_route``) holds its own ``n x p`` deviations, its
-    weighted design and its singular vectors, up to ``(p + 3q) x n`` more;
-    no analyze-benchmark row leaves the Gram route, so the chunk rule
-    counts only that route.
+    its Gram matrix (``q (p + q)``), and the larger peak of the two fits
+    of ``_gram_fit`` (``q`` more, and ``q (p + q)`` or ``2q^2``): the
+    ``eigh`` route's eigenvalues, eigenvectors and the cross products'
+    image in the eigenbasis; the Cholesky route's factor, its inverse and
+    one row of forward substitution, then the inverse, the image under it
+    and the spreads. The two never coexist: the rows the Cholesky route
+    leaves to ``eigh`` start after it returns. The CCA site weights
+    (``n``) are formed after the Gram fits, when those are gone. A row
+    that takes the SVD route (``_svd_route``) holds its own ``n x p``
+    deviations, its weighted design and its singular vectors, up to ``(p +
+    3q) x n`` more; no analyze-benchmark row leaves the Gram route, so the
+    chunk rule counts only that route.
     """
     p, q = n_species, n_block_columns
     moments = 3 * p + q * (q + 3) + 4
-    return 3 * n_sites + moments + 3 * p + 2 * q * (p + q) + q
+    gram = q * (p + q) + max(q * (p + q), 2 * q * q) + q
+    return 3 * n_sites + moments + 3 * p + gram
 
 
 def _aligned(y, x):

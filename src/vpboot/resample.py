@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import synth
 from .errors import DEGENERATE_REASONS, DegenerateDataError, ValidationError
 from .ordination import _replicate_values
 from .rng import ROLE_BOOTSTRAP, _bootstrap_rows, _count_row, stream
@@ -62,6 +63,20 @@ def _check_bootstrap(m_replicates: int, seed: int) -> None:
         raise ValidationError("seed must be non-negative")
 
 
+def _check_kept(m_replicates: int, width: int) -> None:
+    """Refuse a bootstrap whose kept values, ``m_replicates`` rows of
+    ``width`` (the chunks, their concatenation and a percentile copy: 3
+    float64 copies), exceed the host's physical memory."""
+    need = 3 * m_replicates * width * 8
+    memory = synth._physical_memory()
+    if memory and need > memory:
+        # Refused after one chunk: the rest would run for hours before
+        # the values outgrow memory.
+        raise MemoryError(f"{m_replicates} bootstrap replicates of {width} "
+                          f"values need about {need:.3g} bytes; this host "
+                          f"has {memory:.3g}")
+
+
 def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
                         seed: int, names=None) -> list[BootstrapSummary]:
     """Summaries of ``statistic`` over ``m_replicates`` site resamples.
@@ -83,7 +98,9 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     the next sub-stream, in replicate order; once more than
     ``FAILURE_BUDGET`` of ``m_replicates`` replicates have failed, the whole
     run aborts, naming the reason of the last failure. Confidence bounds
-    are the 2.5 and 97.5 percentiles with linear interpolation.
+    are the 2.5 and 97.5 percentiles with linear interpolation. Once the
+    first chunk gives the width, a run whose kept values would exceed the
+    host's physical memory raises ``MemoryError`` before drawing the rest.
     """
     _check_bootstrap(m_replicates, seed)
     blocks = list(blocks)
@@ -129,6 +146,8 @@ def bootstrap_statistic(table, blocks, statistic, m_replicates: int,
     for start, first in zip(range(0, m_replicates, chunk), first_draws):
         js = range(start, min(start + chunk, m_replicates))
         values, reasons = evaluate(first)
+        if not start:
+            _check_kept(m_replicates, width)
         for i in np.flatnonzero(reasons):
             attempt = 0
             while reasons[i]:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vpboot import cli, resample, synth
+from vpboot import cli, ordination, resample, synth
 from vpboot.analysis import report_to_dict, run_analysis
 from vpboot.cli import main
 from vpboot.io import write_table_csv
@@ -242,6 +242,27 @@ def test_running_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
     assert main(["analyze", str(paths["community"]), str(paths["env"]),
                  str(paths["spatial"]), "--seed", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: not enough memory")
+
+
+def test_analyze_refuses_a_bootstrap_whose_values_outgrow_memory(
+        tmp_path, capsys, monkeypatch):
+    # 10,000 replicates of the 3 rollup values keep about 720 KB; a host
+    # stubbed to 500 KB refuses them after the first chunk's fit, and the
+    # CLI exits 2. (4e9 replicates would keep 288 GB.)
+    chunks, fit = [], ordination._Plan.fit
+
+    def counting_fit(plan, counts):
+        chunks.append(len(counts))
+        return fit(plan, counts)
+
+    monkeypatch.setattr(ordination._Plan, "fit", counting_fit)
+    monkeypatch.setattr(synth, "_physical_memory", lambda: 500_000)
+    paths, _, _ = _write_inputs(tmp_path, n_sites=10)
+    assert main(["analyze", str(paths["community"]), str(paths["env"]),
+                 str(paths["spatial"]), "--seed", "1",
+                 "--bootstrap", "10000"]) == 2
+    assert capsys.readouterr().err.startswith("error: not enough memory")
+    assert len(chunks) == 1 and chunks[0] < 10000
 
 
 def test_analyze_rejects_abundances_that_overflow_once_centred(tmp_path,

@@ -306,3 +306,184 @@ def test_chunked_bootstraps_fit_a_cca_site_that_outweighs_the_rest(
         y, [rng.normal(size=(n, 1)), rng.normal(size=(n, 2))], "cca",
         monkeypatch)
     assert routed
+
+
+# Gate equivalence: the Cholesky certificate (``ordination._cholesky_fit``)
+# only ever skips ``eigh`` for rows that pass its gates.
+
+_CONDITION = ordination._GRAM_CONDITION
+
+
+def _spectral_inputs(spectra, extra, rng, p=3):
+    """``_gram_fit`` arguments whose row ``i`` has the Gram matrix ``V
+    diag(spectra[i]) V^T`` for one random rotation ``V`` and weight total
+    ``spectra[i].sum() + extra[i]``.
+
+    Sites ``2l`` and ``2l + 1`` hold basis rows ``+v_l`` and ``-v_l`` and
+    count ``spectra[i, l] / 2`` each, so ``s = Q^T w`` is 0; a last site
+    with a zero basis row adds ``extra[i]`` to ``W`` alone. Returns the
+    arguments and the row's exact ``(gram, cross)`` for a reference fit.
+    """
+    spectra = np.asarray(spectra, dtype=float)
+    k, r = spectra.shape
+    v, _ = np.linalg.qr(rng.normal(size=(r, r)))
+    q = np.vstack([np.repeat(v.T, 2, axis=0) * np.tile([1.0, -1.0], r)[
+        :, np.newaxis], np.zeros((1, r))])
+    c = np.column_stack([np.repeat(spectra / 2, 2, axis=1), extra])
+    n = len(q)
+    d = rng.normal(size=(n, p))
+    g = rng.uniform(0.5, 2.0, size=(k, p))
+    upper = np.triu_indices(r)
+    moments = np.hstack([q, q[:, upper[0]] * q[:, upper[1]], np.ones((n, 1))])
+    weight = c.sum(axis=1)
+    mean = (c @ d) / weight[:, np.newaxis]
+    s = c @ q
+    gram = (np.einsum("kn,ni,nj->kij", c, q, q)
+            - s[:, :, np.newaxis] * s[:, np.newaxis] / weight[:, np.newaxis,
+                                                              np.newaxis])
+    cross = np.einsum("kn,ni,nj->kij", c, q, d) - s[:, :, np.newaxis] * mean[
+        :, np.newaxis]
+    basis = (np.ascontiguousarray(q.T), upper, 0)
+    return (basis, c @ moments, c, d, g, weight, mean), (gram, cross)
+
+
+def _eigh_reference(gram, cross, g, weight, sizes, n):
+    """Fits, ranks and fitted-row mask of the eigenvalue gates alone."""
+    lam, vec = np.linalg.eigh(gram)
+    z = np.matmul(np.swapaxes(vec, 1, 2), cross)
+    ok = ((lam[:, -1] <= _CONDITION * lam[:, 0])
+          & (lam[:, 0] * (_CONDITION * n) >= weight) & (weight > 0.0)
+          & np.isfinite(sizes))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero lambda
+        fits = (np.einsum("kj,klj->kl", g, z * z) / lam).sum(axis=1)
+    return np.where(ok, fits, 0.0), np.where(ok, gram.shape[1], 0), ok
+
+
+def _certificate_edges(r):
+    """Spectra and extra weights of rows 1e-6 inside and outside each edge
+    of the certificate and of the eigenvalue gates, and whether the
+    certificate holds and the gates pass for each."""
+    n, margin, a = 2 * r + 1, 1e-6, r - 1
+    # The spectrum (edge, 1, ..., 1) has tr G tr G^-1 = (edge + a)(1 / edge
+    # + a) = _CONDITION / 2, a quadratic in edge.
+    b = _CONDITION / 2 - 1 - a * a
+    edge = (b + np.sqrt(b * b - 4 * a * a)) / (2 * a)
+    ones = np.ones(r)
+    rows = [
+        # tr G tr G^-1 just under and just over _CONDITION / 2
+        (np.r_[edge * (1 - margin), ones[1:]], 0.0, True, True),
+        (np.r_[edge * (1 + margin), ones[1:]], 0.0, False, True),
+        # the condition number just under and just over _CONDITION
+        (np.r_[_CONDITION * (1 - margin), ones[1:]], 0.0, False, True),
+        (np.r_[_CONDITION * (1 + margin), ones[1:]], 0.0, False, False),
+        # 2 W tr G^-1 just under and just over _CONDITION n (lambda = 1)
+        (ones, _CONDITION * n / (2 * r) * (1 - margin) - r, True, True),
+        (ones, _CONDITION * n / (2 * r) * (1 + margin) - r, False, True),
+        # lambda_min _CONDITION n just over and just under W
+        (ones, _CONDITION * n * (1 - margin) - r, False, True),
+        (ones, _CONDITION * n * (1 + margin) - r, False, False),
+    ]
+    spectra, extra, certified, passed = (np.array(v) for v in zip(*rows))
+    return spectra, extra, certified, passed
+
+
+@pytest.mark.parametrize("r", [2, 6])
+def test_rows_at_the_certificate_edges_keep_their_eigh_gates(r):
+    # The last row is the first with a design that overflows under its
+    # counts (its sizes are not finite): only the SVD route may fit it.
+    rng = np.random.default_rng(131)
+    spectra, extra, certified, passed = _certificate_edges(r)
+    products = spectra.sum(axis=1) * (1.0 / spectra).sum(axis=1)
+    assert np.allclose(products[:2], _CONDITION / 2, rtol=2e-6)
+    spectra, extra = np.vstack([spectra, spectra[:1]]), np.r_[extra, 0.0]
+    certified, passed = np.r_[certified, False], np.r_[passed, False]
+    args, (gram, cross) = _spectral_inputs(spectra, extra, rng)
+    basis, sums, c, d, g, weight, mean = args
+    sums[-1, -1] = np.inf
+    n = c.shape[1]
+    usable = np.isfinite(sums[:, -1])
+    held, _ = ordination._cholesky_fit(gram, cross, g, weight, n, usable)
+    assert held.tolist() == certified.tolist()
+    fitted, rank, ok = ordination._gram_fit(*args)
+    ref_fitted, ref_rank, ref_ok = _eigh_reference(gram, cross, g, weight,
+                                                   sums[:, -1], n)
+    assert ok.tolist() == ref_ok.tolist() == passed.tolist()
+    assert np.array_equal(rank, ref_rank)
+    assert np.all(np.abs(fitted - ref_fitted) <= 1e-13 * np.abs(ref_fitted))
+
+
+def test_a_chunk_whose_cholesky_raises_takes_the_eigh_gates(monkeypatch):
+    # The last row draws only the site with a zero basis row: its Gram
+    # matrix is exactly 0, so the chunk's one Cholesky call raises and
+    # every row, certifiable or not, keeps the eigenvalue gates.
+    rng = np.random.default_rng(132)
+    r = 6
+    spectra, extra, _, passed = _certificate_edges(r)
+    spectra = np.vstack([spectra, np.zeros(r)])
+    extra, passed = np.r_[extra, 5.0], np.r_[passed, False]
+    args, (gram, cross) = _spectral_inputs(spectra, extra, rng)
+    raised, cholesky = [], np.linalg.cholesky
+
+    def recording_cholesky(a):
+        try:
+            return cholesky(a)
+        except np.linalg.LinAlgError:
+            raised.append(len(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    fitted, rank, ok = ordination._gram_fit(*args)
+    assert raised == [len(spectra)]
+    _, sums, c, _, g, weight, _ = args
+    ref_fitted, ref_rank, ref_ok = _eigh_reference(gram, cross, g, weight,
+                                                   sums[:, -1], c.shape[1])
+    assert ok.tolist() == ref_ok.tolist() == passed.tolist()
+    assert np.array_equal(rank, ref_rank)
+    assert np.all(np.abs(fitted - ref_fitted) <= 1e-13 * np.abs(ref_fitted))
+
+
+@pytest.mark.parametrize("method", ["cca", "rda"])
+def test_certified_fits_match_the_eigh_route_on_a_bootstrap(method,
+                                                            monkeypatch):
+    # Benchmark-shaped tables: every row of the multi-column blocks is
+    # certified, and reasons, ranks and fitted-row masks equal those of
+    # the eigh route alone, with fractions to 1e-13.
+    rng = np.random.default_rng(133)
+    n = 100
+    if method == "rda":
+        y = rng.normal(size=(n, 2))
+        blocks = [rng.normal(size=(n, 1)), rng.normal(size=(n, 1))]
+    else:
+        y = np.log1p(rng.poisson(0.5, size=(n, 35)).astype(float))
+        y[:, 0] += 1.0
+        blocks = [rng.normal(size=(n, 1)), rng.normal(size=(n, 5))]
+    counts = _counts(rng, n, k=60)
+    runs = {}
+    gram_fit, cholesky_fit = ordination._gram_fit, ordination._cholesky_fit
+    for route in ("cholesky", "eigh"):
+        masks, held = [], []
+
+        def recording_gram_fit(*args):
+            out = gram_fit(*args)
+            masks.append(out[2])
+            return out
+
+        def recording_cholesky_fit(*args):
+            out = cholesky_fit(*args)
+            if route == "eigh":
+                out = (np.zeros_like(out[0]), out[1])
+            held.append(out[0])
+            return out
+
+        monkeypatch.setattr(ordination, "_gram_fit", recording_gram_fit)
+        monkeypatch.setattr(ordination, "_cholesky_fit",
+                            recording_cholesky_fit)
+        fractions, reasons, ranks, _ = _fit(y, blocks, method, counts)
+        runs[route] = fractions, reasons, ranks, masks, held
+    fractions, reasons, ranks, masks, held = runs["cholesky"]
+    assert len(held) == 1 + (method == "cca") and all(h.all() for h in held)
+    eigh_fractions, eigh_reasons, eigh_ranks, eigh_masks, _ = runs["eigh"]
+    assert np.array_equal(reasons, eigh_reasons)
+    assert np.array_equal(ranks, eigh_ranks)
+    assert all(np.array_equal(a, b) for a, b in zip(masks, eigh_masks))
+    assert np.max(np.abs(fractions - eigh_fractions)) <= 1e-13

@@ -45,6 +45,12 @@ def test_the_package_has_one_svd_call():
     assert _calls("u = np.linalg.svd(a)\nsvd(b)\nnp.svd\n", "svd") == 2
 
 
+def test_the_gram_route_has_one_eigh_and_one_cholesky_call():
+    # Certified rows take ordination._cholesky_fit, the rest its one eigh.
+    source = (PACKAGE / "ordination.py").read_text()
+    assert _calls(source, "eigh") == _calls(source, "cholesky") == 1
+
+
 def _rank_tests(source: str) -> list[str]:
     """The top-level definition around each ``ndim`` read of ``source``."""
     return [getattr(top, "name", f"line {top.lineno}")

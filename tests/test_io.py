@@ -132,6 +132,17 @@ def test_read_survey_sized_table(tmp_path):
     np.testing.assert_array_equal(reread.values, values)
 
 
+
+def test_a_quote_left_open_ends_with_its_line(tmp_path):
+    # Each line is one record: a quote left open in a last cell does not
+    # run on into the lines after it.
+    path = tmp_path / "open.csv"
+    path.write_text('site,a,b\ns1,1,"2\ns2,3,4\ns3,5,6\n')
+    table = read_table_csv(str(path))
+    assert table.site_ids == ("s1", "s2", "s3")
+    assert table.values.tolist() == [[1, 2], [3, 4], [5, 6]]
+
+
 FULL_DOC = """
 # scenario with every knob set
 n_sites = 40        # sites

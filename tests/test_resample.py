@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from vpboot import analysis, ordination, resample
+from vpboot import analysis, ordination, resample, synth
 from vpboot import rng as rng_module
 from vpboot.errors import FEW_SPECIES, DegenerateDataError, ValidationError
 from vpboot.ordination import _PlannedStatistic, _replicate_values, _rollups
@@ -136,6 +136,34 @@ def test_chunks_do_not_change_replicate_values(method, monkeypatch):
         runs[m_replicates] = (np.array(counts), np.array(values))
     assert np.array_equal(runs[37][0], runs[100][0][:37])
     assert np.array_equal(runs[37][1], runs[100][1][:37])
+
+
+@pytest.mark.parametrize("memory, refused", [(0, False), (48_000, False),
+                                              (47_999, True)])
+def test_a_bootstrap_whose_values_outgrow_memory_stops_after_one_chunk(
+        memory, refused, monkeypatch):
+    # 1,000 replicates of 2 values keep 3 x 1000 x 2 x 8 = 48,000 bytes. A
+    # host stubbed below that refuses them once the first chunk gives the
+    # width; 0 (memory unknown) refuses nothing.
+    table, block = _indexed_inputs(8)
+    monkeypatch.setattr(resample, "_CHUNK_VALUES",
+                        100 * _replicate_values(8, 1, 1))
+    monkeypatch.setattr(synth, "_physical_memory", lambda: memory)
+    chunks = []
+
+    def two_values(c, *_arrays):
+        chunks.append(len(c))
+        return np.zeros((len(c), 2)), np.zeros(len(c), dtype=bool)
+
+    if refused:
+        with pytest.raises(MemoryError, match="^1000 bootstrap replicates "
+                           "of 2 values need about 4.8e"):
+            bootstrap_statistic(table, [block], two_values, 1000, seed=1)
+        assert chunks == [100]
+    else:
+        summaries = bootstrap_statistic(table, [block], two_values, 1000,
+                                        seed=1)
+        assert len(summaries) == 2 and sum(chunks) == 1000
 
 
 def test_a_cca_chunk_never_holds_a_table_per_replicate():
