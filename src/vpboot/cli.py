@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invalid input, 3 numerical degeneracy,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -81,6 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="output prefix (default 'simulated')")
     simulate.set_defaults(func=_cmd_simulate)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` builds on first use and reuses: each parse
+    returns a new namespace and leaves the parser as it was."""
+    return build_parser()
 
 
 def _require_file(path: str) -> None:
@@ -176,8 +184,7 @@ def _cmd_simulate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -7,17 +7,20 @@ work items with different paths draw from independent streams, and the
 same ``(seed, path)`` pair always reproduces the same stream.
 
 ``stream`` is the reference. Batches of items draw their first numbers
-from arrays of PCG64 states instead (``_draws``, ``_count_rows``), stepped
-together (or, in a short block of long count rows, read off a generator
-loaded with each state) and turned into NumPy's uniforms, normals and
-bounded integers bit for bit. Only what NumPy does not provide is written
-here: a batch's states start from the pool of NumPy's own SeedSequence
-over the seed and the path before the varying component
-(``_seed_states``). An item the
-arrays cannot finish, one whose normal leaves the ziggurat's fast path or
-whose bootstrap row meets a Lemire rejection, is drawn again from a
-generator loaded with its start state (``_loaded``), as is a dead site's
-noise.
+from arrays of PCG64 states instead (``_draws``, ``_count_rows``) and turn
+them into NumPy's uniforms, normals and bounded integers bit for bit. The
+states step together, one 128-bit multiply-add per array operation
+(``_raw_words``). When each item needs many words they step in
+interleaved lanes, each lane jumping ahead as many steps as there are
+lanes (Brown, "Random number generation with arbitrary strides", 1994). A
+short block of long count rows reads each row's words off a generator
+loaded with its state instead. Only what NumPy does not provide is
+written here: a batch's states start from the pool of NumPy's own
+SeedSequence over the seed and the path before the varying component
+(``_seed_states``). An item the arrays cannot finish, one whose normal
+leaves the ziggurat's fast path or whose bootstrap row meets a Lemire
+rejection, is drawn again from a generator loaded with its start state
+(``_loaded``), as is a dead site's noise.
 """
 
 from __future__ import annotations
@@ -44,26 +47,41 @@ _MIX_MULT_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK64 = (1 << 64) - 1
-_M_HI = np.uint64(_PCG_MULT >> 64)
-_M_LO = np.uint64(_PCG_MULT & _MASK64)
-_M_LO0 = np.uint64(_PCG_MULT & _MASK32)
-_M_LO1 = np.uint64(_PCG_MULT >> 32 & _MASK32)
 _LOW32 = np.uint64(_MASK32)
+_MASK128 = (1 << 128) - 1
 _LOW52 = np.uint64((1 << 52) - 1)
 _WI = np.array(WI)
 _KI = np.array(KI, dtype=np.uint64)
 
 #: Bootstrap rows step together only when a block holds at least this many
-#: rows per raw word of a row. Below that, the per-call overhead of short
-#: arrays costs more than reading each row's raw words off a loaded
-#: generator: on a 2-core x86 host with NumPy 2.4, 1000 rows of 100 draws
-#: (blocks of 648 rows) took 80-90% of the row-by-row time stepped
-#: together, but 1000 rows of 200 draws (blocks of 320 rows) took twice as
-#: long, and 150 draws (blocks of 432 rows) 1.2-1.5 times as long.
-_ROW_WORD_RATIO = 4
-#: Draws in one block of stepped bootstrap rows. The block's raw words, 4
-#: bytes a draw, stay alive while its rows are evaluated.
-_BLOCK_VALUES = 2 ** 16
+#: rows per raw word of a row. Below that, reading each row's raw words off
+#: a loaded generator costs less than the lanes. On a 2-core x86 host with
+#: NumPy 2.4 (whole ``_count_rows`` calls, best of 7, lanes against rows
+#: read one at a time), 200 rows took 0.56-0.61 against 0.84-0.88 ms at 100
+#: sites (4 rows a word), tied at 200 sites (2 rows a word) and took 1.3
+#: against 1.3, 2.5-2.8 against 2.2-2.3 and 5.3-8.9 against 4.0-4.2 ms at
+#: 250, 500 and 1000 sites; 1000 rows took 2.1-3.4 against 5.1-9.1 ms at
+#: 100 sites (analyze's block) and 5.3-5.6 against 7.3-7.5 ms at 250, and
+#: tied at 500 sites (4 rows a word). The crossover lies near 2 rows a word
+#: for narrow blocks and near 4 for wide ones, whose lanes are fewer.
+_ROW_WORD_RATIO = 3
+#: Draws in one block of bootstrap rows (an ``analyze`` bootstrap of 1000
+#: replicates of 100 sites is one block). A block of ``k`` rows of ``n``
+#: sites holds its states (32 bytes a row) and raw words (8 bytes a word
+#: of two draws: ``8 k ceil(n / 2)`` bytes, about 512 KiB) while its rows
+#: are evaluated, and the lane scratch while the words are drawn.
+_BLOCK_VALUES = 2 ** 17
+#: Lanes of ``_raw_words``: at most ``_MAX_LANES``, at least ``_LANE_WORDS``
+#: words a lane, and at most ``_LANE_ITEMS`` items times lanes, so that the
+#: lane scratch (six ``uint64`` rows of items times lanes, and the jump
+#: increments, 16 bytes an item) stays near 400 KB. The fastest lane count
+#: grew with the words per item, not with the items: for 200, 600 and 1000
+#: items it was 5 lanes at 10 and 25 words, 10 at 50 and 16 at 125 (best of
+#: 25, same host), where one lane took 1.5-3.5 times as long. Six words an
+#: item (a site's draws) keep one lane.
+_MAX_LANES = 16
+_LANE_ITEMS = 2 ** 13
+_LANE_WORDS = 5
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -172,7 +190,7 @@ def _seed_states(seed: int, *path) -> np.ndarray:
     lo += inc_lo
     hi += inc_hi
     hi += lo < inc_lo
-    _step(hi, lo, inc_hi, inc_lo, np.empty_like(states))
+    _step(hi, lo, _M, inc_hi, inc_lo, np.empty_like(states))
     return states
 
 
@@ -187,35 +205,50 @@ def _loaded(states: np.ndarray):
         yield generator
 
 
-def _step(hi, lo, inc_hi, inc_lo, work) -> None:
-    """PCG64's LCG step ``state * M + inc mod 2**128`` on every item, in
-    place on ``hi`` and ``lo``.
+def _limbs(a: int) -> tuple:
+    """A multiply-add constant as ``uint64`` limbs: its high and low words
+    and the low word's two 32-bit halves."""
+    return (np.uint64(a >> 64 & _MASK64), np.uint64(a & _MASK64),
+            np.uint64(a & _MASK32), np.uint64(a >> 32 & _MASK32))
 
-    ``uint64`` products and sums wrap mod 2**64, which is all the high word
-    needs, except for the carry out of ``lo * M_lo``: NumPy has no 128-bit
-    product, so that comes from 32-bit limbs, in the four rows of ``work``
-    (a ``(4, K)`` ``uint64`` scratch array).
+
+_M = _limbs(_PCG_MULT)
+_ZERO = np.uint64(0)
+
+
+def _step(hi, lo, a, c_hi, c_lo, work) -> None:
+    """The 128-bit multiply-add ``state * A + C mod 2**128`` on every item,
+    in place on ``hi`` and ``lo``.
+
+    ``a`` holds the ``_limbs`` of the constant ``A``; ``C`` is a
+    per-item increment (or a scalar). PCG64's LCG step is ``A = M`` and
+    ``C = inc``. ``uint64`` products and sums wrap mod 2**64, which is all
+    the high word needs, except for the carry out of ``lo * A_lo``: NumPy
+    has no 128-bit product, so that comes from 32-bit limbs, in the four
+    rows of ``work`` (a ``uint64`` scratch array of four rows shaped like
+    ``lo``).
     """
-    a, b, c, d = work
-    np.bitwise_and(lo, _LOW32, out=a)
-    np.right_shift(lo, 32, out=b)
-    np.multiply(a, _M_LO0, out=c)
-    c >>= 32
-    c += np.multiply(b, _M_LO0, out=d)  # a1 * m0 + (a0 * m0 >> 32)
-    a *= _M_LO1
-    a += np.bitwise_and(c, _LOW32, out=d)
-    b *= _M_LO1
-    c >>= 32
-    b += c
-    a >>= 32
-    b += a                              # the carry out of lo * M_lo
-    hi *= _M_LO
-    hi += b
-    hi += inc_hi
-    hi += np.multiply(lo, _M_HI, out=b)
-    lo *= _M_LO
-    lo += inc_lo
-    hi += np.less(lo, inc_lo, out=a)
+    a_hi, a_lo, a_lo0, a_lo1 = a
+    w, x, y, z = work
+    np.bitwise_and(lo, _LOW32, out=w)
+    np.right_shift(lo, 32, out=x)
+    np.multiply(w, a_lo0, out=y)
+    y >>= 32
+    y += np.multiply(x, a_lo0, out=z)   # s1 * a0 + (s0 * a0 >> 32)
+    w *= a_lo1
+    w += np.bitwise_and(y, _LOW32, out=z)
+    x *= a_lo1
+    y >>= 32
+    x += y
+    w >>= 32
+    x += w                              # the carry out of lo * A_lo
+    hi *= a_lo
+    hi += x
+    hi += c_hi
+    hi += np.multiply(lo, a_hi, out=x)
+    lo *= a_lo
+    lo += c_lo
+    hi += np.less(lo, c_lo, out=w)
 
 
 def _output(hi, lo, work):
@@ -234,15 +267,54 @@ def _output(hi, lo, work):
     return x
 
 
-def _raw_words(states: np.ndarray, count: int, work: np.ndarray):
-    """Step copies of ``states`` ``count`` times and yield each raw word of
-    every item, as row 0 of the ``(4, K)`` ``uint64`` scratch ``work``,
-    valid until the next word is requested."""
-    hi, lo = states[:2].copy()
-    inc_hi, inc_lo = states[2:]
-    for _ in range(count):
-        _step(hi, lo, inc_hi, inc_lo, work)
-        yield _output(hi, lo, work)
+def _lanes(k: int, count: int) -> int:
+    """How many interleaved lanes draw ``count`` raw words of ``k`` items."""
+    return max(1, min(_MAX_LANES, _LANE_ITEMS // max(k, 1),
+                      count // _LANE_WORDS))
+
+
+def _jump(lanes: int) -> tuple[int, int]:
+    """``(M**L, 1 + M + ... + M**(L - 1)) mod 2**128`` for ``L = lanes``:
+    ``L`` LCG steps take a state ``s`` with increment ``inc`` to ``s *
+    M**L + inc * (1 + M + ... + M**(L - 1))``."""
+    power, total = 1, 0
+    for _ in range(lanes):
+        total = (total * _PCG_MULT + 1) & _MASK128
+        power = power * _PCG_MULT & _MASK128
+    return power, total
+
+
+def _raw_words(states: np.ndarray, count: int):
+    """Yield the first ``count`` raw words of every item as ``(L, K)``
+    ``uint64`` blocks, row ``l`` of block ``t`` holding word ``tL + l``
+    (the last block may be shorter), each valid until the next is
+    requested.
+
+    Lane ``l`` of the ``L = _lanes(K, count)`` lanes starts on each item's
+    state after ``l + 1`` LCG steps. From there one multiply-add advances
+    every lane ``L`` steps at once (Brown 1994), by ``M**L`` and the item's
+    own jump increment, so a block of ``L`` words costs one multiply-add.
+    With one lane this is plain stepping.
+    """
+    k = states.shape[1]
+    lanes = _lanes(k, count)
+    work = np.empty((4, lanes, k), dtype=np.uint64)
+    hi, lo = state = np.empty((2, lanes, k), dtype=np.uint64)
+    state[:, 0] = states[:2]
+    inc = states[2:]
+    for lane in range(lanes):
+        if lane:
+            state[:, lane] = state[:, lane - 1]
+        _step(hi[lane], lo[lane], _M, *inc, work[:, 0])
+    power, total = _jump(lanes)
+    if lanes > 1:
+        inc = inc.copy()
+        _step(*inc, _limbs(total), _ZERO, _ZERO, work[:, 0])
+    jump = _limbs(power)
+    for first in range(0, count, lanes):
+        if first:
+            _step(hi, lo, jump, *inc, work)
+        yield _output(hi, lo, work)[:count - first]
 
 
 def _draws(states: np.ndarray, uniforms: int, normals: int):
@@ -259,10 +331,11 @@ def _draws(states: np.ndarray, uniforms: int, normals: int):
     k = states.shape[1]
     u = np.empty((uniforms, k))
     z = np.empty((normals, k))
-    work = np.empty((4, k), dtype=np.uint64)
-    layer, sign, scaled = work[1].view(np.intp), work[2], work[3].view(float)
+    work = np.empty((3, k), dtype=np.uint64)
+    layer, sign, scaled = work[0].view(np.intp), work[1], work[2].view(float)
     off = np.zeros(k, dtype=bool)
-    words = _raw_words(states, uniforms + normals, work)
+    words = (word for block in _raw_words(states, uniforms + normals)
+             for word in block)
     # zip takes a row before a word, so the uniforms leave the normals'
     # words unread.
     for row, raw in zip(u, words):
@@ -323,19 +396,23 @@ def _count_rows(states: np.ndarray, n: int, rows: int):
         for row, rng in zip(raw, _loaded(states)):
             row[:] = rng.bit_generator.random_raw(words)
     else:
-        for w, word in enumerate(_raw_words(states, words,
-                                            np.empty_like(states))):
-            raw[:, w] = word
+        first = 0
+        for block in _raw_words(states, words):
+            raw[:, first:first + len(block)] = block.T
+            first += len(block)
+        del block  # a view that would keep the lane scratch alive
     draws = raw.view("<u4")[:, :n]
-    rejected = (draws * np.uint32(n) < (2 ** 32 - n) % max(n, 1)).any(axis=1)
+    # Lemire rejects a draw whose product with n has a low half below this.
+    threshold = (2 ** 32 - n) % max(n, 1)
     for first in range(0, k, rows):
-        cells = draws[first:first + rows] * np.uint64(n)
+        chunk = draws[first:first + rows]
+        redo = np.flatnonzero((chunk * np.uint32(n) < threshold).any(axis=1))
+        cells = chunk * np.uint64(n)
         cells >>= 32
         cells += np.arange(len(cells), dtype=np.uint64)[:, np.newaxis] * n
         counts = np.bincount(cells.view(np.int64).ravel(),
                              minlength=cells.size).reshape(cells.shape)
         del cells  # not held while the caller uses the rows
-        redo = np.flatnonzero(rejected[first:first + rows])
         if redo.size:
             for i, rng in zip(redo, _loaded(states[:, first + redo])):
                 counts[i] = _count_row(rng, n)

@@ -1,4 +1,5 @@
-"""The sweep-generate and validation-cca benchmarks reproduce their references.
+"""The sweep-generate, validation-cca and analyze-rda benchmarks reproduce
+their references.
 
 Seed 0 of ``perfbench/run.py`` is compared with the outputs recorded in
 ``perfbench/reference.json`` and with the benchmark's own oracle, so a
@@ -33,3 +34,8 @@ def test_sweep_generate_benchmark_is_correct():
 def test_validation_cca_benchmark_is_correct():
     # The only oracle and recorded-reference check of the fig6 study path.
     _run("validation-cca")
+
+
+def test_analyze_rda_benchmark_is_correct():
+    # The oracle and recorded-reference check of the bootstrap's count rows.
+    _run("analyze-rda")

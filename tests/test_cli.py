@@ -165,6 +165,37 @@ def test_analyze_expands_coordinate_spatial_blocks(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_reused_parser_leaves_no_options_to_the_next_call(tmp_path, capsys):
+    # main parses with one parser per process: options given to one call
+    # must not become the defaults of the next.
+    paths, table, env = _write_inputs(tmp_path, n_sites=15, seed=13)
+    coords = tmp_path / "coords.csv"
+    write_table_csv(coords, PredictorBlock("spatial", table.site_ids,
+                                           env.values))
+    base = ["analyze", str(paths["community"]), str(paths["env"]),
+            str(coords), "--bootstrap", "20", "--seed", "6"]
+
+    def report(*options):
+        out = tmp_path / "report.json"
+        assert main([*base, *options, "--out", str(out)]) == 0
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        del payload["runtime_seconds"]
+        return payload
+
+    forced = report("--no-log1p", "--no-trend-surface")
+    second = report()
+    cli._parser.cache_clear()
+    fresh = report()
+    assert forced["log1p"] is False
+    assert forced["provenance"]["trend_surface"] == "off"
+    assert second == fresh
+    assert second["log1p"] is True
+    assert second["provenance"]["trend_surface"] == "on"
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_analyze_exit_codes_for_bad_inputs(tmp_path, capsys):
     paths, _, _ = _write_inputs(tmp_path, n_sites=10)
     good = ["analyze", str(paths["community"]), str(paths["env"]),

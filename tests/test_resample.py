@@ -322,6 +322,32 @@ def test_bootstrap_memory_holds_no_state_per_replicate():
     assert peak <= 40 * m_replicates
 
 
+def test_an_analyze_block_holds_its_words_and_the_lane_scratch():
+    # analyze's bootstrap, 1000 replicates of 100 sites in RDA chunks of 190
+    # rows, is one block. It peaks within the block's budget: its states
+    # (32 bytes a row), its raw words (8 bytes a word) and the lane scratch
+    # that draws them (six uint64 rows of rows times lanes, and the jump
+    # increments), plus NumPy's ufunc buffer (the carry's cast from bool)
+    # and 16 KiB of Python objects.
+    m, n, rows = 1000, 100, 190
+    words = (n + 1) // 2
+    assert rng_module._BLOCK_VALUES // (n * rows) * rows >= m
+    lanes = rng_module._lanes(m, words)
+    assert lanes > 1
+    budget = (32 * m + 8 * m * words + 8 * (6 * lanes + 2) * m
+              + 9 * np.getbufsize() + 2 ** 14)
+    for _ in rng_module._bootstrap_rows(5, m, n, rows):
+        pass
+    tracemalloc.start()
+    try:
+        for _ in rng_module._bootstrap_rows(5, m, n, rows):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
+
+
 def test_relative_spread_conventions():
     assert relative_spread(0.1, 0.2) == pytest.approx(0.5)
     assert relative_spread(0.1, -0.2) == pytest.approx(-0.5)

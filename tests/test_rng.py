@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpboot import rng
 from vpboot._ziggurat import KI, WI
@@ -221,6 +223,100 @@ def test_the_shape_rule_picks_a_path_with_the_same_bits(n, m, per_item,
     for j in range(0, m, 7 if per_item else 37):
         ref = stream(17, ROLE_BOOTSTRAP, j, 0).integers(0, n, size=n)
         assert np.array_equal(rows[j], np.bincount(ref, minlength=n))
+
+
+def _raw_reference(k, count, seed=23):
+    """The first ``count`` raw words of ``k`` bootstrap streams, ``(count,
+    k)``, and the ``_raw_words`` blocks of the same states, stacked."""
+    states = _seed_states(seed, ROLE_BOOTSTRAP, np.arange(k), 0)
+    blocks = [block.copy() for block in rng._raw_words(states, count)]
+    ref = np.array([stream(seed, ROLE_BOOTSTRAP, j, 0)
+                    .bit_generator.random_raw(count) for j in range(k)]).T
+    return ref, blocks
+
+
+@pytest.mark.parametrize("lanes, count", [(4, 3), (4, 4), (4, 12), (4, 13),
+                                          (16, 50), (7, 1), (1, 5)],
+                         ids=["below", "equal", "multiple", "not-multiple",
+                              "widest", "one-word", "one-lane"])
+def test_lanes_yield_each_streams_raw_words(lanes, count, monkeypatch):
+    monkeypatch.setattr(rng, "_lanes", lambda k, c: lanes)
+    ref, blocks = _raw_reference(9, count)
+    assert [len(b) for b in blocks] == [
+        min(lanes, count - first) for first in range(0, count, lanes)]
+    assert np.array_equal(np.concatenate(blocks), ref)
+
+
+@pytest.mark.parametrize("k, count, lanes", [
+    (1, 50, 10),      # one row: the words per lane decide
+    (1, 200, 16),     # ... up to the most lanes
+    (512, 80, 16),    # 2**13 // k lanes, exactly 16
+    (513, 80, 15),    # ... one item more: one lane fewer
+    (1000, 50, 8),    # analyze's block
+    (4096, 50, 2),
+    (4097, 50, 1),    # too wide for two lanes
+    (600, 9, 1),      # too few words for two lanes
+    (600, 10, 2),
+])
+def test_the_lane_rule_keeps_every_raw_word(k, count, lanes):
+    assert rng._lanes(k, count) == lanes
+    ref, blocks = _raw_reference(k, count)
+    assert {len(b) for b in blocks[:-1]} <= {lanes}
+    assert np.array_equal(np.concatenate(blocks), ref)
+
+
+def test_a_sites_draws_keep_one_lane():
+    # A site draws two uniforms and two normals per species; a block of
+    # sites of a few species steps its states one word at a time.
+    for k in (25, 2000, 50000):
+        for species in (1, 2):
+            assert rng._lanes(k, 2 + 2 * species) == 1
+
+
+_U128 = st.integers(0, _MASK128)
+
+
+def _split(values):
+    """High and low ``uint64`` words of 128-bit integers."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & (1 << 64) - 1 for v in values], dtype=np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(states=st.lists(_U128, min_size=1, max_size=6),
+       increments=st.lists(_U128, min_size=6, max_size=6),
+       constant=st.one_of(_U128, st.sampled_from(
+           [rng._jump(lanes)[which] for lanes in (1, 2, 7, 16)
+            for which in (0, 1)] + [0, 1, _MASK128])),
+       lanes=st.integers(1, 3))
+def test_the_multiply_add_is_exact_128_bit_arithmetic(states, increments,
+                                                      constant, lanes):
+    # Each of ``lanes`` rows holds the states, shifted; the increment is
+    # one per item, broadcast over the rows, as the lanes use it.
+    k = len(states)
+    rows = [states[r:] + states[:r] for r in range(lanes)]
+    hi, lo = (np.stack(part) for part in zip(*map(_split, rows)))
+    inc_hi, inc_lo = _split(increments[:k])
+    rng._step(hi, lo, rng._limbs(constant), inc_hi, inc_lo,
+              np.empty((4, lanes, k), dtype=np.uint64))
+    for r, row in enumerate(rows):
+        expected = [(s * constant + c) & _MASK128
+                    for s, c in zip(row, increments)]
+        assert [h << 64 | l for h, l in zip(hi[r].tolist(),
+                                             lo[r].tolist())] == expected
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3, 8, 16])
+def test_a_jump_is_that_many_lcg_steps(lanes):
+    power, total = rng._jump(lanes)
+    assert power == pow(_MULT, lanes, 1 << 128)
+    assert total == sum(pow(_MULT, i, 1 << 128) for i in range(lanes)) % (
+        1 << 128)
+    for state, inc in [(0, _INC), (_MASK128, 1), (2**127 + 5, _MASK128)]:
+        walked = state
+        for _ in range(lanes):
+            walked = (walked * _MULT + inc) & _MASK128
+        assert walked == (state * power + inc * total) & _MASK128
 
 
 # The ziggurat's off-path branches, which ``rng._draws`` redraws from the
