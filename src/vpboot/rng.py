@@ -53,18 +53,18 @@ _LOW52 = np.uint64((1 << 52) - 1)
 _WI = np.array(WI)
 _KI = np.array(KI, dtype=np.uint64)
 
-#: Bootstrap rows step together only when a block holds at least this many
-#: rows per raw word of a row. Below that, reading each row's raw words off
-#: a loaded generator costs less than the lanes. On a 2-core x86 host with
-#: NumPy 2.4 (whole ``_count_rows`` calls, best of 7, lanes against rows
-#: read one at a time), 200 rows took 0.56-0.61 against 0.84-0.88 ms at 100
-#: sites (4 rows a word), tied at 200 sites (2 rows a word) and took 1.3
-#: against 1.3, 2.5-2.8 against 2.2-2.3 and 5.3-8.9 against 4.0-4.2 ms at
-#: 250, 500 and 1000 sites; 1000 rows took 2.1-3.4 against 5.1-9.1 ms at
-#: 100 sites (analyze's block) and 5.3-5.6 against 7.3-7.5 ms at 250, and
-#: tied at 500 sites (4 rows a word). The crossover lies near 2 rows a word
-#: for narrow blocks and near 4 for wide ones, whose lanes are fewer.
-_ROW_WORD_RATIO = 3
+#: Bootstrap rows step together in lanes only when a block holds at least
+#: this many rows per raw word of a row. Below that, reading each row's raw
+#: words off a loaded generator costs as little or less. On a 2-core x86
+#: host with NumPy 2.4 (whole ``_count_rows`` calls, best of 9, two runs,
+#: lanes against rows read one at a time), at 4 rows a word the lanes took
+#: 0.57-1.09 against 0.86-1.67 ms for 200 rows, 3.5-5.4 against 4.5-7.6 ms
+#: for 600 rows and 9.7-14.1 against 11.0-15.4 ms for 1000 rows. At 3 rows
+#: a word they still won on 200 and 600 rows but took 13.6-18.1 against
+#: 12.4-18.2 ms on 1000 rows (667 sites), and at 2 rows a word they tied
+#: on 200 rows and lost or tied on 1000. Analyze's block, 1000 rows at 20
+#: rows a word, took 2.1-3.4 against 5.1-9.1 ms.
+_ROW_WORD_RATIO = 4
 #: Draws in one block of bootstrap rows (an ``analyze`` bootstrap of 1000
 #: replicates of 100 sites is one block). A block of ``k`` rows of ``n``
 #: sites holds its states (32 bytes a row) and raw words (8 bytes a word
@@ -77,8 +77,12 @@ _BLOCK_VALUES = 2 ** 17
 #: increments, 16 bytes an item) stays near 400 KB. The fastest lane count
 #: grew with the words per item, not with the items: for 200, 600 and 1000
 #: items it was 5 lanes at 10 and 25 words, 10 at 50 and 16 at 125 (best of
-#: 25, same host), where one lane took 1.5-3.5 times as long. Six words an
-#: item (a site's draws) keep one lane.
+#: 25, same host), where one lane took 1.5-3.5 times as long. A site draws
+#: ``2 + 2 S`` words for ``S`` species, so sites of up to three species keep
+#: one lane, and from four species a cell of up to 4,096 sites takes two or
+#: more. Lanes made ``_draws`` 4-28% faster at 5 species and 6-22% at 10
+#: over 200-4,000 sites (best of 25), and two lanes made no clear
+#: difference at 2 species.
 _MAX_LANES = 16
 _LANE_ITEMS = 2 ** 13
 _LANE_WORDS = 5

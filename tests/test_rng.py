@@ -265,12 +265,17 @@ def test_the_lane_rule_keeps_every_raw_word(k, count, lanes):
     assert np.array_equal(np.concatenate(blocks), ref)
 
 
-def test_a_sites_draws_keep_one_lane():
+def test_sites_of_up_to_three_species_keep_one_lane():
     # A site draws two uniforms and two normals per species; a block of
-    # sites of a few species steps its states one word at a time.
+    # sites of up to three species steps its states one word at a time,
+    # and from four species a cell that fits the lane scratch takes lanes.
     for k in (25, 2000, 50000):
-        for species in (1, 2):
+        for species in (1, 2, 3):
             assert rng._lanes(k, 2 + 2 * species) == 1
+    for k in (200, 4000):
+        assert rng._lanes(k, 2 + 2 * 4) == 2
+        assert rng._lanes(k, 2 + 2 * 5) == 2
+    assert rng._lanes(5000, 2 + 2 * 5) == 1
 
 
 _U128 = st.integers(0, _MASK128)
