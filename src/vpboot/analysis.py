@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ValidationError
-from .ordination import (PartitionResult, _log1p, _partition,
-                         _PlannedStatistic, _rollups)
+from .ordination import (PartitionResult, _log1p, _partition, _planned,
+                         _rollups)
 from .resample import BootstrapSummary, _check_bootstrap, bootstrap_statistic
 from .tables import CommunityTable, PredictorBlock, require_aligned
 
@@ -84,7 +85,7 @@ def run_analysis(table: CommunityTable, env: PredictorBlock,
     part = _partition(y, env, spatial, method)
     rollup = part.rollup()
     summaries = bootstrap_statistic(
-        y, [env, spatial], _PlannedStatistic(_rollups, method=method),
+        y, [env, spatial], _planned(partial(_rollups, method=method)),
         m_replicates, seed, names=FRACTION_NAMES)
     return AnalysisReport(
         dataset_name=dataset_name,

@@ -129,6 +129,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_reproduce(args) -> int:
     if args.threads < 1:
         raise ValidationError("--threads must be at least 1")
+    if args.seed < 0:  # before --out is created
+        raise ValidationError("seed must be non-negative")
     os.makedirs(args.out, exist_ok=True)
     result = build_figure(args.figure, seed=args.seed, scale=args.scale,
                           threads=args.threads)

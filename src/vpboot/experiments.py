@@ -15,8 +15,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError, VpbootError
-from .ordination import (_as_stack, _block_fractions, _log1p,
-                         _PlannedStatistic)
+from .ordination import _as_stack, _log1p, _planned, _unit
 from .resample import _check_bootstrap, bootstrap_statistic, relative_spread
 from .rng import derive_seed
 from .synth import (ScenarioConfig, SpeciesNiche, _complex_config,
@@ -53,21 +52,18 @@ def predictor_effect_r2(table, env) -> float:
     alone, each with the small-sample adjustment: the pure share of the
     table's variance that the second gradient explains.
     """
-    return float(_effect_r2(None, table, env)[0][0, 0])
+    return float(_unit(_effect_r2, table, env)[0][0, 0])
 
 
-def _effect_r2(counts, table, env, fit=_block_fractions):
-    """``predictor_effect_r2`` per count row, as a batched bootstrap statistic,
-    or per table of a ``(k, n, S)`` stack with a ``(k, n, 2)`` environment.
-    ``fit`` is ``_block_fractions`` or a bootstrap's planned stand-in
-    (``ordination._PlannedStatistic``)."""
+def _effect_r2(table, env):
+    """Spec (``ordination._rollups``) of ``predictor_effect_r2``, per count
+    row of a bootstrap or per table of a ``(k, n, S)`` stack with a ``(k,
+    n, 2)`` environment."""
     em = _as_stack(env)
     if em.shape[-1] != 2:
         raise ValidationError("environment block must have exactly 2 columns")
-    fractions, reasons = fit(
-        table, [("both gradients", em), ("first gradient", em[..., 0:1])],
-        "rda", counts)
-    return fractions[:, :1] - fractions[:, 1:], reasons
+    return (table, [("both gradients", em), ("first gradient", em[..., 0:1])],
+            "rda", lambda f: f[:, :1] - f[:, 1:])
 
 
 @dataclass(frozen=True)
@@ -115,11 +111,11 @@ def _outcome(config: ScenarioConfig, statistic,
 def _cell_values(config: ScenarioConfig, statistic) -> np.ndarray:
     """``statistic`` of replicates ``0 .. config.replicates - 1``.
 
-    Replicates are generated and fitted a chunk at a time as stacked
-    arrays; ``statistic(None, counts, env)`` is a unit-count statistic such
-    as ``_effect_r2``. A chunk that fails is replayed one replicate at a
-    time, so the first failing replicate raises its own error, from
-    generation or fit, as a loop over the replicates would.
+    Replicates are generated as stacked arrays and fitted by the spec
+    ``statistic`` (``_effect_r2``) a chunk at a time. A chunk that fails is
+    replayed one replicate at a time, so the first failing replicate raises
+    its own error, from generation or fit, as a loop over the replicates
+    would.
     """
     per_replicate = config.n_sites * (config.n_species + 2)
     size = max(1, _CELL_CHUNK_VALUES // per_replicate)
@@ -127,10 +123,10 @@ def _cell_values(config: ScenarioConfig, statistic) -> np.ndarray:
     for start in range(0, config.replicates, size):
         chunk = range(start, min(start + size, config.replicates))
         try:
-            fractions, _ = statistic(None, *_generate_cell(config, chunk))
+            fractions, _ = _unit(statistic, *_generate_cell(config, chunk))
         except VpbootError:
             for r in chunk:
-                statistic(None, *_generate_cell(config, [r]))
+                _unit(statistic, *_generate_cell(config, [r]))
             raise
         values.append(fractions[:, 0])
     return np.concatenate(values)
@@ -138,14 +134,15 @@ def _cell_values(config: ScenarioConfig, statistic) -> np.ndarray:
 
 def _bootstrap_spread(config: ScenarioConfig, statistic,
                       n_validation: int) -> float:
-    """Mean bootstrap standard deviation of ``statistic`` over validation
-    tables ``R + v`` of ``config``, ``v < n_validation``, each bootstrapped
-    ``R = config.replicates`` times; one generator call makes the tables."""
+    """Mean bootstrap standard deviation of the spec ``statistic`` over
+    validation tables ``R + v`` of ``config``, ``v < n_validation``, each
+    bootstrapped ``R = config.replicates`` times; one generator call makes
+    the tables."""
     m = config.replicates
     tables, envs = _generate_cell(config, range(m, m + n_validation))
     return float(np.mean([
         bootstrap_statistic(
-            table, [env], _PlannedStatistic(statistic), m,
+            table, [env], _planned(statistic), m,
             derive_seed(config.seed, _TAG_VALIDATION_TABLE, v))[0].sd
         for v, (table, env) in enumerate(zip(tables, envs))]))
 
@@ -259,13 +256,13 @@ def cca_proportion(table, env) -> float:
     resamples produce them routinely. Fewer than 3 usable sites or 2 usable
     species is reported as degenerate.
     """
-    return float(_cca_share(None, table, env)[0][0, 0])
+    return float(_unit(_cca_share, table, env)[0][0, 0])
 
 
-def _cca_share(counts, table, env, fit=_block_fractions):
-    """``cca_proportion`` per count row, as a batched bootstrap statistic;
-    ``fit`` as in ``_effect_r2``."""
-    return fit(_log1p(table), [("env", env)], "cca", counts)
+def _cca_share(table, env):
+    """Spec (``ordination._rollups``) of ``cca_proportion``: the shares as
+    they are. A bootstrap log-transforms its table once, for its plan."""
+    return _log1p(table), [("env", env)], "cca", lambda f: f
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Core ordination statistics.
 
 Linear (redundancy-style) and chi-square (correspondence-style) variance
-partitioning. One batched fit kernel, ``_block_fractions``, gives every
-reported quantity: each predictor block's adjusted R2 for RDA and its share
-of chi-square inertia for CCA. The public helpers (the rank-truncated
+partitioning. One batched fit kernel, ``_block_fractions`` (unit fits) and
+``_Plan`` (a bootstrap's count-weighted fits), gives every reported
+quantity: each predictor block's adjusted R2 for RDA and its share of
+chi-square inertia for CCA. The public helpers (the rank-truncated
 projection, the unadjusted R2, the chi-square decomposition and the
 two-block partition) are the kernel or its pieces, with unit weights.
 """
@@ -200,8 +201,8 @@ class _Plan:
 
     ``fit(counts)`` then reads every count-weighted sum but the cross
     products from one per-row product with that matrix (``explained``).
-    ``_block_fractions`` builds one per count call; ``_PlannedStatistic``
-    keeps one across a bootstrap's chunks and redraws.
+    A bootstrap's statistic (``_planned``) builds one on its first call
+    and keeps it across the chunks and redraws.
     """
 
     def __init__(self, y, named_blocks, method: str):
@@ -242,8 +243,8 @@ class _Plan:
         self.moments = np.hstack(columns)
 
     def fit(self, counts):
-        """``_block_fractions`` of the ``(k, n)`` ``counts``: ``(fractions,
-        reasons)``."""
+        """``_block_fractions`` under each row of the ``(k, n)`` ``counts``:
+        ``(fractions, reasons)``, a nonzero reason for a degenerate row."""
         c = np.asarray(counts, dtype=float)
         if self.sites is not None:
             c = c[:, self.sites]
@@ -591,31 +592,25 @@ def _stacks(y, named_blocks, method: str):
     return ym, blocks
 
 
-def _block_fractions(y, named_blocks, method: str, counts=None):
-    """Explained fraction of ``y`` for each named predictor set, per replicate.
+def _block_fractions(y, named_blocks, method: str):
+    """Explained fraction of ``y`` for each named predictor set, per table.
 
     Each entry of ``named_blocks`` is ``(name, *parts)``; the parts are
     joined side by side into one predictor block, so a joint fit is written
     ``(name, x, w)``. ``y`` and every part are stacks, ``(T, n, S)`` and
     ``(T, n, q)``; a 2-D table or block is a stack of one (``_as_stack``).
-    Row ``i`` of the ``(k, n)`` ``counts`` (all ones for None, ``k = T``)
-    weighs the sites of replicate ``i``'s table: the one table of a stack
-    of one (a bootstrap chunk, a point partition; counts need one) or
-    table ``i`` (a sweep cell). A site counted ``c`` times weighs as ``c``
-    copies of its row, which is exactly the fit on the resampled table.
-    Row ``i`` of a stack is the unit fit of table ``i``, bit for bit, when
-    each part has that table's memory layout (a column slice stays a
-    strided view).
+    Row ``i`` is the unit fit of table ``i`` (a point partition, a sweep
+    cell), on the SVD route (``_explained``), bit for bit when each part
+    has that table's memory layout (a column slice stays a strided view).
+    Count-weighted fits of one table go through its ``_Plan``: a site
+    counted ``c`` times weighs as ``c`` copies of its row, which is exactly
+    the fit on the resampled table.
 
-    A count call fits through a ``_Plan`` of the table, built for this call
-    alone; a bootstrap keeps one plan across its chunks instead
-    (``_PlannedStatistic``). A unit call (counts None) fits every table on
-    the SVD route (``_explained``).
-
-    Returns ``(fractions (k, n_blocks), reasons (k,))``: a nonzero reason
-    is a code of ``errors.DEGENERATE_REASONS`` and marks a replicate whose
-    fractions are meaningless. Unit fits raise instead: the first
-    degenerate table raises the ``DegenerateDataError`` of its unit fit.
+    Returns ``(fractions (T, n_blocks), reasons (T,))``, the reasons all 0:
+    the first degenerate table raises the ``DegenerateDataError`` of its
+    unit fit. ``_Plan.fit`` returns a nonzero reason, a code of
+    ``errors.DEGENERATE_REASONS``, for a replicate whose fractions are
+    meaningless instead.
 
     ``rda`` gives the adjusted R2 of each block, adjusted by the rank of its
     weighted-centred columns with n the total count; no residual degrees of
@@ -627,8 +622,6 @@ def _block_fractions(y, named_blocks, method: str, counts=None):
     the only places where blocks are aligned, tables pruned and ranks
     taken.
     """
-    if counts is not None:
-        return _Plan(y, named_blocks, method).fit(counts)
     ym, blocks = _stacks(y, named_blocks, method)
     fit = _cca_unit_fractions if method == "cca" else _rda_unit_fractions
     # Overflow ends in a ValidationError (_weighted_centre, _svd_route),
@@ -778,40 +771,44 @@ def _partition(y, x, w, method: str) -> PartitionResult:
     return partition_from_r2(*(float(v) for v in fractions[0]))
 
 
-def _rollups(counts, y, x, w, method: str, fit=_block_fractions):
-    """Batched bootstrap statistic: the ``PartitionResult.rollup`` per
-    replicate. ``fit`` is ``_block_fractions`` or a bootstrap's planned
-    stand-in (``_PlannedStatistic``)."""
-    fractions, reasons = fit(y, _named_partition_blocks(x, w), method, counts)
-    return np.column_stack(_rollup(*_split(*fractions.T))), reasons
+def _rollups(y, x, w, method: str):
+    """Spec of analyze's statistic, the ``PartitionResult.rollup``.
+
+    A spec ``spec(y, *blocks)`` gives ``(table, named_blocks, method,
+    finish)``: one fit of ``table`` and ``finish``, which turns its ``(k,
+    n_blocks)`` fractions into ``(k, width)`` values. ``_unit`` runs a spec
+    with unit counts, ``_planned`` as a bootstrap statistic."""
+    return (y, _named_partition_blocks(x, w), method,
+            lambda f: np.column_stack(_rollup(*_split(*f.T))))
 
 
-class _PlannedStatistic:
-    """One bootstrap's package statistic, ``statistic(counts, y, *blocks)``
-    as ``bootstrap_statistic`` calls it, with its fit planned once.
+def _unit(spec, *arrays):
+    """``(values, reasons)`` of ``spec`` (``_rollups``) fitted on ``arrays``
+    with unit counts, one row per table of a stack."""
+    table, named_blocks, method, finish = spec(*arrays)
+    fractions, reasons = _block_fractions(table, named_blocks, method)
+    return finish(fractions), reasons
 
-    ``statistic`` is ``_rollups``, ``experiments._effect_r2`` or
-    ``experiments._cca_share``, and ``options`` its keywords. Its one
-    ``_block_fractions`` call per chunk is served by the ``_Plan`` of the
-    arrays this object was last called with, built again only when they
-    change. Arrays are compared by identity: the object holds them, so
-    their ids cannot be reused. Make one per ``bootstrap_statistic`` call.
+
+def _planned(spec):
+    """One bootstrap's statistic of ``spec`` (``_rollups``),
+    ``statistic(counts, y, *blocks)`` as ``bootstrap_statistic`` calls it.
+
+    The first call runs the spec on the arrays it is given and builds the
+    ``_Plan`` every later call fits its counts through, so make one per
+    ``bootstrap_statistic`` call.
     """
+    plan = finish = None
 
-    def __init__(self, statistic, **options):
-        self.statistic, self.options = statistic, options
-        self.arrays, self.plan = (), None
+    def statistic(counts, *arrays):
+        nonlocal plan, finish
+        if plan is None:
+            table, named_blocks, method, finish = spec(*arrays)
+            plan = _Plan(table, named_blocks, method)
+        fractions, reasons = plan.fit(counts)
+        return finish(fractions), reasons
 
-    def __call__(self, counts, *arrays):
-        if len(arrays) != len(self.arrays) or any(
-                a is not b for a, b in zip(arrays, self.arrays)):
-            self.arrays, self.plan = arrays, None
-        return self.statistic(counts, *arrays, fit=self._fit, **self.options)
-
-    def _fit(self, y, named_blocks, method: str, counts):
-        if self.plan is None:
-            self.plan = _Plan(y, named_blocks, method)
-        return self.plan.fit(counts)
+    return statistic
 
 
 def varpart_two(y, x, w) -> PartitionResult:
@@ -828,7 +825,8 @@ def varpart_two(y, x, w) -> PartitionResult:
 def _checked_table(y) -> np.ndarray:
     """A finite, non-negative table with a positive total and no empty row
     or column, as a matrix; ``chi_square_transform`` accepts nothing else.
-    The fit kernel prunes empty lines instead (``_cca_fractions``)."""
+    The fit kernel prunes empty lines instead (``_cca_live``,
+    ``_cca_unit_fractions``)."""
     ym = as_matrix(y)
     if not np.all(np.isfinite(ym)):
         raise ValidationError("table contains non-finite entries")

@@ -492,6 +492,11 @@ def test_reproduce_argument_validation(tmp_path, capsys):
     assert exc.value.code == 2
     assert main(["reproduce", "fig2", "--seed", "1", "--threads", "0",
                  "--out", str(tmp_path)]) == 2
+    # Invalid input leaves no output directory behind.
+    out = tmp_path / "a" / "b"
+    for bad in (["--seed", "-3"], ["--seed", "1", "--threads", "0"]):
+        assert main(["reproduce", "fig2", *bad, "--out", str(out)]) == 2
+        assert not (tmp_path / "a").exists()
     capsys.readouterr()
 
 

@@ -1,9 +1,9 @@
 """Count-weighted fits: the Gram route and the gates that send rows back to
 their own SVD.
 
-A count-weighted call of ``_block_fractions`` fits a row from its Gram
-system in one basis of the unit design (``ordination._gram_fit``) unless a
-gate sends it to its own weighted SVD. Each test drives rows into one gate
+A count-weighted fit (``_Plan.fit``) fits a row from its Gram system in
+one basis of the unit design (``ordination._gram_fit``) unless a gate
+sends it to its own weighted SVD. Each test drives rows into one gate
 and checks that every row still fits as the unit fit of the table it
 resamples: fractions to 1e-12, the same reason code and the same ranks.
 """
@@ -13,7 +13,7 @@ import pytest
 
 from vpboot import ordination, resample
 from vpboot.errors import ValidationError
-from vpboot.ordination import _block_fractions, _PlannedStatistic
+from vpboot.ordination import _block_fractions, _Plan, _planned
 from vpboot.resample import bootstrap_statistic
 
 
@@ -22,11 +22,13 @@ def _named(x, w):
 
 
 def _fit(y, blocks, method, counts=None):
-    """Fractions, reasons and block ranks of one kernel call, and the shape
-    of each array it passed to ``_svd_basis``, in call order: the count
-    call's plan takes one ``(n, q)`` SVD per block, then the SVD route one
-    ``(rows, n, q)`` stack per block that has rows left to it. Ranks come
-    from ``_explained`` (unit calls) or ``_Plan.explained`` (count calls)."""
+    """Fractions, reasons and block ranks of one unit fit (``counts``
+    None, ``_block_fractions``) or count fit (``_Plan(...).fit``), and the
+    shape of each array it passed to ``_svd_basis``, in call order: the
+    count fit's plan takes one ``(n, q)`` SVD per block, then the SVD route
+    one ``(rows, n, q)`` stack per block that has rows left to it. Ranks
+    come from ``_explained`` (unit fits) or ``_Plan.explained`` (count
+    fits)."""
     ranks, shapes = [], []
     svd_basis = ordination._svd_basis
 
@@ -47,8 +49,10 @@ def _fit(y, blocks, method, counts=None):
         patch.setattr(ordination._Plan, "explained",
                       recording(ordination._Plan.explained))
         patch.setattr(ordination, "_svd_basis", recording_svd_basis)
-        fractions, reasons = _block_fractions(y, _named(*blocks), method,
-                                              counts)
+        named = _named(*blocks)
+        fractions, reasons = (
+            _block_fractions(y, named, method) if counts is None
+            else _Plan(y, named, method).fit(counts))
     return fractions, reasons, ranks[0], shapes
 
 
@@ -172,7 +176,7 @@ def test_a_design_that_overflows_only_under_counts_still_raises():
     with pytest.raises(ValidationError, match=overflow):
         _block_fractions(y[drawn], _named(*(b[drawn] for b in blocks)), "rda")
     with pytest.raises(ValidationError, match=overflow):
-        _block_fractions(y, _named(*blocks), "rda", twice)
+        _Plan(y, _named(*blocks), "rda").fit(twice)
 
 
 @pytest.mark.parametrize("spread", [0.0, 1e-6])
@@ -212,7 +216,7 @@ def test_a_design_that_overflows_once_unit_centred_raises_from_the_svd_route(
 
     monkeypatch.setattr(ordination, "_gram_fit", recording_gram_fit)
     with pytest.raises(ValidationError, match=overflow):
-        _block_fractions(y, _named(*blocks), "rda", counts)
+        _Plan(y, _named(*blocks), "rda").fit(counts)
     every = list(range(len(counts)))
     assert left == [every, [], every]
 
@@ -220,8 +224,8 @@ def test_a_design_that_overflows_once_unit_centred_raises_from_the_svd_route(
 def _bootstrapped_fits(y, blocks, method, m_replicates, monkeypatch):
     """Count rows, fractions, reasons and ranks of every evaluation of a
     ``bootstrap_statistic`` run over chunks of 8 replicates, with the
-    plan one bootstrap keeps (``_PlannedStatistic``), and how many rows
-    the SVD route took."""
+    plan one bootstrap keeps (``_planned``), and how many rows the SVD
+    route took."""
     monkeypatch.setattr(resample, "_CHUNK_VALUES",
                         8 * resample._replicate_values(
                             len(y), y.shape[1],
@@ -238,15 +242,17 @@ def _bootstrapped_fits(y, blocks, method, m_replicates, monkeypatch):
         routed.append(len(w))
         return svd_route(r, w, *args)
 
-    def fractions(counts, y, x, w, fit):
-        out = fit(y, _named(x, w), method, counts)
+    planned = _planned(lambda y, x, w: (y, _named(x, w), method,
+                                        lambda f: f))
+
+    def fractions(counts, *arrays):
+        out = planned(counts, *arrays)
         rows.extend(zip(counts, *out))
         return out
 
     monkeypatch.setattr(ordination._Plan, "explained", recording_explained)
     monkeypatch.setattr(ordination, "_svd_route", recording_svd_route)
-    bootstrap_statistic(y, blocks, _PlannedStatistic(fractions),
-                        m_replicates, seed=5)
+    bootstrap_statistic(y, blocks, fractions, m_replicates, seed=5)
     return rows, ranks, sum(routed)
 
 

@@ -7,14 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vpboot import experiments
-from vpboot.errors import DegenerateDataError, ValidationError
+from vpboot import experiments, ordination, resample
+from vpboot.errors import FEW_SPECIES, DegenerateDataError, ValidationError
 from vpboot.experiments import (bootstrap_validation, cca_proportion,
                                 cca_validation, optimum_distance_configs,
                                 pearson_r, predictor_effect_r2,
                                 run_replicated_scenario,
                                 sample_size_configs, sampling_range_configs,
                                 spearman_rho, sweep_sample_size)
+from vpboot.ordination import _planned, _unit
 from vpboot.resample import bootstrap_statistic, relative_spread
 from vpboot.rng import derive_seed
 from vpboot.synth import (ScenarioConfig, SpeciesNiche, _generate_cell,
@@ -361,15 +362,45 @@ def test_one_generator_call_makes_a_scenarios_validation_tables(
 def test_validation_tables_get_bootstraps_of_their_own(statistic):
     # Each table's bootstrap plans its own fit: the spread over two tables
     # is the mean of two bootstraps that fit every chunk afresh.
-    statistic = getattr(experiments, statistic)
+    spec = getattr(experiments, statistic)
     config = ScenarioConfig(seed=6, n_sites=30, replicates=40)
     tables, envs = _generate_cell(config, range(40, 42))
-    fresh = [bootstrap_statistic(table, [env], statistic, 40, derive_seed(
-        6, experiments._TAG_VALIDATION_TABLE, v))[0].sd
+    fresh = [bootstrap_statistic(
+        table, [env], lambda c, *a: _planned(spec)(c, *a), 40,
+        derive_seed(6, experiments._TAG_VALIDATION_TABLE, v))[0].sd
         for v, (table, env) in enumerate(zip(tables, envs))]
     assert fresh[0] != fresh[1]
-    assert experiments._bootstrap_spread(config, statistic, 2) == float(
+    assert experiments._bootstrap_spread(config, spec, 2) == float(
         np.mean(fresh))
+
+
+@pytest.mark.parametrize("statistic", ["_effect_r2", "_cca_share"])
+def test_a_validation_bootstrap_plans_each_table_once(statistic, monkeypatch):
+    # Three tables of 20 replicates in chunks of 8, and one forced redraw
+    # per table: one plan per table, whatever the chunks and redraws.
+    config = ScenarioConfig(seed=7, n_sites=20, replicates=20)
+    monkeypatch.setattr(resample, "_CHUNK_VALUES",
+                        8 * resample._replicate_values(20, 2, 2))
+    plans, fits = [], []
+
+    class CountingPlan(ordination._Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.table = len(plans)
+            plans.append(self)
+
+        def fit(self, counts):
+            fractions, reasons = super().fit(counts)
+            if (self.table, 8) not in fits:  # this table's first chunk
+                reasons = np.where(np.arange(len(counts)) == 0, FEW_SPECIES,
+                                   reasons)
+            fits.append((self.table, len(counts)))
+            return fractions, reasons
+
+    monkeypatch.setattr(ordination, "_Plan", CountingPlan)
+    experiments._bootstrap_spread(config, getattr(experiments, statistic), 3)
+    assert len(plans) == 3
+    assert fits == [(t, k) for t in range(3) for k in (8, 1, 8, 4)]
 
 
 def test_cca_configs_carry_the_studys_replicate_count(monkeypatch):
@@ -395,10 +426,10 @@ def test_cell_errors_come_in_replicate_order(broken, expected, monkeypatch):
             raise DegenerateDataError(f"generation of {broken}")
         return generate(cfg, replicates)
 
-    def fitting(counts, tables, env):
+    def fitting(tables, env):
         if any(np.array_equal(t, second) for t in tables):
             raise DegenerateDataError("fit of 2")
-        return np.zeros((len(tables), 1)), np.zeros(len(tables), dtype=int)
+        return tables, [("env", env)], "rda", lambda f: np.zeros_like(f)
 
     monkeypatch.setattr(experiments, "_generate_cell", generating)
     with pytest.raises(DegenerateDataError, match=f"^{expected}$"):
@@ -431,10 +462,10 @@ def test_one_sweep_chunk_stays_within_its_memory_bound():
     config = ScenarioConfig(seed=5, n_sites=250)
     size = experiments._CELL_CHUNK_VALUES // (config.n_sites * 4)
     chunk = range(size)
-    experiments._effect_r2(None, *_generate_cell(config, chunk))
+    _unit(experiments._effect_r2, *_generate_cell(config, chunk))
     tracemalloc.start()
     try:
-        experiments._effect_r2(None, *_generate_cell(config, chunk))
+        _unit(experiments._effect_r2, *_generate_cell(config, chunk))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -32,11 +32,14 @@ def test_modules_use_every_name_they_import(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def _calls(source: str, name: str) -> int:
-    return sum(isinstance(node, ast.Call) and (
+def _is_call(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and (
         isinstance(node.func, ast.Attribute) and node.func.attr == name
         or isinstance(node.func, ast.Name) and node.func.id == name)
-        for node in ast.walk(ast.parse(source)))
+
+
+def _calls(source: str, name: str) -> int:
+    return sum(_is_call(node, name) for node in ast.walk(ast.parse(source)))
 
 
 def test_the_package_has_one_svd_call():
@@ -51,11 +54,18 @@ def test_the_gram_route_has_one_eigh_and_one_cholesky_call():
     assert _calls(source, "eigh") == _calls(source, "cholesky") == 1
 
 
-def _rank_tests(source: str) -> list[str]:
-    """The top-level definition around each ``ndim`` read of ``source``."""
+def _tops(source: str, hit) -> list[str]:
+    """The top-level definition around each node of ``source`` that ``hit``
+    accepts."""
     return [getattr(top, "name", f"line {top.lineno}")
             for top in ast.parse(source).body for node in ast.walk(top)
-            if isinstance(node, ast.Attribute) and node.attr == "ndim"]
+            if hit(node)]
+
+
+def _rank_tests(source: str) -> list[str]:
+    """The top-level definition around each ``ndim`` read of ``source``."""
+    return _tops(source, lambda node: isinstance(node, ast.Attribute)
+                 and node.attr == "ndim")
 
 
 def test_the_fit_kernel_tests_array_rank_once():
@@ -71,6 +81,20 @@ def test_the_package_builds_one_process_pool():
     # Every fan-out goes through experiments._map.
     assert sum(_calls(p.read_text(), "ProcessPoolExecutor")
                for p in PACKAGE.glob("*.py")) == 1
+
+
+def _callers(source: str, name: str) -> list[str]:
+    """The top-level definition around each call of ``name`` in ``source``."""
+    return _tops(source, lambda node: _is_call(node, name))
+
+
+def test_the_package_builds_fit_plans_in_one_place():
+    # Every count-weighted fit goes through the plan a bootstrap's
+    # statistic (ordination._planned) builds on its first call.
+    assert [caller for p in PACKAGE.glob("*.py")
+            for caller in _callers(p.read_text(), "_Plan")] == ["_planned"]
+    assert _callers("def f():\n    return m._Plan(y)\nx = _Plan(z)\n",
+                    "_Plan") == ["f", "line 3"]
 
 
 def test_the_scan_sees_an_unused_import():

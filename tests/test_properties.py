@@ -16,8 +16,9 @@ from scalar_oracle import SiteEnvironment, relative_abundance, site_abundances
 from vpboot.errors import DegenerateDataError, ValidationError
 from vpboot.experiments import (_cca_share, _effect_r2, cca_proportion,
                                 predictor_effect_r2)
-from vpboot.ordination import (_block_fractions, _partition, _Plan, _r2,
-                               _rollups, chi_square_transform, fit_projection)
+from vpboot.ordination import (_block_fractions, _partition, _Plan, _planned,
+                               _r2, _rollups, chi_square_transform,
+                               fit_projection)
 from vpboot.resample import FAILURE_BUDGET, bootstrap_statistic
 from vpboot.rng import ROLE_NICHE, ROLE_SITE, stream
 from vpboot.synth import (ScenarioConfig, SpeciesNiche,
@@ -284,7 +285,7 @@ ORACLE_CASES = {
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_CASES))
 def test_count_weights_match_the_materialising_oracle(kind):
-    make_case, fit, statistic = ORACLE_CASES[kind]
+    make_case, fit, spec = ORACLE_CASES[kind]
     rng = np.random.default_rng(105)
     m_replicates, tol = 60, 1e-12
     redraws = 0
@@ -294,6 +295,7 @@ def test_count_weights_match_the_materialising_oracle(kind):
         kept, values, rejected, aborted = _materialising_bootstrap(
             y, blocks, fit, m_replicates, case)
         counts = [np.bincount(idx, minlength=n) for idx in kept]
+        statistic = _planned(spec)
         if counts:
             got, flagged = statistic(np.stack(counts), y, *blocks)
             assert not flagged.any()
@@ -307,11 +309,12 @@ def test_count_weights_match_the_materialising_oracle(kind):
         if aborted:
             with pytest.raises(DegenerateDataError,
                                match=f"^{len(rejected)} of {m_replicates} "):
-                bootstrap_statistic(y, blocks, statistic, m_replicates, case)
+                bootstrap_statistic(y, blocks, _planned(spec), m_replicates,
+                                    case)
             continue
         expected = np.array(values)
-        summaries = bootstrap_statistic(y, blocks, statistic, m_replicates,
-                                        case)
+        summaries = bootstrap_statistic(y, blocks, _planned(spec),
+                                        m_replicates, case)
         for k, summary in enumerate(summaries):
             assert summary.redraw_count == len(rejected)
             lo, hi = np.percentile(expected[:, k], [2.5, 97.5])
@@ -420,13 +423,13 @@ def test_cca_shares_keep_their_bits_under_power_of_four_scales():
             unit = _block_fractions(y, named, "cca")[0]
         except DegenerateDataError:
             unit = None
-        boot = _block_fractions(y, named, "cca", counts)
+        boot = _Plan(y, named, "cca").fit(counts)
         for k in (-3, 1, 7, 505):
             scaled = y * 4.0 ** k
             if unit is not None:
                 assert _block_fractions(scaled, named, "cca")[0].tobytes() == (
                     unit.tobytes())
-            again = _block_fractions(scaled, named, "cca", counts)
+            again = _Plan(scaled, named, "cca").fit(counts)
             assert again[0].tobytes() == boot[0].tobytes()
             assert np.array_equal(again[1], boot[1])
 
@@ -458,9 +461,9 @@ def test_permuting_sites_with_their_counts_changes_nothing(method):
         y, blocks, counts = _count_case(rng, method)
         perm = rng.permutation(len(y))
         _assert_same_fits(
-            _block_fractions(y[perm], _named(*(b[perm] for b in blocks)),
-                             method, counts[:, perm]),
-            _block_fractions(y, _named(*blocks), method, counts))
+            _Plan(y[perm], _named(*(b[perm] for b in blocks)),
+                  method).fit(counts[:, perm]),
+            _Plan(y, _named(*blocks), method).fit(counts))
     for _ in range(5):
         y, env = _stack(rng, method, 20)
         perm = rng.permutation(y.shape[1])
@@ -475,10 +478,10 @@ def test_cca_shares_do_not_change_under_arbitrary_scales():
     scales = (3.7, 1e-5, 1e250)
     for _ in range(100):
         y, blocks, counts = _count_case(rng, "cca")
-        expected = _block_fractions(y, _named(*blocks), "cca", counts)
+        expected = _Plan(y, _named(*blocks), "cca").fit(counts)
         for scale in scales:
             _assert_same_fits(
-                _block_fractions(y * scale, _named(*blocks), "cca", counts),
+                _Plan(y * scale, _named(*blocks), "cca").fit(counts),
                 expected)
     for _ in range(5):
         y, env = _stack(rng, "cca", 20)
@@ -495,8 +498,8 @@ def test_rda_does_not_change_when_predictor_columns_are_shifted():
         y, blocks, counts = _count_case(rng, "rda")
         shifted = [b + rng.uniform(-50.0, 50.0, size=b.shape[1]) for b in blocks]
         _assert_same_fits(
-            _block_fractions(y, _named(*shifted), "rda", counts),
-            _block_fractions(y, _named(*blocks), "rda", counts))
+            _Plan(y, _named(*shifted), "rda").fit(counts),
+            _Plan(y, _named(*blocks), "rda").fit(counts))
     for _ in range(5):
         y, env = _stack(rng, "rda", 20)
         shifted = env + rng.uniform(-50.0, 50.0, size=(20, 1, 3))
@@ -521,8 +524,8 @@ def test_an_all_proportional_cca_resample_reads_exactly_zero():
         y = rng.uniform(0.1, 5.0, size=(n, int(rng.integers(2, 7))))
         y[1], y[2] = 3.1 * y[0], 0.7 * y[0]
         x, w = rng.normal(size=(n, 1)), rng.normal(size=(n, 2))
-        shares, reasons = _block_fractions(y, _named(x, w), "cca",
-                                           _three_site_counts(rng, n))
+        shares, reasons = _Plan(y, _named(x, w), "cca").fit(
+            _three_site_counts(rng, n))
         assert not reasons.any()
         assert np.all(shares == 0.0)
         # The unit fit of a table whose rows are all proportional.
@@ -546,7 +549,7 @@ def test_an_rda_response_constant_over_the_drawn_sites_reads_exactly_zero():
 
 def _assert_fits_the_resampled_tables(y, blocks, method, counts):
     """Each count row fits as the unit fit of the table it resamples."""
-    got = _block_fractions(y, _named(*blocks), method, counts)
+    got = _Plan(y, _named(*blocks), method).fit(counts)
     for i, c in enumerate(counts):
         drawn = np.repeat(np.arange(len(y)), c)
         _assert_same_fits(
@@ -575,7 +578,7 @@ def test_a_resample_overflows_exactly_where_its_own_fit_does(
     centring_error = ("^matrix contains non-finite entries or overflows "
                       "once centred$")
     with pytest.raises(ValidationError, match=centring_error):
-        _block_fractions(y, _named(*blocks), "rda", np.array([overflowing]))
+        _Plan(y, _named(*blocks), "rda").fit(np.array([overflowing]))
     if a > 7e153:
         with pytest.raises(ValidationError, match=centring_error):
             _block_fractions(y, _named(*blocks), "rda")
@@ -642,7 +645,7 @@ def test_cca_shares_hold_when_one_site_outweighs_the_rest(big):
         counts = np.bincount(rng.integers(0, n, n), minlength=n)
         counts[0] = max(counts[0], 1)
         drawn = np.repeat(np.arange(n), counts)
-        share, reasons = _block_fractions(y, [("x", x)], "cca", counts[None])
+        share, reasons = _Plan(y, [("x", x)], "cca").fit(counts[None])
         if not reasons.any() and np.ptp(x[drawn]) > 0:
             assert share[0, 0] == pytest.approx(
                 _exact_cca_share(y[drawn], x[drawn]), rel=1e-12)

@@ -10,7 +10,7 @@ import pytest
 from vpboot import analysis, ordination, resample, synth
 from vpboot import rng as rng_module
 from vpboot.errors import FEW_SPECIES, DegenerateDataError, ValidationError
-from vpboot.ordination import _PlannedStatistic, _replicate_values, _rollups
+from vpboot.ordination import _Plan, _planned, _replicate_values, _rollups
 from vpboot.resample import (BootstrapSummary, bootstrap_statistic,
                              relative_spread)
 from vpboot.rng import stream
@@ -125,7 +125,8 @@ def test_chunks_do_not_change_replicate_values(method, monkeypatch):
         counts, values, sizes = [], [], []
 
         def recording(c, *arrays):
-            out, degenerate = _rollups(c, *arrays, method=method)
+            out, degenerate = _planned(partial(_rollups, method=method))(
+                c, *arrays)
             counts.extend(c)
             values.extend(out)
             sizes.append(len(c))
@@ -181,10 +182,11 @@ def test_a_cca_chunk_never_holds_a_table_per_replicate():
     bootstrap_statistic(y, [x, w], recording, 50, seed=3)
     counts = chunks[0]
     assert len(counts) > 1
-    _rollups(counts, y, x, w, method="cca")  # first-call allocations
+    spec = partial(_rollups, method="cca")
+    _planned(spec)(counts, y, x, w)  # first-call allocations
     tracemalloc.start()
     try:
-        _rollups(counts, y, x, w, method="cca")
+        _planned(spec)(counts, y, x, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -220,8 +222,9 @@ def test_a_chunk_holds_what_the_chunk_rule_counts(method):
     k = resample._CHUNK_VALUES // values
     counts = np.stack([np.bincount(rng.integers(0, len(y), len(y)),
                                    minlength=len(y)) for _ in range(k)])
-    _PlannedStatistic(_rollups, method=method)(counts, y, x, w)  # warm up
-    statistic = _PlannedStatistic(_rollups, method=method)
+    spec = partial(_rollups, method=method)
+    _planned(spec)(counts, y, x, w)  # warm up
+    statistic = _planned(spec)
     peaks = []
     for _ in range(2):
         tracemalloc.start()
@@ -232,7 +235,7 @@ def test_a_chunk_holds_what_the_chunk_rule_counts(method):
             tracemalloc.stop()
     bound = values * k * 8
     assert peaks[1] <= bound
-    assert peaks[0] <= bound + _plan_bytes(statistic.plan)
+    assert peaks[0] <= bound + _plan_bytes(_Plan(*spec(y, x, w)[:3]))
 
 
 @pytest.mark.parametrize("method", ["cca", "rda"])
@@ -273,24 +276,6 @@ def test_a_bootstrap_plans_each_block_once(method, monkeypatch):
     assert report.uncertainty["residual"].redraw_count == 1
     assert calls == [8, 1, 8, 4]
     assert designs == [(n, 1), (n, 2), (n, 3)]
-
-
-def test_a_planned_statistic_plans_again_for_new_arrays():
-    # Arrays are told apart by identity, so an equal copy plans again and
-    # a changed table never meets a stale plan.
-    rng = np.random.default_rng(48)
-    tables = [tuple(rng.normal(size=(30, q)) for q in (2, 1, 2))
-              for _ in range(2)]
-    counts = np.stack([np.bincount(rng.integers(0, 30, 30), minlength=30)
-                       for _ in range(5)])
-    statistic = _PlannedStatistic(_rollups, method="rda")
-    for arrays in (tables[0], tables[1], tables[0],
-                   tuple(a.copy() for a in tables[1])):
-        got = statistic(counts, *arrays)
-        expected = _rollups(counts, *arrays, method="rda")
-        assert np.array_equal(got[0], expected[0])
-        assert np.array_equal(got[1], expected[1])
-        assert statistic.arrays == arrays
 
 
 def test_draws_follow_the_stream_across_seeding_blocks(monkeypatch):
@@ -532,8 +517,8 @@ def test_budget_abort_names_the_last_failure():
     x, w = rng.normal(size=(12, 1)), rng.normal(size=(12, 1))
     with pytest.raises(DegenerateDataError,
                        match="last failure: fewer than 2 live species$"):
-        bootstrap_statistic(y, [x, w], partial(_rollups, method="cca"), 20,
-                            seed=1)
+        bootstrap_statistic(y, [x, w], _planned(partial(_rollups, method="cca")),
+                            20, seed=1)
 
 
 def test_bootstrap_requires_two_replicates():
