@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -91,6 +92,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _strict(value):
+    """``value`` with every float that is not finite (a relative
+    uncertainty of a zero mean, say) as None, so it dumps as strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
+def _write_json(path: str, payload) -> None:
+    """``payload`` as strict JSON (``_strict``), indented, at ``path``."""
+    with open(path, "w") as fh:
+        json.dump(_strict(payload), fh, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
 def _require_file(path: str) -> None:
     if not os.path.isfile(path):
         raise ValidationError(f"no such file: {path}")
@@ -120,9 +140,7 @@ def _cmd_analyze(args) -> int:
         payload["provenance"] = dict(provenance_pairs(
             args.seed, [("bootstrap", args.bootstrap), ("method", args.method),
                         ("trend_surface", "on" if expand else "off")]))
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, payload)
     return EXIT_OK
 
 
@@ -141,15 +159,13 @@ def _cmd_reproduce(args) -> int:
     _write_csv(csv_path, prov, result.columns,
                ([row[c] for c in result.columns] for row in result.rows))
     checks_path = os.path.join(args.out, f"{args.figure}_checks.json")
-    with open(checks_path, "w") as fh:
-        json.dump({
-            "figure": args.figure,
-            "scale": args.scale,
-            "seed": args.seed,
-            "checks": result.checks,
-            "passed": result.passed,
-        }, fh, indent=2)
-        fh.write("\n")
+    _write_json(checks_path, {
+        "figure": args.figure,
+        "scale": args.scale,
+        "seed": args.seed,
+        "checks": result.checks,
+        "passed": result.passed,
+    })
     write_svg(os.path.join(args.out, f"{args.figure}.svg"), result.svg)
     print(f"wrote {csv_path}, {checks_path}, {args.figure}.svg")
     for check in result.checks:

@@ -169,19 +169,53 @@ _RANK_BAND = (1e-13, 1e-4)
 _GRAM_CONDITION = 1e3
 
 
-def _unit_basis(block):
-    """Kept left singular vectors ``(n, r)`` of a ``(1, n, q)`` design
-    centred with unit counts, or None when the Gram route may fit no row
-    of it: the centred design is not finite, or one of its singular values
-    lies in ``_RANK_BAND`` of the largest."""
-    a = _weighted_centre(block, np.ones(block.shape[:2]), None)[0]
-    if not np.isfinite(np.square(a).sum()):
-        return None
-    u, keep, s = _svd_basis(a)
+def _in_rank_band(s) -> bool:
+    """Whether a singular value of ``s`` (largest first) lies in
+    ``_RANK_BAND`` of the largest."""
     low, high = _RANK_BAND
-    if np.any((s > low * s[:1]) & (s < high * s[:1])):
-        return None
-    return u[:, keep]
+    return bool(np.any((s > low * s[:1]) & (s < high * s[:1])))
+
+
+def _shared_bases(designs):
+    """One union basis of a plan's designs and each design's place in it.
+
+    ``Q`` ``(n, r)`` is the kept left singular vectors of every design's
+    unit-centred columns side by side, or None when the Gram route may fit
+    no row of any block: the union is not finite, or one of its singular
+    values lies in ``_RANK_BAND`` of the largest. Per design, the entry is
+    None when that design takes the SVD route, else ``A^T`` ``(r_b, r)``
+    with ``Q_b = Q A``, the design's own kept left singular vectors: ``A``
+    comes from the small SVD of ``Q^T X`` for its unit-centred ``X``, whose
+    singular values give the design's own rank-band verdict. A design that
+    lies outside ``span Q`` by more than the band's lower edge of its own
+    largest singular value (one far smaller than the rest, which the
+    union's cutoff drops) takes the SVD route too. A design whose rank is
+    ``r``, such as the only design with columns, fits in ``Q`` itself: its
+    entry is the identity.
+    """
+    centred = [_weighted_centre(block, np.ones(block.shape[:2]), None)[0]
+               for block in designs]
+    union = np.hstack(centred)
+    if not np.isfinite(np.square(union).sum()):
+        return None, [None] * len(designs)
+    u, keep, s = _svd_basis(union)
+    if _in_rank_band(s):
+        return None, [None] * len(designs)
+    q = u[:, keep]
+    bases = []
+    for a in centred:
+        fold = np.eye(q.shape[1])
+        if a.shape[1] < union.shape[1]:  # else the union, with its verdict
+            inside = q.T @ a
+            v, own, sv = _svd_basis(inside)
+            outside = np.square(a - q @ inside).sum()
+            if _in_rank_band(sv) or outside > np.square(
+                    _RANK_BAND[0] * sv[:1]).sum():
+                fold = None
+            elif own.sum() < q.shape[1]:
+                fold = np.ascontiguousarray(v[:, own].T)
+        bases.append(fold)
+    return q, bases
 
 
 class _Plan:
@@ -192,12 +226,13 @@ class _Plan:
     species and scaled by a power of 4, ``_cca_scaled``); the response
     ``r`` (``_response``: the table, or its row profiles) and the site
     factors ``R`` that turn counts into site weights ``w = c R`` (ones, or
-    the row sums); ``d``, ``r`` centred with unit counts; and per block its
-    unit basis ``Q`` (``_unit_basis``). Its moment matrix ``(n, m)`` holds
-    per site ``R``, ``R d``, ``R d^2``, for ``cca`` the table ``y`` (the
-    species sums), and per block with a basis ``R Q``, ``R q_i q_j`` for ``i
-    <= j`` and ``R |x|^2``: ``m <= 1 + 3p + sum_b (r_b (r_b + 3) / 2 + 1)``
-    for ``p`` table columns, and no ``n x r x p`` product.
+    the row sums); ``d``, ``r`` centred with unit counts; the union basis
+    ``Q`` ``(n, r)`` of all blocks and per block its ``A^T``
+    (``_shared_bases``). Its moment matrix ``(n, m)`` holds per site ``R``,
+    ``R d``, ``R d^2``, for ``cca`` the table ``y`` (the species sums), and,
+    when there is a union basis, ``R Q``, ``R q_i q_j`` for ``i <= j`` and
+    per block ``R |x|^2``: ``m <= 1 + 3p + r (r + 3) / 2 + n_blocks`` for
+    ``p`` table columns, and no ``n x r x p`` product.
 
     ``fit(counts)`` then reads every count-weighted sum but the cross
     products from one per-row product with that matrix (``explained``).
@@ -225,20 +260,20 @@ class _Plan:
             columns = [factor, factor * d, factor * np.square(d)]
             if method == "cca":
                 columns.append(ym[0])
-            self.bases = []
-            for block in designs:
-                q = _unit_basis(block)
-                if q is None:
-                    self.bases.append(None)
-                    continue
+            q, self.bases = _shared_bases(designs)
+            self.union = None
+            if q is not None:
                 upper = np.triu_indices(q.shape[1])
                 start = sum(column.shape[1] for column in columns)
-                self.bases.append(
-                    (np.ascontiguousarray((factor * q).T), upper, start))
+                self.union = (np.ascontiguousarray((factor * q).T), upper,
+                              start)
                 columns += [factor * q,
-                            factor * (q[:, upper[0]] * q[:, upper[1]]),
-                            factor * np.square(block[0]).sum(
-                                axis=1, keepdims=True)]
+                            factor * (q[:, upper[0]] * q[:, upper[1]])]
+                at = start + q.shape[1] + len(upper[0])
+                self.bases = [None if fold is None else (fold, at + b)
+                              for b, fold in enumerate(self.bases)]
+                columns += [factor * np.square(block[0]).sum(
+                    axis=1, keepdims=True) for block in designs]
         self.r, self.d, self.factor, self.designs = r, d, factor[:, 0], designs
         self.moments = np.hstack(columns)
 
@@ -263,16 +298,17 @@ class _Plan:
         (``_response``).
 
         Each (row, block) pair takes one of two routes, each with one
-        response. The Gram route (``_gram_fit``) fits ``d``; the row's
-        total is ``sum_j g_j (sum_i w_i d_ij^2 - W delta_j^2)`` for the
-        weight total ``W`` and weighted column means ``delta``. The SVD
-        route (``_svd_route``) takes every row a Gram gate rejects, and
-        every row whose ``d`` total cancels below half of ``sum g w d^2``
-        or whose sums are not finite. Those last rows take their total from
-        their own centring, as a table fitted on its own would: the
-        roundoff of a unit mean far from the replicate's (an outlier site
-        it did not draw) does not reach it. Every product is taken one
-        replicate at a time, so a replicate keeps its bits in any chunk.
+        response. The Gram route (``_gram_fit``) fits ``d`` from the
+        chunk's one union system (``_union_system``); the row's total is
+        ``sum_j g_j (sum_i w_i d_ij^2 - W delta_j^2)`` for the weight total
+        ``W`` and weighted column means ``delta``. The SVD route
+        (``_svd_route``) takes every row a Gram gate rejects, and every row
+        whose ``d`` total cancels below half of ``sum g w d^2`` or whose
+        sums are not finite. Those last rows take their total from their
+        own centring, as a table fitted on its own would: the roundoff of a
+        unit mean far from the replicate's (an outlier site it did not
+        draw) does not reach it. Every product is taken one replicate at a
+        time, so a replicate keeps its bits in any chunk.
         """
         sums = _weighted_sums(c, self.moments)
         p = self.d.shape[1]
@@ -290,9 +326,11 @@ class _Plan:
         total = ((squares - weight[:, np.newaxis] * np.square(mean))
                  * g).sum(axis=1)
         own = ~np.isfinite(raw + weight) | (total < 0.5 * raw)
+        gram, cross = _union_system(self.union, sums, c, self.d, weight, mean)
         fitted, rank, ok = (np.stack(v, axis=1) for v in zip(*(
-            _gram_fit(basis, sums, c, self.d, g, weight, mean)
+            _gram_fit(basis, gram, cross, sums, g, weight, len(self.d))
             for basis in self.bases)))
+        del gram, cross
         svd = own[:, np.newaxis] | ~ok
         w = c * self.factor if self.method == "cca" else c  # after the peak
         rows = np.flatnonzero(svd.any(axis=1))
@@ -306,50 +344,24 @@ class _Plan:
         return total, fitted, rank, w, h
 
 
-def _gram_fit(basis, sums, c, d, g, weight, mean):
-    """Fitted sums of squares and ranks ``(k,)`` of one block under the
-    ``(k, n)`` counts ``c`` from Gram systems, and the mask ``(k,)`` of the
-    rows it fitted: ``_Plan.explained`` leaves the rest to the SVD route.
+def _union_system(union, sums, c, d, weight, mean):
+    """The centred Gram matrices ``G`` ``(k, r, r)`` and cross products
+    ``B`` ``(k, r, p)`` of the union basis ``Q`` under the ``(k, n)``
+    counts ``c``, or ``(None, None)`` without a union (``_Plan.union``).
 
-    ``basis`` is the block's entry of ``_Plan.bases`` and ``sums`` the
-    rows' products with the plan's moment matrix. Reweighting only drops or
-    repeats sites, so every row's weighted-centred design lies in the span
-    of the ``r`` columns of the unit basis ``Q``, and has rank at most
-    ``r``. With ``s = Q^T w``, a row's Gram matrix is ``G = Q^T diag(w) Q -
-    s s^T / W`` and its cross products with the response are ``B = Q^T
-    diag(w) d - s delta^T``; it fits ``sum_j g_j b_j^T G^{-1} b_j`` with
-    rank ``r``. ``s``, ``G`` and the sizes below come from ``sums``; ``B``
-    takes one per-row product per basis column. A row with ``r >= 2`` that
-    a Cholesky factor of ``G`` certifies (``_cholesky_fit``) is fitted
-    from that factor; every other row from the eigenvalues ``lambda`` and
-    vectors of ``G``, whose gates the certificate implies. Forming ``G``
-    squares the condition number, so the SVD stays the rank authority and
-    takes:
-
-    - every row, when the block has no unit basis (None: a design that is
-      not finite, or in the rank band);
-    - a row whose ``lambda`` spread exceeds ``_GRAM_CONDITION``, or whose
-      smallest ``lambda`` is below ``W / n`` over it (a column constant over
-      the drawn sites; for ``r = 1`` the spread is always 1);
-    - a row whose ``sum w |x|^2`` over the design's rows is not finite,
-      which bounds every sum the SVD route forms (it raises on overflow).
-
-    A row whose rank is provably ``r`` keeps it: the band keeps the unit
-    singular values ``1e4`` above ``SV_RCOND`` and the spread costs at most
-    a factor ``sqrt(_GRAM_CONDITION)``.
+    With ``s = Q^T w`` (``w`` the site weights), ``G = Q^T diag(w) Q - s
+    s^T / W`` and ``B = Q^T diag(w) d - s delta^T``. ``s`` and ``G`` come
+    from the rows' products ``sums`` with the plan's moment matrix; ``B``
+    takes one per-row product per union column, the chunk's only products
+    with ``d``, which every block's fit (``_gram_fit``) shares.
     """
-    k, n = c.shape
-    fitted, rank = np.zeros(k), np.zeros(k, dtype=np.intp)
-    if basis is None:
-        return fitted, rank, np.zeros(k, dtype=bool)
-    weighted, (i, j), start = basis
-    r, pairs = len(weighted), len(i)
-    if not r:  # a design constant over the sites fits nothing
-        return fitted, rank, np.ones(k, dtype=bool)
+    if union is None:
+        return None, None
+    weighted, (i, j), start = union
+    k, r = len(c), len(weighted)
     s1 = sums[:, start:start + r]
     gram = np.empty((k, r, r))
-    gram[:, i, j] = gram[:, j, i] = sums[:, start + r:start + r + pairs]
-    sizes = sums[:, start + r + pairs]
+    gram[:, i, j] = gram[:, j, i] = sums[:, start + r:start + r + len(i)]
     cross = np.empty((k, r, d.shape[-1]))
     scaled = np.empty_like(c)  # a row holds one weighted column at a time
     for at, column in enumerate(weighted):
@@ -359,19 +371,69 @@ def _gram_fit(basis, sums, c, d, g, weight, mean):
         cross[:, at] -= s1[:, at, np.newaxis] * mean
     scale = np.where(weight > 0.0, weight, 1.0)[:, np.newaxis]
     gram -= s1[:, :, np.newaxis] * (s1 / scale)[:, np.newaxis]
-    usable = (weight > 0.0) & np.isfinite(sizes)
+    return gram, cross
+
+
+def _gram_fit(basis, gram, cross, sums, g, weight, n: int):
+    """Fitted sums of squares and ranks ``(k,)`` of one block from the
+    chunk's union system ``gram``, ``cross`` (``_union_system``), and the
+    mask ``(k,)`` of the rows it fitted: ``_Plan.explained`` leaves the
+    rest to the SVD route.
+
+    ``basis`` is the block's entry of ``_Plan.bases``: None, or its ``A^T``
+    (square only for ``A = I``) and the column of ``sums`` that holds its
+    sizes. Reweighting only drops or repeats sites, so every row's
+    weighted-centred design lies in the span of the ``r_b`` columns of its
+    unit basis ``Q A``, and has rank at most ``r_b``. The block's Gram
+    matrix is ``G_b = A^T G A`` and its cross products ``A^T B``; it fits
+    ``sum_j g_j b_j^T G_b^{-1} b_j`` with rank ``r_b``, and ``A^T`` enters
+    the small left factor, so no ``(k, r_b, p)`` cross products are built.
+    A row with ``r_b >= 2`` that a Cholesky factor of ``G_b`` certifies
+    (``_cholesky_fit``) is fitted from that factor; every other row from
+    the eigenvalues ``lambda`` and vectors of ``G_b``, whose gates the
+    certificate implies. Forming ``G`` squares the condition number, so the
+    SVD stays the rank authority and takes:
+
+    - every row, when the block has no basis (None: a union or design that
+      is not finite or in the rank band, or a design outside ``span Q``);
+    - a row whose ``lambda`` spread exceeds ``_GRAM_CONDITION``, or whose
+      smallest ``lambda`` is below ``W / n`` over it (a column constant over
+      the drawn sites; for ``r_b = 1`` the spread is always 1);
+    - a row whose ``sum w |x|^2`` over the design's rows is not finite,
+      which bounds every sum the SVD route forms (it raises on overflow).
+
+    A row whose rank is provably ``r_b`` keeps it: the band keeps the unit
+    singular values ``1e4`` above ``SV_RCOND`` and the spread costs at most
+    a factor ``sqrt(_GRAM_CONDITION)``.
+    """
+    k = len(weight)
+    fitted, rank = np.zeros(k), np.zeros(k, dtype=np.intp)
+    if basis is None:
+        return fitted, rank, np.zeros(k, dtype=bool)
+    left, at = basis
+    r = len(left)
+    if not r:  # a design constant over the sites fits nothing
+        return fitted, rank, np.ones(k, dtype=bool)
+    if r < left.shape[1]:
+        gram = np.matmul(np.matmul(left, gram), left.T)
+    else:
+        left = None
+    usable = (weight > 0.0) & np.isfinite(sums[:, at])
     ok = np.zeros(k, dtype=bool)
     if r > 1:
-        ok, fits = _cholesky_fit(gram, cross, g, weight, n, usable)
+        ok, fits = _cholesky_fit(gram, left, cross, g, weight, n, usable)
         fitted[ok] = fits[ok]
     rows = np.flatnonzero(~ok)
     if rows.size:
-        gram, cross = _take(gram, rows), _take(cross, rows)
+        gram = _take(gram, rows)
         if r == 1:  # LAPACK's eigh of a 1 x 1 matrix: its entry, and 1
-            lam, z = gram[:, 0], cross
+            lam, vec = gram[:, 0], np.ones((1, 1, 1))
         else:
             lam, vec = np.linalg.eigh(gram)
-            z = np.matmul(np.swapaxes(vec, 1, 2), cross)  # B in the eigenbasis
+            vec = np.swapaxes(vec, 1, 2)
+        if left is not None:
+            vec = np.matmul(vec, left)
+        z = np.matmul(vec, _take(cross, rows))  # B in the eigenbasis
         passed = ((lam[:, -1] <= _GRAM_CONDITION * lam[:, 0])
                   & (lam[:, 0] * (_GRAM_CONDITION * n) >= weight[rows])
                   & usable[rows])
@@ -389,17 +451,18 @@ def _spread(g, z):
     return _weighted_sums(g, np.swapaxes(z, 1, 2))
 
 
-def _cholesky_fit(gram, cross, g, weight, n: int, usable):
-    """The rows of ``_gram_fit`` that a Cholesky factor ``G = L L^T``
-    certifies, and every row's fit ``sum_j g_j |L^{-1} b_j|^2 = sum_j g_j
-    b_j^T G^{-1} b_j``: ``(certified (k,), fits (k,))``.
+def _cholesky_fit(gram, fold, cross, g, weight, n: int, usable):
+    """The rows of ``_gram_fit`` that a Cholesky factor ``G_b = L L^T``
+    certifies, and every row's fit ``sum_j g_j |L^{-1} A^T b_j|^2 = sum_j
+    g_j b_j^T A G_b^{-1} A^T b_j``: ``(certified (k,), fits (k,))``, with
+    ``fold`` ``A^T`` or None for ``A = I``.
 
-    ``|L^{-1}|_F^2 = tr G^{-1}`` bounds ``1 / lambda_min`` and ``tr G``
-    bounds ``lambda_max``, so a row with ``tr G tr G^{-1}`` at most half of
-    ``_GRAM_CONDITION`` and ``2 W tr G^{-1}`` at most ``_GRAM_CONDITION n``
-    passes both eigenvalue gates with a factor 2 to spare for roundoff,
-    without an eigenvalue. A chunk with a row that is not positive definite
-    (``LinAlgError``) certifies none.
+    ``|L^{-1}|_F^2 = tr G_b^{-1}`` bounds ``1 / lambda_min`` and ``tr G_b``
+    bounds ``lambda_max``, so a row with ``tr G_b tr G_b^{-1}`` at most half
+    of ``_GRAM_CONDITION`` and ``2 W tr G_b^{-1}`` at most
+    ``_GRAM_CONDITION n`` passes both eigenvalue gates with a factor 2 to
+    spare for roundoff, without an eigenvalue. A chunk with a row that is
+    not positive definite (``LinAlgError``) certifies none.
     """
     try:
         inverse = _lower_inverse(np.linalg.cholesky(gram))
@@ -409,6 +472,8 @@ def _cholesky_fit(gram, cross, g, weight, n: int, usable):
     certified = ((np.trace(gram, axis1=1, axis2=2) * bound
                   <= _GRAM_CONDITION / 2)
                  & (2.0 * weight * bound <= _GRAM_CONDITION * n) & usable)
+    if fold is not None:
+        inverse = np.matmul(inverse, fold)  # L^{-1} A^T: no (k, r_b, p) A^T B
     return certified, _spread(g, np.matmul(inverse, cross)).sum(axis=1)
 
 
@@ -427,30 +492,37 @@ def _lower_inverse(low):
 def _replicate_values(n_sites: int, n_species: int, n_block_columns: int) -> int:
     """Float64 values the fit kernel holds per count row of a bootstrap.
 
-    The table, its response and each block's unit basis enter once per
-    bootstrap (``_Plan``), not once per chunk. Per replicate the Gram route
-    holds the count row, its float copy and one weighted basis column
-    (``3n`` for ``n`` sites); its moment row (at most ``3p + q (q + 3) +
-    4`` for ``p`` table columns and ``q`` block columns, the joint block
-    having ``q``); the means, root species weights and their squares
-    (``3p``); and the joint block's cross products with the response and
-    its Gram matrix (``q (p + q)``), and the larger peak of the two fits
-    of ``_gram_fit`` (``q`` more, and ``q (p + q)`` or ``2q^2``): the
-    ``eigh`` route's eigenvalues, eigenvectors and the cross products'
-    image in the eigenbasis; the Cholesky route's factor, its inverse and
-    one row of forward substitution, then the inverse, the image under it
-    and the spreads. The two never coexist: the rows the Cholesky route
-    leaves to ``eigh`` start after it returns. The CCA site weights
-    (``n``) are formed after the Gram fits, when those are gone. A row
-    that takes the SVD route (``_svd_route``) holds its own ``n x p``
-    deviations, its weighted design and its singular vectors, up to ``(p +
-    3q) x n`` more; no analyze-benchmark row leaves the Gram route, so the
-    chunk rule counts only that route.
+    The table, its response and the union basis enter once per bootstrap
+    (``_Plan``), not once per chunk. Per replicate the Gram route holds the
+    count row, its float copy and one weighted basis column (``3n`` for
+    ``n`` sites); its moment row (at most ``3p + q (q + 3) / 2 + 4`` for
+    ``p`` table columns and ``q`` block columns, the joint block having
+    ``q`` and the union rank ``r <= q``); the means, root species weights
+    and their squares (``3p``); the union's cross products with the
+    response and its Gram matrix (``q (p + q)``), which stay held across
+    the blocks' fits; and the larger peak of one block's fit. A block of
+    rank ``b`` fits from ``G_b`` on one of two routes, which never
+    coexist: the rows the Cholesky route leaves to ``eigh`` start after it
+    returns. The ``eigh`` route holds the eigenvalues, the eigenvectors
+    with ``A^T`` folded in and the cross products' image (at most ``b (q +
+    p + 1)``); the Cholesky route the factor, its inverse and one row of
+    forward substitution (``2b^2 + b``), then the inverse with ``A^T``
+    folded in, the image under it and the spreads (``b (q + p + 1)``).
+    For ``A = I`` (``b = r``) ``G_b`` is the union's and the fold is the
+    inverse itself, so the peak is ``max(q (p + q), 2q^2) + q``; any other
+    block has ``b <= q - 1`` and holds its own ``G_b`` (``b^2``) as well.
+    The CCA site weights (``n``) are formed after the Gram fits, when
+    those are gone. A row that takes the SVD route (``_svd_route``) holds
+    its own ``n x p`` deviations, its weighted design and its singular
+    vectors, up to ``(p + 3q) x n`` more; no analyze-benchmark row leaves
+    the Gram route, so the chunk rule counts only that route.
     """
     p, q = n_species, n_block_columns
-    moments = 3 * p + q * (q + 3) + 4
-    gram = q * (p + q) + max(q * (p + q), 2 * q * q) + q
-    return 3 * n_sites + moments + 3 * p + gram
+    moments = 3 * p + q * (q + 3) // 2 + 4
+    b = max(q - 1, 0)
+    fit = max(max(q * (p + q), 2 * q * q) + q,
+              b * b + max(2 * b * b + b, b * (q + p + 1)))
+    return 3 * n_sites + moments + 3 * p + q * (p + q) + fit
 
 
 def _aligned(y, x):

@@ -18,10 +18,11 @@ FAILURE_BUDGET = 0.05
 
 #: Float64 values (512 KB) a chunk's per-replicate arrays may hold, as the
 #: fit kernel counts them per replicate (``ordination._replicate_values``).
-#: At 100 sites that is 190 replicates for a 2-species RDA and 61 for a
-#: 35-species CCA with 6 block columns; one ``analyze`` call's traced peak
-#: is then 0.87 and 1.12 MiB. Twice the budget ran the kernel about 10%
-#: faster but kept 0.4-0.6 MB more resident in an analyze process.
+#: At 100 sites that is 193 replicates for a 2-species RDA and 63 for a
+#: 35-species CCA with 6 block columns; one in-process ``analyze`` call's
+#: traced peak on the benchmark inputs is then 0.99 and 1.16 MiB. Twice the
+#: budget ran the kernel about 10% faster but kept 0.4-0.6 MB more
+#: resident in an analyze process.
 _CHUNK_VALUES = 2 ** 16
 
 

@@ -123,6 +123,43 @@ def test_analyze_empty_spatial_block_gets_zero_share(tmp_path, capsys):
     assert payload["partition"]["frac_pure_x"] == payload["partition"]["r2_xw"]
 
 
+def _strict_json(text: str):
+    """``text`` parsed as strict JSON: NaN and Infinity raise."""
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_report_of_a_zero_mean_fraction_is_strict_json(tmp_path, capsys):
+    # An env file with no predictor columns gives env_pure exactly 0 in
+    # every replicate: its relative uncertainty, 0 / 0, is written null.
+    paths, _, _ = _write_inputs(tmp_path, n_sites=15, seed=13)
+    empty = tmp_path / "nocol.csv"
+    empty.write_text("site\n" + "".join(f"site{i + 1}\n" for i in range(15)))
+    out = tmp_path / "o.json"
+    assert main(["analyze", str(paths["community"]), str(empty),
+                 str(paths["env"]), "--method", "rda", "--bootstrap", "20",
+                 "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    env_pure = _strict_json(out.read_text())["uncertainty"]["env_pure"]
+    assert env_pure["mean"] == env_pure["sd"] == 0.0
+    assert env_pure["relative_uncertainty"] is None
+
+
+def test_reproduce_checks_are_strict_json(tmp_path, capsys, monkeypatch):
+    checks = [{"name": "spread", "passed": True, "ratio": math.inf,
+               "values": (1.0, math.nan)}]
+    result = FigureResult("fig2", ("figure",), [{"figure": "fig2"}], checks,
+                          "<svg/>\n")
+    monkeypatch.setattr(cli, "build_figure", lambda *_args, **_kw: result)
+    assert main(["reproduce", "fig2", "--seed", "1",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    written = _strict_json((tmp_path / "fig2_checks.json").read_text())
+    assert written["checks"] == [{"name": "spread", "passed": True,
+                                  "ratio": None, "values": [1.0, None]}]
+
+
 def test_analyze_expands_coordinate_spatial_blocks(tmp_path, capsys):
     table, env = generate_dataset(ScenarioConfig(seed=19, n_sites=25))
     community = tmp_path / "community.csv"

@@ -1,8 +1,9 @@
 """Count-weighted fits: the Gram route and the gates that send rows back to
 their own SVD.
 
-A count-weighted fit (``_Plan.fit``) fits a row from its Gram system in
-one basis of the unit design (``ordination._gram_fit``) unless a gate
+A count-weighted fit (``_Plan.fit``) fits a row from the Gram system of
+one union basis of the unit designs, shared by every block
+(``ordination._union_system``, ``ordination._gram_fit``), unless a gate
 sends it to its own weighted SVD. Each test drives rows into one gate
 and checks that every row still fits as the unit fit of the table it
 resamples: fractions to 1e-12, the same reason code and the same ranks.
@@ -11,22 +12,27 @@ resamples: fractions to 1e-12, the same reason code and the same ranks.
 import numpy as np
 import pytest
 
+import golden_outputs
 from vpboot import ordination, resample
+from vpboot.analysis import run_analysis
 from vpboot.errors import ValidationError
 from vpboot.ordination import _block_fractions, _Plan, _planned
 from vpboot.resample import bootstrap_statistic
+from vpboot.tables import PredictorBlock
 
 
 def _named(x, w):
     return [("x", x), ("w", w), ("xw", x, w)]
 
 
-def _fit(y, blocks, method, counts=None):
+def _fit(y, blocks, method, counts=None, named=_named):
     """Fractions, reasons and block ranks of one unit fit (``counts``
     None, ``_block_fractions``) or count fit (``_Plan(...).fit``), and the
     shape of each array it passed to ``_svd_basis``, in call order: the
-    count fit's plan takes one ``(n, q)`` SVD per block, then the SVD route
-    one ``(rows, n, q)`` stack per block that has rows left to it. Ranks
+    count fit's plan takes one ``(n, sum q)`` SVD of every block's columns
+    side by side, the union, and one ``(r, q)`` SVD per block of its
+    columns in the union's rank-``r`` basis, then the SVD route one
+    ``(rows, n, q)`` stack per block that has rows left to it. Ranks
     come from ``_explained`` (unit fits) or ``_Plan.explained`` (count
     fits)."""
     ranks, shapes = [], []
@@ -49,7 +55,7 @@ def _fit(y, blocks, method, counts=None):
         patch.setattr(ordination._Plan, "explained",
                       recording(ordination._Plan.explained))
         patch.setattr(ordination, "_svd_basis", recording_svd_basis)
-        named = _named(*blocks)
+        named = named(*blocks)
         fractions, reasons = (
             _block_fractions(y, named, method) if counts is None
             else _Plan(y, named, method).fit(counts))
@@ -89,7 +95,7 @@ def test_a_healthy_table_fits_every_row_on_the_gram_route(method):
     blocks = [rng.normal(size=(n, 1)), rng.normal(size=(n, 5))]
     shapes = _assert_rows_fit_as_their_tables(y, blocks, method,
                                               _counts(rng, n))
-    assert shapes == [(n, 1), (n, 5), (n, 6)]
+    assert shapes == [(n, 12), (6, 1), (6, 5), (6, 6)]
 
 
 @pytest.mark.parametrize("method", ["cca", "rda"])
@@ -103,7 +109,7 @@ def test_a_duplicated_design_column_keeps_the_gram_route(method):
     blocks = [np.hstack([x, x]), rng.normal(size=(n, 2))]
     shapes = _assert_rows_fit_as_their_tables(y, blocks, method,
                                               _counts(rng, n))
-    assert shapes == [(n, 2), (n, 2), (n, 4)]
+    assert shapes == [(n, 8), (3, 2), (3, 2), (3, 4)]
 
 
 def test_a_binary_column_constant_over_the_drawn_sites_has_rank_zero():
@@ -139,9 +145,9 @@ def test_a_cca_site_that_outweighs_the_rest_fits_as_its_table():
 def test_a_design_in_the_rank_band_takes_the_svd_route(method, gap):
     # The unit singular values of two near-copies of a column are about
     # 0.4 gap apart, so at 2.6e-10 some resamples keep the second
-    # direction and some drop it. The rank band sends every row of the two
-    # blocks that hold them to its own SVD, which decides as the resampled
-    # table does; the other block keeps the Gram route.
+    # direction and some drop it. They put the union of the blocks in the
+    # rank band, which sends every row of every block to its own SVD, which
+    # decides as the resampled table does.
     # Neither that SVD nor the table's own fixes the span of a design of
     # condition number k closer than about k times the float precision.
     rng = np.random.default_rng(124)
@@ -156,7 +162,25 @@ def test_a_design_in_the_rank_band_takes_the_svd_route(method, gap):
         y, [x, rng.normal(size=(n, 1))], method, counts,
         tol=1e-15 * s[0] / s[1])
     k = len(counts)
-    assert shapes == [(n, 2), (n, 1), (n, 3), (k, n, 2), (k, n, 3)]
+    assert shapes == [(n, 6), (k, n, 2), (k, n, 1), (k, n, 3)]
+
+
+@pytest.mark.parametrize("method", ["cca", "rda"])
+def test_a_block_in_the_rank_band_alone_takes_the_svd_route(method):
+    # The second block holds the direction that the first block's two
+    # near-copies differ by, so the union has two clear directions: only
+    # the first block's own singular values, from its SVD in the union
+    # basis, lie in the band, and only its rows leave the Gram route.
+    rng = np.random.default_rng(134)
+    n = 40
+    y = rng.uniform(0.5, 4.0, size=(n, 3))
+    a, b = rng.normal(size=(2, n))
+    x = np.column_stack([a, a + 1e-6 * b])
+    counts = _counts(rng, n)
+    s = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
+    shapes = _assert_rows_fit_as_their_tables(
+        y, [x, b[:, np.newaxis]], method, counts, tol=1e-15 * s[0] / s[1])
+    assert shapes == [(n, 6), (2, 2), (2, 1), (2, 3), (len(counts), n, 2)]
 
 
 def test_a_design_that_overflows_only_under_counts_still_raises():
@@ -194,9 +218,9 @@ def test_a_response_constant_over_the_drawn_sites_fits_as_its_table(spread):
 
 def test_a_design_that_overflows_once_unit_centred_raises_from_the_svd_route(
         monkeypatch):
-    # A 1e200 entry squares past the float range in the unit-centred design,
-    # so ``_gram_fit`` leaves every row of the two blocks that hold it to
-    # the SVD route, which raises as the unit fit does.
+    # A 1e200 entry squares past the float range in the unit-centred design
+    # and so in the union of the blocks: ``_gram_fit`` leaves every row of
+    # every block to the SVD route, which raises as the unit fit does.
     rng = np.random.default_rng(127)
     n = 30
     y = rng.normal(size=(n, 2))
@@ -218,10 +242,11 @@ def test_a_design_that_overflows_once_unit_centred_raises_from_the_svd_route(
     with pytest.raises(ValidationError, match=overflow):
         _Plan(y, _named(*blocks), "rda").fit(counts)
     every = list(range(len(counts)))
-    assert left == [every, [], every]
+    assert left == [every, every, every]
 
 
-def _bootstrapped_fits(y, blocks, method, m_replicates, monkeypatch):
+def _bootstrapped_fits(y, blocks, method, m_replicates, monkeypatch,
+                       named=_named):
     """Count rows, fractions, reasons and ranks of every evaluation of a
     ``bootstrap_statistic`` run over chunks of 8 replicates, with the
     plan one bootstrap keeps (``_planned``), and how many rows the SVD
@@ -242,8 +267,7 @@ def _bootstrapped_fits(y, blocks, method, m_replicates, monkeypatch):
         routed.append(len(w))
         return svd_route(r, w, *args)
 
-    planned = _planned(lambda y, x, w: (y, _named(x, w), method,
-                                        lambda f: f))
+    planned = _planned(lambda y, *b: (y, named(*b), method, lambda f: f))
 
     def fractions(counts, *arrays):
         out = planned(counts, *arrays)
@@ -257,21 +281,22 @@ def _bootstrapped_fits(y, blocks, method, m_replicates, monkeypatch):
 
 
 def _assert_replicates_fit_as_their_tables(y, blocks, method, monkeypatch,
-                                           m_replicates=20):
+                                           m_replicates=20, named=_named):
     """Every replicate of a chunked bootstrap fits as the unit fit of its
-    resampled table. Returns the replicates' count rows and ranks, and the
-    SVD route's row count."""
+    resampled table. Returns the replicates' count rows, fractions and
+    ranks, and the SVD route's row count."""
     rows, ranks, routed = _bootstrapped_fits(y, blocks, method, m_replicates,
-                                             monkeypatch)
+                                             monkeypatch, named)
     assert len(rows) >= m_replicates > 8
     for (c, fractions, reason), rank in zip(rows, ranks):
         drawn = np.repeat(np.arange(len(y)), c)
         unit, unit_reasons, unit_ranks, _ = _fit(
-            y[drawn], [b[drawn] for b in blocks], method)
+            y[drawn], [b[drawn] for b in blocks], method, named=named)
         assert reason == unit_reasons[0] == 0
         assert np.array_equal(rank, unit_ranks[0])
         assert np.max(np.abs(fractions - unit[0])) <= 1e-12
-    return np.array([c for c, *_ in rows]), np.array(ranks), routed
+    return (np.array([c for c, *_ in rows]), np.array([f for _, f, _ in rows]),
+            np.array(ranks), routed)
 
 
 def test_chunked_bootstraps_fit_a_column_constant_over_the_drawn_sites(
@@ -282,7 +307,7 @@ def test_chunked_bootstraps_fit_a_column_constant_over_the_drawn_sites(
     n = 30
     y = rng.normal(size=(n, 2))
     x = (np.arange(n) == 0).astype(float)[:, np.newaxis]
-    _, ranks, routed = _assert_replicates_fit_as_their_tables(
+    _, _, ranks, routed = _assert_replicates_fit_as_their_tables(
         y, [x, rng.normal(size=(n, 2))], "rda", monkeypatch)
     assert 0 < np.count_nonzero(ranks[:, 0] == 0) < len(ranks)
     assert routed
@@ -295,7 +320,7 @@ def test_chunked_bootstraps_fit_a_cancelling_total(monkeypatch):
     n = 30
     y = rng.normal(size=(n, 2))
     y[0] += 1e3
-    counts, _, routed = _assert_replicates_fit_as_their_tables(
+    counts, _, _, routed = _assert_replicates_fit_as_their_tables(
         y, [rng.normal(size=(n, 1)), rng.normal(size=(n, 2))], "rda",
         monkeypatch)
     assert routed == np.count_nonzero(counts[:, 0] == 0) > 0
@@ -308,10 +333,85 @@ def test_chunked_bootstraps_fit_a_cca_site_that_outweighs_the_rest(
     n = 30
     y = rng.uniform(0.5, 4.0, size=(n, 4))
     y[0] = 1e8 * (y[1:] / y[1:].sum(axis=1, keepdims=True)).mean(axis=0)
-    _, _, routed = _assert_replicates_fit_as_their_tables(
+    _, _, _, routed = _assert_replicates_fit_as_their_tables(
         y, [rng.normal(size=(n, 1)), rng.normal(size=(n, 2))], "cca",
         monkeypatch)
     assert routed
+
+
+# The union basis: one Gram system per chunk, shared by every block.
+
+def _three(a, b, c):
+    return [("a", a), ("b", b), ("c", c)]
+
+
+@pytest.mark.parametrize("method", ["cca", "rda"])
+def test_blocks_with_disjoint_spans_fit_in_one_union_basis(method,
+                                                           monkeypatch):
+    # Three blocks and no joint one: the union's rank is the sum of theirs,
+    # so each block fits in its own part of the union basis.
+    rng = np.random.default_rng(135)
+    n = 40
+    y = rng.uniform(0.5, 4.0, size=(n, 4))
+    blocks = [rng.normal(size=(n, 1)), rng.normal(size=(n, 2)),
+              rng.normal(size=(n, 3))]
+    plan = _Plan(y, _three(*blocks), method)
+    assert len(plan.union[0]) == 1 + 2 + 3
+    assert [b[0].shape for b in plan.bases] == [(1, 6), (2, 6), (3, 6)]
+    _, _, _, routed = _assert_replicates_fit_as_their_tables(
+        y, blocks, method, monkeypatch, named=_three)
+    assert routed == 0
+
+
+@pytest.mark.parametrize("method", ["cca", "rda"])
+def test_identical_blocks_leave_no_pure_fraction_in_any_replicate(
+        method, monkeypatch):
+    # Both blocks and their joint fit in the whole union basis, so their
+    # fits are one fit and the pure fractions cancel exactly.
+    rng = np.random.default_rng(136)
+    n = 40
+    y = rng.uniform(0.5, 4.0, size=(n, 3))
+    x = rng.normal(size=(n, 2))
+    plan = _Plan(y, _named(x, x), method)
+    assert all(np.array_equal(b[0], np.eye(2)) for b in plan.bases)
+    _, fractions, _, routed = _assert_replicates_fit_as_their_tables(
+        y, [x, x], method, monkeypatch)
+    assert routed == 0
+    assert np.all(fractions[:, 2] - fractions[:, 1] == 0.0)
+    assert np.all(fractions[:, 2] - fractions[:, 0] == 0.0)
+
+
+def test_analyze_inputs_with_identical_blocks_have_zero_pure_spreads():
+    # The golden RDA table with its env block passed twice. Fitted in a
+    # basis of its own per block, env_pure read a mean of 2.6e-17 and an sd
+    # of 1.0e-16 here, and a relative uncertainty of 3.9.
+    table, env, _ = golden_outputs._inputs("rda")
+    report = run_analysis(table, PredictorBlock("env", table.site_ids, env),
+                          PredictorBlock("spatial", table.site_ids, env),
+                          seed=1, method="rda", m_replicates=200)
+    summary = report.uncertainty["env_pure"]
+    assert (summary.mean, summary.sd, summary.ci95_low,
+            summary.ci95_high) == (0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("method", ["cca", "rda"])
+def test_a_block_outside_the_union_span_takes_the_svd_route(method,
+                                                            monkeypatch):
+    # A block 1e-15 times the scale of the other falls below the union's
+    # cutoff: it lies outside span Q and takes the SVD route, where its
+    # own fit is scale-free; the other block and the joint one, whose own
+    # cutoff drops it too, keep the Gram route.
+    rng = np.random.default_rng(137)
+    n = 40
+    y = rng.uniform(0.5, 4.0, size=(n, 3))
+    blocks = [1e-15 * rng.normal(size=(n, 1)), rng.normal(size=(n, 2))]
+    plan = _Plan(y, _named(*blocks), method)
+    assert plan.bases[0] is None and plan.bases[1] is not None
+    assert plan.bases[2] is not None
+    counts, _, ranks, routed = _assert_replicates_fit_as_their_tables(
+        y, blocks, method, monkeypatch)
+    assert routed == len(counts)
+    assert np.all(ranks == [1, 2, 2])
 
 
 # Gate equivalence: the Cholesky certificate (``ordination._cholesky_fit``)
@@ -321,7 +421,7 @@ _CONDITION = ordination._GRAM_CONDITION
 
 
 def _spectral_inputs(spectra, extra, rng, p=3):
-    """``_gram_fit`` arguments whose row ``i`` has the Gram matrix ``V
+    """``_block_fit`` arguments whose row ``i`` has the Gram matrix ``V
     diag(spectra[i]) V^T`` for one random rotation ``V`` and weight total
     ``spectra[i].sum() + extra[i]``.
 
@@ -349,8 +449,17 @@ def _spectral_inputs(spectra, extra, rng, p=3):
                                                               np.newaxis])
     cross = np.einsum("kn,ni,nj->kij", c, q, d) - s[:, :, np.newaxis] * mean[
         :, np.newaxis]
-    basis = (np.ascontiguousarray(q.T), upper, 0)
-    return (basis, c @ moments, c, d, g, weight, mean), (gram, cross)
+    union = (np.ascontiguousarray(q.T), upper, 0)
+    return (union, c @ moments, c, d, g, weight, mean), (gram, cross)
+
+
+def _block_fit(union, sums, c, d, g, weight, mean):
+    """``_gram_fit`` of a block whose basis is the whole union (``A =
+    I``), with its sizes in the last column of ``sums``."""
+    gram, cross = ordination._union_system(union, sums, c, d, weight, mean)
+    basis = (np.eye(gram.shape[1]), sums.shape[1] - 1)
+    return ordination._gram_fit(basis, gram, cross, sums, g, weight,
+                                c.shape[1])
 
 
 def _eigh_reference(gram, cross, g, weight, sizes, n):
@@ -404,13 +513,14 @@ def test_rows_at_the_certificate_edges_keep_their_eigh_gates(r):
     spectra, extra = np.vstack([spectra, spectra[:1]]), np.r_[extra, 0.0]
     certified, passed = np.r_[certified, False], np.r_[passed, False]
     args, (gram, cross) = _spectral_inputs(spectra, extra, rng)
-    basis, sums, c, d, g, weight, mean = args
+    _, sums, c, _, g, weight, _ = args
     sums[-1, -1] = np.inf
     n = c.shape[1]
     usable = np.isfinite(sums[:, -1])
-    held, _ = ordination._cholesky_fit(gram, cross, g, weight, n, usable)
+    held, _ = ordination._cholesky_fit(gram, None, cross, g, weight, n,
+                                       usable)
     assert held.tolist() == certified.tolist()
-    fitted, rank, ok = ordination._gram_fit(*args)
+    fitted, rank, ok = _block_fit(*args)
     ref_fitted, ref_rank, ref_ok = _eigh_reference(gram, cross, g, weight,
                                                    sums[:, -1], n)
     assert ok.tolist() == ref_ok.tolist() == passed.tolist()
@@ -438,7 +548,7 @@ def test_a_chunk_whose_cholesky_raises_takes_the_eigh_gates(monkeypatch):
             raise
 
     monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
-    fitted, rank, ok = ordination._gram_fit(*args)
+    fitted, rank, ok = _block_fit(*args)
     assert raised == [len(spectra)]
     _, sums, c, _, g, weight, _ = args
     ref_fitted, ref_rank, ref_ok = _eigh_reference(gram, cross, g, weight,

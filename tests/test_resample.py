@@ -208,6 +208,7 @@ def _benchmark_shaped(method, rng, n=100):
 def _plan_bytes(plan):
     """Bytes of the arrays a ``_Plan`` keeps."""
     arrays = [plan.r, plan.d, plan.factor, plan.moments, *plan.designs,
+              *(plan.union[:1] if plan.union else ()),
               *(b[0] for b in plan.bases if b is not None)]
     return sum(a.nbytes for a in arrays)
 
@@ -240,9 +241,10 @@ def test_a_chunk_holds_what_the_chunk_rule_counts(method):
 
 @pytest.mark.parametrize("method", ["cca", "rda"])
 def test_a_bootstrap_plans_each_block_once(method, monkeypatch):
-    # Three chunks and a forced redraw: run_analysis passes each block's
-    # unit-centred design to _svd_basis once for the whole bootstrap, not
-    # once per chunk call (its point partition passes stacks).
+    # Three chunks and a forced redraw: run_analysis passes the blocks'
+    # unit-centred union, then each block's columns in the union basis, to
+    # _svd_basis once for the whole bootstrap, not once per chunk call (its
+    # point partition passes stacks).
     n = 40
     rng = np.random.default_rng(47)
     ids = tuple(f"site{i}" for i in range(n))
@@ -275,7 +277,7 @@ def test_a_bootstrap_plans_each_block_once(method, monkeypatch):
                                    method=method, m_replicates=20)
     assert report.uncertainty["residual"].redraw_count == 1
     assert calls == [8, 1, 8, 4]
-    assert designs == [(n, 1), (n, 2), (n, 3)]
+    assert designs == [(n, 6), (3, 1), (3, 2), (3, 3)]
 
 
 def test_draws_follow_the_stream_across_seeding_blocks(monkeypatch):
