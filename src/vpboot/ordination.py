@@ -165,7 +165,7 @@ def _svd_fit(own, w, block):
 _RANK_BAND = (1e-13, 1e-4)
 
 #: Largest condition number of a row's Gram matrix that ``_gram_fit``
-#: solves; its smallest eigenvalue must also reach ``W / n`` over this.
+#: certifies; its smallest eigenvalue must also reach ``W / n`` over this.
 _GRAM_CONDITION = 1e3
 
 
@@ -302,7 +302,7 @@ class _Plan:
         chunk's one union system (``_union_system``); the row's total is
         ``sum_j g_j (sum_i w_i d_ij^2 - W delta_j^2)`` for the weight total
         ``W`` and weighted column means ``delta``. The SVD route
-        (``_svd_route``) takes every row a Gram gate rejects, and every row
+        (``_svd_route``) takes every row the Gram fit leaves, and every row
         whose ``d`` total cancels below half of ``sum g w d^2`` or whose
         sums are not finite. Those last rows take their total from their
         own centring, as a table fitted on its own would: the roundoff of a
@@ -385,20 +385,27 @@ def _gram_fit(basis, gram, cross, sums, g, weight, n: int):
     sizes. Reweighting only drops or repeats sites, so every row's
     weighted-centred design lies in the span of the ``r_b`` columns of its
     unit basis ``Q A``, and has rank at most ``r_b``. The block's Gram
-    matrix is ``G_b = A^T G A`` and its cross products ``A^T B``; it fits
-    ``sum_j g_j b_j^T G_b^{-1} b_j`` with rank ``r_b``, and ``A^T`` enters
-    the small left factor, so no ``(k, r_b, p)`` cross products are built.
-    A row with ``r_b >= 2`` that a Cholesky factor of ``G_b`` certifies
-    (``_cholesky_fit``) is fitted from that factor; every other row from
-    the eigenvalues ``lambda`` and vectors of ``G_b``, whose gates the
-    certificate implies. Forming ``G`` squares the condition number, so the
+    matrix is ``G_b = A^T G A = L L^T`` and its cross products ``A^T B``;
+    a row fits ``sum_j g_j |L^{-1} A^T b_j|^2 = sum_j g_j b_j^T A G_b^{-1}
+    A^T b_j`` with rank ``r_b``, and ``A^T`` enters the small left factor,
+    so no ``(k, r_b, p)`` cross products are built.
+
+    ``L^{-1}`` is built one row at a time: row ``i`` of ``L`` is ``l =
+    L^{-1}[:i, :i] G_b[:i, i]`` and its pivot ``G_b[i, i] - |l|^2``. A
+    pivot that is not positive (or is NaN) is taken as 1, so the pass never
+    raises, and leaves its row to the SVD route. ``|L^{-1}|_F^2 = tr
+    G_b^{-1}`` bounds ``1 / lambda_min`` and ``tr G_b`` bounds
+    ``lambda_max``, so a row with ``tr G_b tr G_b^{-1}`` at most half of
+    ``_GRAM_CONDITION`` and ``2 W tr G_b^{-1}`` at most ``_GRAM_CONDITION
+    n`` has a condition number of at most ``_GRAM_CONDITION`` and a
+    smallest eigenvalue of at least ``W / n`` over it, with a factor 2 to
+    spare for roundoff. Forming ``G`` squares the condition number, so the
     SVD stays the rank authority and takes:
 
     - every row, when the block has no basis (None: a union or design that
       is not finite or in the rank band, or a design outside ``span Q``);
-    - a row whose ``lambda`` spread exceeds ``_GRAM_CONDITION``, or whose
-      smallest ``lambda`` is below ``W / n`` over it (a column constant over
-      the drawn sites; for ``r_b = 1`` the spread is always 1);
+    - a row outside that certificate (such as a column constant over the
+      drawn sites, whose pivot is 0);
     - a row whose ``sum w |x|^2`` over the design's rows is not finite,
       which bounds every sum the SVD route forms (it raises on overflow).
 
@@ -418,75 +425,29 @@ def _gram_fit(basis, gram, cross, sums, g, weight, n: int):
         gram = np.matmul(np.matmul(left, gram), left.T)
     else:
         left = None
-    usable = (weight > 0.0) & np.isfinite(sums[:, at])
-    ok = np.zeros(k, dtype=bool)
-    if r > 1:
-        ok, fits = _cholesky_fit(gram, left, cross, g, weight, n, usable)
-        fitted[ok] = fits[ok]
-    rows = np.flatnonzero(~ok)
-    if rows.size:
-        gram = _take(gram, rows)
-        if r == 1:  # LAPACK's eigh of a 1 x 1 matrix: its entry, and 1
-            lam, vec = gram[:, 0], np.ones((1, 1, 1))
-        else:
-            lam, vec = np.linalg.eigh(gram)
-            vec = np.swapaxes(vec, 1, 2)
-        if left is not None:
-            vec = np.matmul(vec, left)
-        z = np.matmul(vec, _take(cross, rows))  # B in the eigenbasis
-        passed = ((lam[:, -1] <= _GRAM_CONDITION * lam[:, 0])
-                  & (lam[:, 0] * (_GRAM_CONDITION * n) >= weight[rows])
-                  & usable[rows])
-        spread = _spread(_take(g, rows), z)
-        fitted[rows[passed]] = (spread[passed] / lam[passed]).sum(axis=1)
-        ok[rows[passed]] = True
+    ok = (weight > 0.0) & np.isfinite(sums[:, at])
+    inverse = np.zeros_like(gram)
+    for i in range(r):
+        head = inverse[:, :i, :i]
+        row = np.matmul(head, gram[:, :i, i, np.newaxis])[:, :, 0]
+        pivot = gram[:, i, i] - np.square(row).sum(axis=1)
+        positive = pivot > 0.0
+        ok &= positive
+        scale = 1.0 / np.sqrt(np.where(positive, pivot, 1.0))
+        inverse[:, i, i] = scale
+        scale *= -1.0  # row i of L^{-1} is -l^T L^{-1}[:i, :i] / L_ii
+        np.multiply(np.matmul(row[:, np.newaxis], head)[:, 0],
+                    scale[:, np.newaxis], out=inverse[:, i, :i])
+    bound = np.square(inverse).sum(axis=(1, 2))
+    ok &= ((np.trace(gram, axis1=1, axis2=2) * bound <= _GRAM_CONDITION / 2)
+           & (2.0 * weight * bound <= _GRAM_CONDITION * n))
+    if left is not None:
+        inverse = np.matmul(inverse, left)  # L^{-1} A^T: no (k, r_b, p) A^T B
+    z = np.matmul(inverse, cross)
+    np.square(z, out=z)
+    fitted[ok] = _weighted_sums(g, np.swapaxes(z, 1, 2)).sum(axis=1)[ok]
     rank[ok] = r
     return fitted, rank, ok
-
-
-def _spread(g, z):
-    """``sum_j g_j z_lj^2`` ``(k, r)`` of an image ``z`` ``(k, r, p)`` of
-    the cross products, squared in place."""
-    np.square(z, out=z)
-    return _weighted_sums(g, np.swapaxes(z, 1, 2))
-
-
-def _cholesky_fit(gram, fold, cross, g, weight, n: int, usable):
-    """The rows of ``_gram_fit`` that a Cholesky factor ``G_b = L L^T``
-    certifies, and every row's fit ``sum_j g_j |L^{-1} A^T b_j|^2 = sum_j
-    g_j b_j^T A G_b^{-1} A^T b_j``: ``(certified (k,), fits (k,))``, with
-    ``fold`` ``A^T`` or None for ``A = I``.
-
-    ``|L^{-1}|_F^2 = tr G_b^{-1}`` bounds ``1 / lambda_min`` and ``tr G_b``
-    bounds ``lambda_max``, so a row with ``tr G_b tr G_b^{-1}`` at most half
-    of ``_GRAM_CONDITION`` and ``2 W tr G_b^{-1}`` at most
-    ``_GRAM_CONDITION n`` passes both eigenvalue gates with a factor 2 to
-    spare for roundoff, without an eigenvalue. A chunk with a row that is
-    not positive definite (``LinAlgError``) certifies none.
-    """
-    try:
-        inverse = _lower_inverse(np.linalg.cholesky(gram))
-    except np.linalg.LinAlgError:
-        return np.zeros(len(gram), dtype=bool), np.zeros(len(gram))
-    bound = np.square(inverse).sum(axis=(1, 2))
-    certified = ((np.trace(gram, axis1=1, axis2=2) * bound
-                  <= _GRAM_CONDITION / 2)
-                 & (2.0 * weight * bound <= _GRAM_CONDITION * n) & usable)
-    if fold is not None:
-        inverse = np.matmul(inverse, fold)  # L^{-1} A^T: no (k, r_b, p) A^T B
-    return certified, _spread(g, np.matmul(inverse, cross)).sum(axis=1)
-
-
-def _lower_inverse(low):
-    """Inverses of a stack of lower-triangular matrices with a positive
-    diagonal, one row at a time by forward substitution."""
-    inverse = np.zeros_like(low)
-    for i in range(low.shape[1]):
-        inverse[:, i, i] = 1.0
-        inverse[:, i, :i] -= np.matmul(low[:, i:i + 1, :i],
-                                       inverse[:, :i, :i])[:, 0]
-        inverse[:, i, :i + 1] /= low[:, i, i, np.newaxis]
-    return inverse
 
 
 def _replicate_values(n_sites: int, n_species: int, n_block_columns: int) -> int:
@@ -501,16 +462,15 @@ def _replicate_values(n_sites: int, n_species: int, n_block_columns: int) -> int
     and their squares (``3p``); the union's cross products with the
     response and its Gram matrix (``q (p + q)``), which stay held across
     the blocks' fits; and the larger peak of one block's fit. A block of
-    rank ``b`` fits from ``G_b`` on one of two routes, which never
-    coexist: the rows the Cholesky route leaves to ``eigh`` start after it
-    returns. The ``eigh`` route holds the eigenvalues, the eigenvectors
-    with ``A^T`` folded in and the cross products' image (at most ``b (q +
-    p + 1)``); the Cholesky route the factor, its inverse and one row of
-    forward substitution (``2b^2 + b``), then the inverse with ``A^T``
-    folded in, the image under it and the spreads (``b (q + p + 1)``).
-    For ``A = I`` (``b = r``) ``G_b`` is the union's and the fold is the
-    inverse itself, so the peak is ``max(q (p + q), 2q^2) + q``; any other
-    block has ``b <= q - 1`` and holds its own ``G_b`` (``b^2``) as well.
+    rank ``b`` fits from ``G_b`` and holds ``L^{-1}`` (``b^2``): beside
+    it, one row of ``L`` and its products while it is built, its square
+    for the bound (``b^2``), then ``L^{-1}`` with ``A^T`` folded in as it
+    forms (``b q``), and last that fold, the image of the cross products
+    under it and the spreads (``b (q + p + 1)``). For ``A = I`` (``b =
+    r``) ``G_b`` is the union's and the fold is ``L^{-1}`` itself, so the
+    peak is ``max(q (p + q), 2q^2) + q``; any other block has ``b <= q -
+    1``, so its fold outgrows the square, and it holds its own ``G_b``
+    (``b^2``) as well: ``b^2 + b (q + max(b, p + 1))``.
     The CCA site weights (``n``) are formed after the Gram fits, when
     those are gone. A row that takes the SVD route (``_svd_route``) holds
     its own ``n x p`` deviations, its weighted design and its singular
@@ -521,7 +481,7 @@ def _replicate_values(n_sites: int, n_species: int, n_block_columns: int) -> int
     moments = 3 * p + q * (q + 3) // 2 + 4
     b = max(q - 1, 0)
     fit = max(max(q * (p + q), 2 * q * q) + q,
-              b * b + max(2 * b * b + b, b * (q + p + 1)))
+              b * b + b * (q + max(b, p + 1)))
     return 3 * n_sites + moments + 3 * p + q * (p + q) + fit
 
 

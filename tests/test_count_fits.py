@@ -114,7 +114,8 @@ def test_a_duplicated_design_column_keeps_the_gram_route(method):
 
 def test_a_binary_column_constant_over_the_drawn_sites_has_rank_zero():
     # Rows drawn from the zeros alone leave the column constant: its Gram
-    # matrix is 1 x 1, so only the floor on its eigenvalue sees the loss.
+    # matrix is 1 x 1 and about 0, so only the certificate's floor on its
+    # smallest eigenvalue sees the loss.
     rng = np.random.default_rng(122)
     n = 30
     y = rng.normal(size=(n, 2))
@@ -302,7 +303,7 @@ def _assert_replicates_fit_as_their_tables(y, blocks, method, monkeypatch,
 def test_chunked_bootstraps_fit_a_column_constant_over_the_drawn_sites(
         monkeypatch):
     # One site holds the binary column's ones: a resample that misses it
-    # (about a third) trips the eigenvalue floor and reads rank 0.
+    # (about a third) trips the certificate's floor and reads rank 0.
     rng = np.random.default_rng(128)
     n = 30
     y = rng.normal(size=(n, 2))
@@ -414,8 +415,8 @@ def test_a_block_outside_the_union_span_takes_the_svd_route(method,
     assert np.all(ranks == [1, 2, 2])
 
 
-# Gate equivalence: the Cholesky certificate (``ordination._cholesky_fit``)
-# only ever skips ``eigh`` for rows that pass its gates.
+# Gate equivalence: a row the Gram fit certifies passes the eigenvalue
+# gates, and fits as they would fit it.
 
 _CONDITION = ordination._GRAM_CONDITION
 
@@ -502,68 +503,61 @@ def _certificate_edges(r):
     return spectra, extra, certified, passed
 
 
+def _assert_certified_rows_fit_as_the_gates(args, gram, cross, certified):
+    """``_block_fit`` fits exactly the ``certified`` rows, each as the
+    eigenvalue gates fit it, to 1e-13, and passes the gates for them."""
+    fitted, rank, ok = _block_fit(*args)
+    _, sums, c, _, g, weight, _ = args
+    ref_fitted, ref_rank, ref_ok = _eigh_reference(gram, cross, g, weight,
+                                                   sums[:, -1], c.shape[1])
+    assert ok.tolist() == certified.tolist()
+    assert np.all(ref_ok[ok])
+    assert np.array_equal(rank, np.where(ok, ref_rank, 0))
+    assert np.all(np.abs(fitted - np.where(ok, ref_fitted, 0.0))
+                  <= 1e-13 * np.abs(ref_fitted))
+
+
 @pytest.mark.parametrize("r", [2, 6])
 def test_rows_at_the_certificate_edges_keep_their_eigh_gates(r):
-    # The last row is the first with a design that overflows under its
-    # counts (its sizes are not finite): only the SVD route may fit it.
+    # A row 1e-6 inside an edge of the certificate fits as the eigenvalue
+    # gates fit it; a row 1e-6 outside one is left to the SVD route, also
+    # where the gates would pass it. The last row is the first with a
+    # design that overflows under its counts (its sizes are not finite):
+    # only the SVD route may fit it.
     rng = np.random.default_rng(131)
     spectra, extra, certified, passed = _certificate_edges(r)
     products = spectra.sum(axis=1) * (1.0 / spectra).sum(axis=1)
     assert np.allclose(products[:2], _CONDITION / 2, rtol=2e-6)
+    assert np.all(passed[certified]) and not np.all(certified[passed])
     spectra, extra = np.vstack([spectra, spectra[:1]]), np.r_[extra, 0.0]
-    certified, passed = np.r_[certified, False], np.r_[passed, False]
     args, (gram, cross) = _spectral_inputs(spectra, extra, rng)
-    _, sums, c, _, g, weight, _ = args
-    sums[-1, -1] = np.inf
-    n = c.shape[1]
-    usable = np.isfinite(sums[:, -1])
-    held, _ = ordination._cholesky_fit(gram, None, cross, g, weight, n,
-                                       usable)
-    assert held.tolist() == certified.tolist()
-    fitted, rank, ok = _block_fit(*args)
-    ref_fitted, ref_rank, ref_ok = _eigh_reference(gram, cross, g, weight,
-                                                   sums[:, -1], n)
-    assert ok.tolist() == ref_ok.tolist() == passed.tolist()
-    assert np.array_equal(rank, ref_rank)
-    assert np.all(np.abs(fitted - ref_fitted) <= 1e-13 * np.abs(ref_fitted))
+    args[1][-1, -1] = np.inf
+    _assert_certified_rows_fit_as_the_gates(args, gram, cross,
+                                            np.r_[certified, False])
 
 
-def test_a_chunk_whose_cholesky_raises_takes_the_eigh_gates(monkeypatch):
+def test_a_singular_gram_matrix_leaves_only_its_own_row_unfitted():
     # The last row draws only the site with a zero basis row: its Gram
-    # matrix is exactly 0, so the chunk's one Cholesky call raises and
-    # every row, certifiable or not, keeps the eigenvalue gates.
+    # matrix is exactly 0, so a Cholesky factorisation of the chunk's
+    # stack raises. The row-by-row factor marks that row's pivot alone,
+    # and every other row keeps its certificate.
     rng = np.random.default_rng(132)
     r = 6
-    spectra, extra, _, passed = _certificate_edges(r)
+    spectra, extra, certified, _ = _certificate_edges(r)
     spectra = np.vstack([spectra, np.zeros(r)])
-    extra, passed = np.r_[extra, 5.0], np.r_[passed, False]
-    args, (gram, cross) = _spectral_inputs(spectra, extra, rng)
-    raised, cholesky = [], np.linalg.cholesky
-
-    def recording_cholesky(a):
-        try:
-            return cholesky(a)
-        except np.linalg.LinAlgError:
-            raised.append(len(a))
-            raise
-
-    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
-    fitted, rank, ok = _block_fit(*args)
-    assert raised == [len(spectra)]
-    _, sums, c, _, g, weight, _ = args
-    ref_fitted, ref_rank, ref_ok = _eigh_reference(gram, cross, g, weight,
-                                                   sums[:, -1], c.shape[1])
-    assert ok.tolist() == ref_ok.tolist() == passed.tolist()
-    assert np.array_equal(rank, ref_rank)
-    assert np.all(np.abs(fitted - ref_fitted) <= 1e-13 * np.abs(ref_fitted))
+    args, (gram, cross) = _spectral_inputs(spectra, np.r_[extra, 5.0], rng)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(gram)
+    _assert_certified_rows_fit_as_the_gates(args, gram, cross,
+                                            np.r_[certified, False])
 
 
 @pytest.mark.parametrize("method", ["cca", "rda"])
 def test_certified_fits_match_the_eigh_route_on_a_bootstrap(method,
                                                             monkeypatch):
-    # Benchmark-shaped tables: every row of the multi-column blocks is
-    # certified, and reasons, ranks and fitted-row masks equal those of
-    # the eigh route alone, with fractions to 1e-13.
+    # Benchmark-shaped tables: every row of every block is certified, so
+    # the SVD route receives no row, and each fit is the eigenvalue
+    # gates' fit to 1e-13.
     rng = np.random.default_rng(133)
     n = 100
     if method == "rda":
@@ -573,33 +567,47 @@ def test_certified_fits_match_the_eigh_route_on_a_bootstrap(method,
         y = np.log1p(rng.poisson(0.5, size=(n, 35)).astype(float))
         y[:, 0] += 1.0
         blocks = [rng.normal(size=(n, 1)), rng.normal(size=(n, 5))]
-    counts = _counts(rng, n, k=60)
-    runs = {}
-    gram_fit, cholesky_fit = ordination._gram_fit, ordination._cholesky_fit
-    for route in ("cholesky", "eigh"):
-        masks, held = [], []
+    ranks, routed = [], []
+    gram_fit, svd_route = ordination._gram_fit, ordination._svd_route
 
-        def recording_gram_fit(*args):
-            out = gram_fit(*args)
-            masks.append(out[2])
-            return out
+    def checked_gram_fit(basis, gram, cross, sums, g, weight, n):
+        fitted, rank, ok = gram_fit(basis, gram, cross, sums, g, weight, n)
+        left, at = basis
+        ref_fitted, ref_rank, ref_ok = _eigh_reference(
+            left @ gram @ left.T, left @ cross, g, weight, sums[:, at], n)
+        assert np.all(ref_ok[ok]) and np.all(rank[ok] == ref_rank[ok])
+        assert np.all(np.abs(fitted - ref_fitted)[ok]
+                      <= 1e-13 * np.abs(ref_fitted[ok]))
+        ranks.append(len(left))
+        return fitted, rank, ok
 
-        def recording_cholesky_fit(*args):
-            out = cholesky_fit(*args)
-            if route == "eigh":
-                out = (np.zeros_like(out[0]), out[1])
-            held.append(out[0])
-            return out
+    def recording_svd_route(r, w, *args):
+        routed.append(len(w))
+        return svd_route(r, w, *args)
 
-        monkeypatch.setattr(ordination, "_gram_fit", recording_gram_fit)
-        monkeypatch.setattr(ordination, "_cholesky_fit",
-                            recording_cholesky_fit)
-        fractions, reasons, ranks, _ = _fit(y, blocks, method, counts)
-        runs[route] = fractions, reasons, ranks, masks, held
-    fractions, reasons, ranks, masks, held = runs["cholesky"]
-    assert len(held) == 1 + (method == "cca") and all(h.all() for h in held)
-    eigh_fractions, eigh_reasons, eigh_ranks, eigh_masks, _ = runs["eigh"]
-    assert np.array_equal(reasons, eigh_reasons)
-    assert np.array_equal(ranks, eigh_ranks)
-    assert all(np.array_equal(a, b) for a, b in zip(masks, eigh_masks))
-    assert np.max(np.abs(fractions - eigh_fractions)) <= 1e-13
+    monkeypatch.setattr(ordination, "_gram_fit", checked_gram_fit)
+    monkeypatch.setattr(ordination, "_svd_route", recording_svd_route)
+    _fit(y, blocks, method, _counts(rng, n, k=60))
+    assert ranks == ([1, 1, 2] if method == "rda" else [1, 5, 6])
+    assert routed == []
+
+
+@pytest.mark.parametrize("method", ["cca", "rda"])
+def test_a_rare_dummy_level_sends_only_the_replicates_that_miss_it_to_svd(
+        method, monkeypatch):
+    # A dummy-coded factor with one level at a single site: a replicate
+    # that misses the site has a constant column and a singular Gram
+    # matrix. Only those replicates, not their chunks of 8, take the SVD
+    # route, where the column drops out of the rank.
+    rng = np.random.default_rng(138)
+    n = 30
+    y = rng.uniform(0.5, 4.0, size=(n, 4))
+    level = rng.permutation(np.arange(n) % 2 + 1)
+    level[0] = 0  # the rare level
+    dummies = np.column_stack([level == 0, level == 1]).astype(float)
+    counts, _, ranks, routed = _assert_replicates_fit_as_their_tables(
+        y, [dummies, rng.normal(size=(n, 1))], method, monkeypatch,
+        m_replicates=1000)
+    missed = counts[:, 0] == 0
+    assert routed == np.count_nonzero(missed) > 0
+    assert np.array_equal(ranks[:, 0], np.where(missed, 1, 2))

@@ -48,10 +48,11 @@ def test_the_package_has_one_svd_call():
     assert _calls("u = np.linalg.svd(a)\nsvd(b)\nnp.svd\n", "svd") == 2
 
 
-def test_the_gram_route_has_one_eigh_and_one_cholesky_call():
-    # Certified rows take ordination._cholesky_fit, the rest its one eigh.
-    source = (PACKAGE / "ordination.py").read_text()
-    assert _calls(source, "eigh") == _calls(source, "cholesky") == 1
+def test_the_package_has_no_eigh_and_no_cholesky_call():
+    # ordination._gram_fit builds its own inverse factor, which never
+    # raises; every row it leaves goes to the one SVD.
+    sources = [p.read_text() for p in PACKAGE.glob("*.py")]
+    assert sum(_calls(s, "eigh") + _calls(s, "cholesky") for s in sources) == 0
 
 
 def _tops(source: str, hit) -> list[str]:
