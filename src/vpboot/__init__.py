@@ -16,9 +16,7 @@ from .experiments import (CcaScenarioOutcome, ScenarioOutcome,
                           cca_validation, pearson_r, predictor_effect_r2,
                           run_replicated_scenario, spearman_rho,
                           sweep_sample_size)
-from .ordination import (PartitionResult, chi_square_transform,
-                         fit_projection, partition_from_r2, rda_r2,
-                         varpart_two)
+from .ordination import PartitionResult
 from .resample import BootstrapSummary, bootstrap_statistic
 from .rng import derive_seed, stream
 from .synth import (ScenarioConfig, SpeciesNiche, generate_complex_dataset,
@@ -32,10 +30,9 @@ __all__ = [
     "PredictorBlock", "ReproductionCheckError", "ScenarioConfig",
     "ScenarioOutcome", "SpeciesNiche", "ValidationError", "VpbootError",
     "bootstrap_statistic", "bootstrap_validation", "cca_proportion",
-    "cca_validation", "chi_square_transform", "derive_seed", "fit_projection",
-    "format_report", "generate_complex_dataset", "generate_dataset",
-    "partition_from_r2", "partition_tables", "pearson_r",
-    "predictor_effect_r2", "rda_r2", "report_to_dict", "run_analysis",
+    "cca_validation", "derive_seed", "format_report",
+    "generate_complex_dataset", "generate_dataset", "partition_tables",
+    "pearson_r", "predictor_effect_r2", "report_to_dict", "run_analysis",
     "run_replicated_scenario", "spearman_rho", "stream", "sweep_sample_size",
-    "trend_surface", "varpart_two",
+    "trend_surface",
 ]

@@ -4,9 +4,7 @@ Linear (redundancy-style) and chi-square (correspondence-style) variance
 partitioning. One batched fit kernel, ``_block_fractions`` (unit fits) and
 ``_Plan`` (a bootstrap's count-weighted fits), gives every reported
 quantity: each predictor block's adjusted R2 for RDA and its share of
-chi-square inertia for CCA. The public helpers (the rank-truncated
-projection, the unadjusted R2, the chi-square decomposition and the
-two-block partition) are the kernel or its pieces, with unit weights.
+chi-square inertia for CCA.
 """
 
 from __future__ import annotations
@@ -485,31 +483,6 @@ def _replicate_values(n_sites: int, n_species: int, n_block_columns: int) -> int
     return 3 * n_sites + moments + 3 * p + q * (p + q) + fit
 
 
-def _aligned(y, x):
-    ym, xm = as_matrix(y), as_matrix(x)
-    if ym.shape[0] != xm.shape[0]:
-        raise ValidationError(f"row mismatch: response has {ym.shape[0]} rows, "
-                              f"design has {xm.shape[0]}")
-    return ym, xm
-
-
-def fit_projection(y, x) -> np.ndarray:
-    """Least-squares projection of each column of ``y`` onto the span of ``x``.
-
-    The projection is uncentred: ``x`` spans only its own columns. Rank
-    deficiency is handled by truncating singular values below ``SV_RCOND``
-    times the largest one; an effectively empty design gives the zero
-    matrix. A non-finite entry raises ``ValidationError``, as in ``rda_r2``.
-    """
-    ym, xm = _aligned(y, x)
-    for what, m in (("matrix", ym), ("design", xm)):
-        if not np.isfinite(m).all():
-            raise ValidationError(f"{what} contains non-finite entries")
-    u, keep, _ = _svd_basis(xm)
-    u = u * keep
-    return u @ (u.T @ ym)
-
-
 def _adjust(r2, n, df):
     """Small-sample adjustment with ``df`` residual degrees of freedom."""
     return 1.0 - (1.0 - r2) * (n - 1) / df
@@ -523,24 +496,6 @@ def _r2(total, fitted):
     explains = total > 0.0
     return np.where(explains, np.clip(
         fitted / np.where(explains, total, 1.0), 0.0, 1.0), 0.0)
-
-
-def rda_r2(y, x) -> float:
-    """Fraction of the total column-centred sum of squares captured by ``x``.
-
-    Both matrices are centred first, so the fit behaves as if an intercept
-    were included. A response with zero total sum of squares has nothing to
-    explain and yields 0. The result is clipped to [0, 1] against roundoff.
-    """
-    ym, xm = _aligned(y, x)
-    if ym.shape[0] < 3:
-        raise ValidationError("need at least 3 rows")
-    # Non-finite input ends in a ValidationError, not in a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total, fitted, _ = _explained(
-            *_response(ym[np.newaxis], np.ones((1, ym.shape[0])), "rda"),
-            [xm[np.newaxis]], "matrix")
-    return float(_r2(total, fitted)[0, 0])
 
 
 def _split(r_x, r_w, r_xw):
@@ -591,11 +546,6 @@ class PartitionResult:
         """
         return _rollup(self.frac_pure_x, self.frac_shared, self.frac_pure_w,
                        self.frac_residual)
-
-
-def partition_from_r2(r2_x: float, r2_w: float, r2_xw: float) -> PartitionResult:
-    """Compose a two-block partition from the three explained fractions."""
-    return PartitionResult(*_split(r2_x, r2_w, r2_xw), r2_x, r2_w, r2_xw)
 
 
 def _as_stack(data) -> np.ndarray:
@@ -800,7 +750,8 @@ def _named_partition_blocks(x, w) -> list:
 def _partition(y, x, w, method: str) -> PartitionResult:
     """Fit ``x``, ``w`` and both together, then split by inclusion-exclusion."""
     fractions, _ = _block_fractions(y, _named_partition_blocks(x, w), method)
-    return partition_from_r2(*(float(v) for v in fractions[0]))
+    r2 = [float(v) for v in fractions[0]]
+    return PartitionResult(*_split(*r2), *r2)
 
 
 def _rollups(y, x, w, method: str):
@@ -841,51 +792,3 @@ def _planned(spec):
         return finish(fractions), reasons
 
     return statistic
-
-
-def varpart_two(y, x, w) -> PartitionResult:
-    """Adjusted-R2 variance partition of ``y`` between predictor blocks ``x``, ``w``.
-
-    Fits the two blocks separately and jointly, adjusts each fit by its own
-    block rank, and splits the joint fraction by inclusion-exclusion. A block
-    with zero columns explains exactly nothing, so the partition collapses to
-    the other block's fit.
-    """
-    return _partition(y, x, w, "rda")
-
-
-def _checked_table(y) -> np.ndarray:
-    """A finite, non-negative table with a positive total and no empty row
-    or column, as a matrix; ``chi_square_transform`` accepts nothing else.
-    The fit kernel prunes empty lines instead (``_cca_live``,
-    ``_cca_unit_fractions``)."""
-    ym = as_matrix(y)
-    if not np.all(np.isfinite(ym)):
-        raise ValidationError("table contains non-finite entries")
-    if np.any(ym < 0):
-        raise ValidationError("table contains negative entries")
-    if float(ym.sum()) <= 0.0:
-        raise DegenerateDataError("table total must be positive")
-    empty_rows = np.flatnonzero(ym.sum(axis=1) == 0.0)
-    empty_cols = np.flatnonzero(ym.sum(axis=0) == 0.0)
-    if empty_rows.size or empty_cols.size:
-        raise DegenerateDataError(
-            f"empty rows {empty_rows.tolist()} and empty columns "
-            f"{empty_cols.tolist()} (all-zero lines carry no information)")
-    return ym
-
-
-def chi_square_transform(y):
-    """Chi-square (correspondence) decomposition of a non-negative table.
-
-    Returns ``(qbar, row_weights, col_weights, total_inertia)``. ``qbar``
-    holds the standardised deviations from row-column independence of the
-    proportion table; ``total_inertia`` is the sum of its squares, which
-    equals the Pearson chi-square statistic divided by the grand total.
-    """
-    ym = _checked_table(y)
-    total = float(ym.sum())
-    qbar = _deviations(*_response(ym, np.ones((1, ym.shape[0])), "cca"),
-                       "table")[0]
-    return (qbar, ym.sum(axis=1) / total, ym.sum(axis=0) / total,
-            float(np.sum(qbar * qbar)))

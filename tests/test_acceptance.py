@@ -15,10 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vpboot.analysis import partition_tables
 from vpboot.cli import main
-from vpboot.ordination import chi_square_transform, rda_r2, varpart_two
 from vpboot.tables import PredictorBlock
 
+from test_ordination import unit_r2
+from test_properties import chi_square_deviations
 from test_properties import \
     test_chi_square_weighted_marginals_vanish as check_chi_square_marginals
 from test_properties import \
@@ -109,18 +111,19 @@ def test_criterion_1_oracle_equivalence():
         m = int(rng.integers(1, 3))
         y = rng.normal(size=(n, p))
         x = rng.normal(size=(n, m))
-        worst_rda = max(worst_rda, abs(rda_r2(y, x) - _ols_r2(y, x)))
+        worst_rda = max(worst_rda, abs(unit_r2(y, x) - _ols_r2(y, x)))
 
         counts = rng.uniform(0.1, 9.0, size=(n, p + 1))
-        _, _, _, inertia = chi_square_transform(counts)
+        inertia = np.sum(np.square(chi_square_deviations(counts)))
         worst_chi = max(worst_chi, abs(inertia - _chi2_inertia(counts)))
 
         ids = tuple(f"s{i}" for i in range(8))
         yy = rng.normal(size=(8, 2))
-        part = varpart_two(
+        part = partition_tables(
             yy,
             PredictorBlock("x", ids, rng.normal(size=(8, 2))),
-            PredictorBlock("w", ids, rng.normal(size=(8, int(rng.integers(1, 3))))))
+            PredictorBlock("w", ids, rng.normal(size=(8, int(rng.integers(1, 3))))),
+            method="rda", log1p=False)
         worst_identity = max(
             worst_identity,
             abs(part.frac_pure_x + part.frac_shared + part.frac_pure_w

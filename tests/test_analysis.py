@@ -10,9 +10,11 @@ from vpboot.analysis import (FRACTION_NAMES, format_report, partition_tables,
                              report_to_dict, run_analysis, trend_surface)
 from vpboot.errors import DegenerateDataError, ValidationError
 from vpboot.experiments import cca_proportion
-from vpboot.ordination import PartitionResult, partition_from_r2, varpart_two
+from vpboot.ordination import PartitionResult
 from vpboot.synth import ScenarioConfig, generate_dataset
 from vpboot.tables import CommunityTable, PredictorBlock
+
+from test_ordination import adjusted_r2_oracle
 
 
 def _split_blocks(table, env):
@@ -24,12 +26,14 @@ def _split_blocks(table, env):
 def test_rda_partition_matches_varpart_directly():
     table, env = generate_dataset(ScenarioConfig(seed=30, n_sites=25))
     x, w = _split_blocks(table, env)
-    part = partition_tables(table, x, w, method="rda")
-    assert part == varpart_two(table.values, x, w)
-
+    raw = partition_tables(table, x, w, method="rda")
     logged = partition_tables(table, x, w, method="rda", log1p=True)
-    assert logged == varpart_two(np.log1p(table.values), x, w)
-    assert logged != part
+    both = np.hstack([x.values, w.values])
+    for part, y in ((raw, table.values), (logged, np.log1p(table.values))):
+        for r2, block in ((part.r2_x, x.values), (part.r2_w, w.values),
+                          (part.r2_xw, both)):
+            assert r2 == pytest.approx(adjusted_r2_oracle(y, block), abs=1e-12)
+    assert logged != raw
 
 
 def test_cca_partition_defaults_to_log1p():
@@ -53,6 +57,7 @@ def test_cca_partition_prunes_empty_sites():
     rng = np.random.default_rng(33)
     values = rng.integers(1, 50, size=(8, 4)).astype(float)
     values[2] = 0.0
+    values[:, 1] = 0.0
     ids = tuple(f"s{i}" for i in range(8))
     table = CommunityTable(ids, ("a", "b", "c", "d"), values)
     env = rng.normal(size=(8, 1))
@@ -61,8 +66,8 @@ def test_cca_partition_prunes_empty_sites():
 
     keep = [i for i in range(8) if i != 2]
     direct = partition_tables(
-        CommunityTable(tuple(ids[i] for i in keep), ("a", "b", "c", "d"),
-                       values[keep]),
+        CommunityTable(tuple(ids[i] for i in keep), ("a", "c", "d"),
+                       values[np.ix_(keep, [0, 2, 3])]),
         env[keep], spatial[keep], method="cca")
     assert part == direct
 
@@ -73,8 +78,10 @@ def test_partition_result_rejects_non_finite_fields():
     with pytest.raises(ValidationError, match="must be finite"):
         PartitionResult(frac_pure_x=nan, frac_shared=0.1, frac_pure_w=0.2,
                         frac_residual=0.4, r2_x=0.3, r2_w=0.3, r2_xw=0.6)
+    inf = float("inf")
     with pytest.raises(ValidationError, match="must be finite"):
-        partition_from_r2(0.2, 0.3, float("inf"))
+        PartitionResult(frac_pure_x=inf, frac_shared=-inf, frac_pure_w=inf,
+                        frac_residual=-inf, r2_x=0.2, r2_w=0.3, r2_xw=inf)
 
 
 def test_cca_partition_needs_three_live_sites():

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vpboot"
+README = PACKAGE.parent.parent / "README.md"
 # The package root imports names to re-export them, not to use them.
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -186,3 +188,23 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _undocumented(names, readme: str) -> list[str]:
+    """The names that README's "Library use" section never writes as code
+    (a backtick, then the name)."""
+    start = readme.index("\n## Library use\n")
+    end = readme.find("\n## ", start + 1)
+    section = readme[start:end if end >= 0 else None]
+    return [name for name in names
+            if not re.search(f"`{re.escape(name)}(?!\\w)", section)]
+
+
+def test_the_readme_documents_every_public_name():
+    # The public surface and its documentation move together.
+    import vpboot
+
+    assert _undocumented(vpboot.__all__, README.read_text()) == []
+    readme = ("# x\n## Library use\n`a`, `b(1)` and stream\n## Next\n`c`\n")
+    assert _undocumented(["a", "b", "stream", "c", "a_b"], readme) == [
+        "stream", "c", "a_b"]

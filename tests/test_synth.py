@@ -7,8 +7,9 @@ import pytest
 
 from scalar_oracle import (SiteEnvironment, gaussian_response,
                            relative_abundance, site_abundances)
+from test_ordination import unit_r2
 from vpboot.errors import DegenerateDataError, ValidationError
-from vpboot.ordination import _block_fractions, rda_r2
+from vpboot.ordination import _block_fractions
 from vpboot.rng import ROLE_SITE, stream
 from vpboot.synth import (ScenarioConfig, SpeciesNiche, _complex_config,
                           _densities, _generate_cell,
@@ -227,7 +228,7 @@ def test_complex_communities_exhibit_nonlinearity():
     wins = 0
     for seed in range(20):
         table, env = generate_complex_dataset(40, seed=seed)
-        linear = rda_r2(table.values, env.values)
+        linear = unit_r2(table.values, env.values)
         shares, _ = _block_fractions(table.values, [("env", env.values)],
                                      "cca")
         unimodal = shares[0, 0]
