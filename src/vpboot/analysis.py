@@ -45,7 +45,7 @@ def trend_surface(block: PredictorBlock) -> PredictorBlock:
 
     Raw site coordinates make a poor linear predictor set; the second-order
     polynomial surface lets broad spatial gradients and simple curvature be
-    captured. Only defined for exactly two columns.
+    captured. Only defined for exactly two columns whose squares are finite.
     """
     if block.n_columns != 2:
         raise ValidationError(
@@ -53,7 +53,11 @@ def trend_surface(block: PredictorBlock) -> PredictorBlock:
             f"block {block.name!r} has {block.n_columns}")
     x = block.values[:, 0]
     y = block.values[:, 1]
-    expanded = np.column_stack([x, y, x * x, x * y, y * y])
+    with np.errstate(over="ignore"):
+        expanded = np.column_stack([x, y, x * x, x * y, y * y])
+    if not np.isfinite(expanded).all():
+        raise ValidationError(
+            f"block {block.name!r} overflows once expanded to a trend surface")
     return PredictorBlock(block.name, block.site_ids, expanded)
 
 
@@ -82,7 +86,7 @@ def run_analysis(table: CommunityTable, env: PredictorBlock,
     if log1p is None:
         log1p = method == "cca"
     y = _log1p(table) if log1p else table
-    part = _partition(y, env, spatial, method)
+    part = partition_tables(y, env, spatial, method, log1p=False)
     rollup = part.rollup()
     summaries = bootstrap_statistic(
         y, [env, spatial], _planned(partial(_rollups, method=method)),

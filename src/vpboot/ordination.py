@@ -4,7 +4,8 @@ Linear (redundancy-style) and chi-square (correspondence-style) variance
 partitioning. One batched fit kernel, ``_block_fractions`` (unit fits) and
 ``_Plan`` (a bootstrap's count-weighted fits), gives every reported
 quantity: each predictor block's adjusted R2 for RDA and its share of
-chi-square inertia for CCA.
+chi-square inertia for CCA. Both share one front end: ``_response``,
+``_root_weights`` and ``_fractions``.
 """
 
 from __future__ import annotations
@@ -78,26 +79,35 @@ def _weighted_sums(c, a) -> np.ndarray:
     return np.matmul(c[:, np.newaxis], a)[:, 0]
 
 
-def _response(ym, c, method: str):
-    """The response ``r`` of a fit, with site weights ``w`` ``(k, n)`` and
-    root species weights ``h`` ``(k, p)`` for the ``(k, n)`` counts ``c``;
-    a species weighs ``g = h^2``.
+def _response(ym, designs, method: str):
+    """``(r, R, ym, designs, sites)`` of the checked ``(T, n, p)`` stack
+    ``ym``: the response ``r``, uncentred, and the factors ``R`` ``(T, n)``
+    that turn counts ``c`` into site weights ``w = c R``.
 
-    ``r`` is a ``(T, n, p)`` stack, uncentred: one table every replicate
-    reweights (``T = 1``) or one table per replicate (``T = k``).
-    ``rda`` fits the table's columns with ``w = c`` and ``h = 1``. ``cca``
-    fits the row profiles ``y / R`` with ``w = c R`` and ``h = 1 / sqrt(s)``
-    for the replicate's species sums ``s`` (0 for a species no drawn site
-    holds): their weighted deviations scaled by ``h`` are the standardised
-    chi-square deviations. Unlike ``1 / s``, ``h`` stays finite for a
-    subnormal ``s``.
+    ``rda`` fits the table's columns with ``R = 1``. For ``cca`` this is the
+    one place that checks (``_cca_live``), prunes and scales (``_cca_scaled``)
+    a table: the sites and species that every table leaves empty are
+    dropped from ``ym`` and ``designs``, and ``r`` is the row profiles ``y /
+    R`` for the row sums ``R``. ``sites`` masks the kept sites, None when
+    all are.
     """
     if method == "rda":
-        return ym, c, np.ones((len(c), ym.shape[-1]))
+        return ym, np.ones(ym.shape[:2]), ym, designs, None
+    rows, cols = (live.any(axis=0) for live in _cca_live(ym))
+    ym, designs = _cca_scaled(ym, designs, rows, cols)
     row_sums = ym.sum(axis=-1)
-    root = np.sqrt(_weighted_sums(c, ym))
-    return (ym / row_sums[..., np.newaxis], c * row_sums,
-            np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0))
+    return (ym / row_sums[..., np.newaxis], row_sums, ym, designs,
+            None if rows.all() else rows)
+
+
+def _root_weights(s) -> np.ndarray:
+    """Root species weights ``h = 1 / sqrt(s)`` of species sums ``s``, 0 where
+    ``s = 0``: ``cca`` deviations scaled by ``h`` are the standardised
+    chi-square deviations. Unlike ``1 / s``, ``h`` is finite for a subnormal
+    ``s``."""
+    h = np.sqrt(s)
+    np.divide(1.0, h, out=h, where=h > 0.0)
+    return h
 
 
 def _take(a, rows) -> np.ndarray:
@@ -114,17 +124,7 @@ def _deviations(r, w, h, what: str) -> np.ndarray:
     return dw
 
 
-def _explained(r, w, h, blocks, what: str):
-    """Total and fitted sums of squares of a unit fit of the response ``r``
-    (``_response``): every row takes the SVD route (``_svd_route``), where
-    the SVD is the fit. Returns ``(total (k,), fitted (k, n_blocks), rank
-    (k, n_blocks))``; ``_Plan.explained`` is the count-weighted twin.
-    """
-    return _svd_route(r, w, h, blocks,
-                      np.ones((len(w), len(blocks)), dtype=bool), what)
-
-
-def _svd_route(r, w, h, blocks, svd, what: str):
+def _svd_route(r, w, h, blocks, svd, method: str):
     """The SVD route of the rows of ``w``: each row's two-pass centring of
     ``r`` (``_deviations``), its total, and its projection on its own
     weighted SVD of each block that ``svd`` ``(k, n_blocks)`` marks
@@ -133,9 +133,10 @@ def _svd_route(r, w, h, blocks, svd, what: str):
     Replicate ``i`` weighs the sites by ``w[i]`` and the columns by ``g =
     h[i]^2``. A response constant over the drawn sites reads exactly 0, and
     only a replicate whose own centred sums overflow raises
-    ``ValidationError``. Returns ``(total, fitted, rank)``.
+    ``ValidationError``. Returns ``(total (k,), fitted (k, n_blocks), rank
+    (k, n_blocks))``.
     """
-    dev = _deviations(r, w, h, what)
+    dev = _deviations(r, w, h, "table" if method == "cca" else "matrix")
     fitted, rank = np.zeros(svd.shape), np.zeros(svd.shape, dtype=np.intp)
     for j, block in enumerate(blocks):
         rows = np.flatnonzero(svd[:, j])
@@ -220,11 +221,11 @@ class _Plan:
     """A count-weighted fit of one table, less its counts.
 
     Built once per table, it holds everything the fit does not need the
-    counts for: the checked table (for ``cca`` pruned of empty sites and
-    species and scaled by a power of 4, ``_cca_scaled``); the response
-    ``r`` (``_response``: the table, or its row profiles) and the site
-    factors ``R`` that turn counts into site weights ``w = c R`` (ones, or
-    the row sums); ``d``, ``r`` centred with unit counts; the union basis
+    counts for: from ``_response``, the checked table (for ``cca`` pruned
+    of empty sites and species and scaled by a power of 4), the response
+    ``r`` (the table, or its row profiles) and the site factors ``R`` that
+    turn counts into site weights ``w = c R`` (ones, or the row sums);
+    ``d``, ``r`` centred with unit counts; the union basis
     ``Q`` ``(n, r)`` of all blocks and per block its ``A^T``
     (``_shared_bases``). Its moment matrix ``(n, m)`` holds per site ``R``,
     ``R d``, ``R d^2``, for ``cca`` the table ``y`` (the species sums), and,
@@ -240,21 +241,12 @@ class _Plan:
 
     def __init__(self, y, named_blocks, method: str):
         ym, blocks = _stacks(y, named_blocks, method)
-        designs = [block for _, block in blocks]
-        self.method, self.sites = method, None
-        self.what = "table" if method == "cca" else "matrix"
+        self.method = method
         with np.errstate(over="ignore", invalid="ignore"):
-            if method == "cca":
-                (rows,), (cols,) = _cca_live(ym)
-                ym, designs = _cca_scaled(ym, designs, rows, cols)
-                if not rows.all():
-                    self.sites = rows
-                sums = ym.sum(axis=-1)
-                r, factor = ym / sums[..., np.newaxis], sums[0]
-            else:
-                r, factor = ym, np.ones(ym.shape[1])
+            r, factor, ym, designs, self.sites = _response(
+                ym, [block for _, block in blocks], method)
             d = _weighted_centre(r, np.ones(r.shape[:2]), None)[0]
-            factor = factor[:, np.newaxis]
+            factor = factor[0][:, np.newaxis]
             columns = [factor, factor * d, factor * np.square(d)]
             if method == "cca":
                 columns.append(ym[0])
@@ -283,17 +275,13 @@ class _Plan:
             c = c[:, self.sites]
         with np.errstate(over="ignore", invalid="ignore"):
             total, fitted, rank, w, h = self.explained(c)
-            if self.method == "rda":
-                fractions, short = _rda_fractions(total, fitted, rank, c)
-                return fractions, np.where(short.any(axis=1), NO_RESIDUAL_DF, 0)
-            return (_inertia_shares(total, fitted, self.r, w, h),
-                    _cca_reasons(c, h)[0])
+            return _fractions(self.method, total, fitted, rank, c, self.r, w, h)
 
     def explained(self, c):
         """Total and fitted sums of squares of the response under the
         ``(k, n)`` float counts ``c``: ``(total, fitted, rank, w, h)``, with
         site weights ``w = c R`` and root species weights ``h``
-        (``_response``).
+        (``_root_weights``).
 
         Each (row, block) pair takes one of two routes, each with one
         response. The Gram route (``_gram_fit``) fits ``d`` from the
@@ -314,11 +302,8 @@ class _Plan:
         mean = sums[:, 1:p + 1] / np.where(
             weight > 0.0, weight, 1.0)[:, np.newaxis]
         squares = sums[:, p + 1:2 * p + 1]
-        if self.method == "cca":
-            h = np.sqrt(sums[:, 2 * p + 1:3 * p + 1])
-            np.divide(1.0, h, out=h, where=h > 0.0)  # 0 for a species not drawn
-        else:
-            h = np.ones((len(c), p))
+        h = (_root_weights(sums[:, 2 * p + 1:3 * p + 1]) if self.method == "cca"
+             else np.ones((len(c), p)))
         g = h * h
         raw = (squares * g).sum(axis=1)
         total = ((squares - weight[:, np.newaxis] * np.square(mean))
@@ -335,7 +320,7 @@ class _Plan:
         if rows.size:
             pick = svd[rows]
             own_total, own_fitted, own_rank = _svd_route(
-                self.r, w[rows], h[rows], self.designs, pick, self.what)
+                self.r, w[rows], h[rows], self.designs, pick, self.method)
             total[rows] = np.where(own[rows], own_total, total[rows])
             fitted[rows] = np.where(pick, own_fitted, fitted[rows])
             rank[rows] = np.where(pick, own_rank, rank[rows])
@@ -489,8 +474,8 @@ def _adjust(r2, n, df):
 
 
 def _r2(total, fitted):
-    """R2 of each block, ``(k, n_blocks)``, from the sums of ``_explained``:
-    a response with zero total sum of squares has nothing to explain and
+    """R2 of each block, ``(k, n_blocks)``, from the sums of a fit: a
+    response with zero total sum of squares has nothing to explain and
     gets 0; R2 is clipped to [0, 1] against roundoff."""
     total = total[:, np.newaxis]
     explains = total > 0.0
@@ -582,11 +567,12 @@ def _block_fractions(y, named_blocks, method: str):
     ``(name, x, w)``. ``y`` and every part are stacks, ``(T, n, S)`` and
     ``(T, n, q)``; a 2-D table or block is a stack of one (``_as_stack``).
     Row ``i`` is the unit fit of table ``i`` (a point partition, a sweep
-    cell), on the SVD route (``_explained``), bit for bit when each part
+    cell) on the SVD route (``_unit_fractions``), bit for bit when each part
     has that table's memory layout (a column slice stays a strided view).
     Count-weighted fits of one table go through its ``_Plan``: a site
     counted ``c`` times weighs as ``c`` copies of its row, which is exactly
-    the fit on the resampled table.
+    the fit on the resampled table. Both paths share ``_stacks``,
+    ``_response`` and ``_fractions``.
 
     Returns ``(fractions (T, n_blocks), reasons (T,))``, the reasons all 0:
     the first degenerate table raises the ``DegenerateDataError`` of its
@@ -600,46 +586,68 @@ def _block_fractions(y, named_blocks, method: str):
     inertia over the live sites and species (a positive row or column sum);
     fewer than 3 live sites, copies counted, or 2 live species is
     degenerate. A table of fewer than 3 rows is rejected before any fit.
-    This and ``_Plan``, which share ``_stacks`` and the CCA pruning, are
-    the only places where blocks are aligned, tables pruned and ranks
-    taken.
     """
     ym, blocks = _stacks(y, named_blocks, method)
-    fit = _cca_unit_fractions if method == "cca" else _rda_unit_fractions
     # Overflow ends in a ValidationError (_weighted_centre, _svd_route),
     # not in a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        return fit(ym, blocks, np.ones(ym.shape[:2]))
+        return _unit_fractions(ym, blocks, method)
 
 
-def _rda_fractions(total, fitted, rank, c):
-    """Adjusted R2 of each block under counts ``c``, adjusted by the rank
-    of its weighted-centred columns with n the total count, and the mask of
-    blocks left with no residual degrees of freedom: ``(k, n_blocks)``
-    each."""
-    total_count = c.sum(axis=1)[:, np.newaxis]
-    df = total_count - rank - 1
-    short = df < 1
-    return _adjust(_r2(total, fitted), total_count,
-                   np.where(short, 1.0, df)), short
-
-
-def _rda_unit_fractions(ym, blocks, c):
-    """``_block_fractions`` of a unit ``rda`` call."""
-    total, fitted, rank = _explained(
-        *_response(ym, c, "rda"), [block for _, block in blocks], "matrix")
-    fractions, short = _rda_fractions(total, fitted, rank, c)
-    if short.any():
-        row, i = np.argwhere(short)[0]
+def _unit_fractions(ym, blocks, method: str):
+    """``_block_fractions`` of the stack ``ym`` and its ``blocks``
+    (``_stacks``): ``_response``, every row on the SVD route with unit
+    counts, then ``_fractions``. A ``cca`` stack whose tables leave
+    different lines empty is fitted table by table, each pruned on its own.
+    """
+    r, w, pruned, designs, _ = _response(ym, [b for _, b in blocks], method)
+    c = np.ones(w.shape)  # unit counts: the site weights are R itself
+    if method == "cca":
+        h = _root_weights(_weighted_sums(c, pruned))
+        if len(ym) > 1 and not (np.all(w > 0.0) and h.all()):
+            fits = [_unit_fractions(ym[i:i + 1], [(name, b[i:i + 1])
+                                                  for name, b in blocks],
+                                    method) for i in range(len(ym))]
+            return tuple(np.concatenate(v) for v in zip(*fits))
+        reasons, sites, species = _cca_reasons(c, h)
+        if reasons.any():
+            row = np.flatnonzero(reasons)[0]
+            raise DegenerateDataError(
+                f"only {int(sites[row])} non-empty sites and "
+                f"{int(species[row])} non-empty species remain")
+    else:
+        h = np.ones((len(c), pruned.shape[-1]))
+    total, fitted, rank = _svd_route(
+        r, w, h, designs, np.ones((len(c), len(designs)), dtype=bool), method)
+    fractions, reasons = _fractions(method, total, fitted, rank, c, r, w, h)
+    if reasons.any():
+        row = np.flatnonzero(reasons)[0]
+        # A centred unit design has rank at most n - 1, so the first block
+        # of largest rank is the first one left with no residual df.
+        i = int(np.argmax(rank[row]))
         raise DegenerateDataError(
             f"block '{blocks[i][0]}': {DEGENERATE_REASONS[NO_RESIDUAL_DF]} "
             f"(n={ym.shape[-2]}, rank m={int(rank[row, i])})")
-    return fractions, np.zeros(len(c), dtype=int)
+    return fractions, reasons
+
+
+def _fractions(method: str, total, fitted, rank, c, r, w, h):
+    """Fractions ``(k, n_blocks)`` and reasons ``(k,)`` of a fit's sums under
+    counts ``c`` (``_svd_route`` or ``_Plan.explained``), its response ``r``,
+    site weights ``w`` and root species weights ``h``: ``rda`` adjusts each
+    block's R2 by its rank with n the total count (``NO_RESIDUAL_DF`` when
+    no df is left), ``cca`` takes inertia shares and ``_cca_reasons``."""
+    if method == "cca":
+        return _inertia_shares(total, fitted, r, w, h), _cca_reasons(c, h)[0]
+    total_count = c.sum(axis=1)[:, np.newaxis]
+    df = total_count - rank - 1
+    return (_adjust(_r2(total, fitted), total_count, np.where(df < 1, 1.0, df)),
+            np.where((df < 1).any(axis=1), NO_RESIDUAL_DF, 0))
 
 
 def _inertia_shares(total, fitted, r, w, h):
     """Constrained inertia's share of ``total``, ``(k, n_blocks)``, for the
-    row profiles ``r``, weights and column scales of ``_explained`` or
+    row profiles ``r``, weights and column scales of ``_svd_route`` or
     ``_Plan.explained``.
 
     A replicate explains nothing unless one of its drawn sites deviates from
@@ -706,32 +714,6 @@ def _cca_reasons(c, h):
     species = np.count_nonzero(h, axis=1)
     return (np.where(sites < 3, FEW_SITES,
                      np.where(species < 2, FEW_SPECIES, 0)), sites, species)
-
-
-def _cca_unit_fractions(ym, blocks, c):
-    """``_block_fractions`` of a unit ``cca`` call: weighted chi-square
-    inertia shares. Empty sites and species are pruned, table by table in a
-    stack, and each table scaled (``_cca_scaled``)."""
-    rows, cols = _cca_live(ym)
-    if len(ym) > 1 and not (rows.all() and cols.all()):
-        # Prune each table of the stack on its own, as its unit fit does.
-        fits = [_cca_unit_fractions(ym[i:i + 1], [(name, b[i:i + 1])
-                                                  for name, b in blocks],
-                                    c[i:i + 1]) for i in range(len(ym))]
-        return tuple(np.concatenate(v) for v in zip(*fits))
-    # Drop sites and species dead in every replicate once.
-    rows = rows[0]
-    ym, designs = _cca_scaled(ym, [b for _, b in blocks], rows, cols[0])
-    c = c if rows.all() else c[:, rows]
-    d, w, h = _response(ym, c, "cca")
-    reasons, sites, species = _cca_reasons(c, h)
-    if reasons.any():
-        row = np.flatnonzero(reasons)[0]
-        raise DegenerateDataError(
-            f"only {int(sites[row])} non-empty sites and "
-            f"{int(species[row])} non-empty species remain")
-    total, fitted, _ = _explained(d, w, h, designs, "table")
-    return _inertia_shares(total, fitted, d, w, h), reasons
 
 
 def _log1p(table) -> np.ndarray:

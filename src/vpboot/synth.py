@@ -325,8 +325,6 @@ def _complex_config(n_sites: int, n_species: int, sigma_noise: float,
                     seed: int, sigma_niche: float) -> ScenarioConfig:
     """The scenario of ``generate_complex_dataset``: niche optima drawn once
     from ``stream(seed, ROLE_NICHE)``."""
-    if n_sites < 5:
-        raise ValidationError("need at least 5 sites")
     rng = stream(seed, ROLE_NICHE)
     niches = tuple(
         SpeciesNiche(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))

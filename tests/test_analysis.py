@@ -145,6 +145,26 @@ def test_run_analysis_report_shape_and_determinism():
     assert first.runtime_seconds > 0
 
 
+def test_run_analysis_fits_its_point_partition_through_partition_tables(
+        monkeypatch):
+    table, env = generate_dataset(ScenarioConfig(seed=34, n_sites=20))
+    x, w = _split_blocks(table, env)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return partition_tables(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "partition_tables", spy)
+    report = run_analysis(table, x, w, seed=5, m_replicates=30)
+    assert len(calls) == 1
+    (y, *blocks, method), kwargs = calls[0]
+    # The table arrives log1p-transformed, so the call does not repeat it.
+    assert np.array_equal(y, np.log1p(table.values)) and method == "cca"
+    assert blocks[0] is x and blocks[1] is w and kwargs == {"log1p": False}
+    assert report.partition == partition_tables(table, x, w)
+
+
 def test_trend_surface_expands_coordinates():
     block = PredictorBlock("spatial", ("a", "b", "c"),
                            [[1.0, 2.0], [3.0, 4.0], [0.5, -1.0]])

@@ -380,6 +380,23 @@ def test_analyze_rejects_predictors_that_overflow_once_centred(tmp_path,
         assert "design contains" in capsys.readouterr().err
 
 
+def test_analyze_rejects_coordinates_that_overflow_as_a_trend_surface(
+        tmp_path, capsys):
+    # Finite coordinates whose squares are not: no NumPy warning escapes.
+    paths, table, _ = _write_inputs(tmp_path, n_sites=12)
+    coordinates = np.random.default_rng(3).uniform(1e199, 1e200, size=(12, 2))
+    write_table_csv(tmp_path / "far.csv",
+                    PredictorBlock("spatial", table.site_ids, coordinates))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["analyze", str(paths["community"]), str(paths["env"]),
+                     str(tmp_path / "far.csv"), "--seed", "1",
+                     "--bootstrap", "20"])
+    assert code == 2
+    assert ("block 'spatial' overflows once expanded to a trend surface"
+            in capsys.readouterr().err)
+
+
 def test_analyze_input_that_is_not_utf8_exits_two(tmp_path, capsys):
     paths, _, _ = _write_inputs(tmp_path, n_sites=10)
     text = paths["community"].read_bytes()

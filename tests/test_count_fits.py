@@ -33,8 +33,8 @@ def _fit(y, blocks, method, counts=None, named=_named):
     side by side, the union, and one ``(r, q)`` SVD per block of its
     columns in the union's rank-``r`` basis, then the SVD route one
     ``(rows, n, q)`` stack per block that has rows left to it. Ranks
-    come from ``_explained`` (unit fits) or ``_Plan.explained`` (count
-    fits)."""
+    come from ``_svd_route`` (unit fits; the count fit's own SVD-route
+    rows are not recorded) or ``_Plan.explained`` (count fits)."""
     ranks, shapes = [], []
     svd_basis = ordination._svd_basis
 
@@ -50,10 +50,12 @@ def _fit(y, blocks, method, counts=None, named=_named):
         return svd_basis(a)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ordination, "_explained",
-                      recording(ordination._explained))
-        patch.setattr(ordination._Plan, "explained",
-                      recording(ordination._Plan.explained))
+        if counts is None:
+            patch.setattr(ordination, "_svd_route",
+                          recording(ordination._svd_route))
+        else:
+            patch.setattr(ordination._Plan, "explained",
+                          recording(ordination._Plan.explained))
         patch.setattr(ordination, "_svd_basis", recording_svd_basis)
         named = named(*blocks)
         fractions, reasons = (

@@ -318,7 +318,7 @@ def _no_generation(*_args):
     lambda: cca_validation(sizes=(20,), noise_levels=(0.0,), n_validation=0),
     lambda: cca_validation(sizes=(20,), noise_levels=(0.0,), m_replicates=1),
     lambda: cca_validation(sizes=(20,), noise_levels=(0.0,), seed=-1),
-    lambda: cca_validation(sizes=(20, 4), noise_levels=(0.0,)),
+    lambda: cca_validation(sizes=(20, 2), noise_levels=(0.0,)),
     lambda: bootstrap_validation([ScenarioConfig(seed=1, n_sites=10,
                                                  replicates=2 ** 32)]),
     lambda: cca_validation(sizes=(20,), noise_levels=(0.0,),

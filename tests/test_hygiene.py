@@ -100,6 +100,16 @@ def test_the_package_builds_fit_plans_in_one_place():
                     "_Plan") == ["f", "line 3"]
 
 
+def test_unit_and_count_fits_share_one_front_end():
+    # Only the response builder prunes and scales a CCA table, and only the
+    # fractions-and-reasons step turns sums into inertia shares, for unit
+    # fits (ordination._unit_fractions) and plans (_Plan) alike.
+    for name, caller in (("_cca_scaled", "_response"),
+                         ("_inertia_shares", "_fractions")):
+        assert [c for p in PACKAGE.glob("*.py")
+                for c in _callers(p.read_text(), name)] == [caller]
+
+
 def test_the_scan_sees_an_unused_import():
     source = "import os\nfrom math import inf, nan\nprint(nan)\n"
     assert _unused_imports(source) == ["inf (line 2)", "os (line 1)"]

@@ -13,8 +13,8 @@ import pytest
 from test_properties import chi_square_deviations, kernel_projector
 from vpboot.analysis import partition_tables
 from vpboot.errors import DegenerateDataError, ValidationError
-from vpboot.ordination import (PartitionResult, _block_fractions, _explained,
-                               _r2, _response)
+from vpboot.ordination import (PartitionResult, _block_fractions, _r2,
+                               _svd_route)
 from vpboot.tables import PredictorBlock
 
 
@@ -38,9 +38,9 @@ def adjusted_r2_oracle(y, x):
 def unit_r2(y, x):
     """Unadjusted R2 of ``x`` from the kernel's unit RDA fit."""
     y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
-    total, fitted, _ = _explained(
-        *_response(y[np.newaxis], np.ones((1, len(y))), "rda"),
-        [x[np.newaxis]], "matrix")
+    total, fitted, _ = _svd_route(
+        y[np.newaxis], np.ones((1, len(y))), np.ones((1, y.shape[-1])),
+        [x[np.newaxis]], np.ones((1, 1), dtype=bool), "rda")
     return float(_r2(total, fitted)[0, 0])
 
 

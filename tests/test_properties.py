@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from scalar_oracle import SiteEnvironment, relative_abundance, site_abundances
+from vpboot import ordination
 from vpboot.errors import DegenerateDataError, ValidationError
 from vpboot.experiments import (_cca_share, _effect_r2, cca_proportion,
                                 predictor_effect_r2)
 from vpboot.ordination import (_block_fractions, _deviations, _partition,
                                _Plan, _planned, _r2, _response, _rollups,
-                               _svd_basis, _weighted_centre)
+                               _root_weights, _svd_basis, _weighted_centre)
 from vpboot.resample import FAILURE_BUDGET, bootstrap_statistic
 from vpboot.rng import ROLE_NICHE, ROLE_SITE, stream
 from vpboot.synth import (ScenarioConfig, SpeciesNiche,
@@ -41,10 +42,11 @@ def kernel_projector(x):
 
 def chi_square_deviations(y):
     """The kernel's standardised chi-square deviations of a table, unit
-    counts (``_deviations`` of the ``cca`` response)."""
+    counts (``_deviations`` of the ``cca`` response, with the site weights
+    ``R`` and the root weights of the species sums)."""
     y = np.asarray(y, dtype=float)
-    return _deviations(*_response(y[np.newaxis], np.ones((1, len(y))), "cca"),
-                       "table")[0]
+    r, w, ym, _, _ = _response(y[np.newaxis], [], "cca")
+    return _deviations(r, w, _root_weights(ym.sum(axis=1)), "table")[0]
 
 
 def test_projection_is_idempotent():
@@ -394,6 +396,28 @@ def test_a_stack_fits_each_table_as_its_unit_fit(method):
             assert one.tobytes() == units[i:i + 1].tobytes()
 
 
+def test_lines_every_table_leaves_empty_are_pruned_once_for_the_stack(
+        monkeypatch):
+    rng = np.random.default_rng(108)
+    y = rng.uniform(0.5, 3.0, size=(50, 8, 4))
+    y[:, 2], y[:, :, 1] = 0.0, 0.0
+    env = rng.uniform(size=(50, 8, 3))
+    units = np.concatenate([
+        _block_fractions(y[i], _stacked_blocks(env, i), "cca")[0]
+        for i in range(50)])
+    calls = []
+    unit_fractions = ordination._unit_fractions
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return unit_fractions(*args)
+
+    monkeypatch.setattr(ordination, "_unit_fractions", counted)
+    stacked, reasons = _block_fractions(y, _stacked_blocks(env), "cca")
+    assert calls == [50]  # one fit of the pruned stack, no table alone
+    assert stacked.tobytes() == units.tobytes() and not reasons.any()
+
+
 def _degenerate_stack(method):
     """Ten tables, of which 3 and 7 fail their unit fits, each its own way."""
     rng = np.random.default_rng(107)
@@ -427,6 +451,30 @@ def test_a_stack_raises_the_first_degenerate_tables_unit_error(method):
     fractions, reasons = _block_fractions(
         y[healthy], [(name, b[healthy]) for name, b in blocks], method)
     assert np.all(np.isfinite(fractions)) and not reasons.any()
+
+
+@pytest.mark.parametrize("method", ["cca", "rda"])
+def test_unit_and_count_fits_share_one_degeneracy_rule(method):
+    # Small sparse tables, many with empty sites and species, and blocks
+    # whose joint rank often leaves no residual degrees of freedom: a unit
+    # fit raises exactly where a plan's fit of unit counts gives a reason.
+    rng = np.random.default_rng(131)
+    degenerate = 0
+    for _ in range(200):
+        n, p = int(rng.integers(3, 8)), int(rng.integers(1, 5))
+        y = rng.poisson(rng.uniform(0.2, 3.0), size=(n, p)).astype(float)
+        named = _named(*(rng.normal(size=(n, int(rng.integers(1, 3))))
+                         for _ in range(2)))
+        fractions, reasons = _Plan(y, named, method).fit(np.ones((1, n)))
+        try:
+            unit, _ = _block_fractions(y, named, method)
+        except DegenerateDataError:
+            assert reasons[0] != 0
+            degenerate += 1
+        else:
+            assert reasons[0] == 0
+            assert np.max(np.abs(fractions - unit)) <= 1e-12
+    assert 20 <= degenerate <= 180
 
 
 def test_cca_shares_keep_their_bits_under_power_of_four_scales():

@@ -217,9 +217,19 @@ def test_complex_dataset_shapes_and_determinism():
     assert not np.array_equal(table.values, other_replicate.values)
 
     with pytest.raises(ValidationError):
-        generate_complex_dataset(4)
+        generate_complex_dataset(2)
     with pytest.raises(ValidationError):
         generate_complex_dataset(40, n_species=1)
+
+
+def test_complex_datasets_keep_the_scenario_site_floor():
+    # ScenarioConfig's floor of 3 sites is the generators' one site rule.
+    table, env = generate_complex_dataset(3, seed=1)
+    assert table.values.shape == (3, 5) and env.values.shape == (3, 2)
+    assert table.site_ids == ("site1", "site2", "site3")
+    with pytest.raises(ValidationError,
+                       match=r"^need at least 3 and fewer than 2\*\*32 sites$"):
+        generate_complex_dataset(2, seed=1)
 
 
 def test_complex_communities_exhibit_nonlinearity():
