@@ -45,17 +45,26 @@ def trend_surface(block: PredictorBlock) -> PredictorBlock:
 
     Raw site coordinates make a poor linear predictor set; the second-order
     polynomial surface lets broad spatial gradients and simple curvature be
-    captured. Only defined for exactly two columns whose squares are finite.
+    captured. Each coordinate is first centred and scaled to unit variance
+    (a constant one is only centred), as Legendre & Legendre (Numerical
+    Ecology, 2012) advise for polynomial trend surfaces. A full quadratic
+    with an intercept spans the same space after any affine change of
+    coordinates, so this moves the fractions only at roundoff, but it keeps
+    the surface's columns on one scale whatever the coordinates' units:
+    raw metre-scale coordinates put the surface's singular values far
+    apart and send every bootstrap replicate to the slow exact route.
+    Only defined for exactly two columns whose centred squares are finite.
     """
     if block.n_columns != 2:
         raise ValidationError(
             f"trend surface needs exactly 2 coordinate columns, "
             f"block {block.name!r} has {block.n_columns}")
-    x = block.values[:, 0]
-    y = block.values[:, 1]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = block.values - block.values.mean(axis=0)
+        spread = np.sqrt(np.square(centred).mean(axis=0))
+        x, y = (centred / np.where(spread > 0.0, spread, 1.0)).T
         expanded = np.column_stack([x, y, x * x, x * y, y * y])
-    if not np.isfinite(expanded).all():
+    if not (np.isfinite(spread).all() and np.isfinite(expanded).all()):
         raise ValidationError(
             f"block {block.name!r} overflows once expanded to a trend surface")
     return PredictorBlock(block.name, block.site_ids, expanded)

@@ -183,7 +183,7 @@ def _shared_bases(designs):
     no row of any block: the union is not finite, or one of its singular
     values lies in ``_RANK_BAND`` of the largest. Per design, the entry is
     None when that design takes the SVD route, else ``A^T`` ``(r_b, r)``
-    with ``Q_b = Q A``, the design's own kept left singular vectors: ``A``
+    with ``Q_b = Q A`` an orthonormal basis of the design's span: ``A``
     comes from the small SVD of ``Q^T X`` for its unit-centred ``X``, whose
     singular values give the design's own rank-band verdict. A design that
     lies outside ``span Q`` by more than the band's lower edge of its own
@@ -191,6 +191,13 @@ def _shared_bases(designs):
     union's cutoff drops) takes the SVD route too. A design whose rank is
     ``r``, such as the only design with columns, fits in ``Q`` itself: its
     entry is the identity.
+
+    After those verdicts ``Q`` is rotated once, ``Q <- Q V`` for an
+    orthonormal completion ``V`` (a complete QR) of the largest design of
+    rank ``0 < r_w < r`` (the spatial block of a partition, ties to the
+    later design), so that its entry is the leading ``[I 0]``: its fit is
+    the leading part of the ``r``-rank designs' factor (``_factors``).
+    The other entries follow as ``A^T V``.
     """
     centred = [_weighted_centre(block, np.ones(block.shape[:2]), None)[0]
                for block in designs]
@@ -201,9 +208,10 @@ def _shared_bases(designs):
     if _in_rank_band(s):
         return None, [None] * len(designs)
     q = u[:, keep]
+    r = q.shape[1]
     bases = []
     for a in centred:
-        fold = np.eye(q.shape[1])
+        fold = np.eye(r)
         if a.shape[1] < union.shape[1]:  # else the union, with its verdict
             inside = q.T @ a
             v, own, sv = _svd_basis(inside)
@@ -211,10 +219,51 @@ def _shared_bases(designs):
             if _in_rank_band(sv) or outside > np.square(
                     _RANK_BAND[0] * sv[:1]).sum():
                 fold = None
-            elif own.sum() < q.shape[1]:
+            elif own.sum() < r:
                 fold = np.ascontiguousarray(v[:, own].T)
         bases.append(fold)
+    ranks = [0 if fold is None or len(fold) == r else len(fold)
+             for fold in bases]
+    nested = max(range(len(bases)), key=lambda b: (ranks[b], b))
+    if ranks[nested]:
+        rotation = np.linalg.qr(bases[nested].T, mode="complete")[0]
+        q = q @ rotation
+        bases = [fold if fold is None or len(fold) == r else fold @ rotation
+                 for fold in bases]
+        bases[nested] = np.eye(ranks[nested], r)
     return q, bases
+
+
+def _factors(bases):
+    """The factor loops of a plan's ``bases`` (``_Plan.bases``): ``[(blocks,
+    (left, reads))]``, one ``_gram_fit`` call each, which fits ``blocks``
+    in the order of ``reads``, ``((r_b, at), ...)`` by increasing rank
+    ``r_b`` with the sizes in column ``at`` of the moment sums; and the
+    blocks of rank 0, which every row fits with nothing, so that they need
+    no loop.
+
+    The blocks whose fold is the leading ``[I 0]`` (the ``r``-rank blocks
+    and the nested block of ``_shared_bases``) share one loop on the
+    union's own Gram matrix, ``left`` None. Every other block with a basis
+    has a loop of its own, ``left`` its ``A^T``; a block without one has
+    none.
+    """
+    leading, factors, constant = [], [], []
+    for b, basis in enumerate(bases):
+        if basis is None:
+            continue
+        fold, at = basis
+        if not len(fold):
+            constant.append(b)
+        elif np.array_equal(fold, np.eye(*fold.shape)):
+            leading.append((len(fold), b, at))
+        else:
+            factors.append(([b], (fold, ((len(fold), at),))))
+    if leading:
+        leading.sort()
+        factors.append(([b for _, b, _ in leading],
+                        (None, tuple((r_b, at) for r_b, _, at in leading))))
+    return factors, constant
 
 
 class _Plan:
@@ -226,8 +275,12 @@ class _Plan:
     ``r`` (the table, or its row profiles) and the site factors ``R`` that
     turn counts into site weights ``w = c R`` (ones, or the row sums);
     ``d``, ``r`` centred with unit counts; the union basis
-    ``Q`` ``(n, r)`` of all blocks and per block its ``A^T``
-    (``_shared_bases``). Its moment matrix ``(n, m)`` holds per site ``R``,
+    ``Q`` ``(n, r)`` of all blocks, rotated so that its leading columns
+    span the nested block, per block its ``A^T`` and the column of its
+    sizes (``bases``, from ``_shared_bases``), and the factor loops that
+    fit them (``factors``, from ``_factors``): for a partition, one for
+    env and one for the joint block, whose leading part is the spatial
+    block's. Its moment matrix ``(n, m)`` holds per site ``R``,
     ``R d``, ``R d^2``, for ``cca`` the table ``y`` (the species sums), and,
     when there is a union basis, ``R Q``, ``R q_i q_j`` for ``i <= j`` and
     per block ``R |x|^2``: ``m <= 1 + 3p + r (r + 3) / 2 + n_blocks`` for
@@ -264,6 +317,7 @@ class _Plan:
                               for b, fold in enumerate(self.bases)]
                 columns += [factor * np.square(block[0]).sum(
                     axis=1, keepdims=True) for block in designs]
+        self.factors, self.constant = _factors(self.bases)
         self.r, self.d, self.factor, self.designs = r, d, factor[:, 0], designs
         self.moments = np.hstack(columns)
 
@@ -310,9 +364,14 @@ class _Plan:
                  * g).sum(axis=1)
         own = ~np.isfinite(raw + weight) | (total < 0.5 * raw)
         gram, cross = _union_system(self.union, sums, c, self.d, weight, mean)
-        fitted, rank, ok = (np.stack(v, axis=1) for v in zip(*(
-            _gram_fit(basis, gram, cross, sums, g, weight, len(self.d))
-            for basis in self.bases)))
+        shape = (len(c), len(self.bases))
+        fitted, rank = np.zeros(shape), np.zeros(shape, dtype=np.intp)
+        ok = np.zeros(shape, dtype=bool)
+        ok[:, self.constant] = True
+        for blocks, factor in self.factors:
+            for b, fit in zip(blocks, _gram_fit(factor, gram, cross, sums, g,
+                                                weight, len(self.d))):
+                fitted[:, b], rank[:, b], ok[:, b] = fit
         del gram, cross
         svd = own[:, np.newaxis] | ~ok
         w = c * self.factor if self.method == "cca" else c  # after the peak
@@ -357,36 +416,49 @@ def _union_system(union, sums, c, d, weight, mean):
     return gram, cross
 
 
-def _gram_fit(basis, gram, cross, sums, g, weight, n: int):
-    """Fitted sums of squares and ranks ``(k,)`` of one block from the
-    chunk's union system ``gram``, ``cross`` (``_union_system``), and the
-    mask ``(k,)`` of the rows it fitted: ``_Plan.explained`` leaves the
-    rest to the SVD route.
+def _gram_fit(factor, gram, cross, sums, g, weight, n: int):
+    """``[(fitted, rank, ok)]``, one per block that a factor of ``_factors``
+    fits: the fitted sums of squares and ranks ``(k,)`` from the chunk's
+    union system ``gram``, ``cross`` (``_union_system``), and the mask of
+    the rows it fitted; ``_Plan.explained`` leaves the rest to the SVD
+    route.
 
-    ``basis`` is the block's entry of ``_Plan.bases``: None, or its ``A^T``
-    (square only for ``A = I``) and the column of ``sums`` that holds its
-    sizes. Reweighting only drops or repeats sites, so every row's
-    weighted-centred design lies in the span of the ``r_b`` columns of its
-    unit basis ``Q A``, and has rank at most ``r_b``. The block's Gram
-    matrix is ``G_b = A^T G A = L L^T`` and its cross products ``A^T B``;
-    a row fits ``sum_j g_j |L^{-1} A^T b_j|^2 = sum_j g_j b_j^T A G_b^{-1}
-    A^T b_j`` with rank ``r_b``, and ``A^T`` enters the small left factor,
-    so no ``(k, r_b, p)`` cross products are built.
+    ``factor`` is ``(left, reads)``: ``left`` is None for the blocks that
+    are leading parts of the union basis, else one block's ``A^T``; a read
+    ``(r_b, at)`` is a block of rank ``r_b`` that fits in the leading
+    ``r_b`` columns of ``Q A`` (``Q`` itself when ``left`` is None), with
+    its sizes in column ``at`` of ``sums``. Reweighting only drops or
+    repeats sites, so every row's weighted-centred design lies in the span
+    of the ``r_b`` columns of its unit basis, and has rank at most
+    ``r_b``. The factor's Gram matrix is ``G_b = A^T G A = L L^T`` (the
+    leading block of ``G`` itself when ``left`` is None) and its cross
+    products ``A^T B``; a block fits ``sum_j g_j |L^{-1} A^T b_j|^2 =
+    sum_j g_j b_j^T A G_b^{-1} A^T b_j`` with rank ``r_b``, and ``A^T``
+    enters the small left factor, so no ``(k, r_b, p)`` cross products are
+    built. ``L^{-1}`` is lower triangular, so its leading ``r_b x r_b``
+    block is the inverse factor of the leading block of ``G_b``, and the
+    leading ``r_b`` rows of ``z = L^{-1} A^T B`` are that block's: one
+    loop, one ``z`` and one per-row product ``sum_j g_j z_ij^2`` give
+    every block, which sums the first ``r_b`` of them.
 
     ``L^{-1}`` is built one row at a time: row ``i`` of ``L`` is ``l =
     L^{-1}[:i, :i] G_b[:i, i]`` and its pivot ``G_b[i, i] - |l|^2``. A
     pivot that is not positive (or is NaN) is taken as 1, so the pass never
-    raises, and leaves its row to the SVD route. ``|L^{-1}|_F^2 = tr
-    G_b^{-1}`` bounds ``1 / lambda_min`` and ``tr G_b`` bounds
-    ``lambda_max``, so a row with ``tr G_b tr G_b^{-1}`` at most half of
+    raises, and leaves its row to the SVD route in every block past it.
+    For a block of rank ``r_b``, with the leading blocks of ``G_b`` and
+    ``L^{-1}``, ``|L^{-1}|_F^2 = tr G_b^{-1}`` bounds ``1 / lambda_min``
+    and ``tr G_b`` bounds ``lambda_max``, so a row with its first ``r_b``
+    pivots positive, ``tr G_b tr G_b^{-1}`` at most half of
     ``_GRAM_CONDITION`` and ``2 W tr G_b^{-1}`` at most ``_GRAM_CONDITION
     n`` has a condition number of at most ``_GRAM_CONDITION`` and a
     smallest eigenvalue of at least ``W / n`` over it, with a factor 2 to
-    spare for roundoff. Forming ``G`` squares the condition number, so the
-    SVD stays the rank authority and takes:
+    spare for roundoff. The pivots' verdict and the trace are kept at
+    every row of the loop and read at row ``r_b``. Forming ``G`` squares
+    the condition number, so the SVD stays the rank authority and takes:
 
     - every row, when the block has no basis (None: a union or design that
-      is not finite or in the rank band, or a design outside ``span Q``);
+      is not finite or in the rank band, or a design outside ``span Q``),
+      which no factor fits;
     - a row outside that certificate (such as a column constant over the
       drawn sites, whose pivot is 0);
     - a row whose ``sum w |x|^2`` over the design's rows is not finite,
@@ -396,41 +468,41 @@ def _gram_fit(basis, gram, cross, sums, g, weight, n: int):
     singular values ``1e4`` above ``SV_RCOND`` and the spread costs at most
     a factor ``sqrt(_GRAM_CONDITION)``.
     """
-    k = len(weight)
-    fitted, rank = np.zeros(k), np.zeros(k, dtype=np.intp)
-    if basis is None:
-        return fitted, rank, np.zeros(k, dtype=bool)
-    left, at = basis
-    r = len(left)
-    if not r:  # a design constant over the sites fits nothing
-        return fitted, rank, np.ones(k, dtype=bool)
-    if r < left.shape[1]:
+    left, reads = factor
+    k, r = len(weight), reads[-1][0]
+    if left is not None:
         gram = np.matmul(np.matmul(left, gram), left.T)
     else:
-        left = None
-    ok = (weight > 0.0) & np.isfinite(sums[:, at])
-    inverse = np.zeros_like(gram)
+        gram, cross = gram[:, :r, :r], cross[:, :r]
+    inverse = np.zeros((k, r, r))
+    # Entry i: whether the weight and the first i pivots are positive, and
+    # the trace of the leading i x i block.
+    alive, trace = [weight > 0.0], [0.0]
     for i in range(r):
         head = inverse[:, :i, :i]
         row = np.matmul(head, gram[:, :i, i, np.newaxis])[:, :, 0]
-        pivot = gram[:, i, i] - np.square(row).sum(axis=1)
-        positive = pivot > 0.0
-        ok &= positive
-        scale = 1.0 / np.sqrt(np.where(positive, pivot, 1.0))
+        diagonal = gram[:, i, i]
+        pivot = diagonal - np.square(row).sum(axis=1)
+        alive.append(alive[i] & (pivot > 0.0))
+        trace.append(trace[i] + diagonal)
+        scale = 1.0 / np.sqrt(np.where(alive[i + 1], pivot, 1.0))
         inverse[:, i, i] = scale
         scale *= -1.0  # row i of L^{-1} is -l^T L^{-1}[:i, :i] / L_ii
         np.multiply(np.matmul(row[:, np.newaxis], head)[:, 0],
                     scale[:, np.newaxis], out=inverse[:, i, :i])
-    bound = np.square(inverse).sum(axis=(1, 2))
-    ok &= ((np.trace(gram, axis1=1, axis2=2) * bound <= _GRAM_CONDITION / 2)
-           & (2.0 * weight * bound <= _GRAM_CONDITION * n))
+    certified = []
+    for r_b, at in reads:
+        bound = np.square(inverse[:, :r_b, :r_b]).sum(axis=(1, 2))
+        certified.append(alive[r_b] & np.isfinite(sums[:, at])
+                         & (trace[r_b] * bound <= _GRAM_CONDITION / 2)
+                         & (2.0 * weight * bound <= _GRAM_CONDITION * n))
     if left is not None:
         inverse = np.matmul(inverse, left)  # L^{-1} A^T: no (k, r_b, p) A^T B
     z = np.matmul(inverse, cross)
     np.square(z, out=z)
-    fitted[ok] = _weighted_sums(g, np.swapaxes(z, 1, 2)).sum(axis=1)[ok]
-    rank[ok] = r
-    return fitted, rank, ok
+    spreads = _weighted_sums(g, np.swapaxes(z, 1, 2))
+    return [(np.where(ok, spreads[:, :r_b].sum(axis=1), 0.0), ok * r_b, ok)
+            for (r_b, _), ok in zip(reads, certified)]
 
 
 def _replicate_values(n_sites: int, n_species: int, n_block_columns: int) -> int:
@@ -444,16 +516,21 @@ def _replicate_values(n_sites: int, n_species: int, n_block_columns: int) -> int
     ``q`` and the union rank ``r <= q``); the means, root species weights
     and their squares (``3p``); the union's cross products with the
     response and its Gram matrix (``q (p + q)``), which stay held across
-    the blocks' fits; and the larger peak of one block's fit. A block of
-    rank ``b`` fits from ``G_b`` and holds ``L^{-1}`` (``b^2``): beside
-    it, one row of ``L`` and its products while it is built, its square
-    for the bound (``b^2``), then ``L^{-1}`` with ``A^T`` folded in as it
+    the factors' fits; and the larger peak of one factor's fit
+    (``_gram_fit``). A factor of rank ``b`` fits from ``G_b`` and holds
+    ``L^{-1}`` (``b^2``): beside it, one row of ``L`` and its products
+    while it is built, the square of one block's leading part for its
+    bound (at most ``b^2``), then ``L^{-1}`` with ``A^T`` folded in as it
     forms (``b q``), and last that fold, the image of the cross products
-    under it and the spreads (``b (q + p + 1)``). For ``A = I`` (``b =
-    r``) ``G_b`` is the union's and the fold is ``L^{-1}`` itself, so the
-    peak is ``max(q (p + q), 2q^2) + q``; any other block has ``b <= q -
-    1``, so its fold outgrows the square, and it holds its own ``G_b``
-    (``b^2``) as well: ``b^2 + b (q + max(b, p + 1))``.
+    under it and the spreads (``b (q + p + 1)``). The leading factor
+    (``left`` None: the blocks of the union's rank and the nested block)
+    fits from the leading block of the union's ``G`` itself and its fold
+    is ``L^{-1}``, so its peak is ``max(q (p + q), 2q^2) + q``; any other
+    factor has ``b <= q - 1``, so its fold outgrows the square, and it
+    holds its own ``G_b`` (``b^2``) as well: ``b^2 + b (q + max(b, p +
+    1))``. The loop's running pivot verdicts and traces (about ``b + 1``
+    values) are not counted: a traced benchmark-shaped CCA chunk peaks at
+    85% of this count.
     The CCA site weights (``n``) are formed after the Gram fits, when
     those are gone. A row that takes the SVD route (``_svd_route``) holds
     its own ``n x p`` deviations, its weighted design and its singular

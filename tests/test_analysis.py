@@ -166,17 +166,25 @@ def test_run_analysis_fits_its_point_partition_through_partition_tables(
 
 
 def test_trend_surface_expands_coordinates():
+    # Each coordinate is centred and scaled to unit variance first: x has
+    # mean 3/2 and variance 7/6, y mean 5/3 and variance 38/9.
     block = PredictorBlock("spatial", ("a", "b", "c"),
                            [[1.0, 2.0], [3.0, 4.0], [0.5, -1.0]])
     expanded = trend_surface(block)
     assert expanded.name == "spatial"
     assert expanded.site_ids == block.site_ids
     assert expanded.n_columns == 5
-    np.testing.assert_allclose(
-        expanded.values,
-        [[1.0, 2.0, 1.0, 2.0, 4.0],
-         [3.0, 4.0, 9.0, 12.0, 16.0],
-         [0.5, -1.0, 0.25, -0.5, 1.0]])
+    x = np.array([-0.5, 1.5, -1.0]) / np.sqrt(7 / 6)
+    y = np.array([1.0, 7.0, -8.0]) / 3 / np.sqrt(38 / 9)
+    np.testing.assert_allclose(expanded.values,
+                               np.column_stack([x, y, x * x, x * y, y * y]),
+                               rtol=1e-15, atol=1e-15)
+    # A constant coordinate is centred to 0, not divided by its spread.
+    flat = trend_surface(PredictorBlock("spatial", ("a", "b", "c"),
+                                        [[2.0, 2.0], [2.0, 4.0], [2.0, -1.0]]))
+    assert not flat.values[:, [0, 2, 3]].any()
+    np.testing.assert_allclose(flat.values[:, [1, 4]],
+                               np.column_stack([y, y * y]), rtol=1e-15)
 
     narrow = PredictorBlock("spatial", ("a", "b", "c"), [[1.0], [2.0], [3.0]])
     with pytest.raises(ValidationError, match="exactly 2 coordinate columns"):

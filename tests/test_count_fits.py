@@ -14,7 +14,7 @@ import pytest
 
 import golden_outputs
 from vpboot import ordination, resample
-from vpboot.analysis import run_analysis
+from vpboot.analysis import report_to_dict, run_analysis, trend_surface
 from vpboot.errors import ValidationError
 from vpboot.ordination import _block_fractions, _Plan, _planned
 from vpboot.resample import bootstrap_statistic
@@ -222,8 +222,9 @@ def test_a_response_constant_over_the_drawn_sites_fits_as_its_table(spread):
 def test_a_design_that_overflows_once_unit_centred_raises_from_the_svd_route(
         monkeypatch):
     # A 1e200 entry squares past the float range in the unit-centred design
-    # and so in the union of the blocks: ``_gram_fit`` leaves every row of
-    # every block to the SVD route, which raises as the unit fit does.
+    # and so in the union of the blocks: the plan has no factor for
+    # ``_gram_fit`` to run, and every row of every block goes to the SVD
+    # route, which raises as the unit fit does.
     rng = np.random.default_rng(127)
     n = 30
     y = rng.normal(size=(n, 2))
@@ -234,18 +235,24 @@ def test_a_design_that_overflows_once_unit_centred_raises_from_the_svd_route(
     overflow = "^design contains non-finite entries or overflows once centred$"
     with pytest.raises(ValidationError, match=overflow):
         _block_fractions(y, _named(*blocks), "rda")
-    left, gram_fit = [], ordination._gram_fit
+    fits, picks = [], []
+    gram_fit, svd_route = ordination._gram_fit, ordination._svd_route
 
     def recording_gram_fit(*args):
-        out = gram_fit(*args)
-        left.append(np.flatnonzero(~out[2]).tolist())
-        return out
+        fits.append(args)
+        return gram_fit(*args)
+
+    def recording_svd_route(r, w, h, designs, svd, method):
+        picks.append(svd.copy())
+        return svd_route(r, w, h, designs, svd, method)
 
     monkeypatch.setattr(ordination, "_gram_fit", recording_gram_fit)
+    monkeypatch.setattr(ordination, "_svd_route", recording_svd_route)
     with pytest.raises(ValidationError, match=overflow):
         _Plan(y, _named(*blocks), "rda").fit(counts)
-    every = list(range(len(counts)))
-    assert left == [every, every, every]
+    assert fits == []
+    assert [pick.shape for pick in picks] == [(len(counts), 3)]
+    assert picks[0].all()
 
 
 def _bootstrapped_fits(y, blocks, method, m_replicates, monkeypatch,
@@ -458,11 +465,12 @@ def _spectral_inputs(spectra, extra, rng, p=3):
 
 def _block_fit(union, sums, c, d, g, weight, mean):
     """``_gram_fit`` of a block whose basis is the whole union (``A =
-    I``), with its sizes in the last column of ``sums``."""
+    I``, the only block of the leading factor), with its sizes in the last
+    column of ``sums``."""
     gram, cross = ordination._union_system(union, sums, c, d, weight, mean)
-    basis = (np.eye(gram.shape[1]), sums.shape[1] - 1)
-    return ordination._gram_fit(basis, gram, cross, sums, g, weight,
-                                c.shape[1])
+    factor = (None, ((gram.shape[1], sums.shape[1] - 1),))
+    return ordination._gram_fit(factor, gram, cross, sums, g, weight,
+                                c.shape[1])[0]
 
 
 def _eigh_reference(gram, cross, g, weight, sizes, n):
@@ -572,16 +580,19 @@ def test_certified_fits_match_the_eigh_route_on_a_bootstrap(method,
     ranks, routed = [], []
     gram_fit, svd_route = ordination._gram_fit, ordination._svd_route
 
-    def checked_gram_fit(basis, gram, cross, sums, g, weight, n):
-        fitted, rank, ok = gram_fit(basis, gram, cross, sums, g, weight, n)
-        left, at = basis
-        ref_fitted, ref_rank, ref_ok = _eigh_reference(
-            left @ gram @ left.T, left @ cross, g, weight, sums[:, at], n)
-        assert np.all(ref_ok[ok]) and np.all(rank[ok] == ref_rank[ok])
-        assert np.all(np.abs(fitted - ref_fitted)[ok]
-                      <= 1e-13 * np.abs(ref_fitted[ok]))
-        ranks.append(len(left))
-        return fitted, rank, ok
+    def checked_gram_fit(factor, gram, cross, sums, g, weight, n):
+        fits = gram_fit(factor, gram, cross, sums, g, weight, n)
+        left, reads = factor
+        for (fitted, rank, ok), (r_b, at) in zip(fits, reads):
+            # A block of the leading factor fits in the first r_b columns.
+            fold = np.eye(r_b, gram.shape[1]) if left is None else left
+            ref_fitted, ref_rank, ref_ok = _eigh_reference(
+                fold @ gram @ fold.T, fold @ cross, g, weight, sums[:, at], n)
+            assert np.all(ref_ok[ok]) and np.all(rank[ok] == ref_rank[ok])
+            assert np.all(np.abs(fitted - ref_fitted)[ok]
+                          <= 1e-13 * np.abs(ref_fitted[ok]))
+            ranks.append(r_b)
+        return fits
 
     def recording_svd_route(r, w, *args):
         routed.append(len(w))
@@ -613,3 +624,179 @@ def test_a_rare_dummy_level_sends_only_the_replicates_that_miss_it_to_svd(
     missed = counts[:, 0] == 0
     assert routed == np.count_nonzero(missed) > 0
     assert np.array_equal(ranks[:, 0], np.where(missed, 1, 2))
+
+
+# Nested blocks: the largest block of rank below the union's (the spatial
+# block of a partition) is the leading part of the union basis, and its
+# fit is read from the factor of the blocks that span the whole union.
+
+def _effect(env):
+    """``experiments._effect_r2``'s blocks."""
+    return [("both gradients", env), ("first gradient", env[:, :1])]
+
+
+def _nested_inputs(shape, method, rng, n=100):
+    """A table, its blocks and their naming: ``partition`` is shaped like
+    an analyze benchmark input (RDA 100 x 2 with blocks of 1 and 1
+    columns, CCA 100 x 35, sparse, with blocks of 1 and 5), ``dummy`` is
+    that with the spatial block's last column a dummy of site 0, so that a
+    replicate that misses the site fails both certificates, and
+    ``effect`` is ``_effect_r2``'s two gradients."""
+    if method == "rda":
+        y, x, w = (rng.normal(size=(n, 2)), rng.normal(size=(n, 1)),
+                   rng.normal(size=(n, 1)))
+    else:
+        y = np.log1p(rng.poisson(0.5, size=(n, 35)).astype(float))
+        y[:, 0] += 1.0
+        x, w = rng.normal(size=(n, 1)), rng.normal(size=(n, 5))
+    if shape == "effect":
+        return y, [rng.normal(size=(n, 2))], _effect
+    if shape == "dummy":
+        w = np.column_stack([w, np.arange(n) == 0]).astype(float)
+    return y, [x, w], _named
+
+
+def _spied_nested_reads(monkeypatch):
+    """Spy on ``_gram_fit``: for each block of the leading factor below the
+    union's rank, ``(prefix, own, lam, weight, n)``: its ``(fitted, rank,
+    ok)``, the same of the block's own factor (``left`` its ``[I 0]``, the
+    per-block certificate), the eigenvalues of its Gram matrix and the
+    weight totals."""
+    reads, gram_fit = [], ordination._gram_fit
+
+    def spying_gram_fit(factor, gram, cross, sums, g, weight, n):
+        fits = gram_fit(factor, gram, cross, sums, g, weight, n)
+        left, blocks = factor
+        r = gram.shape[1]
+        for fit, (r_b, at) in zip(fits, blocks):
+            if left is None and r_b < r:
+                own = gram_fit((np.eye(r_b, r), ((r_b, at),)), gram, cross,
+                               sums, g, weight, n)[0]
+                reads.append((fit, own, np.linalg.eigvalsh(
+                    gram[:, :r_b, :r_b]), weight, n))
+        return fits
+
+    monkeypatch.setattr(ordination, "_gram_fit", spying_gram_fit)
+    return reads
+
+
+@pytest.mark.parametrize("shape,method", [
+    ("partition", "rda"), ("partition", "cca"), ("dummy", "rda"),
+    ("dummy", "cca"), ("effect", "rda")])
+def test_a_nested_block_fits_as_its_own_factor_and_its_table(
+        shape, method, monkeypatch):
+    # Every replicate fits as its resampled table (fractions to 1e-12 and
+    # the same ranks), and the nested read certifies a row exactly where
+    # the block's own factor would, but for rows within a factor 2 of a
+    # gate, where roundoff may tip either; both fit a row they certify
+    # alike to 1e-12.
+    rng = np.random.default_rng(139)
+    y, blocks, named = _nested_inputs(shape, method, rng)
+    reads = _spied_nested_reads(monkeypatch)
+    _assert_replicates_fit_as_their_tables(y, blocks, method, monkeypatch,
+                                           m_replicates=60, named=named)
+    assert reads
+    certified = []
+    for (fitted, rank, ok), (own_fitted, own_rank, own_ok), lam, weight, n \
+            in reads:
+        with np.errstate(divide="ignore"):
+            inverse = np.where(lam[:, 0] > 0.0, (1.0 / lam).sum(axis=1),
+                               np.inf)
+        product, floor = lam.sum(axis=1) * inverse, 2.0 * weight * inverse
+        near = ((_CONDITION / 4 <= product) & (product <= _CONDITION)
+                | (_CONDITION * n / 2 <= floor) & (floor <= 2 * _CONDITION * n))
+        assert np.array_equal(ok[~near], own_ok[~near])
+        both = ok & own_ok
+        assert np.array_equal(rank[both], own_rank[both])
+        assert np.all(np.abs(fitted - own_fitted)[both]
+                      <= 1e-12 * np.abs(own_fitted[both]))
+        certified.append(ok)
+    certified = np.concatenate(certified)
+    assert certified.any()
+    assert (not certified.all()) == (shape == "dummy")
+
+
+def _golden_blocks(method, scale=1.0):
+    """The golden analyze inputs of ``method`` as ``analyze`` fits them,
+    with the spatial block's entries times ``scale``: a 2-column spatial
+    block (site coordinates) is expanded to its trend surface."""
+    table, env, spatial = golden_outputs._inputs(method)
+    ids = table.site_ids
+    spatial = PredictorBlock("spatial", ids, scale * spatial)
+    if spatial.n_columns == 2:
+        spatial = trend_surface(spatial)
+    return table, PredictorBlock("env", ids, env), spatial
+
+
+def _routed_analysis(method, scale=1.0):
+    """The report of ``run_analysis`` on the golden inputs (M = 1000) and,
+    per bootstrap chunk (``_Plan.explained`` call), how many factor loops
+    (``_gram_fit`` calls) it ran and how many (replicate, block) pairs it
+    sent to the SVD route."""
+    chunks, inside = [], []
+    explained = ordination._Plan.explained
+    gram_fit, svd_route = ordination._gram_fit, ordination._svd_route
+
+    def recording_explained(plan, c):
+        chunks.append([0, 0])
+        inside.append(True)
+        try:
+            return explained(plan, c)
+        finally:
+            inside.pop()
+
+    def recording_gram_fit(*args):
+        if inside:
+            chunks[-1][0] += 1
+        return gram_fit(*args)
+
+    def recording_svd_route(r, w, h, designs, svd, method):
+        if inside:
+            chunks[-1][1] += int(svd.sum())
+        return svd_route(r, w, h, designs, svd, method)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ordination._Plan, "explained", recording_explained)
+        patch.setattr(ordination, "_gram_fit", recording_gram_fit)
+        patch.setattr(ordination, "_svd_route", recording_svd_route)
+        report = run_analysis(*_golden_blocks(method, scale), seed=1,
+                              method=method, m_replicates=1000)
+    return report, chunks
+
+
+@pytest.mark.parametrize("method", ["rda", "cca"])
+def test_golden_analyze_chunks_run_two_factor_loops(method):
+    # Env has a factor of its own; the spatial block is read from the
+    # joint block's factor, not factored a third time. No replicate takes
+    # the SVD route.
+    _, chunks = _routed_analysis(method)
+    assert len(chunks) > 1
+    assert chunks == [[2, 0]] * len(chunks)
+
+
+def _numbers(report):
+    """The report's numbers, by path, less its run time."""
+    def walk(value, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                yield from walk(item, f"{path}.{key}")
+        elif isinstance(value, float):
+            yield path, value
+    data = report_to_dict(report)
+    del data["runtime_seconds"]
+    return dict(walk(data, ""))
+
+
+def test_metre_scale_coordinates_fit_as_unit_scale_ones():
+    # The golden CCA coordinates times 1000, the metre scale of the Barro
+    # Colorado Island plot. Expanded raw, the trend surface's singular
+    # values put the union in the rank band and every pair took the SVD
+    # route; standardised first, none does, and every number of the report
+    # is the unit-scale one to 1e-12 relative.
+    unit, _ = _routed_analysis("cca")
+    metres, chunks = _routed_analysis("cca", scale=1000.0)
+    assert sum(routed for _, routed in chunks) == 0
+    expected, actual = _numbers(unit), _numbers(metres)
+    assert actual.keys() == expected.keys()
+    for path, value in expected.items():
+        assert abs(actual[path] - value) <= 1e-12 * abs(value), path
